@@ -67,21 +67,10 @@ StatusOr<std::vector<ExplanationInstance>> ExplanationEngine::Explain(
 
 StatusOr<std::vector<int64_t>> ExplanationEngine::ExplainedLids(
     size_t index) const {
-  return ExplainedLids(index, ExecutorOptions{});
-}
-
-StatusOr<std::vector<int64_t>> ExplanationEngine::ExplainedLids(
-    size_t index, const ExecutorOptions& executor_options) const {
-  return ExplainedLids(index, executor_options, db_->CreateSnapshot());
-}
-
-StatusOr<std::vector<int64_t>> ExplanationEngine::ExplainedLids(
-    size_t index, const ExecutorOptions& executor_options,
-    const Database::Snapshot& snapshot) const {
   if (index >= templates_.size()) {
     return Status::OutOfRange("template index out of range");
   }
-  Executor executor(snapshot, executor_options);
+  Executor executor(db_);
   const auto& tmpl = templates_[index];
   // DistinctLids is the semi-join fast path: row ids flow through the whole
   // pipeline and the sorted lid vector is materialized straight from the
@@ -102,70 +91,131 @@ StatusOr<ExplanationReport> ExplanationEngine::ExplainAll(
     const ExplainAllOptions& options,
     const Database::Snapshot& snapshot) const {
   EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(log_table_));
-  EBA_ASSIGN_OR_RETURN(AccessLog log, AccessLog::Wrap(table));
-
-  ExplanationReport report;
-  // Everything below — template evaluation AND the classification scan —
-  // sees exactly the rows under the snapshot's log watermark, so a report
-  // computed while the writer keeps appending equals the report over a
-  // quiesced database stopped at the same watermark.
-  const size_t log_rows = snapshot.BoundOf(table);
-  report.log_size = log_rows;
-
-  const size_t threads = std::max<size_t>(1, options.num_threads);
-
-  // One pool serves both phases (spawn/join threads once per call); null
-  // when serial, which ParallelFor runs inline. The calling thread
-  // participates in every ParallelFor round, so the pool only needs
-  // threads - 1 workers.
+  // One pool serves the whole audit (spawn/join threads once per call).
   std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
+  EBA_ASSIGN_OR_RETURN(
+      RangeAudit audit,
+      AuditRange(snapshot, /*log_from=*/0, /*appends=*/{},
+                 /*accumulated=*/{}, options, &pool));
+  ExplanationReport report;
+  report.log_size = snapshot.BoundOf(table);
+  report.per_template_counts = std::move(audit.per_template_counts);
+  report.explained_lids = std::move(audit.explained_lids);
+  report.unexplained_lids = std::move(audit.unexplained_lids);
+  return report;
+}
 
-  // Template evaluation shares the engine's persistent plan cache (unless
-  // the caller wired their own), so a repeated ExplainAll skips planning,
-  // and the same pool drives probe-phase morsels inside each executor —
-  // ParallelFor is nesting-safe, so template fan-out and probe fan-out
-  // coexist on the same workers.
-  ExecutorOptions exec = options.executor;
-  if (exec.plan_cache == nullptr && options.use_engine_plan_cache) {
-    exec.plan_cache = plan_cache_.get();
+StatusOr<RangeAudit> ExplanationEngine::AuditRange(
+    const Database::Snapshot& snapshot, size_t log_from,
+    const std::vector<CatalogDrift::Append>& appends,
+    const std::unordered_set<int64_t>& accumulated,
+    const ExplainAllOptions& options,
+    std::unique_ptr<ThreadPool>* workers) const {
+  EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(log_table_));
+  EBA_ASSIGN_OR_RETURN(AccessLog log, AccessLog::Wrap(table));
+  const size_t log_end = snapshot.BoundOf(table);
+  const RowRange log_rows{std::min(log_from, log_end), log_end};
+  const bool from_zero = log_rows.begin == 0;
+
+  // The calling thread participates in every ParallelFor round, so the
+  // pool holds threads - 1 workers; null when serial, which ParallelFor
+  // runs inline.
+  const size_t threads = std::max<size_t>(1, options.num_threads);
+  if (threads <= 1) {
+    workers->reset();
+  } else if (*workers == nullptr || (*workers)->num_threads() != threads - 1) {
+    *workers = std::make_unique<ThreadPool>(threads - 1);
   }
+  ThreadPool* pool = workers->get();
+
+  // Tasks share the engine's persistent plan cache unless the caller wired
+  // their own, and the pool also drives probe morsels: ParallelFor is
+  // nesting-safe, so task and probe fan-out coexist on the same workers.
+  ExecutorOptions exec = options.executor;
+  if (exec.plan_cache == nullptr) exec.plan_cache = plan_cache_.get();
   if (exec.pool == nullptr && pool != nullptr) {
-    exec.pool = pool.get();
+    exec.pool = pool;
     if (exec.num_threads <= 1) exec.num_threads = threads;
   }
 
-  // Phase 1: evaluate templates concurrently. Each slot is written by
-  // exactly one worker; ExplainedLids constructs a private Executor, and the
-  // shared read-only tables serialize lazy index construction internally.
-  std::vector<StatusOr<std::vector<int64_t>>> per_template(
-      templates_.size(),
-      StatusOr<std::vector<int64_t>>(Status::Internal("not evaluated")));
-  ParallelFor(pool.get(), templates_.size(), [&](size_t i) {
-    per_template[i] = ExplainedLids(i, exec, snapshot);
-  });
-
-  std::unordered_set<int64_t> explained;
-  for (auto& lids_or : per_template) {
-    if (!lids_or.ok()) return lids_or.status();
-    report.per_template_counts.push_back(lids_or->size());
-    explained.insert(lids_or->begin(), lids_or->end());
+  // --- One task list: each appended table paired with every template that
+  // --- references it (no other template can change).
+  RangeAudit audit;
+  struct Task {
+    size_t template_index;
+    const std::string* table;
+    RowRange rows;
+  };
+  std::vector<Task> tasks;
+  auto references = [&](size_t i, const std::string& name, size_t first_var) {
+    const std::vector<TupleVar>& vars = templates_[i].query().vars;
+    for (size_t v = first_var; v < vars.size(); ++v) {
+      if (vars[v].table == name) return true;
+    }
+    return false;
+  };
+  if (from_zero || !log_rows.empty()) {
+    for (size_t i = 0; i < templates_.size(); ++i) {
+      tasks.push_back(Task{i, &log_table_, log_rows});
+      if (!from_zero && references(i, log_table_, 1)) ++audit.delta_queries;
+    }
+  }
+  if (!from_zero) {
+    for (const CatalogDrift::Append& appended : appends) {
+      if (appended.table == log_table_) continue;
+      ++audit.delta_tables;
+      const RowRange rows{static_cast<size_t>(appended.from_watermark),
+                          static_cast<size_t>(appended.to_watermark)};
+      for (size_t i = 0; i < templates_.size(); ++i) {
+        if (!references(i, appended.table, 0)) continue;
+        tasks.push_back(Task{i, &appended.table, rows});
+        ++audit.delta_queries;
+      }
+    }
   }
 
-  // Phase 2: classify log rows against the merged lid set in contiguous
-  // shards, then concatenate per-shard results in shard order. Shard
-  // boundaries never reorder rows, so the merged vectors match the serial
-  // scan before the final sort — the report is thread-count invariant.
-  // Shards align to column-chunk boundaries: a worker's scan stays within
-  // the chunks it owns instead of sharing its edge chunks with neighbors.
-  std::vector<ShardRange> shards = SplitShardsAligned(
-      log_rows, threads, options.min_rows_per_shard, kColumnChunkRows);
+  // Each slot is written by one worker through a private Executor; tables
+  // serialize lazy index construction internally.
+  std::vector<StatusOr<std::vector<int64_t>>> results(
+      tasks.size(),
+      StatusOr<std::vector<int64_t>>(Status::Internal("not evaluated")));
+  ParallelFor(pool, tasks.size(), [&](size_t k) {
+    const ExplanationTemplate& tmpl = templates_[tasks[k].template_index];
+    Executor executor(snapshot, exec);
+    results[k] = executor.DistinctLidsJoinedTo(
+        tmpl.query(), tmpl.lid_attr(), *tasks[k].table, tasks[k].rows);
+  });
+  // Per template: the ascending union of its tasks' results.
+  std::vector<std::vector<int64_t>> found(templates_.size());
+  std::unordered_set<int64_t> explained;
+  for (size_t k = 0; k < tasks.size(); ++k) {
+    if (!results[k].ok()) return results[k].status();
+    explained.insert(results[k]->begin(), results[k]->end());
+    std::vector<int64_t>& lids = found[tasks[k].template_index];
+    if (lids.empty()) {
+      lids = std::move(*results[k]);
+      continue;
+    }
+    const size_t mid = lids.size();
+    lids.insert(lids.end(), results[k]->begin(), results[k]->end());
+    std::inplace_merge(lids.begin(), lids.begin() + static_cast<long>(mid),
+                       lids.end());
+    lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+  }
+  audit.plan_cache = exec.plan_cache->stats();
+
+  // --- Classify the audited rows in chunk-aligned shards (a worker scans
+  // --- only the chunks it owns), concatenated in shard order.
+  const Column& lid_col = table->column(static_cast<size_t>(log.lid_col()));
+  const std::vector<ShardRange> shards =
+      SplitShardsAlignedRange(log_rows.begin, log_rows.end, threads,
+                              options.min_rows_per_shard, kColumnChunkRows);
   std::vector<std::vector<int64_t>> shard_explained(shards.size());
   std::vector<std::vector<int64_t>> shard_unexplained(shards.size());
-  ParallelFor(pool.get(), shards.size(), [&](size_t s) {
+  ParallelFor(pool, shards.size(), [&](size_t s) {
     for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-      int64_t lid = log.Get(r).lid;
-      if (explained.count(lid)) {
+      const int64_t lid = lid_col.Int64At(r);
+      if (explained.count(lid) > 0 || accumulated.count(lid) > 0) {
         shard_explained[s].push_back(lid);
       } else {
         shard_unexplained[s].push_back(lid);
@@ -173,16 +223,33 @@ StatusOr<ExplanationReport> ExplanationEngine::ExplainAll(
     }
   });
   for (size_t s = 0; s < shards.size(); ++s) {
-    report.explained_lids.insert(report.explained_lids.end(),
-                                 shard_explained[s].begin(),
-                                 shard_explained[s].end());
-    report.unexplained_lids.insert(report.unexplained_lids.end(),
-                                   shard_unexplained[s].begin(),
-                                   shard_unexplained[s].end());
+    audit.explained_lids.insert(audit.explained_lids.end(),
+                                shard_explained[s].begin(),
+                                shard_explained[s].end());
+    audit.unexplained_lids.insert(audit.unexplained_lids.end(),
+                                  shard_unexplained[s].begin(),
+                                  shard_unexplained[s].end());
   }
-  std::sort(report.explained_lids.begin(), report.explained_lids.end());
-  std::sort(report.unexplained_lids.begin(), report.unexplained_lids.end());
-  return report;
+  std::sort(audit.explained_lids.begin(), audit.explained_lids.end());
+  std::sort(audit.unexplained_lids.begin(), audit.unexplained_lids.end());
+
+  // --- Split each template's lids: those of audited rows (all explained)
+  // --- count for it; the rest lie on older rows.
+  const std::vector<int64_t>& on_rows = audit.explained_lids;
+  audit.per_template_counts.assign(templates_.size(), 0);
+  audit.delta_lids.assign(templates_.size(), {});
+  ParallelFor(pool, templates_.size(), [&](size_t i) {
+    auto row = on_rows.begin();
+    for (int64_t lid : found[i]) {
+      while (row != on_rows.end() && *row < lid) ++row;
+      if (row != on_rows.end() && *row == lid) {
+        ++audit.per_template_counts[i];
+      } else if (accumulated.count(lid) == 0) {
+        audit.delta_lids[i].push_back(lid);
+      }
+    }
+  });
+  return audit;
 }
 
 }  // namespace eba

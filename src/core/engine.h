@@ -5,6 +5,8 @@
 //   - ExplainAll(): which accesses each template explains, combined
 //     coverage, and the unexplained remainder (the misuse-detection
 //     operation of §1).
+// ExplainAll and the streaming ExplainNew (core/ingest.h) are one range
+// audit (AuditRange), with the log as one more appended table.
 //
 // Thread safety: the const query surface (Explain/ExplainedLids/ExplainAll)
 // is safe to call concurrently — the shared PlanCache and each Table's lazy
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/instance.h"
 #include "core/template.h"
 #include "query/executor.h"
@@ -35,27 +38,44 @@
 
 namespace eba {
 
-/// Tuning knobs for ExplainAll.
+/// Tuning knobs for a range audit: ExplainAll, and the streaming
+/// ExplainNew (core/ingest.h; StreamingOptions is this struct).
 struct ExplainAllOptions {
   /// Worker threads. <= 1 evaluates everything on the calling thread; any
-  /// higher value fans templates and log shards out over a fixed pool. The
-  /// report is byte-identical regardless of the thread count.
+  /// higher value fans the audit's tasks and log shards out over a fixed
+  /// pool. The report is byte-identical regardless of the thread count.
   size_t num_threads = 1;
-  /// Lower bound on log rows per classification shard, so tiny logs are not
-  /// split into shards smaller than the fan-out overhead.
+  /// Lower bound on log rows per classification shard, so small ranges are
+  /// not split into shards smaller than the fan-out overhead.
   size_t min_rows_per_shard = 1024;
   /// Executor engine/join-order/parallelism knobs used for template
   /// evaluation. The defaults run the late-materialization engine with
   /// cost-based join ordering; the boxed reference engine is available for
-  /// A/B comparison. ExplainAll threads its own pool into
+  /// A/B comparison of from-zero audits. The audit threads its pool into
   /// `executor.pool`/`executor.num_threads` when they are unset, so probe
-  /// morsels and template fan-out share the same workers.
+  /// morsels and the task fan-out share the same workers. A null
+  /// `executor.plan_cache` means the engine's persistent plan cache.
   ExecutorOptions executor;
-  /// When true (default) and `executor.plan_cache` is null, template
-  /// evaluation shares the engine's persistent plan cache, so repeated
-  /// ExplainAll calls skip planning for every registered template. Epoch
-  /// validation drops stale plans when a table mutates.
-  bool use_engine_plan_cache = true;
+};
+
+/// What one range audit (ExplanationEngine::AuditRange) found.
+struct RangeAudit {
+  /// Per registered template: the distinct lids of audited rows its tasks
+  /// found. A lid that repeats an older row's counts only if the template
+  /// explains it through a witness involving an appended row.
+  std::vector<size_t> per_template_counts;
+  /// Lids of the audited log rows, one per row, ascending.
+  std::vector<int64_t> explained_lids;
+  std::vector<int64_t> unexplained_lids;
+  /// Per registered template: lids of older rows its tasks found that the
+  /// accumulated set lacks (ascending) — accesses the appends newly explain.
+  std::vector<std::vector<int64_t>> delta_lids;
+  /// Appended non-log tables, and the tasks that seed anything but the
+  /// log's variable 0 (see StreamingReport).
+  size_t delta_tables = 0;
+  size_t delta_queries = 0;
+  /// Cumulative counters of the plan cache the tasks used, read after them.
+  PlanCache::Stats plan_cache;
 };
 
 /// Result of ExplainAll.
@@ -106,29 +126,41 @@ class ExplanationEngine {
   /// Executor::DistinctLids — the semi-join fast path that never builds a
   /// boxed row.
   StatusOr<std::vector<int64_t>> ExplainedLids(size_t index) const;
-  StatusOr<std::vector<int64_t>> ExplainedLids(
-      size_t index, const ExecutorOptions& executor_options) const;
-  StatusOr<std::vector<int64_t>> ExplainedLids(
-      size_t index, const ExecutorOptions& executor_options,
-      const Database::Snapshot& snapshot) const;
 
   /// Full-log coverage report (serial; equivalent to ExplainAll({})).
   StatusOr<ExplanationReport> ExplainAll() const;
 
-  /// Full-log coverage report. With options.num_threads > 1, templates are
-  /// evaluated concurrently (one executor per worker) and the log is
-  /// partitioned into contiguous shards for classification; per-shard
-  /// results are merged in shard order, so the report is deterministic and
-  /// identical to the serial one. The whole report — template evaluation
-  /// and classification — runs against one snapshot: the caller's, or a
-  /// fresh one pinned at call entry.
+  /// Full-log coverage report: AuditRange from row 0. With
+  /// options.num_threads > 1, templates are evaluated concurrently (one
+  /// executor per worker) and the log is partitioned into contiguous shards
+  /// for classification; per-shard results are merged in shard order, so
+  /// the report is deterministic and identical to the serial one. The whole
+  /// report — template evaluation and classification — runs against one
+  /// snapshot: the caller's, or a fresh one pinned at call entry.
   StatusOr<ExplanationReport> ExplainAll(const ExplainAllOptions& options) const;
   StatusOr<ExplanationReport> ExplainAll(
       const ExplainAllOptions& options,
       const Database::Snapshot& snapshot) const;
 
+  /// The one audit path behind ExplainAll and StreamingAuditor::ExplainNew:
+  /// audits log rows [log_from, bound) of `snapshot` on `*workers`, a pool
+  /// sized to options.num_threads (kept across audits when it fits). One
+  /// task list (Executor::DistinctLidsJoinedTo calls, one ParallelFor)
+  /// pairs each appended table — the log with the audited rows, each
+  /// non-log table of `appends` with its new rows — with every template
+  /// that references it; from row 0 the log alone (its variable 0 then
+  /// finds every explained lid). One chunk-aligned scan then classifies
+  /// the audited rows: by monotonicity a lid is explained iff some task's
+  /// result or `accumulated` (lids earlier audits explained) holds it.
+  StatusOr<RangeAudit> AuditRange(
+      const Database::Snapshot& snapshot, size_t log_from,
+      const std::vector<CatalogDrift::Append>& appends,
+      const std::unordered_set<int64_t>& accumulated,
+      const ExplainAllOptions& options,
+      std::unique_ptr<ThreadPool>* workers) const;
+
   /// The engine's persistent compiled-plan cache (shared by default across
-  /// ExplainAll calls; see ExplainAllOptions::use_engine_plan_cache).
+  /// audits; see ExplainAllOptions::executor).
   PlanCache* plan_cache() const { return plan_cache_.get(); }
 
  private:

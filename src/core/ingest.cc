@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "log/access_log.h"
-#include "storage/chunk.h"
 
 namespace eba {
 
@@ -368,7 +367,6 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
   // invisible now and re-surface as drift on the next call.
   MutexLock lock(*audit_mu_);
   EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(engine_.log_table()));
-  EBA_ASSIGN_OR_RETURN(AccessLog log, AccessLog::Wrap(table));
 
   const Database::Snapshot snapshot = db_->CreateSnapshot();
   StreamingReport report;
@@ -380,196 +378,43 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
     ResetAuditLocked();
     report.full_reaudit = true;
   }
-  const size_t from = audited_rows_;
-  const size_t to = snapshot.BoundOf(table);
-  report.audited_from = from;
-  report.audited_to = to;
+  report.audited_from = audited_rows_;
+  report.audited_to = snapshot.BoundOf(table);
 
-  const size_t threads = std::max<size_t>(1, options.num_threads);
-  // Reuse the auditor's pool across audits (the serving loop calls
-  // ExplainNew per batch; re-spawning threads - 1 workers each time would
-  // rival the audit itself on small batches). Resized only when the
-  // requested width changes; the calling thread participates in every
-  // ParallelFor, so the pool holds threads - 1 workers.
-  if (threads <= 1) {
-    pool_.reset();
-  } else if (pool_ == nullptr || pool_->num_threads() != threads - 1) {
-    pool_ = std::make_unique<ThreadPool>(threads - 1);
+  // The auditor's pool is reused across audits (the serving loop calls
+  // ExplainNew per batch; re-spawning the workers each time would rival the
+  // audit itself on small batches).
+  EBA_ASSIGN_OR_RETURN(
+      RangeAudit audit,
+      engine_.AuditRange(snapshot, audited_rows_, drift.appends, explained_,
+                         options, &pool_));
+  // A lid the new rows repeat is reported once.
+  auto distinct = [](std::vector<int64_t> lids) {
+    lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+    return lids;
+  };
+  report.per_template_counts = std::move(audit.per_template_counts);
+  report.explained_lids = distinct(std::move(audit.explained_lids));
+  report.unexplained_lids = distinct(std::move(audit.unexplained_lids));
+  report.delta_tables = audit.delta_tables;
+  report.delta_queries = audit.delta_queries;
+  report.plan_cache_hits = audit.plan_cache.hits;
+  report.plan_cache_misses = audit.plan_cache.misses;
+  report.plan_rebinds = audit.plan_cache.rebinds;
+  // One template can surface the same older lid as another.
+  std::vector<int64_t>& delta = report.delta_explained_lids;
+  for (const std::vector<int64_t>& lids : audit.delta_lids) {
+    report.per_template_delta_counts.push_back(lids.size());
+    delta.insert(delta.end(), lids.begin(), lids.end());
   }
-  ThreadPool* pool = pool_.get();
-
-  ExecutorOptions exec = options.executor;
-  if (exec.plan_cache == nullptr && options.use_engine_plan_cache) {
-    exec.plan_cache = engine_.plan_cache();
-  }
-  if (exec.pool == nullptr && pool != nullptr) {
-    exec.pool = pool;
-    if (exec.num_threads <= 1) exec.num_threads = threads;
-  }
-
-  const auto& templates = engine_.templates();
-  report.per_template_counts.assign(templates.size(), 0);
-  report.per_template_delta_counts.assign(templates.size(), 0);
-
-  // --- New lids, in row order (sharded scan, shard-ordered merge). ---
-  // Shards hold absolute row ids aligned to column-chunk boundaries (the
-  // append watermark `from` is rarely chunk-aligned; the first shard
-  // absorbs the unaligned head).
-  std::vector<ShardRange> shards = SplitShardsAlignedRange(
-      from, to, threads, options.min_rows_per_shard, kColumnChunkRows);
-  std::vector<std::vector<int64_t>> shard_lids(shards.size());
-  ParallelFor(pool, shards.size(), [&](size_t s) {
-    shard_lids[s].reserve(shards[s].end - shards[s].begin);
-    for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-      shard_lids[s].push_back(log.Get(r).lid);
-    }
-  });
-  std::vector<int64_t> new_lids;
-  new_lids.reserve(to - from);
-  std::unordered_set<int64_t> new_lid_set;
-  new_lid_set.reserve(2 * (to - from));
-  for (const auto& lids : shard_lids) {
-    for (int64_t lid : lids) {
-      if (new_lid_set.insert(lid).second) new_lids.push_back(lid);
-    }
-  }
-
-  // --- Reverse semi-join delta pass: every appended table (non-log tables
-  // --- in full; the log at self-join positions only — its variable-0 rows
-  // --- are the new-lid pass below). Candidates are the lids the appended
-  // --- rows can newly explain; cost scales with each delta. Skipped when
-  // --- nothing was audited yet (the new-lid pass covers every row).
-  std::vector<std::vector<int64_t>> per_template_delta(templates.size());
-  if (from > 0) {
-    // Flatten every (appended table, affected template) pair into one task
-    // list so one ParallelFor wave covers mixed-table append batches.
-    // Templates that never reference an appended table cannot change and
-    // are skipped without touching the executor.
-    struct DeltaTask {
-      size_t template_index;
-      const CatalogDrift::Append* appended;
-      bool is_log;
-    };
-    std::vector<DeltaTask> tasks;
-    for (const CatalogDrift::Append& appended : drift.appends) {
-      const bool is_log = appended.table == engine_.log_table();
-      if (!is_log) ++report.delta_tables;
-      for (size_t i = 0; i < templates.size(); ++i) {
-        const auto& vars = templates[i].query().vars;
-        for (size_t v = is_log ? 1 : 0; v < vars.size(); ++v) {
-          if (vars[v].table == appended.table) {
-            tasks.push_back(DeltaTask{i, &appended, is_log});
-            break;
-          }
-        }
-      }
-    }
-    report.delta_queries = tasks.size();
-
-    std::vector<StatusOr<std::vector<int64_t>>> results(
-        tasks.size(),
-        StatusOr<std::vector<int64_t>>(Status::Internal("not evaluated")));
-    ParallelFor(pool, tasks.size(), [&](size_t k) {
-      const DeltaTask& task = tasks[k];
-      Executor executor(snapshot, exec);
-      Executor::JoinedToOptions jopts;
-      jopts.include_var0 = !task.is_log;
-      results[k] = executor.DistinctLidsJoinedTo(
-          templates[task.template_index].query(),
-          templates[task.template_index].lid_attr(), task.appended->table,
-          RowRange{static_cast<size_t>(task.appended->from_watermark),
-                   static_cast<size_t>(task.appended->to_watermark)},
-          jopts);
-    });
-    for (size_t k = 0; k < tasks.size(); ++k) {
-      if (!results[k].ok()) return results[k].status();
-      std::vector<int64_t>& sink = per_template_delta[tasks[k].template_index];
-      sink.insert(sink.end(), results[k]->begin(), results[k]->end());
-    }
-  }
-
-  // --- Evaluate every template restricted to the new lids, sharded by lid
-  // --- range. A template count with only templates.size() tasks leaves the
-  // --- pool idle whenever one template dominates (or there are fewer
-  // --- templates than threads); fanning each template out over contiguous
-  // --- lid ranges gives the pool templates x shards tasks. The ranges
-  // --- partition the (distinct) new lids, so per-shard results are
-  // --- disjoint: per-template counts are the sum of shard result sizes and
-  // --- the explained set is their union — byte-identical to the unsharded
-  // --- evaluation at any thread count.
-  std::unordered_set<int64_t> newly_explained;
-  if (!new_lids.empty()) {
-    std::vector<Value> lid_values;
-    lid_values.reserve(new_lids.size());
-    for (int64_t lid : new_lids) lid_values.push_back(Value::Int64(lid));
-    const std::vector<ShardRange> lid_shards = SplitShards(
-        lid_values.size(), threads, options.min_rows_per_shard);
-    const size_t num_shards = std::max<size_t>(1, lid_shards.size());
-    std::vector<StatusOr<std::vector<int64_t>>> results(
-        templates.size() * num_shards,
-        StatusOr<std::vector<int64_t>>(Status::Internal("not evaluated")));
-    ParallelFor(pool, results.size(), [&](size_t k) {
-      const size_t i = k / num_shards;
-      const size_t s = k % num_shards;
-      const size_t begin = lid_shards.empty() ? 0 : lid_shards[s].begin;
-      const size_t end = lid_shards.empty() ? lid_values.size()
-                                            : lid_shards[s].end;
-      const std::vector<Value> shard_values(
-          lid_values.begin() + static_cast<long>(begin),
-          lid_values.begin() + static_cast<long>(end));
-      Executor executor(snapshot, exec);
-      results[k] = executor.DistinctLidsFor(
-          templates[i].query(), templates[i].lid_attr(), shard_values);
-    });
-    for (size_t i = 0; i < templates.size(); ++i) {
-      size_t count = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        StatusOr<std::vector<int64_t>>& result = results[i * num_shards + s];
-        if (!result.ok()) return result.status();
-        count += result->size();
-        newly_explained.insert(result->begin(), result->end());
-      }
-      report.per_template_counts[i] = count;
-    }
-  }
-
-  for (int64_t lid : new_lids) {
-    if (newly_explained.count(lid)) {
-      report.explained_lids.push_back(lid);
-    } else {
-      report.unexplained_lids.push_back(lid);
-    }
-  }
-  std::sort(report.explained_lids.begin(), report.explained_lids.end());
-  std::sort(report.unexplained_lids.begin(), report.unexplained_lids.end());
-
-  // Fold the delta candidates in: only lids that were audited before and
-  // unexplained until now count (already-explained lids must not be
-  // double-counted, and new-suffix lids belong to the new-lid pass above).
-  std::unordered_set<int64_t> delta_set;
-  for (size_t i = 0; i < templates.size(); ++i) {
-    // One template can surface the same lid from several appended tables.
-    std::sort(per_template_delta[i].begin(), per_template_delta[i].end());
-    per_template_delta[i].erase(
-        std::unique(per_template_delta[i].begin(), per_template_delta[i].end()),
-        per_template_delta[i].end());
-    size_t count = 0;
-    for (int64_t lid : per_template_delta[i]) {
-      if (explained_.count(lid) > 0 || new_lid_set.count(lid) > 0) continue;
-      ++count;
-      delta_set.insert(lid);
-    }
-    report.per_template_delta_counts[i] = count;
-  }
-  report.delta_explained_lids.assign(delta_set.begin(), delta_set.end());
-  std::sort(report.delta_explained_lids.begin(),
-            report.delta_explained_lids.end());
+  std::sort(delta.begin(), delta.end());
+  delta = distinct(std::move(delta));
 
   explained_.insert(report.explained_lids.begin(),
                     report.explained_lids.end());
   explained_.insert(report.delta_explained_lids.begin(),
                     report.delta_explained_lids.end());
-  audited_rows_ = to;
+  audited_rows_ = report.audited_to;
   // The next audit's drift baseline is what THIS audit actually saw — the
   // pinned snapshot, not live state. Rows appended while this audit ran sit
   // past these watermarks and will classify as drift next time.
@@ -588,12 +433,6 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
             durable_->options.checkpoint_after_wal_bytes) {
       EBA_RETURN_IF_ERROR(CheckpointLocked(/*full=*/false));
     }
-  }
-  if (exec.plan_cache != nullptr) {
-    const PlanCache::Stats cache_stats = exec.plan_cache->stats();
-    report.plan_cache_hits = cache_stats.hits;
-    report.plan_cache_misses = cache_stats.misses;
-    report.plan_rebinds = cache_stats.rebinds;
   }
   return report;
 }

@@ -10,21 +10,23 @@
 // Incremental correctness: explanations are monotone under appends —
 // appending rows (to the log or to any other table) can only add witnesses,
 // never remove one — so the explained-lid set is a stable accumulator and
-// every append is auditable as a delta. Drift since the last audit is
-// classified per table (Database::Snapshot::DriftSince):
-//   - log appends: the new rows are audited via the lid-filter semi-join
-//     (Executor::DistinctLidsFor), plus a reverse pass for self-join
-//     templates that reference the log at a non-zero tuple variable;
-//   - appends to any other table: the reverse semi-join delta pass —
-//     each template is evaluated restricted to the log lids joinable to the
-//     appended rows (Executor::DistinctLidsJoinedTo seeds the join frontier
-//     from the appended row range), and previously-unexplained lids the
+// every append is auditable as a delta. ExplainNew is the engine's range
+// audit (ExplanationEngine::AuditRange), the log one more appended table.
+// Drift since the last audit is classified per table
+// (Database::Snapshot::DriftSince):
+//   - log appends: every template runs restricted to the new rows
+//     (Executor::DistinctLidsJoinedTo seeds variable 0 there, and any
+//     self-join position of the log);
+//   - appends to any other table: each template that references it runs
+//     restricted to the appended rows, and previously-unexplained lids the
 //     delta newly explains are unioned into the persistent set
 //     (StreamingReport::delta_explained_lids). Cost scales with the delta,
 //     not the log;
 //   - structural mutations / catalog changes (which can rewrite or remove
 //     evidence): the monotonicity argument is gone — full re-audit from
-//     row 0 (StreamingReport::full_reaudit).
+//     row 0 (StreamingReport::full_reaudit), exactly ExplainAll's queries.
+// A lid that repeats an audited one (the Lid primary key is not enforced)
+// is explained whenever any of its rows is.
 
 #ifndef EBA_CORE_INGEST_H_
 #define EBA_CORE_INGEST_H_
@@ -47,24 +49,10 @@
 
 namespace eba {
 
-/// Tuning knobs for ExplainNew, mirroring ExplainAllOptions.
-struct StreamingOptions {
-  /// Worker threads: templates are evaluated concurrently and the new-row
-  /// scan is sharded. <= 1 runs everything on the calling thread. The
-  /// report is byte-identical regardless of the thread count.
-  size_t num_threads = 1;
-  /// Lower bound on new rows per scan shard.
-  size_t min_rows_per_shard = 1024;
-  /// Executor knobs for template evaluation (engine/join order/probe
-  /// morsels). ExplainNew threads its own pool into `executor.pool` /
-  /// `executor.num_threads` when they are unset.
-  ExecutorOptions executor;
-  /// When true (default) and `executor.plan_cache` is null, template
-  /// evaluation shares the engine's persistent plan cache — under a pure
-  /// append workload every ExplainNew after the first replays re-bound
-  /// plans (hit + rebind), which is what keeps the serving loop cheap.
-  bool use_engine_plan_cache = true;
-};
+/// Tuning knobs for ExplainNew: the range audit's options. Under a pure
+/// append workload every ExplainNew after the first replays re-bound plans
+/// from the engine's cache (hit + rebind), keeping the serving loop cheap.
+using StreamingOptions = ExplainAllOptions;
 
 /// Configuration of the durable-state layer (EnableDurability/RecoverFrom).
 struct DurabilityOptions {
@@ -114,12 +102,14 @@ struct StreamingReport {
   /// log or any other table — never set this.
   bool full_reaudit = false;
 
-  /// Per registered template: number of the new lids it explains.
+  /// Per registered template: number of the new lids it explains. A lid
+  /// that repeats an older row's counts only if the template explains it
+  /// through a witness involving an appended row.
   std::vector<size_t> per_template_counts;
-  /// New lids explained by at least one template (ascending).
+  /// New lids explained by at least one template (ascending, each once).
   std::vector<int64_t> explained_lids;
-  /// New lids explained by no template (ascending; the incremental
-  /// compliance-review queue).
+  /// New lids explained by no template (ascending, each once; the
+  /// incremental compliance-review queue).
   std::vector<int64_t> unexplained_lids;
 
   // --- Reverse semi-join delta pass (appends to non-log tables, plus
@@ -142,9 +132,9 @@ struct StreamingReport {
   /// pairs where the template references the table).
   size_t delta_queries = 0;
 
-  /// Cumulative engine plan-cache totals snapshotted after this audit
-  /// (library-visible mirror of the bench counters; all zero when the
-  /// audit ran without a plan cache).
+  /// Cumulative totals of the plan cache this audit used (the engine's
+  /// unless options.executor.plan_cache names another), snapshotted after
+  /// its queries (library-visible mirror of the bench counters).
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   uint64_t plan_rebinds = 0;
@@ -257,11 +247,11 @@ class StreamingAuditor {
   Status AppendRows(const std::string& table, const std::vector<Row>& rows)
       EBA_EXCLUDES(*writer_mu_);
 
-  /// Explains what the appends since the last audit can change: evaluates
-  /// every template restricted to the new lids (Executor::DistinctLidsFor)
-  /// and, for appends to non-log tables, restricted to the lids joinable to
-  /// the appended foreign rows (Executor::DistinctLidsJoinedTo — the
-  /// reverse semi-join), updating the persistent explained set and
+  /// Explains what the appends since the last audit can change: one range
+  /// audit (ExplanationEngine::AuditRange) that evaluates every template
+  /// restricted to the new log rows and, for appends to non-log tables,
+  /// restricted to the appended foreign rows (Executor::DistinctLidsJoinedTo
+  /// — the reverse semi-join), updating the persistent explained set and
   /// advancing the audited watermark. Cost scales with the deltas, not the
   /// log. Falls back to a full re-audit only on structural/catalog drift
   /// (see file comment).

@@ -75,6 +75,18 @@ void AuditServer::ResumeIngestForTest() {
   ingest_cv_.NotifyAll();
 }
 
+size_t AuditServer::IngestQueueDepthForTest() const {
+  MutexLock lock(ingest_mu_);
+  return ingest_queue_.size();
+}
+
+size_t AuditServer::LiveConnectionsForTest() const {
+  MutexLock lock(mu_);
+  return static_cast<size_t>(
+      std::count_if(conns_.begin(), conns_.end(),
+                    [](const auto& c) { return !c->done.load(); }));
+}
+
 ServerReport AuditServer::ReportNow() const {
   ServerReport report;
   report.rows_appended = auditor_->rows_appended();

@@ -91,9 +91,12 @@ class AuditServer {
   ServerReport ReportNow() const;
 
   /// Test hooks: hold the ingest thread so the queue fills deterministically
-  /// (backpressure tests), then release it.
+  /// (backpressure tests), then release it; read how many appends wait in
+  /// the ingest queue, and how many connection handlers are still running.
   void PauseIngestForTest();
   void ResumeIngestForTest();
+  size_t IngestQueueDepthForTest() const;
+  size_t LiveConnectionsForTest() const;
 
  private:
   /// An append waiting for the ingest thread. `table` empty = the log.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -52,6 +54,38 @@ std::vector<uint32_t> LidMatches(const HashIndex& idx, const Column& col,
   }
   return idx.Lookup(lid, bound);
 }
+
+/// The table of `q`'s variable 0 when `lid_attr` names one of its columns.
+StatusOr<const Table*> LidTable(const Database& db, const PathQuery& q,
+                                QAttr lid_attr) {
+  if (lid_attr.var != 0) {
+    return Status::InvalidArgument("lid attribute must belong to variable 0");
+  }
+  if (q.vars.empty()) {
+    return Status::InvalidArgument("query has no tuple variables");
+  }
+  EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(q.vars[0].table));
+  if (lid_attr.col < 0 ||
+      static_cast<size_t>(lid_attr.col) >= table->num_columns()) {
+    return Status::InvalidArgument("lid attribute column out of range");
+  }
+  return table;
+}
+
+/// Every row of a table; clamped, like any seed range, to the snapshot
+/// bound of its table when the run applies it.
+constexpr RowRange kAllRows{0, std::numeric_limits<size_t>::max()};
+
+/// The restriction of one late-materialization run, and its runtime input:
+/// tuple variable `var` limited to the rows `range`. A `seeded` run starts
+/// its frame there; otherwise (a forward pivot) the frame starts at every
+/// row of variable 0 and a kRowRangeFilter applies `range` once `var`
+/// binds.
+struct Pivot {
+  int var = 0;
+  bool seeded = true;
+  RowRange range;
+};
 
 // ===========================================================================
 // Boxed reference engine helpers.
@@ -568,14 +602,13 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
   *f = std::move(next);
 }
 
-/// Interprets one frozen step against the frame. `pivot_range` is the
-/// runtime row range of the pivot steps (kSeedRange / kRowRangeFilter);
-/// null for plans without one. `var_bounds` holds the snapshot watermark of
-/// each tuple variable's table — the other runtime input: the same frozen
-/// plan replays correctly for any snapshot because every probe clamps to
-/// these bounds.
+/// Interprets one frozen step against the frame. `pivot` carries the
+/// runtime row range of the kSeedRange / kRowRangeFilter steps.
+/// `var_bounds` holds the snapshot watermark of each tuple variable's table
+/// — the other runtime input: the same frozen plan replays correctly for
+/// any snapshot because every seed and probe clamps to these bounds.
 void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
-               ExecStats* stats, const RowRange* pivot_range,
+               ExecStats* stats, const Pivot& pivot,
                const std::vector<size_t>& var_bounds) {
   switch (st.kind) {
     case PlanStep::Kind::kJoin:
@@ -593,58 +626,34 @@ void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
       ApplyDropStep(f, st);
       break;
     case PlanStep::Kind::kSeedRange: {
-      // Reverse pivot: the (empty) frame becomes the appended rows of the
-      // pivot variable's table — the join frontier grows outward from the
-      // delta instead of from the log.
-      EBA_CHECK_MSG(pivot_range != nullptr && f->vars.empty(),
-                    "kSeedRange needs a runtime range and an empty frame");
+      // The (empty) frame becomes rows of `new_var`'s table: the pivot's
+      // rows when the run is seeded at its pivot — the join frontier grows
+      // outward from them — else (a forward pivot, seeded at variable 0)
+      // every row. Never past the snapshot bound.
+      EBA_CHECK_MSG(f->vars.empty(), "kSeedRange needs an empty frame");
+      const RowRange& rows = pivot.seeded ? pivot.range : kAllRows;
+      const size_t end =
+          std::min(rows.end, var_bounds[static_cast<size_t>(st.new_var)]);
+      const size_t begin = std::min(rows.begin, end);
       f->vars.push_back(st.new_var);
-      f->ids.emplace_back();
-      std::vector<uint32_t>& ids = f->ids[0];
-      ids.reserve(pivot_range->size());
-      for (size_t r = pivot_range->begin; r < pivot_range->end; ++r) {
-        ids.push_back(static_cast<uint32_t>(r));
-      }
+      f->ids.emplace_back(end - begin);
+      std::iota(f->ids[0].begin(), f->ids[0].end(),
+                static_cast<uint32_t>(begin));
       stats->peak_intermediate = std::max(stats->peak_intermediate, f->size());
       break;
     }
     case PlanStep::Kind::kRowRangeFilter: {
       // Forward pivot: once the restricted variable is bound, keep only the
-      // tuples whose row id for it lies in the appended range.
-      EBA_CHECK_MSG(pivot_range != nullptr, "kRowRangeFilter needs a range");
+      // tuples whose row id for it lies in the pivot range.
       const std::vector<uint32_t>& sids =
           f->ids[static_cast<size_t>(st.lhs_slot)];
-      const size_t begin = pivot_range->begin;
-      const size_t end = pivot_range->end;
+      const size_t begin = pivot.range.begin;
+      const size_t end = pivot.range.end;
       FilterFrame(f, par, [&](uint32_t i) {
         return sids[i] >= begin && sids[i] < end;
       });
       break;
     }
-  }
-}
-
-/// Builds the initial variable-0 scan: the log up to the snapshot bound, or
-/// the distinct row ids matching `lid_filter` (first-occurrence order
-/// preserved, clamped to the bound).
-void InitialScan(const Table* log_table, size_t bound,
-                 const std::vector<Value>* lid_filter, QAttr lid_attr,
-                 std::vector<uint32_t>* scan) {
-  if (lid_filter != nullptr) {
-    const HashIndex& idx =
-        log_table->GetOrBuildIndex(static_cast<size_t>(lid_attr.col));
-    const Column& lid_col =
-        log_table->column(static_cast<size_t>(lid_attr.col));
-    std::unordered_set<uint32_t> rows_seen;
-    rows_seen.reserve(2 * lid_filter->size());
-    for (const auto& lid : *lid_filter) {
-      for (uint32_t r : LidMatches(idx, lid_col, lid, bound)) {
-        if (rows_seen.insert(r).second) scan->push_back(r);
-      }
-    }
-  } else {
-    scan->resize(bound);
-    for (uint32_t r = 0; r < scan->size(); ++r) (*scan)[r] = r;
   }
 }
 
@@ -669,24 +678,20 @@ class PlanningExecutor {
   /// Executes the query pipeline, records it into `plan`, and returns the
   /// final frame. The frame holds a slot for every tuple variable referenced
   /// by `output_attrs` (plus, without `dedup_frontier`, every bound
-  /// variable). `pivot_var` >= 0 restricts that variable to `pivot_range`:
-  /// seeded there when `pivot_seeded` (reverse pivot — variable 0 starts
-  /// unbound and is joined back to), filtered after binding otherwise.
+  /// variable). The frame starts at the pivot variable when `pivot.seeded`
+  /// (variable 0 may then start unbound and be joined back to), else at
+  /// every row of variable 0 with the pivot filtered once it binds.
   StatusOr<Frame> Run(const PathQuery& q,
                       const std::vector<QAttr>& output_attrs,
-                      bool dedup_frontier, const std::vector<Value>* lid_filter,
-                      QAttr lid_attr, int pivot_var, bool pivot_seeded,
-                      const RowRange* pivot_range, CompiledPlan* plan) {
+                      bool dedup_frontier, const Pivot& pivot,
+                      CompiledPlan* plan) {
     EBA_RETURN_IF_ERROR(q.Validate(*db_));
     plan_ = plan;
     output_attrs_ = &output_attrs;
     dedup_frontier_ = dedup_frontier;
     join_dropped_ = false;
-    pivot_var_ = pivot_var;
-    pivot_range_ = pivot_range;
-    pivot_filter_pending_ = pivot_var >= 0 && !pivot_seeded;
-    plan_->pivot_var = pivot_var;
-    plan_->pivot_seeded = pivot_seeded;
+    pivot_ = pivot;
+    pivot_filter_pending_ = !pivot.seeded;
 
     plan_->db = db_;
     plan_->catalog_generation = snapshot_.generation();
@@ -718,8 +723,9 @@ class PlanningExecutor {
     extra_applied_.assign(extras_.size(), false);
     consts_ = q.const_conditions;
     const_applied_.assign(consts_.size(), false);
+    const int seed_var = pivot.seeded ? pivot.var : 0;
     bound_.assign(q.vars.size(), false);
-    bound_[static_cast<size_t>(pivot_seeded ? pivot_var : 0)] = true;
+    bound_[static_cast<size_t>(seed_var)] = true;
 
     std::optional<CardinalityEstimator> estimator;
     if (options_.join_order == ExecutorOptions::JoinOrder::kCostBased) {
@@ -728,21 +734,12 @@ class PlanningExecutor {
       plan_->used_cost_based_order = true;
     }
 
-    // --- Initial frame: variable 0 (the log), or the reverse-pivot seed. ---
+    // --- Initial frame: the seed variable's rows. ---
     Frame frame;
-    if (pivot_seeded) {
-      PlanStep seed;
-      seed.kind = PlanStep::Kind::kSeedRange;
-      seed.new_var = pivot_var;
-      Record(&frame, std::move(seed));
-    } else {
-      frame.vars.push_back(0);
-      frame.ids.emplace_back();
-      InitialScan(plan_->tables[0], var_bounds_[0], lid_filter, lid_attr,
-                  &frame.ids[0]);
-      stats_->peak_intermediate =
-          std::max(stats_->peak_intermediate, frame.size());
-    }
+    PlanStep seed;
+    seed.kind = PlanStep::Kind::kSeedRange;
+    seed.new_var = seed_var;
+    Record(&frame, std::move(seed));
     ApplyFilters(&frame);
     DropAndDedup(&frame);
 
@@ -772,10 +769,13 @@ class PlanningExecutor {
         }
         const QAttr probe = lb ? joins_[i].lhs : joins_[i].rhs;
         const QAttr build = lb ? joins_[i].rhs : joins_[i].lhs;
+        // Floored at one row: the estimate is linear in the frame size, so
+        // an empty seed then records the order any other seed would, as
+        // the plan key (blind to the seed range) assumes.
         const double est = estimator->EstimateJoinStep(
             plan_->tables[static_cast<size_t>(probe.var)], probe,
             plan_->tables[static_cast<size_t>(build.var)], build,
-            static_cast<double>(frame.size()));
+            std::max<double>(1.0, static_cast<double>(frame.size())));
         if (pick < 0 || est < pick_est) {
           pick = static_cast<int>(i);
           pick_est = est;
@@ -860,7 +860,7 @@ class PlanningExecutor {
 
   /// Executes `st` against the frame and appends it to the plan.
   void Record(Frame* frame, PlanStep st) {
-    ApplyStep(frame, st, par_, stats_, pivot_range_, var_bounds_);
+    ApplyStep(frame, st, par_, stats_, pivot_, var_bounds_);
     plan_->steps.push_back(std::move(st));
   }
 
@@ -868,9 +868,8 @@ class PlanningExecutor {
   void ApplyFilters(Frame* frame) {
     // The forward-pivot range restriction applies the moment the pivot
     // variable binds, before any decoration — it can only shrink the frame.
-    if (pivot_filter_pending_ &&
-        bound_[static_cast<size_t>(pivot_var_)]) {
-      const int slot = frame->SlotOf(pivot_var_);
+    if (pivot_filter_pending_ && bound_[static_cast<size_t>(pivot_.var)]) {
+      const int slot = frame->SlotOf(pivot_.var);
       EBA_CHECK(slot >= 0);
       pivot_filter_pending_ = false;
       PlanStep st;
@@ -917,7 +916,7 @@ class PlanningExecutor {
       needed[static_cast<size_t>(a.var)] = true;
     }
     // The pivot variable stays live until its range filter has applied.
-    if (pivot_filter_pending_) needed[static_cast<size_t>(pivot_var_)] = true;
+    if (pivot_filter_pending_) needed[static_cast<size_t>(pivot_.var)] = true;
     for (size_t i = 0; i < joins_.size(); ++i) {
       if (join_applied_[i]) continue;
       needed[static_cast<size_t>(joins_[i].lhs.var)] = true;
@@ -1040,8 +1039,7 @@ class PlanningExecutor {
   const std::vector<QAttr>* output_attrs_ = nullptr;
   bool dedup_frontier_ = false;
   bool join_dropped_ = false;  // a join skipped a doomed column; dedup due
-  int pivot_var_ = -1;
-  const RowRange* pivot_range_ = nullptr;
+  Pivot pivot_;
   bool pivot_filter_pending_ = false;  // forward pivot: filter not yet placed
   std::vector<VarCondition> joins_;
   std::vector<bool> join_applied_;
@@ -1052,27 +1050,19 @@ class PlanningExecutor {
   std::vector<bool> bound_;
 };
 
-/// Replays a cached compiled plan: the initial scan is rebuilt from the
-/// runtime inputs (full log or lid filter), then every frozen step is
-/// interpreted in order. No validation, table resolution, cardinality
-/// estimation, or closure compilation happens here.
-Frame ReplayPlan(const CompiledPlan& plan, const std::vector<Value>* lid_filter,
-                 QAttr lid_attr, const RowRange* pivot_range,
+/// Replays a cached compiled plan: every frozen step, starting with the
+/// kSeedRange seed, is interpreted in order against the runtime inputs (the
+/// pivot range and the snapshot bounds). No validation, table resolution,
+/// cardinality estimation, or closure compilation happens here.
+Frame ReplayPlan(const CompiledPlan& plan, const Pivot& pivot,
                  const std::vector<size_t>& var_bounds, const ParCtx& par,
                  ExecStats* stats) {
   stats->plan_cache_hit = true;
   stats->used_cost_based_order = plan.used_cost_based_order;
   Frame frame;
-  if (!plan.pivot_seeded) {
-    frame.vars.push_back(0);
-    frame.ids.emplace_back();
-    InitialScan(plan.tables[0], var_bounds[0], lid_filter, lid_attr,
-                &frame.ids[0]);
-    stats->peak_intermediate = std::max(stats->peak_intermediate, frame.size());
-  }
   size_t sp = 0;
   for (size_t k = 0; k < plan.steps.size(); ++k) {
-    ApplyStep(&frame, plan.steps[k], par, stats, pivot_range, var_bounds);
+    ApplyStep(&frame, plan.steps[k], par, stats, pivot, var_bounds);
     for (; sp < plan.stats_points.size() &&
            plan.stats_points[sp].after_step == k;
          ++sp) {
@@ -1093,13 +1083,12 @@ Frame ReplayPlan(const CompiledPlan& plan, const std::vector<Value>* lid_filter,
 
 /// Structural cache key for a compiled plan: every input that shapes the
 /// recorded pipeline — tables, conditions, resolved literals, projection,
-/// semi-join mode, lid-filter mode, and the join-order policy. Two queries
-/// with equal keys compile to interchangeable plans (aliases do not affect
-/// execution, so they are deliberately excluded).
+/// semi-join mode, pivot variable and mode, and the join-order policy. Two
+/// queries with equal keys compile to interchangeable plans (aliases do not
+/// affect execution, so they are deliberately excluded).
 std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
-                    bool dedup_frontier, bool has_lid_filter, QAttr lid_attr,
-                    const ExecutorOptions& options, int pivot_var,
-                    bool pivot_seeded) {
+                    bool dedup_frontier, const ExecutorOptions& options,
+                    const Pivot& pivot) {
   std::string key;
   key.reserve(64 + 16 * (q.vars.size() + q.join_chain.size() +
                          q.extra_conditions.size() +
@@ -1135,16 +1124,10 @@ std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
   key += options.join_order == ExecutorOptions::JoinOrder::kCostBased ? 'C'
                                                                       : 'D';
   key += dedup_frontier ? 'F' : 'f';
-  if (has_lid_filter) {
-    key += 'L';
-    attr(lid_attr);
-  }
   // The pivot variable and mode shape the recorded pipeline; the row range
   // itself is a runtime input and deliberately excluded.
-  if (pivot_var >= 0) {
-    key += pivot_seeded ? 'R' : 'W';
-    key += std::to_string(pivot_var);
-  }
+  key += pivot.seeded ? 'R' : 'W';
+  key += std::to_string(pivot.var);
   key += '|';
   for (const auto& v : q.vars) {
     text(v.table);
@@ -1283,21 +1266,15 @@ ThreadPool* Executor::ProbePool() const {
 }
 
 StatusOr<Executor::FrameRun> Executor::RunFrame(
-    const PathQuery& q, const std::vector<QAttr>& output_attrs,
-    bool dedup_frontier, const std::vector<Value>* lid_filter,
-    QAttr lid_attr, const PivotRun* pivot) const {
-  EBA_CHECK_MSG(lid_filter == nullptr || pivot == nullptr,
-                "lid filter and pivot range are mutually exclusive");
+    const Database::Snapshot& snapshot, const PathQuery& q,
+    const std::vector<QAttr>& output_attrs, bool dedup_frontier,
+    int pivot_var, bool seeded, RowRange range) const {
   stats_ = ExecStats{};
   const ParCtx par = MakePar(ProbePool(), options_, &stats_);
-  const int pivot_var = pivot != nullptr ? pivot->var : -1;
-  const bool pivot_seeded = pivot != nullptr && pivot->reverse;
-  const RowRange* pivot_range = pivot != nullptr ? &pivot->range : nullptr;
+  const Pivot pivot{pivot_var, seeded, range};
 
-  // One pinned read view for the whole run: plan lookup, scan, every probe,
-  // and literal resolution all observe the same watermark vector.
-  const Database::Snapshot snapshot = QuerySnapshot();
-
+  // `snapshot` is the one read view of the whole run: plan lookup, seed,
+  // every probe, and literal resolution all observe its watermarks.
   PlanCache* cache = options_.plan_cache;
   auto snapshot_cache_stats = [&] {
     const PlanCache::Stats cs = cache->stats();
@@ -1309,8 +1286,7 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
   };
   std::string key;
   if (cache != nullptr) {
-    key = PlanKey(q, output_attrs, dedup_frontier, lid_filter != nullptr,
-                  lid_attr, options_, pivot_var, pivot_seeded);
+    key = PlanKey(q, output_attrs, dedup_frontier, options_, pivot);
     std::shared_ptr<const CompiledPlan> plan = cache->Lookup(key, snapshot);
     if (plan != nullptr) {
       std::vector<size_t> var_bounds;
@@ -1319,8 +1295,7 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
         var_bounds.push_back(snapshot.BoundOf(t));
       }
       FrameRun run;
-      run.frame = ReplayPlan(*plan, lid_filter, lid_attr, pivot_range,
-                             var_bounds, par, &stats_);
+      run.frame = ReplayPlan(*plan, pivot, var_bounds, par, &stats_);
       run.tables = plan->tables;
       snapshot_cache_stats();
       return run;
@@ -1330,9 +1305,8 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
   auto plan = std::make_shared<CompiledPlan>();
   PlanningExecutor exec(snapshot, options_, &stats_, par);
   EBA_ASSIGN_OR_RETURN(
-      Frame frame, exec.Run(q, output_attrs, dedup_frontier, lid_filter,
-                            lid_attr, pivot_var, pivot_seeded, pivot_range,
-                            plan.get()));
+      Frame frame,
+      exec.Run(q, output_attrs, dedup_frontier, pivot, plan.get()));
   FrameRun run;
   run.frame = std::move(frame);
   run.tables = plan->tables;
@@ -1350,18 +1324,17 @@ StatusOr<Relation> Executor::Materialize(const PathQuery& q) const {
     return ExecuteBoxed(q, output, /*dedup_intermediate=*/false,
                         /*lid_filter=*/nullptr, QAttr{});
   }
-  EBA_ASSIGN_OR_RETURN(FrameRun run,
-                       RunFrame(q, output, /*dedup_frontier=*/false,
-                                /*lid_filter=*/nullptr, QAttr{}));
+  EBA_ASSIGN_OR_RETURN(
+      FrameRun run, RunFrame(QuerySnapshot(), q, output,
+                             /*dedup_frontier=*/false, /*pivot_var=*/0,
+                             /*seeded=*/true, kAllRows));
   return MaterializeFrame(run.frame, run.tables, output,
                           MakePar(ProbePool(), options_, &stats_));
 }
 
 StatusOr<Relation> Executor::MaterializeForLogIds(
     const PathQuery& q, QAttr lid_attr, const std::vector<Value>& lids) const {
-  if (lid_attr.var != 0) {
-    return Status::InvalidArgument("lid attribute must belong to variable 0");
-  }
+  EBA_ASSIGN_OR_RETURN(const Table* log_table, LidTable(*db_, q, lid_attr));
   std::vector<QAttr> output = q.projection;
   if (output.empty()) output = q.ReferencedAttrs();
   // Ensure the lid is part of the output so callers can group instances.
@@ -1372,11 +1345,40 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
     return ExecuteBoxed(q, output, /*dedup_intermediate=*/false, &lids,
                         lid_attr);
   }
-  EBA_ASSIGN_OR_RETURN(
-      FrameRun run,
-      RunFrame(q, output, /*dedup_frontier=*/false, &lids, lid_attr));
-  return MaterializeFrame(run.frame, run.tables, output,
-                          MakePar(ProbePool(), options_, &stats_));
+  // The lids' rows, each once and in lid order, as contiguous ranges. Runs
+  // keep their seed order, so concatenating one run per range equals one
+  // run over all the rows.
+  const Database::Snapshot snapshot = QuerySnapshot();
+  const size_t col = static_cast<size_t>(lid_attr.col);
+  const HashIndex& idx = log_table->GetOrBuildIndex(col);
+  std::vector<RowRange> ranges;
+  std::unordered_set<uint32_t> rows_seen;
+  for (const Value& lid : lids) {
+    for (uint32_t r : LidMatches(idx, log_table->column(col), lid,
+                                 snapshot.BoundOf(log_table))) {
+      if (!rows_seen.insert(r).second) continue;
+      if (!ranges.empty() && ranges.back().end == r) {
+        ++ranges.back().end;
+      } else {
+        ranges.push_back(RowRange{r, size_t{r} + 1});
+      }
+    }
+  }
+  // No row still runs once, so the query is validated and its plan cached.
+  if (ranges.empty()) ranges.emplace_back();
+
+  Relation out;
+  out.attrs = output;
+  for (const RowRange& range : ranges) {
+    EBA_ASSIGN_OR_RETURN(
+        FrameRun run, RunFrame(snapshot, q, output, /*dedup_frontier=*/false,
+                               /*pivot_var=*/0, /*seeded=*/true, range));
+    Relation part = MaterializeFrame(run.frame, run.tables, output,
+                                     MakePar(ProbePool(), options_, &stats_));
+    out.rows.insert(out.rows.end(), std::make_move_iterator(part.rows.begin()),
+                    std::make_move_iterator(part.rows.end()));
+  }
+  return out;
 }
 
 StatusOr<int64_t> Executor::CountDistinct(const PathQuery& q, QAttr lid_attr,
@@ -1387,9 +1389,7 @@ StatusOr<int64_t> Executor::CountDistinct(const PathQuery& q, QAttr lid_attr,
 
 StatusOr<std::vector<Value>> Executor::DistinctValues(
     const PathQuery& q, QAttr lid_attr, SupportStrategy strategy) const {
-  if (lid_attr.var != 0) {
-    return Status::InvalidArgument("lid attribute must belong to variable 0");
-  }
+  EBA_RETURN_IF_ERROR(LidTable(*db_, q, lid_attr).status());
   std::vector<QAttr> output = {lid_attr};
   if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
     EBA_ASSIGN_OR_RETURN(
@@ -1403,8 +1403,9 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
 
   EBA_ASSIGN_OR_RETURN(
       FrameRun run,
-      RunFrame(q, output, strategy == SupportStrategy::kDedupFrontier,
-               /*lid_filter=*/nullptr, lid_attr));
+      RunFrame(QuerySnapshot(), q, output,
+               strategy == SupportStrategy::kDedupFrontier, /*pivot_var=*/0,
+               /*seeded=*/true, kAllRows));
   const int slot = run.frame.SlotOf(lid_attr.var);
   EBA_CHECK(slot >= 0);
   const std::vector<uint32_t>& ids = run.frame.ids[static_cast<size_t>(slot)];
@@ -1450,63 +1451,8 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
 
 StatusOr<std::vector<int64_t>> Executor::DistinctLids(const PathQuery& q,
                                                       QAttr lid_attr) const {
-  return DistinctLidsImpl(q, lid_attr, /*lid_filter=*/nullptr);
-}
-
-StatusOr<std::vector<int64_t>> Executor::DistinctLidsFor(
-    const PathQuery& q, QAttr lid_attr, const std::vector<Value>& lids) const {
-  return DistinctLidsImpl(q, lid_attr, &lids);
-}
-
-StatusOr<std::vector<int64_t>> Executor::DistinctLidsImpl(
-    const PathQuery& q, QAttr lid_attr,
-    const std::vector<Value>* lid_filter) const {
-  if (lid_attr.var != 0) {
-    return Status::InvalidArgument("lid attribute must belong to variable 0");
-  }
-  if (q.vars.empty()) {
-    return Status::InvalidArgument("query has no tuple variables");
-  }
-  EBA_ASSIGN_OR_RETURN(const Table* log_table, db_->GetTable(q.vars[0].table));
-  if (lid_attr.col < 0 ||
-      static_cast<size_t>(lid_attr.col) >= log_table->num_columns()) {
-    return Status::InvalidArgument("lid attribute column out of range");
-  }
-  const Column& col = log_table->column(static_cast<size_t>(lid_attr.col));
-  if (!col.IsIntLike()) {
-    return Status::InvalidArgument(
-        "DistinctLids requires an integer-like lid column");
-  }
-
-  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    EBA_ASSIGN_OR_RETURN(
-        Relation rel,
-        ExecuteBoxed(q, {lid_attr}, /*dedup_intermediate=*/true, lid_filter,
-                     lid_attr));
-    std::vector<int64_t> lids;
-    lids.reserve(rel.rows.size());
-    for (const auto& row : rel.rows) {
-      if (!row[0].is_null()) lids.push_back(row[0].RawInt64());
-    }
-    std::sort(lids.begin(), lids.end());
-    lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
-    return lids;
-  }
-
-  std::vector<QAttr> output = {lid_attr};
-  EBA_ASSIGN_OR_RETURN(FrameRun run, RunFrame(q, output,
-                                              /*dedup_frontier=*/true,
-                                              lid_filter, lid_attr));
-  const int slot = run.frame.SlotOf(lid_attr.var);
-  EBA_CHECK(slot >= 0);
-  std::vector<int64_t> lids;
-  lids.reserve(run.frame.size());
-  for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
-    if (!col.IsNull(r)) lids.push_back(col.Int64At(r));
-  }
-  ParallelSortInt64(&lids, MakePar(ProbePool(), options_, &stats_));
-  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
-  return lids;
+  EBA_RETURN_IF_ERROR(LidTable(*db_, q, lid_attr).status());
+  return DistinctLidsJoinedTo(q, lid_attr, q.vars[0].table, kAllRows);
 }
 
 StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
@@ -1518,71 +1464,76 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
 StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
     const PathQuery& q, QAttr lid_attr, const std::string& table,
     RowRange appended, const JoinedToOptions& jopts) const {
-  if (lid_attr.var != 0) {
-    return Status::InvalidArgument("lid attribute must belong to variable 0");
-  }
-  if (q.vars.empty()) {
-    return Status::InvalidArgument("query has no tuple variables");
-  }
-  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    return Status::Unimplemented(
-        "DistinctLidsJoinedTo requires the late-materialization engine");
-  }
-  EBA_ASSIGN_OR_RETURN(const Table* log_table, db_->GetTable(q.vars[0].table));
-  if (lid_attr.col < 0 ||
-      static_cast<size_t>(lid_attr.col) >= log_table->num_columns()) {
-    return Status::InvalidArgument("lid attribute column out of range");
-  }
+  EBA_ASSIGN_OR_RETURN(const Table* log_table, LidTable(*db_, q, lid_attr));
   const Column& lid_col = log_table->column(static_cast<size_t>(lid_attr.col));
   if (!lid_col.IsIntLike()) {
-    return Status::InvalidArgument(
-        "DistinctLidsJoinedTo requires an integer-like lid column");
+    return Status::InvalidArgument("the lid column must be integer-like");
   }
   EBA_ASSIGN_OR_RETURN(const Table* appended_table, db_->GetTable(table));
-  // Clamp the runtime range to the snapshot watermark, not the live row
-  // count: rows the writer appends during this call are the next delta's
-  // business.
+  // One pinned read view for every pivot run, and the range clamped to its
+  // watermark: rows the writer appends during this call are the next
+  // delta's business.
   const Database::Snapshot snapshot = QuerySnapshot();
-  appended.end = std::min(appended.end, snapshot.BoundOf(appended_table));
+  const size_t table_rows = snapshot.BoundOf(appended_table);
+  appended.end = std::min(appended.end, table_rows);
   appended.begin = std::min(appended.begin, appended.end);
+  // Variable 0 over every row of its table finds every explained lid: it
+  // then runs alone, even over an empty table (validating the query).
+  const bool var0_covers_all = q.vars[0].table == table &&
+                               appended.begin == 0 &&
+                               appended.end == table_rows;
 
-  // One pivot run per tuple variable bound to the appended table; a lid is
-  // in the result iff *some* occurrence takes an appended row, so the runs
-  // union. An unreferenced table (or an empty range) cannot add witnesses.
   std::vector<int64_t> lids;
-  for (size_t v = 0; v < q.vars.size(); ++v) {
-    if (q.vars[v].table != table) continue;
-    if (v == 0 && !jopts.include_var0) continue;
-    if (appended.empty()) continue;
-    PivotRun pivot;
-    pivot.var = static_cast<int>(v);
-    pivot.range = appended;
-    switch (jopts.pivot) {
-      case PivotChoice::kReverseSeed:
-        pivot.reverse = true;
-        break;
-      case PivotChoice::kForwardFilter:
-        // Restricting variable 0 is always cheapest as a seed (the filter
-        // would scan the full log first just to drop most of it).
-        pivot.reverse = v == 0;
-        break;
-      case PivotChoice::kAuto:
-        // Cost-based pivot choice: compare the two seed-scan cardinalities
-        // — joining outward from the appended rows costs ~|delta| up front,
-        // the forward pipeline costs ~|log|. Deterministic, so the plan
-        // cache sees a stable key per (query, pivot, mode).
-        pivot.reverse =
-            v == 0 || appended.size() <= snapshot.BoundOf(log_table);
-        break;
+  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
+    // The oracle has no row-id pivot machinery, only the unrestricted run.
+    if (!var0_covers_all) {
+      return Status::Unimplemented(
+          "DistinctLidsJoinedTo over part of a table requires the "
+          "late-materialization engine");
     }
     EBA_ASSIGN_OR_RETURN(
-        FrameRun run, RunFrame(q, {lid_attr}, /*dedup_frontier=*/true,
-                               /*lid_filter=*/nullptr, lid_attr, &pivot));
-    const int slot = run.frame.SlotOf(lid_attr.var);
-    EBA_CHECK(slot >= 0);
-    lids.reserve(lids.size() + run.frame.size());
-    for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
-      if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
+        Relation rel,
+        ExecuteBoxed(q, {lid_attr}, /*dedup_intermediate=*/true,
+                     /*lid_filter=*/nullptr, lid_attr));
+    for (const auto& row : rel.rows) {
+      if (!row[0].is_null()) lids.push_back(row[0].RawInt64());
+    }
+  } else {
+    // One pivot run per tuple variable bound to the appended table; a lid
+    // is in the result iff *some* occurrence takes an appended row, so the
+    // runs union. An unreferenced table (or an empty range) cannot add
+    // witnesses.
+    for (size_t v = 0; v < q.vars.size(); ++v) {
+      if (q.vars[v].table != table) continue;
+      if (var0_covers_all ? v > 0 : appended.empty()) continue;
+      bool reverse = true;
+      switch (jopts.pivot) {
+        case PivotChoice::kReverseSeed:
+          break;
+        case PivotChoice::kForwardFilter:
+          // Restricting variable 0 is always cheapest as a seed (the filter
+          // would scan the full log first just to drop most of it).
+          reverse = v == 0;
+          break;
+        case PivotChoice::kAuto:
+          // Cost-based pivot choice: compare the two seed-scan
+          // cardinalities — joining outward from the appended rows costs
+          // ~|delta| up front, the forward pipeline costs ~|log|.
+          // Deterministic, so the plan cache sees a stable key per (query,
+          // pivot, mode).
+          reverse = v == 0 || appended.size() <= snapshot.BoundOf(log_table);
+          break;
+      }
+      EBA_ASSIGN_OR_RETURN(
+          FrameRun run,
+          RunFrame(snapshot, q, {lid_attr}, /*dedup_frontier=*/true,
+                   static_cast<int>(v), reverse, appended));
+      const int slot = run.frame.SlotOf(lid_attr.var);
+      EBA_CHECK(slot >= 0);
+      lids.reserve(lids.size() + run.frame.size());
+      for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
+        if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
+      }
     }
   }
   ParallelSortInt64(&lids, MakePar(ProbePool(), options_, &stats_));

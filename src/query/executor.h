@@ -15,9 +15,17 @@
 //    result multiplicity" optimization (§3.2.1), without ever building a
 //    boxed row.
 //
+//    A row range of one tuple variable is the engine's only restriction:
+//    every run starts from a kSeedRange step — variable 0 over all its rows
+//    (Materialize, DistinctLids), variable 0 over the rows of the requested
+//    lids (MaterializeForLogIds, one run per contiguous row range), or the
+//    pivot variable of DistinctLidsJoinedTo over a caller's range — and
+//    every range is clamped to the snapshot bound of its table.
+//
 //  - kBoxedReference: the original Row = std::vector<Value> implementation,
-//    retained as the equivalence oracle for tests and as the baseline for
-//    the A/B benchmarks (BM_ExecutorJoin / BM_DistinctLids).
+//    retained as the equivalence oracle for tests (it restricts per-access
+//    explains with its own lid filter) and as the baseline for the A/B
+//    benchmarks (BM_ExecutorJoin / BM_DistinctLids).
 //
 // Join ordering (ExecutorOptions::join_order): conditions whose variables
 // are already bound always apply first as filters; among chain conditions
@@ -51,7 +59,8 @@ namespace eba {
 class PlanCache;
 
 /// A half-open row-id range [begin, end) of one table (e.g. the rows an
-/// append batch added past the old watermark).
+/// append batch added past the old watermark) — the executor's only way to
+/// restrict a query.
 struct RowRange {
   size_t begin = 0;
   size_t end = 0;
@@ -187,6 +196,10 @@ class Executor {
 
   /// Materializes instances for specific log records only (drives the
   /// per-access Explain operation). `lid_attr` must belong to variable 0.
+  /// The lids are looked up in the Lid index once; each contiguous range
+  /// of their rows seeds one run, and rows come out in `lids` order.
+  /// last_stats() afterwards describes the FINAL range run only (each run
+  /// resets it); its cumulative plan-cache counters still cover all runs.
   StatusOr<Relation> MaterializeForLogIds(const PathQuery& q, QAttr lid_attr,
                                           const std::vector<Value>& lids) const;
 
@@ -201,21 +214,13 @@ class Executor {
                                               SupportStrategy strategy) const;
 
   /// The distinct log ids in the query result as a sorted int64 vector —
-  /// the hot entry point for the miner's support counting and ExplainAll's
-  /// per-template classification. `lid_attr` must belong to variable 0 and
-  /// reference an integer-like column. Under kLateMaterialization this is
-  /// the semi-join fast path end to end: no boxed row is ever built.
+  /// the hot entry point for the miner's support counting. `lid_attr` must
+  /// belong to variable 0 and reference an integer-like column. Under
+  /// kLateMaterialization this is DistinctLidsJoinedTo over every row of
+  /// the variable-0 table: the semi-join fast path end to end, no boxed row
+  /// is ever built.
   StatusOr<std::vector<int64_t>> DistinctLids(const PathQuery& q,
                                               QAttr lid_attr) const;
-
-  /// DistinctLids restricted to specific log records: the distinct members
-  /// of `lids` the query explains, evaluated through the lid-filter initial
-  /// scan so the cost scales with the batch, not the log. This is the
-  /// incremental-audit entry point (core/ingest.h): a streaming ExplainNew
-  /// re-evaluates only the accesses past its audited watermark.
-  StatusOr<std::vector<int64_t>> DistinctLidsFor(
-      const PathQuery& q, QAttr lid_attr,
-      const std::vector<Value>& lids) const;
 
   /// How DistinctLidsJoinedTo restricts a tuple variable to the appended
   /// row range. kReverseSeed starts the join frontier *at the appended
@@ -229,24 +234,23 @@ class Executor {
 
   struct JoinedToOptions {
     PivotChoice pivot = PivotChoice::kAuto;
-    /// When false, occurrences of `table` at tuple variable 0 are skipped —
-    /// core/ingest.h sets this for log-table appends, whose variable-0 rows
-    /// are already covered by the DistinctLidsFor new-lid pass, leaving the
-    /// self-join (variable > 0) occurrences to this entry point.
-    bool include_var0 = true;
   };
 
-  /// The reverse semi-join delta entry point: the distinct log ids of query
-  /// results in which some tuple variable bound to `table` takes a row in
-  /// `appended` (clamped to the table's current size), ascending. Appends
-  /// are monotone — they only add witnesses — so for an appended suffix
-  /// this is exactly the set of lids the append can newly explain:
+  /// The range-audit entry point: the distinct log ids of query results in
+  /// which some tuple variable bound to `table` takes a row in `appended`
+  /// (clamped to the table's snapshot bound), ascending. Appends are
+  /// monotone — they only add witnesses — so for an appended suffix this
+  /// is exactly the set of lids the append can newly explain:
   ///   DistinctLids(after) == DistinctLids(before) ∪ JoinedTo(suffix).
-  /// Evaluates one pivot run per matching tuple variable; each run compiles
-  /// to its own cached plan (keyed on the pivot, revalidated/re-bound like
-  /// any other), with the row range as a runtime input. Returns empty when
-  /// `table` is not referenced or the range is empty. `lid_attr` must
-  /// belong to variable 0 and be integer-like; kLateMaterialization only.
+  /// Evaluates one pivot run per matching tuple variable, all against one
+  /// snapshot; each run compiles to its own cached plan (keyed on the
+  /// pivot, revalidated/re-bound like any other), with the row range as a
+  /// runtime input. When the variable-0 pivot already covers every row of
+  /// `table`, it alone runs: every explained lid is found there, and the
+  /// run is exactly DistinctLids (same plan) — the only case the boxed
+  /// reference engine answers. Returns empty when `table` is not referenced
+  /// or the range is empty. `lid_attr` must belong to variable 0 and be
+  /// integer-like.
   /// last_stats() afterwards describes the FINAL pivot run only (each run
   /// resets it); the cumulative plan-cache counters inside it still cover
   /// all runs, because they snapshot the attached cache's totals.
@@ -263,37 +267,27 @@ class Executor {
   /// Frame + resolved per-variable tables from one late-materialization run.
   struct FrameRun;
 
-  /// One range-restricted ("pivot") execution of DistinctLidsJoinedTo:
-  /// which tuple variable is restricted, whether the frame is seeded at it
-  /// (reverse) or filtered after binding (forward), and the runtime range.
-  struct PivotRun {
-    int var = 0;
-    bool reverse = true;
-    RowRange range;
-  };
-
+  /// The boxed reference engine; `lid_filter` (null = every log row)
+  /// restricts variable 0 to the rows holding those lids.
   StatusOr<Relation> ExecuteBoxed(const PathQuery& q,
                                   const std::vector<QAttr>& output_attrs,
                                   bool dedup_intermediate,
                                   const std::vector<Value>* lid_filter,
                                   QAttr lid_attr) const;
 
-  /// Shared body of DistinctLids / DistinctLidsFor (`lid_filter` null for
-  /// the full log).
-  StatusOr<std::vector<int64_t>> DistinctLidsImpl(
-      const PathQuery& q, QAttr lid_attr,
-      const std::vector<Value>* lid_filter) const;
-
-  /// Late-materialization entry point: replays a cached compiled plan when
-  /// options_.plan_cache holds a fresh one for this query shape, otherwise
-  /// records the plan while executing (and caches it). At most one of
-  /// `lid_filter` / `pivot` may be set.
-  StatusOr<FrameRun> RunFrame(const PathQuery& q,
+  /// Late-materialization entry point: one run against `snapshot`,
+  /// restricted to the rows `range` of tuple variable `pivot_var`. A
+  /// `seeded` run starts its frame at those rows; otherwise (a forward
+  /// pivot) the frame starts at every row of variable 0 and keeps only the
+  /// tuples whose `pivot_var` row lies in `range` once that variable binds.
+  /// Replays a cached compiled plan when options_.plan_cache holds a fresh
+  /// one for this query shape, otherwise records the plan while executing
+  /// (and caches it).
+  StatusOr<FrameRun> RunFrame(const Database::Snapshot& snapshot,
+                              const PathQuery& q,
                               const std::vector<QAttr>& output_attrs,
-                              bool dedup_frontier,
-                              const std::vector<Value>* lid_filter,
-                              QAttr lid_attr,
-                              const PivotRun* pivot = nullptr) const;
+                              bool dedup_frontier, int pivot_var, bool seeded,
+                              RowRange range) const;
 
   /// The pool probe morsels fan out over: the external options_.pool when
   /// set, else a lazily created owned pool (num_threads > 1), else null.

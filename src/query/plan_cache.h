@@ -71,8 +71,8 @@ namespace eba {
 
 /// One frozen pipeline operation over the executor's row-id frame. Slot
 /// numbers refer to the frame layout at the point the step applies; the
-/// layout evolves deterministically from the initial [variable 0] frame, so
-/// recorded slots stay valid on every replay.
+/// layout evolves deterministically from the kSeedRange step every plan
+/// starts with, so recorded slots stay valid on every replay.
 struct PlanStep {
   enum class Kind : uint8_t {
     kJoin,          // hash-probe binding a new tuple variable
@@ -80,11 +80,11 @@ struct PlanStep {
     kVarVarFilter,  // decoration between two bound attributes
     kConstFilter,   // decoration against a pre-resolved literal
     kDrop,          // semi-join column drop (+ row-id tuple dedup)
-    // Reverse semi-join delta steps (Executor::DistinctLidsJoinedTo). The
-    // restricted row range is a *runtime* input like the lid filter — the
-    // plan freezes which variable is range-restricted, not the range
-    // itself, so one compiled plan serves every append batch.
-    kSeedRange,      // seed the empty frame at `new_var` from the range
+    // Row-range steps, the executor's only restriction. The row range is a
+    // *runtime* input — the plan freezes which variable is range-restricted,
+    // not the range itself, so one compiled plan serves every append batch
+    // (and the whole log).
+    kSeedRange,      // first step: seed the empty frame at `new_var`'s rows
     kRowRangeFilter  // keep tuples whose `lhs_slot` row id is in the range
   };
   /// Probe dispatch resolved at compile time (kJoin).
@@ -179,14 +179,6 @@ struct CompiledPlan {
   std::vector<int> final_vars;  // final frame slot -> tuple variable
   bool used_cost_based_order = false;
   bool used_semi_join = false;
-
-  /// Tuple variable restricted to the runtime row range (-1 = none). When
-  /// `pivot_seeded` the plan starts from a kSeedRange step over that
-  /// variable's table (reverse pivot: the join frontier grows *outward from
-  /// the appended rows*); otherwise the restriction is a kRowRangeFilter
-  /// applied once the variable binds (forward pivot).
-  int pivot_var = -1;
-  bool pivot_seeded = false;
 
   enum class Freshness {
     kFresh,         // replay as-is

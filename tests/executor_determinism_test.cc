@@ -618,12 +618,6 @@ TEST(ReverseSemiJoinTest, EmptyRangeUnreferencedTableAndBoxedEngine) {
   EXPECT_TRUE(UnwrapOrDie(executor.DistinctLidsJoinedTo(
                   q, lid, "Doctor_Info", RowRange{0, 2}))
                   .empty());
-  // include_var0 = false skips variable-0 occurrences (the log itself).
-  Executor::JoinedToOptions no_var0;
-  no_var0.include_var0 = false;
-  EXPECT_TRUE(UnwrapOrDie(executor.DistinctLidsJoinedTo(q, lid, "Log",
-                                                        RowRange{0, 2}, no_var0))
-                  .empty());
   // The boxed reference engine has no row-id pivot machinery.
   ExecutorOptions boxed;
   boxed.engine = ExecutorOptions::Engine::kBoxedReference;
@@ -651,13 +645,10 @@ TEST(ReverseSemiJoinTest, SelfJoinPivotFindsRetroactiveWitnesses) {
        Value::Int64(testing_util::kDave), Value::Int64(testing_util::kAlice),
        Value::String("viewed record")}));
   Executor executor(&db);
-  Executor::JoinedToOptions no_var0;
-  no_var0.include_var0 = false;
   for (Executor::PivotChoice mode : kPivotModes) {
-    no_var0.pivot = mode;
     EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
                   q, lid, "Log", RowRange{suffix_begin, log->num_rows()},
-                  no_var0)),
+                  WithPivot(mode))),
               (std::vector<int64_t>{1}))
         << static_cast<int>(mode);
   }

@@ -509,6 +509,53 @@ TEST(StreamingAuditorTest, LateArrivingLogRowExplainsOldAccessViaSelfJoin) {
   EXPECT_TRUE(auditor.ExplainedSetEquals(full_set));
 }
 
+// The Lid column is documented as a primary key, but nothing enforces it:
+// an appended row may repeat an audited lid. A lid is explained when ANY of
+// its rows is, so the new row must not hide an older explained row, nor an
+// older row that this same audit window newly explains.
+
+TEST(StreamingAuditorTest, RepeatedLidKeepsItsExplainedOlderRow) {
+  ToyAuditor t = MakeToyAuditor();
+  (void)UnwrapOrDie(t.auditor->ExplainNew());
+  EXPECT_TRUE(t.auditor->IsExplained(1));
+
+  // Lid 1 again, for an access no template explains (user 999 on Alice).
+  EBA_ASSERT_OK(t.auditor->AppendAccessBatch(
+      {{Value::Int64(1),
+        Value::Timestamp(Date::FromCivil(2010, 3, 3, 9, 0, 0).ToSeconds()),
+        Value::Int64(999), Value::Int64(testing_util::kAlice),
+        Value::String("viewed record")}}));
+  const StreamingReport report = UnwrapOrDie(t.auditor->ExplainNew());
+  EXPECT_EQ(report.new_rows(), 1u);
+  EXPECT_EQ(report.explained_lids, (std::vector<int64_t>{1}));
+  EXPECT_TRUE(report.unexplained_lids.empty());
+  EXPECT_TRUE(t.auditor->IsExplained(1));
+}
+
+TEST(StreamingAuditorTest, RepeatedLidSeesItsOlderRowNewlyExplained) {
+  ToyAuditor t = MakeToyAuditor();
+  (void)UnwrapOrDie(t.auditor->ExplainNew());
+  EXPECT_FALSE(t.auditor->IsExplained(2));
+
+  // One audit window: an appointment that explains lid 2's older row (Dave
+  // viewing Bob), and lid 2 again for an access nothing explains.
+  EBA_ASSERT_OK(t.auditor->AppendRows(
+      "Appointments",
+      {{Value::Int64(testing_util::kBob),
+        Value::Timestamp(Date::FromCivil(2010, 2, 2, 9, 0, 0).ToSeconds()),
+        Value::Int64(testing_util::kDave)}}));
+  EBA_ASSERT_OK(t.auditor->AppendAccessBatch(
+      {{Value::Int64(2),
+        Value::Timestamp(Date::FromCivil(2010, 3, 3, 9, 0, 0).ToSeconds()),
+        Value::Int64(999), Value::Int64(testing_util::kBob),
+        Value::String("viewed record")}}));
+  const StreamingReport report = UnwrapOrDie(t.auditor->ExplainNew());
+  EXPECT_FALSE(report.full_reaudit);
+  EXPECT_EQ(report.explained_lids, (std::vector<int64_t>{2}));
+  EXPECT_TRUE(report.unexplained_lids.empty());
+  EXPECT_TRUE(t.auditor->IsExplained(2));
+}
+
 TEST(StreamingAuditorTest, EmptyAuditAndBadBatchRows) {
   Database db = BuildPaperToyDatabase();
   StreamingAuditor auditor =

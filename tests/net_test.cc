@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -399,6 +400,21 @@ TEST(AuditServerTest, SeededAdversarialFrameFuzz) {
     raw->ShutdownBoth();
   }
 
+  // Wait until every adversarial connection was accepted and its handler
+  // finished; only the harness client's handler stays live. A handler still
+  // winding down holds a connection slot, so without the wait the
+  // connection limit could turn the fresh client below away.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto settled = [&h] {
+    return h.server->ReportNow().connections_accepted > 200 &&
+           h.server->LiveConnectionsForTest() <= 1;
+  };
+  while (!settled() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(settled()) << "adversarial connection handlers never finished";
+
   // The server survived 200 adversarial connections and still works. A
   // fresh client connected after the loop sits behind all 200 in the accept
   // queue, so a successful round trip on it proves every one was accepted
@@ -445,20 +461,22 @@ TEST(AuditServerTest, FullIngestQueueRejectsRetryablyThenRecovers) {
   std::thread fill([&] {
     EBA_ASSERT_OK(filler->AppendAccessBatch({f.backlog[0]}));
   });
-  // Wait until the slot is taken (the filler thread enqueued).
-  for (;;) {
-    const ServerReport r = UnwrapOrDie(h.client().Report());
-    (void)r;
-    const Status busy_probe = h.client().AppendAccessBatch({f.backlog[1]});
-    if (!busy_probe.ok()) {
-      EXPECT_TRUE(AuditClient::IsRetryableBusy(busy_probe))
-          << busy_probe.ToString();
-      break;
-    }
-    // Both probes got in before the filler: drain and retry.
-    h.server->ResumeIngestForTest();
-    h.server->PauseIngestForTest();
+  // Probe only once the filler's job holds the slot: a probe that took it
+  // first would wait for an ACK that only a resumed ingest thread sends.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (h.server->IngestQueueDepthForTest() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  if (h.server->IngestQueueDepthForTest() == 0) {
+    h.server->ResumeIngestForTest();
+    fill.join();
+    FAIL() << "the filler's append never reached the ingest queue";
+  }
+  const Status busy_probe = h.client().AppendAccessBatch({f.backlog[1]});
+  EXPECT_TRUE(AuditClient::IsRetryableBusy(busy_probe))
+      << busy_probe.ToString();
   h.server->ResumeIngestForTest();
   fill.join();
 
