@@ -162,7 +162,10 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
 
   AuditState audit;
   audit.audited_rows = audited_rows_;
-  audit.explained_lids.assign(explained_.begin(), explained_.end());
+  // One walk over the hash set: assign() would walk it twice (distance,
+  // then copy), which costs as much as the sort.
+  audit.explained_lids.reserve(explained_.size());
+  for (const int64_t lid : explained_) audit.explained_lids.push_back(lid);
   std::sort(audit.explained_lids.begin(), audit.explained_lids.end());
   // Watermarks as of the last completed audit (snapshot_), NOT current row
   // counts: rows appended since the last audit must re-surface as drift

@@ -1,39 +1,11 @@
 #include "net/frame.h"
 
-#include "common/crc32.h"
-
 namespace eba {
-
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-}  // namespace
 
 std::string EncodeFrame(uint8_t type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32(&type, 1);
-  crc = Crc32(payload.data(), payload.size(), crc);
-  PutU32(&out, crc);
-  out.push_back(static_cast<char>(type));
-  out.append(payload);
+  AppendFrame(&out, type, {payload});
   return out;
 }
 
@@ -58,10 +30,14 @@ StatusOr<Frame> FrameReader::Next() {
   char header[kFrameHeaderBytes];
   EBA_RETURN_IF_ERROR(
       ReadExact(header, kFrameHeaderBytes, /*clean_eof_ok=*/true));
-  const uint32_t payload_len = GetU32(header);
-  const uint32_t want_crc = GetU32(header + 4);
+  ByteReader in(std::string_view(header, kFrameHeaderBytes));
+  uint32_t payload_len = 0;
+  uint32_t want_crc = 0;
   Frame frame;
-  frame.type = static_cast<uint8_t>(header[8]);
+  // The header is complete, so these reads cannot underrun.
+  in.GetU32(&payload_len);
+  in.GetU32(&want_crc);
+  in.GetU8(&frame.type);
   if (payload_len > max_payload_) {
     return Status::InvalidArgument(
         "oversized frame: " + std::to_string(payload_len) +
@@ -73,9 +49,7 @@ StatusOr<Frame> FrameReader::Next() {
     EBA_RETURN_IF_ERROR(
         ReadExact(frame.payload.data(), payload_len, /*clean_eof_ok=*/false));
   }
-  uint32_t crc = Crc32(&frame.type, 1);
-  crc = Crc32(frame.payload.data(), frame.payload.size(), crc);
-  if (crc != want_crc) {
+  if (FrameCrc(frame.type, frame.payload) != want_crc) {
     return Status::InvalidArgument("frame CRC mismatch");
   }
   return frame;

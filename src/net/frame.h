@@ -21,11 +21,9 @@
 
 #include "common/status.h"
 #include "net/socket.h"
+#include "storage/wal.h"
 
 namespace eba {
-
-/// u32 len + u32 crc + u8 type.
-inline constexpr size_t kFrameHeaderBytes = 9;
 
 /// A decoded frame: the type byte plus the raw payload bytes.
 struct Frame {
@@ -33,7 +31,8 @@ struct Frame {
   std::string payload;
 };
 
-/// Frames `payload` under `type` (the WAL record encoding verbatim).
+/// Frames `payload` under `type` (AppendFrame: the WAL record encoding
+/// verbatim).
 std::string EncodeFrame(uint8_t type, std::string_view payload);
 
 /// Blocking frame reader over one Connection.

@@ -2,68 +2,11 @@
 
 #include <algorithm>
 
+#include "storage/wal.h"
+
 namespace eba {
 
 namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-/// Cursor over an immutable byte range; Get* return false on underrun
-/// (adversarial payloads must fail cleanly, never over-read).
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  bool GetU8(uint8_t* v) {
-    if (data_.size() < pos_ + 1) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  bool GetU32(uint32_t* v) {
-    if (data_.size() < pos_ + 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<uint8_t>(data_[pos_ + i]);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool GetU64(uint64_t* v) {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    if (!GetU32(&lo) || !GetU32(&hi)) return false;
-    *v = (uint64_t{hi} << 32) | lo;
-    return true;
-  }
-
-  bool GetBytes(size_t n, std::string_view* out) {
-    if (data_.size() < pos_ + n) return false;
-    *out = data_.substr(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 void PutSizeVec(std::string* out, const std::vector<size_t>& v) {
   PutU32(out, static_cast<uint32_t>(v.size()));

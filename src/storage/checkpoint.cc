@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -11,13 +13,33 @@
 #include "common/string_util.h"
 #include "storage/persist.h"
 #include "storage/table.h"
+#include "storage/wal.h"
 
 namespace eba {
 
 namespace {
 
-constexpr char kManifestHeader[] = "# eba checkpoint v1";
+constexpr char kManifestVersionPrefix[] = "# eba checkpoint v";
+constexpr char kManifestVersion[] = "2";
 constexpr char kCurrentFile[] = "CURRENT";
+constexpr char kCatalogFile[] = "catalog";
+
+/// Record types of checkpoint data files.
+enum CheckpointRecordType : uint8_t {
+  /// Payload: CatalogToText (persist.h).
+  kCatalogRecord = 1,
+  /// Payload: u32 name_len | name | u64 from | u64 to | u32 ncols |
+  ///          per column: u8 DataType | u64 dictionary size at `from`.
+  kTableHeaderRecord = 2,
+  /// Payload: u32 column | u64 first_row | u32 rows | u8 has_nulls |
+  ///          rows x 8-byte slot | (has_nulls) rows x u8 flag |
+  ///          u32 dict_count | per entry: u32 len | bytes.
+  kColumnChunkRecord = 3,
+};
+
+/// Data files reach the Env in pieces of about this size, so a large table
+/// never holds a second in-memory copy of its whole image.
+constexpr size_t kWriteBufferBytes = size_t{4} << 20;
 
 StatusOr<uint64_t> ParseU64(const std::string& text) {
   errno = 0;
@@ -51,6 +73,181 @@ std::vector<std::string> SplitFields(const std::string& text) {
   return fields;
 }
 
+/// Each column's dictionary size (0 for non-strings).
+std::vector<uint64_t> DictSizes(const Table& table) {
+  std::vector<uint64_t> sizes;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    sizes.push_back(table.column(c).DictionarySize());
+  }
+  return sizes;
+}
+
+Status Damaged(const std::string& path, const std::string& what) {
+  return Status::Internal("checkpoint file " + path + ": " + what);
+}
+
+/// Reads the framed records of a checkpoint data file into `*data`, which
+/// the returned records view. Unlike a WAL, the file must be all valid
+/// records: CURRENT only names synced checkpoints, so a torn or corrupt
+/// record is damage.
+StatusOr<std::vector<FrameView>> ReadRecords(Env* env, const std::string& path,
+                                             std::string* data) {
+  EBA_ASSIGN_OR_RETURN(*data, env->ReadFileToString(path));
+  std::vector<FrameView> records;
+  if (ParseFrames(*data, &records) != data->size()) {
+    return Damaged(path, "torn or corrupt record");
+  }
+  return records;
+}
+
+/// The header record payload of a file holding rows [from, to) of `table`;
+/// `dict_sizes` holds each column's dictionary size at `from`.
+std::string TableHeader(const Table& table, uint64_t from, uint64_t to,
+                        const std::vector<uint64_t>& dict_sizes) {
+  std::string header;
+  PutU32(&header, static_cast<uint32_t>(table.name().size()));
+  header += table.name();
+  PutU64(&header, from);
+  PutU64(&header, to);
+  PutU32(&header, static_cast<uint32_t>(table.num_columns()));
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    header.push_back(static_cast<char>(table.column(c).type()));
+    PutU64(&header, dict_sizes[c]);
+  }
+  return header;
+}
+
+/// Writes rows [from, to) of `table` to `path` as a header record plus one
+/// record per (column, 64k-row chunk), then syncs. `dict_sizes` holds each
+/// column's dictionary size at `from`.
+Status WriteTableImage(Env* env, const std::string& path, const Table& table,
+                       uint64_t from, uint64_t to,
+                       const std::vector<uint64_t>& dict_sizes) {
+  EBA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                       env->NewWritableFile(path, /*truncate=*/true));
+  std::string buffer;
+  AppendFrame(&buffer, kTableHeaderRecord,
+              {TableHeader(table, from, to, dict_sizes)});
+
+  // A chunk record is framed from four parts so the slots and null flags,
+  // nearly all of its bytes, are copied once: into the write buffer.
+  std::string prefix;
+  std::string dict;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    size_t dict_size = static_cast<size_t>(dict_sizes[c]);
+    for (uint64_t begin = from; begin < to;) {
+      const uint64_t end =
+          std::min<uint64_t>(to, (begin | kColumnChunkMask) + 1);
+      const ColumnChunk chunk =
+          table.column(c).ExportChunk(begin, end, &dict_size);
+      prefix.clear();
+      PutU32(&prefix, static_cast<uint32_t>(c));
+      PutU64(&prefix, begin);
+      PutU32(&prefix, static_cast<uint32_t>(end - begin));
+      prefix.push_back(chunk.nulls.empty() ? '\0' : '\1');
+      dict.clear();
+      PutU32(&dict, static_cast<uint32_t>(chunk.dict.size()));
+      for (const std::string_view entry : chunk.dict) {
+        PutU32(&dict, static_cast<uint32_t>(entry.size()));
+        dict += entry;
+      }
+      AppendFrame(&buffer, kColumnChunkRecord,
+                  {prefix, chunk.values, chunk.nulls, dict});
+      if (buffer.size() >= kWriteBufferBytes) {
+        EBA_RETURN_IF_ERROR(file->Append(buffer));
+        buffer.clear();
+      }
+      begin = end;
+    }
+  }
+  if (!buffer.empty()) EBA_RETURN_IF_ERROR(file->Append(buffer));
+  EBA_RETURN_IF_ERROR(file->Sync());
+  return file->Close();
+}
+
+/// Loads the table file at `path` onto `table`. The file continues the rows
+/// loaded so far, so its header must be exactly what the writer would emit
+/// for the manifest's rows [from, to) of this table now: its name, column
+/// types, and each column's current dictionary size. Every column is
+/// bulk-loaded to `to`; the row count is published last.
+Status LoadTableImage(Env* env, const std::string& path, uint64_t from,
+                      uint64_t to, Table* table) {
+  std::string data;
+  EBA_ASSIGN_OR_RETURN(std::vector<FrameView> records,
+                       ReadRecords(env, path, &data));
+  if (from != table->num_rows()) {
+    return Damaged(path, "starts at row " + std::to_string(from) +
+                             " but the table holds " +
+                             std::to_string(table->num_rows()) + " rows");
+  }
+  if (records.empty() || records[0].type != kTableHeaderRecord ||
+      records[0].payload != TableHeader(*table, from, to, DictSizes(*table))) {
+    return Damaged(path, "header disagrees with rows [" +
+                             std::to_string(from) + ", " + std::to_string(to) +
+                             ") of table '" + table->name() +
+                             "' as loaded so far");
+  }
+  const size_t ncols = table->num_columns();
+  std::vector<uint64_t> next_row(ncols, from);
+  for (size_t i = 1; i < records.size(); ++i) {
+    ByteReader in(records[i].payload);
+    uint32_t col = 0;
+    uint64_t first_row = 0;
+    uint32_t rows = 0;
+    uint8_t has_nulls = 0;
+    uint32_t dict_count = 0;
+    ColumnChunk chunk;
+    bool ok = records[i].type == kColumnChunkRecord && in.GetU32(&col) &&
+              in.GetU64(&first_row) && in.GetU32(&rows) &&
+              in.GetU8(&has_nulls) && has_nulls <= 1 &&
+              in.GetBytes(size_t{rows} * sizeof(int64_t), &chunk.values) &&
+              in.GetBytes(has_nulls ? rows : 0, &chunk.nulls) &&
+              in.GetU32(&dict_count);
+    for (uint32_t d = 0; ok && d < dict_count; ++d) {
+      uint32_t len = 0;
+      std::string_view entry;
+      ok = in.GetU32(&len) && in.GetBytes(len, &entry);
+      chunk.dict.push_back(entry);
+    }
+    if (!ok || !in.AtEnd()) {
+      return Damaged(path, "malformed chunk record " + std::to_string(i));
+    }
+    if (col >= ncols || first_row != next_row[col] || rows > to - first_row) {
+      return Damaged(path, "chunk record " + std::to_string(i) +
+                               " holds rows out of order");
+    }
+    const Status loaded = table->AppendColumnChunk(col, chunk);
+    if (!loaded.ok()) return Damaged(path, loaded.message());
+    next_row[col] += rows;
+  }
+  for (size_t c = 0; c < ncols; ++c) {
+    if (next_row[c] != to) {
+      return Damaged(path, "column " + std::to_string(c) + " ends at row " +
+                               std::to_string(next_row[c]) + ", not " +
+                               std::to_string(to));
+    }
+  }
+  return table->PublishColumnRows();
+}
+
+/// The empty tables and join metadata a full image's catalog record holds.
+StatusOr<Database> LoadCatalog(Env* env, const std::string& path) {
+  std::string data;
+  EBA_ASSIGN_OR_RETURN(std::vector<FrameView> records,
+                       ReadRecords(env, path, &data));
+  if (records.size() != 1 || records[0].type != kCatalogRecord) {
+    return Damaged(path, "expected one catalog record");
+  }
+  StatusOr<Catalog> catalog = ParseCatalog(std::string(records[0].payload));
+  if (!catalog.ok()) return Damaged(path, catalog.status().message());
+  Database db;
+  for (TableSchema& schema : catalog->tables) {
+    EBA_RETURN_IF_ERROR(db.CreateTable(std::move(schema)));
+  }
+  EBA_RETURN_IF_ERROR(catalog->ApplyJoinMetadata(&db));
+  return db;
+}
+
 }  // namespace
 
 CheckpointStore::CheckpointStore(Env* env, std::string dir)
@@ -82,13 +279,15 @@ StatusOr<uint64_t> CheckpointStore::CurrentSeq() const {
 
 Status CheckpointStore::WriteManifest(uint64_t seq, const Manifest& m) const {
   std::ostringstream body;
-  body << kManifestHeader << "\n";
+  body << kManifestVersionPrefix << kManifestVersion << "\n";
   body << "SEQ " << m.seq << "\n";
   if (m.has_base) body << "BASE " << m.base << "\n";
   body << "WALSEQ " << m.wal_seq << "\n";
   body << "AUDITED " << m.audit.audited_rows << "\n";
-  for (const auto& [name, rows] : m.table_rows) {
-    body << "TABLE " << name << " " << rows << "\n";
+  for (const auto& [name, state] : m.tables) {
+    body << "TABLE " << name << " " << state.rows;
+    for (uint64_t dict_size : state.dict_sizes) body << " " << dict_size;
+    body << "\n";
   }
   for (const auto& [name, seg] : m.segments) {
     body << "SEGMENT " << name << " " << seg.from_row << " " << seg.to_row
@@ -101,18 +300,20 @@ Status CheckpointStore::WriteManifest(uint64_t seq, const Manifest& m) const {
   // every explained access, so its cost is part of the gated time-to-recover
   // metric and must stay linear with a small constant.
   body << "EXPLAINED " << m.audit.explained_lids.size() << "\n";
-  body << "LIDS";
-  for (int64_t lid : m.audit.explained_lids) {
-    body << ' ' << lid;
-  }
-  body << "\n";
   std::string text = body.str();
+  text += "LIDS";
+  char digits[24];
+  for (int64_t lid : m.audit.explained_lids) {
+    text += ' ';
+    text.append(digits, std::to_chars(digits, std::end(digits), lid).ptr);
+  }
+  text += "\n";
   text += "CRC " + CrcHex(Crc32(text)) + "\n";
   return env_->WriteFile(CkptDir(seq) + "/ckpt.txt", text);
 }
 
 StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
-    uint64_t seq) const {
+    uint64_t seq, bool with_explained) const {
   const std::string path = CkptDir(seq) + "/ckpt.txt";
   EBA_ASSIGN_OR_RETURN(std::string text, env_->ReadFileToString(path));
 
@@ -128,6 +329,20 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
   if (end == crc_text.c_str() || *end != '\0' || errno == ERANGE ||
       static_cast<uint32_t>(stored) != Crc32(body)) {
     return Status::Internal("checkpoint manifest failed CRC: " + path);
+  }
+
+  // The version line comes first; a store of another format is refused by
+  // name, not misread.
+  const std::string version_line = body.substr(0, body.find('\n'));
+  if (!StartsWith(version_line, kManifestVersionPrefix)) {
+    return Status::Internal("not a checkpoint manifest: " + path);
+  }
+  const std::string version =
+      version_line.substr(sizeof(kManifestVersionPrefix) - 1);
+  if (version != kManifestVersion) {
+    return Status::Internal("checkpoint manifest " + path + " is format v" +
+                            version + "; this build reads only v" +
+                            kManifestVersion);
   }
 
   Manifest m;
@@ -154,8 +369,13 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
                            ParseU64(Trim(trimmed.substr(8))));
     } else if (StartsWith(trimmed, "TABLE ")) {
       const auto fields = SplitFields(trimmed.substr(6));
-      if (fields.size() != 2) return parse_error("TABLE needs name rows");
-      EBA_ASSIGN_OR_RETURN(m.table_rows[fields[0]], ParseU64(fields[1]));
+      if (fields.size() < 2) return parse_error("TABLE needs name rows");
+      Manifest::TableState& state = m.tables[fields[0]];
+      EBA_ASSIGN_OR_RETURN(state.rows, ParseU64(fields[1]));
+      for (size_t i = 2; i < fields.size(); ++i) {
+        EBA_ASSIGN_OR_RETURN(const uint64_t dict_size, ParseU64(fields[i]));
+        state.dict_sizes.push_back(dict_size);
+      }
     } else if (StartsWith(trimmed, "SEGMENT ")) {
       const auto fields = SplitFields(trimmed.substr(8));
       if (fields.size() != 4) {
@@ -174,19 +394,23 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
     } else if (StartsWith(trimmed, "EXPLAINED ")) {
       uint64_t count = 0;
       EBA_ASSIGN_OR_RETURN(count, ParseU64(Trim(trimmed.substr(10))));
-      m.audit.explained_lids.reserve(count);
+      if (with_explained) m.audit.explained_lids.reserve(count);
     } else if (StartsWith(trimmed, "LIDS")) {
-      // Hot during recovery: strtoll straight over the line, no per-lid
+      if (!with_explained) continue;
+      // Hot during recovery: from_chars straight over the line, no per-lid
       // string slicing.
-      const char* p = trimmed.c_str() + 4;
-      while (true) {
-        errno = 0;
-        char* end = nullptr;
-        const long long v = std::strtoll(p, &end, 10);
-        if (end == p) break;  // no more numbers
-        if (errno == ERANGE) return parse_error("lid out of range");
-        m.audit.explained_lids.push_back(static_cast<int64_t>(v));
-        p = end;
+      const char* p = trimmed.data() + 4;
+      const char* const end = trimmed.data() + trimmed.size();
+      while (p != end) {
+        if (*p == ' ') {
+          ++p;
+          continue;
+        }
+        int64_t lid = 0;
+        const auto [next, ec] = std::from_chars(p, end, lid);
+        if (ec != std::errc()) return parse_error("bad lid");
+        m.audit.explained_lids.push_back(lid);
+        p = next;
       }
     } else {
       return parse_error("unrecognized directive: " + trimmed);
@@ -215,23 +439,26 @@ StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
   if (!has_current) {
     full = true;
   } else if (!full) {
-    StatusOr<Manifest> base_or = ReadManifest(base_seq);
+    StatusOr<Manifest> base_or =
+        ReadManifest(base_seq, /*with_explained=*/false);
     if (!base_or.ok()) {
       full = true;  // unreadable base: fall back to a self-contained image
     } else {
       base = std::move(*base_or);
       // An incremental checkpoint only works when every table strictly grew
-      // from the base (join metadata is carried by the full root, so table
-      // churn or in-place rewrites demote to a full image).
-      if (base.table_rows.size() != db.TableNames().size()) full = true;
+      // from the base (schemas and join metadata are carried by the full
+      // root, so table churn, a changed column count or in-place rewrites
+      // demote to a full image).
+      if (base.tables.size() != db.TableNames().size()) full = true;
       for (const std::string& name : db.TableNames()) {
-        const auto it = base.table_rows.find(name);
-        if (it == base.table_rows.end()) {
+        const auto it = base.tables.find(name);
+        if (it == base.tables.end()) {
           full = true;
           break;
         }
         EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-        if (it->second > table->num_rows()) {
+        if (it->second.rows > table->num_rows() ||
+            it->second.dict_sizes.size() != table->num_columns()) {
           full = true;
           break;
         }
@@ -249,30 +476,43 @@ StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
   m.seq = seq;
   m.wal_seq = seq;
   m.audit = audit;
-  std::sort(m.audit.explained_lids.begin(), m.audit.explained_lids.end());
+  if (!std::is_sorted(m.audit.explained_lids.begin(),
+                      m.audit.explained_lids.end())) {
+    std::sort(m.audit.explained_lids.begin(), m.audit.explained_lids.end());
+  }
   for (const std::string& name : db.TableNames()) {
     EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-    m.table_rows[name] = table->num_rows();
+    m.tables[name] = {table->num_rows(), DictSizes(*table)};
   }
 
   if (full) {
-    EBA_RETURN_IF_ERROR(SaveDatabase(db, ckpt_dir + "/db", env_));
+    const std::string db_dir = ckpt_dir + "/db";
+    EBA_RETURN_IF_ERROR(env_->CreateDirs(db_dir));
+    std::string catalog;
+    AppendFrame(&catalog, kCatalogRecord, {CatalogToText(db)});
+    EBA_RETURN_IF_ERROR(
+        env_->WriteFile(ckpt_dir + "/" + kCatalogFile, catalog));
+    for (const auto& [name, state] : m.tables) {
+      EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
+      EBA_RETURN_IF_ERROR(WriteTableImage(
+          env_, db_dir + "/" + name, *table, 0, state.rows,
+          std::vector<uint64_t>(table->num_columns(), 0)));
+    }
+    EBA_RETURN_IF_ERROR(env_->SyncDir(db_dir));
   } else {
     m.has_base = true;
     m.base = base_seq;
-    for (const std::string& name : db.TableNames()) {
+    for (const auto& [name, state] : m.tables) {
       EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-      const uint64_t from = base.table_rows.at(name);
-      const uint64_t to = table->num_rows();
-      if (from == to) continue;
+      const Manifest::TableState& from = base.tables.at(name);
+      if (from.rows == state.rows) continue;
       Manifest::Segment seg;
-      seg.from_row = from;
-      seg.to_row = to;
-      seg.file = "seg-" + name + ".csv";
-      EBA_RETURN_IF_ERROR(env_->WriteFile(
-          ckpt_dir + "/" + seg.file,
-          table->ToCsvString(static_cast<size_t>(from),
-                             static_cast<size_t>(to))));
+      seg.from_row = from.rows;
+      seg.to_row = state.rows;
+      seg.file = "seg-" + name;
+      EBA_RETURN_IF_ERROR(WriteTableImage(env_, ckpt_dir + "/" + seg.file,
+                                          *table, from.rows, state.rows,
+                                          from.dict_sizes));
       m.segments[name] = std::move(seg);
     }
   }
@@ -293,7 +533,8 @@ Status CheckpointStore::Publish(uint64_t seq) {
   uint64_t wal_min = seq;
   uint64_t walk = seq;
   while (true) {
-    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
+    EBA_ASSIGN_OR_RETURN(Manifest m,
+                         ReadManifest(walk, /*with_explained=*/false));
     chain.insert(walk);
     wal_min = m.wal_seq;
     if (!m.has_base) break;
@@ -325,7 +566,9 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
   std::vector<Manifest> chain;
   uint64_t walk = seq;
   while (true) {
-    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
+    // Only the newest link's explained set is recovered.
+    EBA_ASSIGN_OR_RETURN(
+        Manifest m, ReadManifest(walk, /*with_explained=*/chain.empty()));
     const bool at_root = !m.has_base;
     const uint64_t next = m.base;
     chain.push_back(std::move(m));
@@ -335,30 +578,35 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
   std::reverse(chain.begin(), chain.end());  // root (full) first
 
   const auto load_start = std::chrono::steady_clock::now();
+  const std::string root_dir = CkptDir(chain.front().seq);
   EBA_ASSIGN_OR_RETURN(Database db,
-                       LoadDatabase(CkptDir(chain.front().seq) + "/db"));
+                       LoadCatalog(env_, root_dir + "/" + kCatalogFile));
+  if (db.TableNames().size() != chain.front().tables.size()) {
+    return Status::Internal("checkpoint catalog in " + root_dir +
+                            " disagrees with its manifest's tables");
+  }
+  for (const auto& [name, state] : chain.front().tables) {
+    EBA_ASSIGN_OR_RETURN(Table * table, db.GetTable(name));
+    EBA_RETURN_IF_ERROR(LoadTableImage(env_, root_dir + "/db/" + name, 0,
+                                       state.rows, table));
+  }
   for (size_t i = 1; i < chain.size(); ++i) {
     for (const auto& [name, seg] : chain[i].segments) {
       EBA_ASSIGN_OR_RETURN(Table * table, db.GetTable(name));
-      if (table->num_rows() != seg.from_row) {
-        return Status::Internal(
-            "checkpoint chain mismatch for table '" + name + "': have " +
-            std::to_string(table->num_rows()) + " rows, segment starts at " +
-            std::to_string(seg.from_row));
-      }
-      const std::string seg_path = CkptDir(chain[i].seq) + "/" + seg.file;
-      EBA_ASSIGN_OR_RETURN(std::string csv, env_->ReadFileToString(seg_path));
-      EBA_RETURN_IF_ERROR(table->AppendCsvString(csv, seg_path));
+      EBA_RETURN_IF_ERROR(
+          LoadTableImage(env_, CkptDir(chain[i].seq) + "/" + seg.file,
+                         seg.from_row, seg.to_row, table));
     }
   }
   const Manifest& newest = chain.back();
-  for (const auto& [name, rows] : newest.table_rows) {
+  for (const auto& [name, state] : newest.tables) {
     EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-    if (table->num_rows() != rows) {
-      return Status::Internal("checkpoint row-count mismatch for table '" +
-                              name + "': have " +
-                              std::to_string(table->num_rows()) +
-                              ", manifest says " + std::to_string(rows));
+    if (table->num_rows() != state.rows ||
+        DictSizes(*table) != state.dict_sizes) {
+      return Status::Internal(
+          "checkpoint row-count or dictionary mismatch for table '" + name +
+          "': have " + std::to_string(table->num_rows()) +
+          " rows, manifest says " + std::to_string(state.rows));
     }
   }
 

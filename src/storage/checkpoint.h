@@ -8,15 +8,35 @@
 //   <dir>/CURRENT          "ckpt-<seq>\n" — atomically renamed into place;
 //                          the single commit point of a checkpoint.
 //   <dir>/ckpt-<seq>/      one checkpoint:
-//       ckpt.txt           manifest (SEQ/BASE/WALSEQ/TABLE/SEGMENT/
-//                          WATERMARK/AUDITED/EXPLAINED lines) with a
-//                          trailing CRC line over the body.
-//       db/                full checkpoints: a complete SaveDatabase image.
-//       seg-<table>.csv    incremental checkpoints: rows appended to
+//       ckpt.txt           manifest ("# eba checkpoint v2" header; SEQ/BASE/
+//                          WALSEQ/TABLE/SEGMENT/WATERMARK/AUDITED/EXPLAINED
+//                          lines) with a trailing CRC line over the body.
+//                          TABLE lines carry each table's row count and,
+//                          per column, its dictionary size at that count.
+//       catalog            full checkpoints: one framed record holding the
+//                          schemas and join metadata (persist.h's manifest
+//                          text).
+//       db/<table>         full checkpoints: every row of <table>.
+//       seg-<table>        incremental checkpoints: the rows appended to
 //                          <table> since the BASE checkpoint.
 //   <dir>/wal-<seq>.log    the WAL opened when ckpt-<seq> was published;
 //                          recovery replays every wal-N.log with N >= the
 //                          newest checkpoint's WALSEQ, in order.
+//
+// A table data file holds rows [from, to) of one table as binary column
+// images, in the WAL's CRC-framed records (storage/wal.h):
+//
+//   header record   table name, row range, per column its type and its
+//                   dictionary size at `from`;
+//   chunk records   one per (column, 64k-row chunk): the chunk's raw
+//                   little-endian 8-byte slots, its null flags when a row
+//                   is NULL, and the dictionary entries its rows use first
+//                   (storage/column.h ColumnChunk).
+//
+// Loading copies each chunk into fresh column chunks. Every byte is checked:
+// a short, torn or CRC-failing record, a header that disagrees with the
+// manifest or with the rows loaded so far, and an out-of-range code, bool or
+// null flag are errors. CSV is only for import and export (persist.h).
 //
 // Incremental checkpoints chain through BASE pointers back to a full
 // checkpoint. Publish garbage-collects checkpoints outside the new chain
@@ -100,9 +120,11 @@ class CheckpointStore {
 
   /// Loads the checkpoint named by CURRENT: walks the BASE chain to its
   /// full root, loads that database image, and applies each chain link's
-  /// segments in order. Manifests failing their CRC are an error — CURRENT
-  /// only ever names fully synced checkpoints, so corruption here is real
-  /// damage, not a crash artifact. NotFound when no checkpoint exists.
+  /// segments in order. Any damage — a manifest failing its CRC, a torn or
+  /// corrupt data record, a manifest of another format version — is an
+  /// error: CURRENT only ever names fully synced checkpoints, so corruption
+  /// here is real damage, not a crash artifact. Every file is read through
+  /// the store's Env. NotFound when no checkpoint exists.
   StatusOr<CheckpointContents> LoadNewest() const;
 
  private:
@@ -113,8 +135,14 @@ class CheckpointStore {
     uint64_t base = 0;
     uint64_t wal_seq = 0;
     AuditState audit;
-    /// Per-table cumulative row counts at this checkpoint, by name.
-    std::map<std::string, uint64_t> table_rows;
+    /// Per table, by name: its cumulative row count at this checkpoint and
+    /// each column's dictionary size at that count (0 for non-strings) —
+    /// the dictionary bases of the next incremental link.
+    struct TableState {
+      uint64_t rows = 0;
+      std::vector<uint64_t> dict_sizes;
+    };
+    std::map<std::string, TableState> tables;
     /// Incremental links: table -> (from_row, to_row, file name).
     struct Segment {
       uint64_t from_row = 0;
@@ -125,7 +153,10 @@ class CheckpointStore {
   };
 
   std::string CkptDir(uint64_t seq) const;
-  StatusOr<Manifest> ReadManifest(uint64_t seq) const;
+  /// Parses ckpt-<seq>/ckpt.txt. The explained-lid set, by far its
+  /// largest part, is parsed only `with_explained`: recovery needs only the
+  /// newest link's, Prepare and Publish none.
+  StatusOr<Manifest> ReadManifest(uint64_t seq, bool with_explained) const;
   Status WriteManifest(uint64_t seq, const Manifest& m) const;
 
   Env* env_;

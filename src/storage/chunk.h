@@ -123,6 +123,23 @@ class ChunkedVector {
     PublishAppend();
   }
 
+  /// Appends n elements with a single size publish: fill(slots, count)
+  /// writes each run of fresh slots (at most one chunk's worth), in order.
+  /// Readers see all n at once or none — the bulk-load path (checkpoint
+  /// chunk images, null-bitmap backfill).
+  template <typename Fill>
+  void AppendBulk(size_t n, Fill&& fill) {
+    size_t size = size_.LoadRelaxed();
+    const size_t end = size + n;
+    Reserve(end);
+    while (size < end) {
+      const size_t count = std::min(kRows - (size & kMask), end - size);
+      fill(ChunkFor(size) + (size & kMask), count);
+      size += count;
+    }
+    size_.Publish(end);
+  }
+
   /// Pre-sizes the chunk directory for n total elements. Chunks themselves
   /// are always allocated at full capacity, so this only saves directory
   /// regrowth (and the epoch-retirements it would cause).
@@ -158,6 +175,12 @@ class ChunkedVector {
  private:
   T* NextSlot() {
     const size_t n = size_.LoadRelaxed();
+    return ChunkFor(n) + (n & kMask);
+  }
+
+  /// The chunk holding slot n, allocated when n is the first slot past the
+  /// last chunk.
+  T* ChunkFor(size_t n) {
     const size_t chunk = n >> Shift;
     if (chunk == num_chunks_) {
       if (chunk == dir_capacity_) GrowDirectory(dir_capacity_ + 1);
@@ -166,7 +189,7 @@ class ChunkedVector {
       dir_.load(std::memory_order_relaxed)[chunk] = new T[kRows];
       ++num_chunks_;
     }
-    return dir_.load(std::memory_order_relaxed)[chunk] + (n & kMask);
+    return dir_.load(std::memory_order_relaxed)[chunk];
   }
 
   void PublishAppend() { size_.Publish(size_.LoadRelaxed() + 1); }

@@ -30,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,6 +40,19 @@
 #include "storage/chunk.h"
 
 namespace eba {
+
+/// Rows of one column as a checkpoint chunk image (storage/checkpoint.h),
+/// viewed in place: the column's raw payload, so loading is a copy.
+struct ColumnChunk {
+  /// One 8-byte little-endian slot per row: int64/timestamp values, bools
+  /// as 0/1, doubles as IEEE-754 bits, strings as dictionary codes; 0 in
+  /// NULL rows.
+  std::string_view values;
+  /// Empty when no row is NULL, else one 0/1 flag per row.
+  std::string_view nulls;
+  /// The dictionary entries these rows use first, in code order.
+  std::vector<std::string_view> dict;
+};
 
 class Column {
  public:
@@ -79,6 +93,21 @@ class Column {
 
   /// Boxed accessor.
   Value Get(size_t row) const;
+
+  /// Rows [begin, end), which must lie in one 64k-row chunk, as a chunk
+  /// image viewing this column's memory (slots never move, so the views
+  /// stay valid while the column lives and the rows are not rewritten).
+  /// `*dict_size` is the dictionary size at `begin` on entry and at `end`
+  /// on return; `dict` views the entries in between.
+  ColumnChunk ExportChunk(size_t begin, size_t end, size_t* dict_size) const;
+
+  /// Appends the rows of a chunk image with one bulk copy per payload.
+  /// Rejects a slot count that disagrees with the null flags, a code at or
+  /// past the dictionary size once `dict` is added, a bool or null flag
+  /// other than 0 or 1, a nonzero slot in a NULL row, and a dictionary
+  /// entry the column already holds. After a rejection the column may hold
+  /// part of `dict` and must be discarded.
+  Status AppendChunk(const ColumnChunk& chunk);
 
   /// Raw payload accessors (undefined for NULL rows; callers check IsNull).
   int64_t Int64At(size_t row) const { return ints_[row]; }
@@ -142,6 +171,9 @@ class Column {
 
  private:
   int64_t InternString(const std::string& s);
+  /// Backfills the null bitmap on the first NULL: rows appended before it
+  /// have no flag yet.
+  void EnsureNullBitmap();
 
   DataType type_;
   PublishedSize size_;

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 namespace eba {
 
@@ -67,13 +66,17 @@ class PosixWritableFile : public WritableFile {
 
 class PosixEnv : public Env {
  public:
+  /// One sized read straight into the result: recovery reads every WAL
+  /// and checkpoint file through here.
   StatusOr<std::string> ReadFileToString(const std::string& path) override {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) return Status::NotFound("cannot open '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) return Status::Internal("read failed for '" + path + "'");
-    return buffer.str();
+    std::string data(static_cast<size_t>(in.tellg()), '\0');
+    in.seekg(0);
+    if (!in.read(data.data(), static_cast<std::streamsize>(data.size()))) {
+      return Status::Internal("read failed for '" + path + "'");
+    }
+    return data;
   }
 
   bool FileExists(const std::string& path) override {

@@ -32,22 +32,27 @@ StatusOr<AttrId> ParseAttr(const std::string& text) {
 
 }  // namespace
 
-Status SaveDatabase(const Database& db, const std::string& directory,
-                    Env* env) {
-  if (env == nullptr) env = RealEnv();
+Status Catalog::ApplyJoinMetadata(Database* db) const {
+  for (const auto& name : mapping_tables) {
+    EBA_RETURN_IF_ERROR(db->MarkMappingTable(name));
+  }
+  for (const auto& attr : self_joins) {
+    EBA_RETURN_IF_ERROR(db->AllowSelfJoin(attr));
+  }
+  for (const auto& rel : admin_relationships) {
+    EBA_RETURN_IF_ERROR(db->AddAdminRelationship(rel.a, rel.b));
+  }
+  for (const auto& fk : foreign_keys) {
+    EBA_RETURN_IF_ERROR(db->AddForeignKey(fk.from, fk.to));
+  }
+  return Status::OK();
+}
 
-  // Stage the complete save in a sibling temp directory, then swap it into
-  // place with renames: `directory` is never observable half-written.
-  const std::string tmp_dir = directory + ".tmp-save";
-  const std::string old_dir = directory + ".old";
-  if (env->FileExists(tmp_dir)) EBA_RETURN_IF_ERROR(env->RemoveAll(tmp_dir));
-  if (env->FileExists(old_dir)) EBA_RETURN_IF_ERROR(env->RemoveAll(old_dir));
-  EBA_RETURN_IF_ERROR(env->CreateDirs(tmp_dir));
-
+std::string CatalogToText(const Database& db) {
   std::ostringstream manifest;
   manifest << kHeader << "\n";
   for (const std::string& name : db.TableNames()) {
-    EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
+    const Table* table = db.GetTable(name).value();
     manifest << "\nTABLE " << name << "\n";
     for (const auto& def : table->schema().columns()) {
       manifest << "COLUMN " << def.name << " " << TypeName(def.type);
@@ -56,9 +61,6 @@ Status SaveDatabase(const Database& db, const std::string& directory,
       manifest << "\n";
     }
     manifest << "END\n";
-    EBA_RETURN_IF_ERROR(
-        env->WriteFile(tmp_dir + "/" + name + ".csv",
-                       table->ToCsvString(0, table->num_rows())));
   }
   manifest << "\n";
   for (const std::string& name : db.mapping_tables()) {
@@ -75,71 +77,23 @@ Status SaveDatabase(const Database& db, const std::string& directory,
     manifest << "FK " << fk.from.ToString() << " -> " << fk.to.ToString()
              << "\n";
   }
-  EBA_RETURN_IF_ERROR(
-      env->WriteFile(tmp_dir + "/manifest.txt", manifest.str()));
-  EBA_RETURN_IF_ERROR(env->SyncDir(tmp_dir));
-
-  // Swap: existing dir (if any) steps aside, temp takes its place. A crash
-  // between the renames leaves either the old save under `.old` plus the
-  // complete new save under `directory`, or the complete new save still
-  // under `.tmp-save` — never a torn `directory`.
-  if (env->FileExists(directory)) {
-    EBA_RETURN_IF_ERROR(env->RenameFile(directory, old_dir));
-  }
-  EBA_RETURN_IF_ERROR(env->RenameFile(tmp_dir, directory));
-  if (env->FileExists(old_dir)) EBA_RETURN_IF_ERROR(env->RemoveAll(old_dir));
-  const std::string parent =
-      std::filesystem::path(directory).parent_path().string();
-  return env->SyncDir(parent.empty() ? "." : parent);
+  return manifest.str();
 }
 
-StatusOr<Database> LoadDatabase(const std::string& directory) {
-  StatusOr<std::string> manifest_text =
-      RealEnv()->ReadFileToString(directory + "/manifest.txt");
-  if (!manifest_text.ok()) {
-    return Status::NotFound("no manifest.txt in '" + directory + "'");
-  }
-  std::istringstream manifest(*std::move(manifest_text));
-
-  Database db;
+StatusOr<Catalog> ParseCatalog(const std::string& text) {
+  std::istringstream manifest(text);
+  Catalog catalog;
   std::string line;
   int line_number = 0;
   bool saw_header = false;
   std::string current_table;
   std::vector<ColumnDef> current_columns;
+  std::set<std::string> declared_tables;
   auto parse_error = [&](const std::string& message) {
     return Status::InvalidArgument("manifest line " +
                                    std::to_string(line_number) + ": " +
                                    message);
   };
-
-  // Deferred metadata: validated after all tables are loaded.
-  std::vector<std::string> mapping_tables;
-  std::vector<AttrId> self_joins;
-  std::vector<std::pair<AttrId, AttrId>> admin_rels;
-  std::vector<std::pair<AttrId, AttrId>> fks;
-
-  auto finish_table = [&]() -> Status {
-    if (current_table.empty()) return Status::OK();
-    TableSchema schema(current_table, current_columns);
-    // Validate before constructing a Table: Table's constructor CHECK-fails
-    // on a bad schema, but a corrupt manifest (e.g. duplicate COLUMN names)
-    // must surface as a load error naming the table, not a crash.
-    if (Status s = schema.Validate(); !s.ok()) {
-      return Status::InvalidArgument("table '" + current_table +
-                                     "': " + s.message());
-    }
-    EBA_ASSIGN_OR_RETURN(
-        Table table,
-        Table::ReadCsv(directory + "/" + current_table + ".csv",
-                       std::move(schema)));
-    EBA_RETURN_IF_ERROR(db.AddTable(std::move(table)));
-    current_table.clear();
-    current_columns.clear();
-    return Status::OK();
-  };
-
-  std::set<std::string> declared_tables;
 
   while (std::getline(manifest, line)) {
     ++line_number;
@@ -177,25 +131,35 @@ StatusOr<Database> LoadDatabase(const std::string& directory) {
       current_columns.push_back(std::move(def));
     } else if (trimmed == "END") {
       if (current_table.empty()) return parse_error("END outside TABLE");
-      EBA_RETURN_IF_ERROR(finish_table());
+      TableSchema schema(current_table, std::move(current_columns));
+      // Validate here: Table's constructor CHECK-fails on a bad schema, but
+      // a corrupt manifest (e.g. duplicate COLUMN names) must surface as a
+      // load error naming the table, not a crash.
+      if (Status s = schema.Validate(); !s.ok()) {
+        return Status::InvalidArgument("table '" + current_table +
+                                       "': " + s.message());
+      }
+      catalog.tables.push_back(std::move(schema));
+      current_table.clear();
+      current_columns.clear();
     } else if (StartsWith(trimmed, "MAPPING ")) {
-      mapping_tables.push_back(Trim(trimmed.substr(8)));
+      catalog.mapping_tables.push_back(Trim(trimmed.substr(8)));
     } else if (StartsWith(trimmed, "SELFJOIN ")) {
       EBA_ASSIGN_OR_RETURN(AttrId attr, ParseAttr(Trim(trimmed.substr(9))));
-      self_joins.push_back(attr);
+      catalog.self_joins.push_back(attr);
     } else if (StartsWith(trimmed, "ADMINREL ")) {
       auto parts = Split(trimmed.substr(9), '=');
       if (parts.size() != 2) return parse_error("ADMINREL needs a = b");
       EBA_ASSIGN_OR_RETURN(AttrId a, ParseAttr(Trim(parts[0])));
       EBA_ASSIGN_OR_RETURN(AttrId b, ParseAttr(Trim(parts[1])));
-      admin_rels.emplace_back(a, b);
+      catalog.admin_relationships.push_back({a, b});
     } else if (StartsWith(trimmed, "FK ")) {
       std::string body = trimmed.substr(3);
       size_t arrow = body.find("->");
       if (arrow == std::string::npos) return parse_error("FK needs a -> b");
       EBA_ASSIGN_OR_RETURN(AttrId from, ParseAttr(Trim(body.substr(0, arrow))));
       EBA_ASSIGN_OR_RETURN(AttrId to, ParseAttr(Trim(body.substr(arrow + 2))));
-      fks.emplace_back(from, to);
+      catalog.foreign_keys.push_back({from, to});
     } else {
       return parse_error("unrecognized directive: " + trimmed);
     }
@@ -206,19 +170,59 @@ StatusOr<Database> LoadDatabase(const std::string& directory) {
   if (!saw_header) {
     return Status::InvalidArgument("missing manifest header");
   }
+  return catalog;
+}
 
-  for (const auto& name : mapping_tables) {
-    EBA_RETURN_IF_ERROR(db.MarkMappingTable(name));
+Status SaveDatabase(const Database& db, const std::string& directory,
+                    Env* env) {
+  if (env == nullptr) env = RealEnv();
+
+  // Stage the complete save in a sibling temp directory, then swap it into
+  // place with renames: `directory` is never observable half-written.
+  const std::string tmp_dir = directory + ".tmp-save";
+  const std::string old_dir = directory + ".old";
+  if (env->FileExists(tmp_dir)) EBA_RETURN_IF_ERROR(env->RemoveAll(tmp_dir));
+  if (env->FileExists(old_dir)) EBA_RETURN_IF_ERROR(env->RemoveAll(old_dir));
+  EBA_RETURN_IF_ERROR(env->CreateDirs(tmp_dir));
+
+  for (const std::string& name : db.TableNames()) {
+    EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
+    EBA_RETURN_IF_ERROR(
+        env->WriteFile(tmp_dir + "/" + name + ".csv",
+                       table->ToCsvString(0, table->num_rows())));
   }
-  for (const auto& attr : self_joins) {
-    EBA_RETURN_IF_ERROR(db.AllowSelfJoin(attr));
+  EBA_RETURN_IF_ERROR(
+      env->WriteFile(tmp_dir + "/manifest.txt", CatalogToText(db)));
+  EBA_RETURN_IF_ERROR(env->SyncDir(tmp_dir));
+
+  // Swap: existing dir (if any) steps aside, temp takes its place. A crash
+  // between the renames leaves either the old save under `.old` plus the
+  // complete new save under `directory`, or the complete new save still
+  // under `.tmp-save` — never a torn `directory`.
+  if (env->FileExists(directory)) {
+    EBA_RETURN_IF_ERROR(env->RenameFile(directory, old_dir));
   }
-  for (const auto& [a, b] : admin_rels) {
-    EBA_RETURN_IF_ERROR(db.AddAdminRelationship(a, b));
+  EBA_RETURN_IF_ERROR(env->RenameFile(tmp_dir, directory));
+  if (env->FileExists(old_dir)) EBA_RETURN_IF_ERROR(env->RemoveAll(old_dir));
+  const std::string parent =
+      std::filesystem::path(directory).parent_path().string();
+  return env->SyncDir(parent.empty() ? "." : parent);
+}
+
+StatusOr<Database> LoadDatabase(const std::string& directory) {
+  StatusOr<std::string> manifest_text =
+      RealEnv()->ReadFileToString(directory + "/manifest.txt");
+  if (!manifest_text.ok()) {
+    return Status::NotFound("no manifest.txt in '" + directory + "'");
   }
-  for (const auto& [from, to] : fks) {
-    EBA_RETURN_IF_ERROR(db.AddForeignKey(from, to));
+  EBA_ASSIGN_OR_RETURN(Catalog catalog, ParseCatalog(*manifest_text));
+  Database db;
+  for (TableSchema& schema : catalog.tables) {
+    const std::string path = directory + "/" + schema.name() + ".csv";
+    EBA_ASSIGN_OR_RETURN(Table table, Table::ReadCsv(path, std::move(schema)));
+    EBA_RETURN_IF_ERROR(db.AddTable(std::move(table)));
   }
+  EBA_RETURN_IF_ERROR(catalog.ApplyJoinMetadata(&db));
   return db;
 }
 

@@ -216,59 +216,64 @@ StatusOr<Value> ParseCsvField(const std::string& f, const ColumnDef& def) {
 
 }  // namespace
 
-Status Table::AppendParsedCsv(
-    const std::vector<std::vector<std::string>>& rows,
-    const std::string& source) {
+StatusOr<Table> Table::ReadCsv(const std::string& path, TableSchema schema) {
+  EBA_ASSIGN_OR_RETURN(auto rows, CsvReadFile(path));
+  Table table(std::move(schema));
   if (rows.empty()) {
-    return Status::InvalidArgument("empty csv: " + source);
+    return Status::InvalidArgument("empty csv: " + path);
   }
   const auto& header = rows[0];
-  if (header.size() != num_columns()) {
-    return Status::InvalidArgument("csv header arity mismatch in " + source);
+  if (header.size() != table.num_columns()) {
+    return Status::InvalidArgument("csv header arity mismatch in " + path);
   }
   for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] != schema_.column(i).name) {
+    if (header[i] != table.schema_.column(i).name) {
       return Status::InvalidArgument("csv header mismatch at column " +
-                                     std::to_string(i) + " in " + source);
+                                     std::to_string(i) + " in " + path);
     }
   }
-  Reserve(num_rows() + rows.size() - 1);
+  table.Reserve(rows.size() - 1);
   for (size_t r = 1; r < rows.size(); ++r) {
     const auto& fields = rows[r];
-    if (fields.size() != num_columns()) {
+    if (fields.size() != table.num_columns()) {
       return Status::InvalidArgument(
           "csv row arity mismatch (truncated row?) at line " +
-          std::to_string(r + 1) + " in " + source + " for table '" + name() +
-          "'");
+          std::to_string(r + 1) + " in " + path + " for table '" +
+          table.name() + "'");
     }
     Row row;
     row.reserve(fields.size());
     for (size_t c = 0; c < fields.size(); ++c) {
-      StatusOr<Value> v = ParseCsvField(fields[c], schema_.column(c));
+      const ColumnDef& def = table.schema_.column(c);
+      StatusOr<Value> v = ParseCsvField(fields[c], def);
       if (!v.ok()) {
         return Status::InvalidArgument(
-            "bad field in table '" + name() + "', column '" +
-            schema_.column(c).name + "', line " + std::to_string(r + 1) +
-            " of " + source + ": " + v.status().message());
+            "bad field in table '" + table.name() + "', column '" +
+            def.name + "', line " + std::to_string(r + 1) + " of " + path +
+            ": " + v.status().message());
       }
       row.push_back(std::move(*v));
     }
-    EBA_RETURN_IF_ERROR(AppendRow(row));
+    EBA_RETURN_IF_ERROR(table.AppendRow(row));
   }
-  return Status::OK();
-}
-
-StatusOr<Table> Table::ReadCsv(const std::string& path, TableSchema schema) {
-  EBA_ASSIGN_OR_RETURN(auto rows, CsvReadFile(path));
-  Table table(std::move(schema));
-  EBA_RETURN_IF_ERROR(table.AppendParsedCsv(rows, path));
   return table;
 }
 
-Status Table::AppendCsvString(const std::string& csv,
-                              const std::string& source) {
-  EBA_ASSIGN_OR_RETURN(auto rows, CsvParseString(csv));
-  return AppendParsedCsv(rows, source);
+Status Table::AppendColumnChunk(size_t col, const ColumnChunk& chunk) {
+  EBA_CHECK(col < columns_.size());
+  return columns_[col].AppendChunk(chunk);
+}
+
+Status Table::PublishColumnRows() {
+  const size_t rows = columns_.empty() ? num_rows() : columns_[0].size();
+  for (const Column& col : columns_) {
+    if (col.size() != rows) {
+      return Status::Internal("columns of table '" + name() +
+                              "' disagree on their length");
+    }
+  }
+  num_rows_.Publish(rows);
+  return Status::OK();
 }
 
 }  // namespace eba

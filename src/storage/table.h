@@ -125,8 +125,8 @@ class Table {
   Status WriteCsv(const std::string& path) const;
 
   /// Renders rows [from_row, to_row) as CSV text (header included), the
-  /// same format WriteCsv produces. Used by checkpoint segments and
-  /// crash-safe saves that route bytes through an Env.
+  /// same format WriteCsv produces. Used by crash-safe saves that route
+  /// bytes through an Env.
   std::string ToCsvString(size_t from_row, size_t to_row) const;
 
   /// Loads rows from a CSV file previously produced by WriteCsv (header row
@@ -136,17 +136,17 @@ class Table {
   /// the table, line, and column.
   static StatusOr<Table> ReadCsv(const std::string& path, TableSchema schema);
 
-  /// Appends the rows of in-memory CSV text (header validated against this
-  /// table's schema) — the replay half of ToCsvString. `source` names the
-  /// origin in error messages.
-  Status AppendCsvString(const std::string& csv, const std::string& source);
+  /// Bulk-loads a checkpoint chunk image into column `col`
+  /// (Column::AppendChunk). The row count does not move: a loader appends
+  /// every column's rows, then publishes them with PublishColumnRows.
+  Status AppendColumnChunk(size_t col, const ColumnChunk& chunk);
+
+  /// Publishes the rows bulk-loaded into every column: columns first, the
+  /// row count last, as AppendRow does. Fails when the columns disagree on
+  /// their length.
+  Status PublishColumnRows();
 
  private:
-  /// Shared CSV ingestion: validates the header row against the schema and
-  /// appends the data rows with typed, error-naming field parsing.
-  Status AppendParsedCsv(const std::vector<std::vector<std::string>>& rows,
-                         const std::string& source);
-
   TableSchema schema_;
   std::vector<Column> columns_;
   PublishedSize num_rows_;

@@ -8,60 +8,6 @@ namespace eba {
 
 namespace {
 
-constexpr size_t kHeaderBytes = 4 + 4 + 1;  // len + crc + type
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-/// Cursor over an immutable byte range; Get* return false on underrun.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  bool GetU8(uint8_t* v) {
-    if (data_.size() < pos_ + 1) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  bool GetU32(uint32_t* v) {
-    if (data_.size() < pos_ + 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<uint8_t>(data_[pos_ + i]);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool GetU64(uint64_t* v) {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    if (!GetU32(&lo) || !GetU32(&hi)) return false;
-    *v = (uint64_t{hi} << 32) | lo;
-    return true;
-  }
-
-  bool GetBytes(size_t n, std::string_view* out) {
-    if (data_.size() < pos_ + n) return false;
-    *out = data_.substr(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
 // Cursor-based encoding: the append path serializes every streamed row, so
 // the payload is sized exactly up front and filled through a raw pointer —
 // growing a std::string one 4-byte append at a time costs more than the
@@ -171,6 +117,56 @@ bool DecodeValue(ByteReader* in, Value* out) {
 
 }  // namespace
 
+// --- framing ---
+
+uint32_t FrameCrc(uint8_t type, std::string_view payload) {
+  return Crc32(payload.data(), payload.size(), Crc32(&type, 1));
+}
+
+void AppendFrame(std::string* out, uint8_t type,
+                 std::initializer_list<std::string_view> payload_parts) {
+  size_t len = 0;
+  uint32_t crc = Crc32(&type, 1);
+  for (const std::string_view part : payload_parts) {
+    len += part.size();
+    crc = Crc32(part.data(), part.size(), crc);
+  }
+  PutU32(out, static_cast<uint32_t>(len));
+  PutU32(out, crc);
+  out->push_back(static_cast<char>(type));
+  for (const std::string_view part : payload_parts) out->append(part);
+}
+
+size_t ParseFrames(std::string_view data, std::vector<FrameView>* records) {
+  ByteReader in(data);
+  size_t consumed = 0;
+  while (true) {
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    FrameView record;
+    if (!in.GetU32(&len) || !in.GetU32(&crc) || !in.GetU8(&record.type) ||
+        !in.GetBytes(len, &record.payload)) {
+      break;  // short header or short payload
+    }
+    if (FrameCrc(record.type, record.payload) != crc) break;  // bit flip
+    consumed += kFrameHeaderBytes + len;
+    records->push_back(record);
+  }
+  return consumed;
+}
+
+void PutU32(std::string* out, uint32_t v) {
+  char buf[4];
+  PutU32At(buf, v);
+  out->append(buf, 4);
+}
+
+void PutU64(std::string* out, uint64_t v) {
+  char buf[8];
+  PutU64At(buf, v);
+  out->append(buf, 8);
+}
+
 // --- WalWriter ---
 
 StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env,
@@ -182,14 +178,8 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env,
 }
 
 Status WalWriter::AppendRecord(uint8_t type, std::string_view payload) {
-  // Framed as: len | crc(type+payload) | type | payload.
-  PutU32(&buffer_, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32(&type, 1);
-  crc = Crc32(payload.data(), payload.size(), crc);
-  PutU32(&buffer_, crc);
-  buffer_.push_back(static_cast<char>(type));
-  buffer_.append(payload);
-  bytes_logged_ += kHeaderBytes + payload.size();
+  AppendFrame(&buffer_, type, {payload});
+  bytes_logged_ += kFrameHeaderBytes + payload.size();
   if (sync_ == WalSync::kAlways) return Commit();
   return Status::OK();
 }
@@ -211,26 +201,16 @@ Status WalWriter::Close() {
 
 StatusOr<WalReadResult> ReadWalFile(Env* env, const std::string& path) {
   EBA_ASSIGN_OR_RETURN(std::string data, env->ReadFileToString(path));
+  std::vector<FrameView> frames;
   WalReadResult result;
-  ByteReader in(data);
-  uint64_t consumed = 0;
-  while (true) {
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    uint8_t type = 0;
-    std::string_view payload;
-    if (!in.GetU32(&len) || !in.GetU32(&crc) || !in.GetU8(&type) ||
-        !in.GetBytes(len, &payload)) {
-      break;  // short header or short payload: torn tail
-    }
-    uint32_t actual = Crc32(&type, 1);
-    actual = Crc32(payload.data(), payload.size(), actual);
-    if (actual != crc) break;  // bit flip (or torn length field): corrupt tail
-    consumed += kHeaderBytes + len;
-    result.records.push_back(WalRecord{type, std::string(payload)});
+  // Everything past the valid prefix is a torn or corrupt tail.
+  result.valid_bytes = ParseFrames(data, &frames);
+  result.dropped_bytes = data.size() - result.valid_bytes;
+  result.records.reserve(frames.size());
+  for (const FrameView& frame : frames) {
+    result.records.push_back(
+        WalRecord{frame.type, std::string(frame.payload)});
   }
-  result.valid_bytes = consumed;
-  result.dropped_bytes = data.size() - consumed;
   return result;
 }
 

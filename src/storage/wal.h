@@ -1,4 +1,6 @@
-// Write-ahead log for streaming audit appends.
+// Write-ahead log for streaming audit appends, and the record framing it
+// shares with the wire protocol (net/frame.h) and checkpoint files
+// (storage/checkpoint.h).
 //
 // Record framing (all integers little-endian):
 //
@@ -10,8 +12,9 @@
 // The CRC covers the type byte and the payload, so a bit flip anywhere in a
 // record (including its type) is detected. Readers stop at the first record
 // whose header is short, whose payload is short, or whose CRC mismatches:
-// everything before that point is the valid prefix, everything after is a
-// torn/corrupt tail to be truncated — never applied.
+// everything before that point is the valid prefix. The WAL treats what
+// follows as a torn/corrupt tail to be truncated — never applied; a
+// checkpoint file must be all valid prefix.
 //
 // Group commit: AppendRecord only buffers; Commit writes the whole buffer
 // with one Append call and then syncs per the WalSync policy. A batch is
@@ -22,6 +25,7 @@
 #define EBA_STORAGE_WAL_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -32,6 +36,80 @@
 #include "storage/table.h"
 
 namespace eba {
+
+/// u32 len + u32 crc + u8 type.
+inline constexpr size_t kFrameHeaderBytes = 9;
+
+/// The frame CRC: over the type byte, then the payload.
+uint32_t FrameCrc(uint8_t type, std::string_view payload);
+
+/// Appends one record framed under `type` to `out`, its payload the
+/// concatenation of `payload_parts` (so large parts are copied once). The
+/// one encoder behind WAL records, wire frames and checkpoint records.
+void AppendFrame(std::string* out, uint8_t type,
+                 std::initializer_list<std::string_view> payload_parts);
+
+/// A framed record viewed in place: the payload points into the parsed
+/// bytes.
+struct FrameView {
+  uint8_t type = 0;
+  std::string_view payload;
+};
+
+/// Splits `data` into framed records from the front, stopping at the first
+/// record whose header or payload is short or whose CRC mismatches. Appends
+/// the records before it to `records` and returns the length of that valid
+/// prefix.
+size_t ParseFrames(std::string_view data, std::vector<FrameView>* records);
+
+/// Little-endian integer encoders for record payloads.
+void PutU32(std::string* out, uint32_t v);
+void PutU64(std::string* out, uint64_t v);
+
+/// Cursor over an immutable byte range; Get* return false on underrun
+/// (adversarial payloads must fail cleanly, never over-read).
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view data) : data_(data) {}
+
+  bool GetU8(uint8_t* v) {
+    if (data_.size() < pos_ + 1) return false;
+    *v = static_cast<uint8_t>(data_[pos_++]);
+    return true;
+  }
+
+  bool GetU32(uint32_t* v) {
+    if (data_.size() < pos_ + 4) return false;
+    *v = 0;
+    for (int i = 3; i >= 0; --i) {
+      *v = (*v << 8) | static_cast<uint8_t>(data_[pos_ + i]);
+    }
+    pos_ += 4;
+    return true;
+  }
+
+  bool GetU64(uint64_t* v) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    if (!GetU32(&lo) || !GetU32(&hi)) return false;
+    *v = (uint64_t{hi} << 32) | lo;
+    return true;
+  }
+
+  bool GetBytes(size_t n, std::string_view* out) {
+    if (data_.size() - pos_ < n) return false;
+    *out = data_.substr(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
+  size_t remaining() const { return data_.size() - pos_; }
+  bool AtEnd() const { return pos_ == data_.size(); }
+
+ private:
+  std::string_view data_;
+  size_t pos_ = 0;
+};
 
 /// When the WAL forces data to stable storage.
 enum class WalSync : uint8_t {

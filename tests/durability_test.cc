@@ -1,14 +1,17 @@
 // Durability subsystem tests: CRC32 vectors, WAL framing with torn-tail and
-// bit-flip corruption at every byte, checkpoint full/incremental chains,
-// crash-safe SaveDatabase, and the headline suite — a deterministic process
-// kill at EVERY write-class syscall boundary of a durable streaming-audit
-// schedule, followed by recovery and a differential check against a fresh
-// ExplainAll oracle on a cloned database.
+// bit-flip corruption at every byte, checkpoint full/incremental chains and
+// their binary data files (bit flips at every byte, every prefix, format
+// versions), crash-safe SaveDatabase, and the headline suite — a
+// deterministic process kill at EVERY write-class syscall boundary of a
+// durable streaming-audit schedule, followed by recovery and a differential
+// check against a fresh ExplainAll oracle on a cloned database.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -33,8 +36,23 @@ using testing_util::BuildPaperToyDatabase;
 using testing_util::CloneDatabase;
 using testing_util::UnwrapOrDie;
 
+/// This process's store root: parallel copies of the suite must not share
+/// stores.
+std::string TempRoot() {
+  return ::testing::TempDir() + "/eba_durability-" +
+         std::to_string(::getpid());
+}
+
+/// Removes TempRoot() after the last test.
+class TempRootCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override { (void)RealEnv()->RemoveAll(TempRoot()); }
+};
+[[maybe_unused]] ::testing::Environment* const kTempRootCleanup =
+    ::testing::AddGlobalTestEnvironment(new TempRootCleanup);
+
 std::string TempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = TempRoot() + "/" + name;
   (void)RealEnv()->RemoveAll(dir);
   EXPECT_TRUE(RealEnv()->CreateDirs(dir).ok());
   return dir;
@@ -61,6 +79,28 @@ TEST(Crc32Test, KnownVectorAndIncremental) {
   EXPECT_EQ(Crc32(std::string_view("6789"), part), Crc32("123456789"));
   // Sensitive to any byte change.
   EXPECT_NE(Crc32("123456789"), Crc32("123456788"));
+}
+
+// The table-driven fast path must equal the bit-at-a-time definition for
+// every length and alignment: WAL, wire and checkpoint bytes depend on it.
+TEST(Crc32Test, MatchesBitwiseDefinition) {
+  const auto bitwise = [](const std::string& bytes) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (const char ch : bytes) {
+      c ^= static_cast<uint8_t>(ch);
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::string data;
+  for (int i = 0; i < 300; ++i) data.push_back(static_cast<char>(i * 131 + 7));
+  for (size_t offset = 0; offset < 4; ++offset) {
+    for (size_t len = 0; offset + len <= data.size(); ++len) {
+      const std::string bytes = data.substr(offset, len);
+      ASSERT_EQ(Crc32(bytes), bitwise(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -304,6 +344,127 @@ TEST(CheckpointTest, UnpublishedCheckpointIsInvisible) {
   // Prepared but never published: recovery sees nothing.
   EXPECT_EQ(store.CurrentSeq().status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.LoadNewest().status().code(), StatusCode::kNotFound);
+}
+
+TEST(CheckpointTest, TypedNullableColumnsRoundTripAcrossChunkSeams) {
+  const std::string dir = TempDir("ckpt_typed");
+  Database db;
+  EBA_ASSERT_OK(db.CreateTable(TableSchema(
+      "T", {ColumnDef{"id", DataType::kInt64, "t", true},
+            ColumnDef{"flag", DataType::kBool, "", false},
+            ColumnDef{"score", DataType::kDouble, "", false},
+            ColumnDef{"tag", DataType::kString, "", false},
+            ColumnDef{"at", DataType::kTimestamp, "", false}})));
+  Table* table = db.GetTable("T").value();
+  // NULLs from the start in two columns, and only past the full image in
+  // `at`; tags first used past the full image, so the segment carries
+  // dictionary entries.
+  auto append = [&](int64_t from, int64_t to) {
+    for (int64_t r = from; r < to; ++r) {
+      EBA_CHECK(table
+                    ->AppendRow({Value::Int64(r * 7 - 100),
+                                 r % 3 == 0 ? Value::Null()
+                                            : Value::Bool(r % 2 == 1),
+                                 r % 5 == 0 ? Value::Null()
+                                            : Value::Double(r * 0.5),
+                                 Value::String("tag" + std::to_string(r / 997)),
+                                 r > 100000 && r % 11 == 0
+                                     ? Value::Null()
+                                     : Value::Timestamp(r)})
+                    .ok());
+    }
+  };
+  CheckpointStore store(RealEnv(), dir);
+  EBA_ASSERT_OK(store.Init());
+  append(0, 70000);  // one whole 64k-row chunk and part of the next
+  EBA_ASSERT_OK(store.Publish(
+      UnwrapOrDie(store.Prepare(db, MakeAuditState(0, {}, db), true))));
+  append(70000, 140000);  // the segment crosses the 131072-row seam
+  EBA_ASSERT_OK(store.Publish(
+      UnwrapOrDie(store.Prepare(db, MakeAuditState(0, {}, db), false))));
+
+  const CheckpointContents loaded = UnwrapOrDie(store.LoadNewest());
+  EXPECT_EQ(loaded.chain_length, 2u);
+  ExpectDbRowsEqual(loaded.db, db);
+  const Table* got = loaded.db.GetTable("T").value();
+  for (size_t c = 0; c < table->num_columns(); ++c) {
+    EXPECT_EQ(got->column(c).NullCount(), table->column(c).NullCount()) << c;
+    EXPECT_EQ(got->column(c).DictionarySize(),
+              table->column(c).DictionarySize())
+        << c;
+  }
+  EXPECT_EQ(got->column(3).FindStringCode("tag100"),
+            table->column(3).FindStringCode("tag100"));
+}
+
+// Every byte of a checkpoint data file is checked: a bit flip anywhere in a
+// full-image table file or in a segment file, and every proper prefix of
+// either, makes LoadNewest fail — never crash, never return rows.
+TEST(CheckpointTest, DataFileBitFlipsAndPrefixesAreRejected) {
+  const std::string dir = TempDir("ckpt_data_corrupt");
+  Database db = BuildPaperToyDatabase();
+  CheckpointStore store(RealEnv(), dir);
+  EBA_ASSERT_OK(store.Init());
+  EBA_ASSERT_OK(store.Publish(
+      UnwrapOrDie(store.Prepare(db, MakeAuditState(2, {1}, db), true))));
+  // The segment carries a new dictionary entry and a NULL.
+  Table* log = db.GetTable("Log").value();
+  EBA_ASSERT_OK(log->AppendRow({Value::Int64(3), Value::Timestamp(1000),
+                                Value::Int64(testing_util::kMike),
+                                Value::Int64(testing_util::kAlice),
+                                Value::String("printed record")}));
+  EBA_ASSERT_OK(log->AppendRow({Value::Int64(4), Value::Timestamp(1001),
+                                Value::Int64(testing_util::kMike),
+                                Value::Int64(testing_util::kAlice),
+                                Value::Null()}));
+  EBA_ASSERT_OK(store.Publish(
+      UnwrapOrDie(store.Prepare(db, MakeAuditState(2, {1}, db), false))));
+  ExpectDbRowsEqual(UnwrapOrDie(store.LoadNewest()).db, db);
+
+  for (const std::string& path :
+       {dir + "/ckpt-1/db/Log", dir + "/ckpt-2/seg-Log"}) {
+    const std::string original = ReadBytes(path);
+    ASSERT_GT(original.size(), 0u) << path;
+    for (size_t off = 0; off < original.size(); ++off) {
+      std::string bytes = original;
+      bytes[off] = static_cast<char>(bytes[off] ^ (1 << (off % 8)));
+      WriteBytes(path, bytes);
+      ASSERT_FALSE(store.LoadNewest().ok()) << path << " flip at byte " << off;
+    }
+    for (size_t cut = 0; cut < original.size(); ++cut) {
+      WriteBytes(path, original.substr(0, cut));
+      ASSERT_FALSE(store.LoadNewest().ok()) << path << " cut at byte " << cut;
+    }
+    WriteBytes(path, original);
+  }
+  ExpectDbRowsEqual(UnwrapOrDie(store.LoadNewest()).db, db);
+}
+
+TEST(CheckpointTest, VersionOneStoreIsRejectedByName) {
+  const std::string dir = TempDir("ckpt_v1");
+  Database db = BuildPaperToyDatabase();
+  CheckpointStore store(RealEnv(), dir);
+  EBA_ASSERT_OK(store.Init());
+  EBA_ASSERT_OK(
+      store.Publish(UnwrapOrDie(store.Prepare(db, AuditState{}, true))));
+  // Re-stamp the manifest as the CSV-era v1 format, with a valid CRC.
+  const std::string manifest = dir + "/ckpt-1/ckpt.txt";
+  const std::string text = ReadBytes(manifest);
+  std::string body = text.substr(0, text.rfind("CRC "));
+  const std::string v2 = "# eba checkpoint v2";
+  ASSERT_EQ(body.rfind(v2, 0), 0u);
+  body.replace(0, v2.size(), "# eba checkpoint v1");
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%x", Crc32(body));
+  WriteBytes(manifest, body + "CRC " + crc + "\n");
+
+  Database recovered_db;
+  DurabilityOptions opts;
+  opts.dir = dir;
+  const Status s =
+      StreamingAuditor::RecoverFrom(&recovered_db, "Log", opts).status();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("format v1"), std::string::npos) << s.ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 // test exercises the real TCP loopback path.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -603,7 +604,9 @@ TEST(AuditServerTest, ConcurrentClientsExplainWhileAppending) {
 
 TEST(AuditServerTest, ServedAppendsSurviveRestart) {
   const NetFixture& f = SharedFixture();
-  const std::string dir = ::testing::TempDir() + "/net_served_durable";
+  // Per process: parallel copies of this suite must not share a store.
+  const std::string dir = ::testing::TempDir() + "/net_served_durable-" +
+                          std::to_string(::getpid());
   EBA_ASSERT_OK(RealEnv()->RemoveAll(dir));
   EBA_ASSERT_OK(RealEnv()->CreateDirs(dir));
   DurabilityOptions dopts;
@@ -644,6 +647,7 @@ TEST(AuditServerTest, ServedAppendsSurviveRestart) {
   const Table* stream =
       UnwrapOrDie(static_cast<const Database&>(db).GetTable("LogStream"));
   EXPECT_EQ(stream->num_rows(), seeded + acked);
+  (void)RealEnv()->RemoveAll(dir);
 }
 
 // ---------------------------------------------------------------------------

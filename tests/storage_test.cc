@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -123,6 +125,62 @@ TEST(ColumnTest, AppendValueTypeChecked) {
   EXPECT_TRUE(col.Append(Value::Null()).ok());
   EXPECT_FALSE(col.Append(Value::String("x")).ok());
   EXPECT_THROW(col.AppendString("x"), CheckFailure);
+}
+
+/// Little-endian 8-byte slots, the chunk-image payload layout.
+std::string Slots(std::initializer_list<uint64_t> values) {
+  std::string out;
+  for (const uint64_t v : values) {
+    for (int byte = 0; byte < 8; ++byte) {
+      out.push_back(static_cast<char>((v >> (8 * byte)) & 0xFF));
+    }
+  }
+  return out;
+}
+
+TEST(ColumnTest, ChunkImageRoundTrips) {
+  Column src(DataType::kString);
+  src.AppendString("alpha");
+  src.AppendNull();
+  src.AppendString("beta");
+  src.AppendString("alpha");
+  size_t dict_size = 0;
+  const ColumnChunk chunk = src.ExportChunk(0, 4, &dict_size);
+  EXPECT_EQ(dict_size, 2u);
+  EXPECT_EQ(chunk.values, Slots({0, 0, 1, 0}));
+  EXPECT_EQ(chunk.nulls, std::string("\0\1\0\0", 4));
+
+  Column dst(DataType::kString);
+  EBA_ASSERT_OK(dst.AppendChunk(chunk));
+  ASSERT_EQ(dst.size(), 4u);
+  for (size_t r = 0; r < 4; ++r) EXPECT_EQ(dst.Get(r), src.Get(r)) << r;
+  EXPECT_EQ(dst.NullCount(), 1u);
+  EXPECT_EQ(*dst.FindStringCode("beta"), 1);
+}
+
+TEST(ColumnTest, ChunkImageRejectsInvalidSlots) {
+  // A rejected image leaves the column empty.
+  const auto loads = [](DataType type, const ColumnChunk& chunk) {
+    Column col(type);
+    const bool ok = col.AppendChunk(chunk).ok();
+    EXPECT_EQ(col.size(), ok ? chunk.values.size() / 8 : 0u);
+    return ok;
+  };
+  const std::string null1("\1", 1);
+  // A code at the dictionary size, a repeated dictionary entry.
+  EXPECT_FALSE(loads(DataType::kString, {Slots({1}), "", {"a"}}));
+  EXPECT_FALSE(loads(DataType::kString, {Slots({0, 1}), "", {"a", "a"}}));
+  EXPECT_TRUE(loads(DataType::kString, {Slots({0, 1}), "", {"a", "b"}}));
+  // A bool other than 0/1, a NULL row with a nonzero slot, a null flag
+  // other than 0/1.
+  EXPECT_FALSE(loads(DataType::kBool, {Slots({2}), "", {}}));
+  EXPECT_TRUE(loads(DataType::kBool, {Slots({1}), "", {}}));
+  EXPECT_FALSE(loads(DataType::kInt64, {Slots({7}), null1, {}}));
+  EXPECT_TRUE(loads(DataType::kInt64, {Slots({0}), null1, {}}));
+  EXPECT_FALSE(loads(DataType::kInt64, {Slots({0}), "\2", {}}));
+  // Slot and flag counts that disagree, a partial slot.
+  EXPECT_FALSE(loads(DataType::kInt64, {Slots({0, 0}), null1, {}}));
+  EXPECT_FALSE(loads(DataType::kInt64, {"1234567", "", {}}));
 }
 
 // --------------------------- Index ---------------------------
