@@ -1,7 +1,8 @@
-// Ablation A2 (DESIGN.md decision 3/4): the three §3.2.1 mining
-// optimizations toggled individually — support caching, the dedup-frontier
-// evaluation strategy, and skipping non-selective paths — plus everything
-// off. The paper notes the optimizations save "many hours" at full scale;
+// Ablation A2: the three §3.2.1 mining optimizations toggled
+// individually — support caching, the dedup-frontier evaluation strategy,
+// and skipping non-selective paths — plus everything off. Each is a
+// MinerOptions switch (on by default) precisely so this ablation can turn
+// it off. The paper notes the optimizations save "many hours" at full scale;
 // at our scale the relative ordering is what matters. Every configuration
 // must mine the identical template set.
 

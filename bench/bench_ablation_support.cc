@@ -1,8 +1,10 @@
-// Ablation A1 (DESIGN.md decision 2): support-evaluation strategies.
-// Compares the naive evaluator (materialize the full join, then count
-// distinct lids) against the dedup-frontier evaluator (the generalized
-// "reducing result multiplicity" optimization of §3.2.1) on representative
-// explanation templates, reporting run time and peak intermediate size.
+// Ablation A1: support-evaluation strategies. Compares the naive evaluator
+// (materialize the full join, then count distinct lids) against the
+// dedup-frontier evaluator (the generalized "reducing result multiplicity"
+// optimization of §3.2.1) on representative explanation templates,
+// reporting run time and peak intermediate size. The executor keeps the
+// naive strategy only for this ablation: it is the paper's unoptimized
+// baseline, and the dedup frontier is the default everywhere else.
 
 #include <chrono>
 

@@ -491,8 +491,8 @@ int RunExecutorJsonBench(const std::string& path, bool smoke) {
                                static_cast<double>(templates.size());
 
   // Streaming serving loop: appends interleaved with incremental audits and
-  // per-access explains (bench_streaming's workload, recorded here so the
-  // committed BENCH_executor.json and the CI regression gate cover it).
+  // per-access explains, recorded here so the committed BENCH_executor.json
+  // and the CI regression gate cover it.
   StreamingBenchOptions stream_options;
   stream_options.smoke = smoke;
   const StreamingBenchResult streaming = RunStreamingBench(stream_options);

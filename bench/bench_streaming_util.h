@@ -1,9 +1,8 @@
 // Shared streaming-ingest workload: sustained AppendAccessBatch calls
 // interleaved with incremental ExplainNew audits and per-access Explain
-// requests — the serving-loop shape the ISSUE-4 tentpole targets. Used by
-// the standalone bench_streaming harness and by bench_micro's
-// --executor_json emitter (so the committed BENCH_executor.json carries the
-// streaming numbers, and the CI regression gate sees them).
+// requests — the serving loop. Used by bench_micro's --executor_json
+// emitter (so the committed BENCH_executor.json carries the streaming
+// numbers, and the CI regression gate sees them).
 //
 // The fixture generates the 14-day Small hospital, seeds a "LogStream"
 // table with the first `seed_days` days, and streams the remaining rows in

@@ -1,6 +1,10 @@
 // GenerateCareWeb: builds a complete synthetic hospital database + access
-// log with known ground truth (see careweb/config.h for what it models and
-// DESIGN.md for why this substitution preserves the paper's behaviour).
+// log with known ground truth. It stands in for the paper's proprietary
+// hospital data (§5.2); careweb/config.h lists the structural properties
+// the paper's results rest on (low user-patient density, events naming
+// only the primary doctor, consult services acting on recorded orders,
+// repeat accesses dominating) and that the generator's defaults reproduce,
+// which is why the substitution preserves the paper's behaviour.
 //
 // Schema produced (key domains in brackets):
 //   Users(uid*[user], Name, Department[dept], Role)

@@ -1,14 +1,11 @@
 #include "core/ingest.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "log/access_log.h"
 
@@ -272,39 +269,26 @@ StatusOr<StreamingAuditor> StreamingAuditor::RecoverFrom(
   // that was once durably committed is gone, which recovery must not paper
   // over.
   const auto replay_start = std::chrono::steady_clock::now();
-  EBA_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                       env->ListDir(options.dir));
-  std::vector<std::pair<uint64_t, std::string>> wals;
-  for (const std::string& name : names) {
-    if (!StartsWith(name, "wal-") || !EndsWith(name, ".log")) continue;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long seq =
-        std::strtoull(name.c_str() + 4, &end, 10);
-    if (end == name.c_str() + 4 || std::string(end) != ".log" ||
-        errno == ERANGE) {
-      continue;
-    }
-    if (seq >= ckpt.wal_seq) wals.emplace_back(seq, name);
-  }
-  std::sort(wals.begin(), wals.end());
+  EBA_ASSIGN_OR_RETURN(std::vector<uint64_t> wals, store.ListWalSeqs());
+  wals.erase(wals.begin(),
+             std::lower_bound(wals.begin(), wals.end(), ckpt.wal_seq));
 
   // The suffix must be an unbroken chain starting at the checkpoint's
   // WALSEQ: wal-<WALSEQ> is created before its checkpoint becomes CURRENT
   // and GC never removes it, so a hole means a log whose records were once
   // durably committed is gone — recovery must fail, not paper over it.
-  if (wals.empty() || wals[0].first != ckpt.wal_seq) {
+  if (wals.empty() || wals[0] != ckpt.wal_seq) {
     return Status::Internal(
         "WAL chain broken: wal-" + std::to_string(ckpt.wal_seq) +
         ".log (the checkpoint's WALSEQ) is missing from " + options.dir);
   }
   for (size_t i = 1; i < wals.size(); ++i) {
-    if (wals[i].first != wals[0].first + i) {
+    if (wals[i] != wals[0] + i) {
       return Status::Internal(
-          "WAL chain broken: wal-" + std::to_string(wals[i - 1].first + 1) +
+          "WAL chain broken: wal-" + std::to_string(wals[i - 1] + 1) +
           ".log is missing from " + options.dir + " (found wal-" +
-          std::to_string(wals[i].first) + ".log after wal-" +
-          std::to_string(wals[i - 1].first) + ".log)");
+          std::to_string(wals[i]) + ".log after wal-" +
+          std::to_string(wals[i - 1]) + ".log)");
     }
   }
 
@@ -313,8 +297,8 @@ StatusOr<StreamingAuditor> StreamingAuditor::RecoverFrom(
   // `seq >= ckpt.wal_seq` filter would skip it on the next recovery.
   uint64_t max_wal_seq = ckpt.wal_seq;
   for (size_t i = 0; i < wals.size(); ++i) {
-    max_wal_seq = std::max(max_wal_seq, wals[i].first);
-    const std::string path = options.dir + "/" + wals[i].second;
+    max_wal_seq = std::max(max_wal_seq, wals[i]);
+    const std::string path = store.WalPath(wals[i]);
     EBA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWalFile(env, path));
     if (wal.dropped_bytes > 0) {
       if (i + 1 < wals.size()) {

@@ -25,8 +25,8 @@
 //   - structural mutations / catalog changes (which can rewrite or remove
 //     evidence): the monotonicity argument is gone — full re-audit from
 //     row 0 (StreamingReport::full_reaudit), exactly ExplainAll's queries.
-// A lid that repeats an audited one (the Lid primary key is not enforced)
-// is explained whenever any of its rows is.
+// A lid that repeats an audited one (a Lid is never NULL, but its
+// uniqueness is not enforced) is explained whenever any of its rows is.
 
 #ifndef EBA_CORE_INGEST_H_
 #define EBA_CORE_INGEST_H_

@@ -48,7 +48,8 @@ class ExplanationTemplate {
   bool IsDecorated() const { return !IsSimple(); }
 
   /// Raw path length (join-chain conditions) and the reported length used in
-  /// the paper's figures (mapping-table hops excluded; see DESIGN.md).
+  /// the paper's figures (mapping-table hops excluded, as the paper counts
+  /// them in §5.3.3; see PathQuery::ReportedLength).
   int RawLength() const { return query_.RawLength(); }
   int ReportedLength(const Database& db) const {
     return query_.ReportedLength(db);

@@ -76,17 +76,6 @@ StatusOr<const Table*> LidTable(const Database& db, const PathQuery& q,
 /// bound of its table when the run applies it.
 constexpr RowRange kAllRows{0, std::numeric_limits<size_t>::max()};
 
-/// The restriction of one late-materialization run, and its runtime input:
-/// tuple variable `var` limited to the rows `range`. A `seeded` run starts
-/// its frame there; otherwise (a forward pivot) the frame starts at every
-/// row of variable 0 and a kRowRangeFilter applies `range` once `var`
-/// binds.
-struct Pivot {
-  int var = 0;
-  bool seeded = true;
-  RowRange range;
-};
-
 // ===========================================================================
 // Boxed reference engine helpers.
 // ===========================================================================
@@ -138,21 +127,23 @@ Relation Project(Relation rel, const std::vector<QAttr>& attrs, bool dedup) {
 // ===========================================================================
 
 /// A struct-of-arrays intermediate: one row-id column per bound tuple
-/// variable. Tuple i of the frame is (ids[0][i], ids[1][i], ...) — row ids
-/// into the tables of vars[0], vars[1], ... No boxed Value exists here.
+/// variable. Tuple i of the frame is (ids[0][i], ids[1][i], ...). Which
+/// tuple variable a slot holds is fixed by the plan, not the frame: the
+/// compiler tracks the slot layout as it emits steps and records where it
+/// ends (CompiledPlan::final_vars). No boxed Value exists here.
 struct Frame {
-  std::vector<int> vars;                   // slot -> tuple variable
   std::vector<std::vector<uint32_t>> ids;  // slot -> row ids (equal lengths)
 
   size_t size() const { return ids.empty() ? 0 : ids[0].size(); }
-
-  int SlotOf(int var) const {
-    for (size_t s = 0; s < vars.size(); ++s) {
-      if (vars[s] == var) return static_cast<int>(s);
-    }
-    return -1;
-  }
 };
+
+/// Position of tuple variable `var` in the slot layout `vars`, or -1.
+int SlotOf(const std::vector<int>& vars, int var) {
+  for (size_t s = 0; s < vars.size(); ++s) {
+    if (vars[s] == var) return static_cast<int>(s);
+  }
+  return -1;
+}
 
 std::vector<uint32_t> GatherU32(const std::vector<uint32_t>& src,
                                 const std::vector<uint32_t>& sel) {
@@ -326,8 +317,8 @@ void DedupFrame(Frame* f) {
 
 // ===========================================================================
 // Compiled-plan step application. Each function interprets one frozen
-// PlanStep against the frame; record and replay share these, so a replayed
-// plan is executed by exactly the code that executed it at record time.
+// PlanStep against the frame; RunPlan, the plan interpreter, is their only
+// caller.
 // ===========================================================================
 
 /// Applies a bound-bound condition directly against raw column payloads
@@ -475,10 +466,8 @@ void ApplyConstStep(Frame* f, const PlanStep& st, const ParCtx& par) {
 void ApplyDropStep(Frame* f, const PlanStep& st) {
   if (st.drop_keep_slots.size() != f->ids.size()) {
     Frame next;
-    next.vars.reserve(st.drop_keep_slots.size());
     next.ids.reserve(st.drop_keep_slots.size());
     for (uint32_t s : st.drop_keep_slots) {
-      next.vars.push_back(f->vars[s]);
       next.ids.push_back(std::move(f->ids[s]));
     }
     *f = std::move(next);
@@ -552,10 +541,7 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
   };
 
   Frame next;
-  next.vars.reserve(st.keep_slots.size() + 1);
   next.ids.resize(st.keep_slots.size() + (st.keep_new ? 1 : 0));
-  for (uint32_t s : st.keep_slots) next.vars.push_back(f->vars[s]);
-  if (st.keep_new) next.vars.push_back(st.new_var);
 
   const std::vector<ShardRange> shards = par.Morsels(n);
   if (shards.empty()) {
@@ -602,13 +588,13 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
   *f = std::move(next);
 }
 
-/// Interprets one frozen step against the frame. `pivot` carries the
-/// runtime row range of the kSeedRange / kRowRangeFilter steps.
-/// `var_bounds` holds the snapshot watermark of each tuple variable's table
-/// — the other runtime input: the same frozen plan replays correctly for
-/// any snapshot because every seed and probe clamps to these bounds.
+/// Interprets one frozen step against the frame. `seed_range` is the rows
+/// the kSeedRange step starts from. `var_bounds` holds the snapshot
+/// watermark of each tuple variable's table — the other runtime input: the
+/// same frozen plan runs correctly for any snapshot because every seed and
+/// probe clamps to these bounds.
 void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
-               ExecStats* stats, const Pivot& pivot,
+               ExecStats* stats, RowRange seed_range,
                const std::vector<size_t>& var_bounds) {
   switch (st.kind) {
     case PlanStep::Kind::kJoin:
@@ -626,81 +612,62 @@ void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
       ApplyDropStep(f, st);
       break;
     case PlanStep::Kind::kSeedRange: {
-      // The (empty) frame becomes rows of `new_var`'s table: the pivot's
-      // rows when the run is seeded at its pivot — the join frontier grows
-      // outward from them — else (a forward pivot, seeded at variable 0)
-      // every row. Never past the snapshot bound.
-      EBA_CHECK_MSG(f->vars.empty(), "kSeedRange needs an empty frame");
-      const RowRange& rows = pivot.seeded ? pivot.range : kAllRows;
-      const size_t end =
-          std::min(rows.end, var_bounds[static_cast<size_t>(st.new_var)]);
-      const size_t begin = std::min(rows.begin, end);
-      f->vars.push_back(st.new_var);
+      // The (empty) frame becomes the seed range's rows of `new_var`'s
+      // table, never past the snapshot bound; the join frontier grows
+      // outward from them.
+      EBA_CHECK_MSG(f->ids.empty(), "kSeedRange needs an empty frame");
+      const size_t end = std::min(
+          seed_range.end, var_bounds[static_cast<size_t>(st.new_var)]);
+      const size_t begin = std::min(seed_range.begin, end);
       f->ids.emplace_back(end - begin);
       std::iota(f->ids[0].begin(), f->ids[0].end(),
                 static_cast<uint32_t>(begin));
       stats->peak_intermediate = std::max(stats->peak_intermediate, f->size());
       break;
     }
-    case PlanStep::Kind::kRowRangeFilter: {
-      // Forward pivot: once the restricted variable is bound, keep only the
-      // tuples whose row id for it lies in the pivot range.
-      const std::vector<uint32_t>& sids =
-          f->ids[static_cast<size_t>(st.lhs_slot)];
-      const size_t begin = pivot.range.begin;
-      const size_t end = pivot.range.end;
-      FilterFrame(f, par, [&](uint32_t i) {
-        return sids[i] >= begin && sids[i] < end;
-      });
-      break;
-    }
   }
 }
 
 // ===========================================================================
-// Planning executor: runs a PathQuery over the row-id frame while recording
-// the fully-compiled plan — chosen join order, resolved condition closures,
-// pre-translated dictionary codes, index bindings, and the semi-join drop
-// schedule. One instance per Execute call.
+// Plan compiler: turns a PathQuery into a CompiledPlan — chosen join order,
+// resolved condition closures, pre-translated dictionary codes, index
+// bindings, and the semi-join drop schedule — without moving a row. It
+// holds no frame, only the slot layout its emitted steps will produce. One
+// instance per compile.
 // ===========================================================================
 
-class PlanningExecutor {
+class PlanCompiler {
  public:
-  PlanningExecutor(const Database::Snapshot& snapshot,
-                   const ExecutorOptions& options, ExecStats* stats,
-                   const ParCtx& par)
+  PlanCompiler(const Database::Snapshot& snapshot, const PathQuery& q,
+               const std::vector<QAttr>& output_attrs, bool dedup_frontier,
+               ExecutorOptions::JoinOrder join_order)
       : snapshot_(snapshot),
         db_(snapshot.database()),
-        options_(options),
-        stats_(stats),
-        par_(par) {}
+        q_(q),
+        output_attrs_(output_attrs),
+        dedup_frontier_(dedup_frontier),
+        join_order_(join_order),
+        joins_(q.join_chain),
+        extras_(q.extra_conditions),
+        consts_(q.const_conditions) {}
 
-  /// Executes the query pipeline, records it into `plan`, and returns the
-  /// final frame. The frame holds a slot for every tuple variable referenced
-  /// by `output_attrs` (plus, without `dedup_frontier`, every bound
-  /// variable). The frame starts at the pivot variable when `pivot.seeded`
-  /// (variable 0 may then start unbound and be joined back to), else at
-  /// every row of variable 0 with the pivot filtered once it binds.
-  StatusOr<Frame> Run(const PathQuery& q,
-                      const std::vector<QAttr>& output_attrs,
-                      bool dedup_frontier, const Pivot& pivot,
-                      CompiledPlan* plan) {
-    EBA_RETURN_IF_ERROR(q.Validate(*db_));
-    plan_ = plan;
-    output_attrs_ = &output_attrs;
-    dedup_frontier_ = dedup_frontier;
-    join_dropped_ = false;
-    pivot_ = pivot;
-    pivot_filter_pending_ = !pivot.seeded;
-
+  /// Compiles the pipeline seeded at `pivot_var`'s rows (variable 0 may
+  /// then start unbound and be joined back to). The final slot layout holds
+  /// every tuple variable referenced by the output attributes (plus,
+  /// without `dedup_frontier`, every bound variable). Every error — a
+  /// disconnected query, a non-equality chain join, an unapplied
+  /// decoration — is returned here, before any step runs.
+  StatusOr<std::shared_ptr<CompiledPlan>> Compile(int pivot_var) {
+    EBA_RETURN_IF_ERROR(q_.Validate(*db_));
+    plan_ = std::make_shared<CompiledPlan>();
     plan_->db = db_;
     plan_->catalog_generation = snapshot_.generation();
-    plan_->tables.resize(q.vars.size());
-    for (size_t i = 0; i < q.vars.size(); ++i) {
-      EBA_ASSIGN_OR_RETURN(plan_->tables[i], db_->GetTable(q.vars[i].table));
+    plan_->tables.resize(q_.vars.size());
+    for (size_t i = 0; i < q_.vars.size(); ++i) {
+      EBA_ASSIGN_OR_RETURN(plan_->tables[i], db_->GetTable(q_.vars[i].table));
     }
-    plan_->table_structural_epochs.reserve(q.vars.size());
-    plan_->table_watermarks.reserve(q.vars.size());
+    plan_->table_structural_epochs.reserve(q_.vars.size());
+    plan_->table_watermarks.reserve(q_.vars.size());
     for (const Table* t : plan_->tables) {
       plan_->table_structural_epochs.push_back(t->structural_epoch());
       // The recorded watermark is the LIVE one, read here — before any
@@ -708,50 +675,41 @@ class PlanningExecutor {
       // this watermark published its dictionary codes first, so the
       // translation tables computed later cover every code a snapshot at or
       // below this watermark can reach; the plan is then valid (kFresh) for
-      // all such snapshots, with probes clamped at replay time.
+      // all such snapshots, with probes clamped at run time.
       plan_->table_watermarks.push_back(t->append_watermark());
     }
-    var_bounds_.clear();
-    var_bounds_.reserve(q.vars.size());
-    for (const Table* t : plan_->tables) {
-      var_bounds_.push_back(snapshot_.BoundOf(t));
-    }
 
-    joins_ = q.join_chain;
     join_applied_.assign(joins_.size(), false);
-    extras_ = q.extra_conditions;
     extra_applied_.assign(extras_.size(), false);
-    consts_ = q.const_conditions;
     const_applied_.assign(consts_.size(), false);
-    const int seed_var = pivot.seeded ? pivot.var : 0;
-    bound_.assign(q.vars.size(), false);
-    bound_[static_cast<size_t>(seed_var)] = true;
+    bound_.assign(q_.vars.size(), false);
+    bound_[static_cast<size_t>(pivot_var)] = true;
 
     std::optional<CardinalityEstimator> estimator;
-    if (options_.join_order == ExecutorOptions::JoinOrder::kCostBased) {
+    if (join_order_ == ExecutorOptions::JoinOrder::kCostBased) {
       estimator.emplace(db_);
-      stats_->used_cost_based_order = true;
       plan_->used_cost_based_order = true;
     }
 
-    // --- Initial frame: the seed variable's rows. ---
-    Frame frame;
+    // --- Initial frame: the pivot variable's rows. ---
     PlanStep seed;
     seed.kind = PlanStep::Kind::kSeedRange;
-    seed.new_var = seed_var;
-    Record(&frame, std::move(seed));
-    ApplyFilters(&frame);
-    DropAndDedup(&frame);
+    seed.new_var = pivot_var;
+    Emit(std::move(seed));
+    EmitFilters();
+    EmitDropAndDedup();
 
-    // --- Join loop: apply chain conditions. ---
+    // --- Join loop: order the chain conditions. ---
     size_t remaining = joins_.size();
     while (remaining > 0) {
       // Fully-bound conditions always apply first (they only shrink the
       // frame); among binding joins the policy picks declaration order or
-      // the smallest predicted intermediate.
+      // the smallest fan-out per input row — every candidate would be fed
+      // the same frame, so that is also the smallest predicted
+      // intermediate.
       int pick = -1;
       bool pick_is_filter = false;
-      double pick_est = -1.0;
+      double pick_fanout = -1.0;
       for (size_t i = 0; i < joins_.size(); ++i) {
         if (join_applied_[i]) continue;
         const bool lb = bound_[static_cast<size_t>(joins_[i].lhs.var)];
@@ -759,7 +717,7 @@ class PlanningExecutor {
         if (lb && rb) {
           pick = static_cast<int>(i);
           pick_is_filter = true;
-          pick_est = -1.0;
+          pick_fanout = -1.0;
           break;
         }
         if (!lb && !rb) continue;
@@ -769,16 +727,12 @@ class PlanningExecutor {
         }
         const QAttr probe = lb ? joins_[i].lhs : joins_[i].rhs;
         const QAttr build = lb ? joins_[i].rhs : joins_[i].lhs;
-        // Floored at one row: the estimate is linear in the frame size, so
-        // an empty seed then records the order any other seed would, as
-        // the plan key (blind to the seed range) assumes.
-        const double est = estimator->EstimateJoinStep(
+        const double fanout = estimator->EstimateJoinStep(
             plan_->tables[static_cast<size_t>(probe.var)], probe,
-            plan_->tables[static_cast<size_t>(build.var)], build,
-            std::max<double>(1.0, static_cast<double>(frame.size())));
-        if (pick < 0 || est < pick_est) {
+            plan_->tables[static_cast<size_t>(build.var)], build);
+        if (pick < 0 || fanout < pick_fanout) {
           pick = static_cast<int>(i);
-          pick_est = est;
+          pick_fanout = fanout;
         }
       }
       if (pick < 0) {
@@ -791,48 +745,39 @@ class PlanningExecutor {
       --remaining;
 
       if (pick_is_filter) {
-        const int ls = frame.SlotOf(c.lhs.var);
-        const int rs = frame.SlotOf(c.rhs.var);
-        EBA_CHECK(ls >= 0 && rs >= 0);
         PlanStep st;
         st.kind = PlanStep::Kind::kJoinFilter;
         st.condition_index = pick;
-        st.lhs_slot = ls;
-        st.rhs_slot = rs;
+        st.lhs_slot = Slot(c.lhs.var);
+        st.rhs_slot = Slot(c.rhs.var);
         st.lhs_col = ColumnOf(c.lhs);
         st.rhs_col = ColumnOf(c.rhs);
         st.op = c.op;
-        Record(&frame, std::move(st));
+        Emit(std::move(st));
       } else {
         if (c.op != CmpOp::kEq) {
           return Status::Unimplemented(
               "non-equality join in chain; put theta conditions in "
               "extra_conditions");
         }
-        EBA_RETURN_IF_ERROR(CompileAndExecuteJoin(&frame, c, pick, pick_est));
+        EmitJoin(c, pick);
       }
 
-      ApplyFilters(&frame);
-      DropAndDedup(&frame);
+      EmitFilters();
+      EmitDropAndDedup();
       CompiledPlan::StatsPoint sp;
       sp.after_step = plan_->steps.size() - 1;
       sp.condition_index = pick;
       sp.is_filter = pick_is_filter;
-      sp.estimated_rows = pick_est;
+      sp.fanout = pick_fanout;
       plan_->stats_points.push_back(sp);
-      ExecStats::JoinStep step;
-      step.condition_index = pick;
-      step.is_filter = pick_is_filter;
-      step.rows_after = frame.size();
-      step.estimated_rows = pick_est;
-      stats_->join_order.push_back(step);
     }
 
     // Every variable must have been bound (otherwise the query was not a
     // connected path) and every decoration applied.
-    for (size_t i = 0; i < q.vars.size(); ++i) {
+    for (size_t i = 0; i < q_.vars.size(); ++i) {
       if (!bound_[i]) {
-        return Status::InvalidArgument("tuple variable '" + q.vars[i].alias +
+        return Status::InvalidArgument("tuple variable '" + q_.vars[i].alias +
                                        "' is not connected to the query path");
       }
     }
@@ -846,10 +791,9 @@ class PlanningExecutor {
         return Status::Internal("literal condition left unapplied");
       }
     }
-    stats_->used_semi_join = dedup_frontier_;
     plan_->used_semi_join = dedup_frontier_;
-    plan_->final_vars = frame.vars;
-    return frame;
+    plan_->final_vars = vars_;
+    return std::move(plan_);
   }
 
  private:
@@ -858,25 +802,45 @@ class PlanningExecutor {
         static_cast<size_t>(a.col));
   }
 
-  /// Executes `st` against the frame and appends it to the plan.
-  void Record(Frame* frame, PlanStep st) {
-    ApplyStep(frame, st, par_, stats_, pivot_, var_bounds_);
+  /// The slot of a bound tuple variable in the current layout.
+  int Slot(int var) const {
+    const int slot = SlotOf(vars_, var);
+    EBA_CHECK(slot >= 0);
+    return slot;
+  }
+
+  /// Appends `st` to the plan and advances the slot layout to the one the
+  /// step leaves behind: a seed starts it, a join and a drop keep their
+  /// surviving slots in order (a join then appends its new variable), and
+  /// filters leave it unchanged.
+  void Emit(PlanStep st) {
+    auto keep = [this](const std::vector<uint32_t>& slots) {
+      std::vector<int> next;
+      next.reserve(slots.size() + 1);
+      for (uint32_t s : slots) next.push_back(vars_[s]);
+      return next;
+    };
+    switch (st.kind) {
+      case PlanStep::Kind::kSeedRange:
+        vars_ = {st.new_var};
+        break;
+      case PlanStep::Kind::kJoin:
+        vars_ = keep(st.keep_slots);
+        if (st.keep_new) vars_.push_back(st.new_var);
+        break;
+      case PlanStep::Kind::kDrop:
+        vars_ = keep(st.drop_keep_slots);
+        break;
+      case PlanStep::Kind::kJoinFilter:
+      case PlanStep::Kind::kVarVarFilter:
+      case PlanStep::Kind::kConstFilter:
+        break;
+    }
     plan_->steps.push_back(std::move(st));
   }
 
-  /// Applies every decoration whose variables are all bound.
-  void ApplyFilters(Frame* frame) {
-    // The forward-pivot range restriction applies the moment the pivot
-    // variable binds, before any decoration — it can only shrink the frame.
-    if (pivot_filter_pending_ && bound_[static_cast<size_t>(pivot_.var)]) {
-      const int slot = frame->SlotOf(pivot_.var);
-      EBA_CHECK(slot >= 0);
-      pivot_filter_pending_ = false;
-      PlanStep st;
-      st.kind = PlanStep::Kind::kRowRangeFilter;
-      st.lhs_slot = slot;
-      Record(frame, std::move(st));
-    }
+  /// Emits every decoration whose variables are all bound.
+  void EmitFilters() {
     for (size_t i = 0; i < extras_.size(); ++i) {
       if (extra_applied_[i]) continue;
       const VarCondition& c = extras_[i];
@@ -884,27 +848,22 @@ class PlanningExecutor {
           !bound_[static_cast<size_t>(c.rhs.var)]) {
         continue;
       }
-      const int ls = frame->SlotOf(c.lhs.var);
-      const int rs = frame->SlotOf(c.rhs.var);
-      EBA_CHECK(ls >= 0 && rs >= 0);
       extra_applied_[i] = true;
       PlanStep st;
       st.kind = PlanStep::Kind::kVarVarFilter;
-      st.lhs_slot = ls;
-      st.rhs_slot = rs;
+      st.lhs_slot = Slot(c.lhs.var);
+      st.rhs_slot = Slot(c.rhs.var);
       st.lhs_col = ColumnOf(c.lhs);
       st.rhs_col = ColumnOf(c.rhs);
       st.op = c.op;
-      Record(frame, std::move(st));
+      Emit(std::move(st));
     }
     for (size_t i = 0; i < consts_.size(); ++i) {
       if (const_applied_[i]) continue;
       const ConstCondition& c = consts_[i];
       if (!bound_[static_cast<size_t>(c.lhs.var)]) continue;
-      const int slot = frame->SlotOf(c.lhs.var);
-      EBA_CHECK(slot >= 0);
       const_applied_[i] = true;
-      Record(frame, CompileConstFilter(slot, ColumnOf(c.lhs), c.op, c.rhs));
+      Emit(CompileConstFilter(Slot(c.lhs.var), ColumnOf(c.lhs), c.op, c.rhs));
     }
   }
 
@@ -912,11 +871,9 @@ class PlanningExecutor {
   /// condition or by an output attribute.
   std::vector<bool> NeededVars() const {
     std::vector<bool> needed(bound_.size(), false);
-    for (const auto& a : *output_attrs_) {
+    for (const auto& a : output_attrs_) {
       needed[static_cast<size_t>(a.var)] = true;
     }
-    // The pivot variable stays live until its range filter has applied.
-    if (pivot_filter_pending_) needed[static_cast<size_t>(pivot_.var)] = true;
     for (size_t i = 0; i < joins_.size(); ++i) {
       if (join_applied_[i]) continue;
       needed[static_cast<size_t>(joins_[i].lhs.var)] = true;
@@ -939,15 +896,15 @@ class PlanningExecutor {
   /// row-id tuples. Join and filter steps keep tuples unique, so dedup is
   /// only needed when a column was dropped — here or inside the preceding
   /// join (join_dropped_).
-  void DropAndDedup(Frame* frame) {
+  void EmitDropAndDedup() {
     if (!dedup_frontier_) return;
     const std::vector<bool> needed = NeededVars();
     bool dropped = join_dropped_;
     join_dropped_ = false;
     std::vector<uint32_t> keep;
-    keep.reserve(frame->vars.size());
-    for (size_t s = 0; s < frame->vars.size(); ++s) {
-      if (needed[static_cast<size_t>(frame->vars[s])]) {
+    keep.reserve(vars_.size());
+    for (size_t s = 0; s < vars_.size(); ++s) {
+      if (needed[static_cast<size_t>(vars_[s])]) {
         keep.push_back(static_cast<uint32_t>(s));
       } else {
         dropped = true;
@@ -958,14 +915,12 @@ class PlanningExecutor {
     st.kind = PlanStep::Kind::kDrop;
     st.drop_keep_slots = std::move(keep);
     st.dedup = true;
-    Record(frame, std::move(st));
+    Emit(std::move(st));
   }
 
   /// Compiles one binding hash-join: resolves the probe dispatch, the index
-  /// binding, the dictionary-code translation, and the semi-join keep mask,
-  /// then executes the recorded step.
-  Status CompileAndExecuteJoin(Frame* frame, const VarCondition& c, int pick,
-                               double pick_est) {
+  /// binding, the dictionary-code translation, and the semi-join keep mask.
+  void EmitJoin(const VarCondition& c, int pick) {
     const bool lhs_bound = bound_[static_cast<size_t>(c.lhs.var)];
     const QAttr bound_attr = lhs_bound ? c.lhs : c.rhs;
     const QAttr new_attr = lhs_bound ? c.rhs : c.lhs;
@@ -980,9 +935,7 @@ class PlanningExecutor {
     PlanStep st;
     st.kind = PlanStep::Kind::kJoin;
     st.condition_index = pick;
-    st.estimated_rows = pick_est;
-    st.probe_slot = frame->SlotOf(bound_attr.var);
-    EBA_CHECK(st.probe_slot >= 0);
+    st.probe_slot = Slot(bound_attr.var);
     st.probe_col = &probe_col;
     st.index = &idx;
     st.new_var = new_var;
@@ -1004,13 +957,13 @@ class PlanningExecutor {
     // In semi-join mode, columns whose variable is already doomed (the
     // just-applied join was marked applied before this call, so NeededVars
     // reflects the post-join state) are never gathered: they would be
-    // dropped by DropAndDedup right after the decorations run.
-    st.keep_slots.reserve(frame->ids.size());
+    // dropped by EmitDropAndDedup's step right after the decorations run.
+    st.keep_slots.reserve(vars_.size());
     st.keep_new = true;
     if (dedup_frontier_) {
       const std::vector<bool> needed = NeededVars();
-      for (size_t s = 0; s < frame->vars.size(); ++s) {
-        if (needed[static_cast<size_t>(frame->vars[s])]) {
+      for (size_t s = 0; s < vars_.size(); ++s) {
+        if (needed[static_cast<size_t>(vars_[s])]) {
           st.keep_slots.push_back(static_cast<uint32_t>(s));
         } else {
           join_dropped_ = true;
@@ -1019,76 +972,89 @@ class PlanningExecutor {
       st.keep_new = needed[static_cast<size_t>(new_var)];
       if (!st.keep_new) join_dropped_ = true;
     } else {
-      for (size_t s = 0; s < frame->vars.size(); ++s) {
+      for (size_t s = 0; s < vars_.size(); ++s) {
         st.keep_slots.push_back(static_cast<uint32_t>(s));
       }
     }
     bound_[static_cast<size_t>(new_var)] = true;
-    Record(frame, std::move(st));
-    return Status::OK();
+    Emit(std::move(st));
   }
 
   const Database::Snapshot& snapshot_;
   const Database* db_;
-  ExecutorOptions options_;
-  ExecStats* stats_;
-  ParCtx par_;
-  CompiledPlan* plan_ = nullptr;
-  std::vector<size_t> var_bounds_;  // per tuple var: snapshot watermark
+  const PathQuery& q_;
+  const std::vector<QAttr>& output_attrs_;
+  const bool dedup_frontier_;
+  const ExecutorOptions::JoinOrder join_order_;
+  std::shared_ptr<CompiledPlan> plan_;
 
-  const std::vector<QAttr>* output_attrs_ = nullptr;
-  bool dedup_frontier_ = false;
+  const std::vector<VarCondition>& joins_;
+  const std::vector<VarCondition>& extras_;
+  const std::vector<ConstCondition>& consts_;
+
+  std::vector<int> vars_;      // slot -> tuple variable after the last step
   bool join_dropped_ = false;  // a join skipped a doomed column; dedup due
-  Pivot pivot_;
-  bool pivot_filter_pending_ = false;  // forward pivot: filter not yet placed
-  std::vector<VarCondition> joins_;
   std::vector<bool> join_applied_;
-  std::vector<VarCondition> extras_;
   std::vector<bool> extra_applied_;
-  std::vector<ConstCondition> consts_;
   std::vector<bool> const_applied_;
   std::vector<bool> bound_;
 };
 
-/// Replays a cached compiled plan: every frozen step, starting with the
-/// kSeedRange seed, is interpreted in order against the runtime inputs (the
-/// pivot range and the snapshot bounds). No validation, table resolution,
-/// cardinality estimation, or closure compilation happens here.
-Frame ReplayPlan(const CompiledPlan& plan, const Pivot& pivot,
-                 const std::vector<size_t>& var_bounds, const ParCtx& par,
-                 ExecStats* stats) {
-  stats->plan_cache_hit = true;
+/// Compiles `q` into a plan seeded at `pivot_var`'s rows, projecting onto
+/// `output_attrs`, in semi-join mode when `dedup_frontier`.
+StatusOr<std::shared_ptr<CompiledPlan>> CompilePlan(
+    const Database::Snapshot& snapshot, const PathQuery& q,
+    const std::vector<QAttr>& output_attrs, bool dedup_frontier,
+    int pivot_var, ExecutorOptions::JoinOrder join_order) {
+  return PlanCompiler(snapshot, q, output_attrs, dedup_frontier, join_order)
+      .Compile(pivot_var);
+}
+
+/// The plan interpreter, and the only code that executes steps: every
+/// frozen step, starting with the kSeedRange seed, runs in order against
+/// the runtime inputs (the seed range and the snapshot bounds). A plan just
+/// compiled and one replayed from the cache run through exactly this code.
+Frame RunPlan(const CompiledPlan& plan, RowRange seed_range,
+              const std::vector<size_t>& var_bounds, const ParCtx& par,
+              ExecStats* stats) {
   stats->used_cost_based_order = plan.used_cost_based_order;
+  stats->used_semi_join = plan.used_semi_join;
   Frame frame;
   size_t sp = 0;
+  size_t join_input_rows = 0;  // frame size entering the latest kJoin step
   for (size_t k = 0; k < plan.steps.size(); ++k) {
-    ApplyStep(&frame, plan.steps[k], par, stats, pivot, var_bounds);
+    const PlanStep& st = plan.steps[k];
+    if (st.kind == PlanStep::Kind::kJoin) join_input_rows = frame.size();
+    ApplyStep(&frame, st, par, stats, seed_range, var_bounds);
     for (; sp < plan.stats_points.size() &&
            plan.stats_points[sp].after_step == k;
          ++sp) {
+      const CompiledPlan::StatsPoint& point = plan.stats_points[sp];
       ExecStats::JoinStep step;
-      step.condition_index = plan.stats_points[sp].condition_index;
-      step.is_filter = plan.stats_points[sp].is_filter;
+      step.condition_index = point.condition_index;
+      step.is_filter = point.is_filter;
       step.rows_after = frame.size();
-      step.estimated_rows = plan.stats_points[sp].estimated_rows;
+      step.estimated_rows =
+          point.fanout < 0.0
+              ? -1.0
+              : point.fanout * static_cast<double>(join_input_rows);
       stats->join_order.push_back(step);
     }
   }
-  stats->used_semi_join = plan.used_semi_join;
-  // Replay invariant: interpreting the frozen steps must land on exactly
-  // the slot layout the recording execution ended with.
-  EBA_CHECK(frame.vars == plan.final_vars);
+  // Every step kept the frame's slot count in step with the layout the
+  // compiler tracked; the final layout is the plan's.
+  EBA_CHECK(frame.ids.size() == plan.final_vars.size());
   return frame;
 }
 
 /// Structural cache key for a compiled plan: every input that shapes the
-/// recorded pipeline — tables, conditions, resolved literals, projection,
-/// semi-join mode, pivot variable and mode, and the join-order policy. Two
-/// queries with equal keys compile to interchangeable plans (aliases do not
-/// affect execution, so they are deliberately excluded).
+/// compiled pipeline — tables, conditions, resolved literals, projection,
+/// semi-join mode, pivot variable, and the join-order policy. Two queries
+/// with equal keys compile to interchangeable plans (aliases do not affect
+/// execution, so they are deliberately excluded).
 std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
-                    bool dedup_frontier, const ExecutorOptions& options,
-                    const Pivot& pivot) {
+                    bool dedup_frontier, ExecutorOptions::JoinOrder join_order,
+                    int pivot_var) {
   std::string key;
   key.reserve(64 + 16 * (q.vars.size() + q.join_chain.size() +
                          q.extra_conditions.size() +
@@ -1121,13 +1087,11 @@ std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
       text(v.ToString());
     }
   };
-  key += options.join_order == ExecutorOptions::JoinOrder::kCostBased ? 'C'
-                                                                      : 'D';
+  key += join_order == ExecutorOptions::JoinOrder::kCostBased ? 'C' : 'D';
   key += dedup_frontier ? 'F' : 'f';
-  // The pivot variable and mode shape the recorded pipeline; the row range
-  // itself is a runtime input and deliberately excluded.
-  key += pivot.seeded ? 'R' : 'W';
-  key += std::to_string(pivot.var);
+  // The pivot variable shapes the compiled pipeline; the seed range itself
+  // is a runtime input and deliberately excluded.
+  key += std::to_string(pivot_var);
   key += '|';
   for (const auto& v : q.vars) {
     text(v.table);
@@ -1167,8 +1131,7 @@ std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
 /// assembly partition into the same contiguous morsels as the probe phase
 /// (in-place writes into disjoint ranges), so the parallel result is
 /// byte-identical to the serial one.
-Relation MaterializeFrame(const Frame& frame,
-                          const std::vector<const Table*>& tables,
+Relation MaterializeFrame(const Frame& frame, const CompiledPlan& plan,
                           const std::vector<QAttr>& output_attrs,
                           const ParCtx& par) {
   Relation out;
@@ -1179,9 +1142,9 @@ Relation MaterializeFrame(const Frame& frame,
   std::vector<const std::vector<uint32_t>*> ids(output_attrs.size());
   for (size_t j = 0; j < output_attrs.size(); ++j) {
     const QAttr& a = output_attrs[j];
-    const int slot = frame.SlotOf(a.var);
+    const int slot = SlotOf(plan.final_vars, a.var);
     EBA_CHECK_MSG(slot >= 0, "projection variable missing from frame");
-    src[j] = &tables[static_cast<size_t>(a.var)]->column(
+    src[j] = &plan.tables[static_cast<size_t>(a.var)]->column(
         static_cast<size_t>(a.col));
     ids[j] = &frame.ids[static_cast<size_t>(slot)];
   }
@@ -1228,7 +1191,7 @@ Relation MaterializeFrame(const Frame& frame,
 
 struct Executor::FrameRun {
   Frame frame;
-  std::vector<const Table*> tables;  // per tuple variable
+  std::shared_ptr<const CompiledPlan> plan;  // the plan the frame ran
 };
 
 Executor::Executor(const Database* db) : Executor(db, ExecutorOptions{}) {}
@@ -1268,51 +1231,41 @@ ThreadPool* Executor::ProbePool() const {
 StatusOr<Executor::FrameRun> Executor::RunFrame(
     const Database::Snapshot& snapshot, const PathQuery& q,
     const std::vector<QAttr>& output_attrs, bool dedup_frontier,
-    int pivot_var, bool seeded, RowRange range) const {
+    int pivot_var, RowRange range) const {
   stats_ = ExecStats{};
-  const ParCtx par = MakePar(ProbePool(), options_, &stats_);
-  const Pivot pivot{pivot_var, seeded, range};
 
-  // `snapshot` is the one read view of the whole run: plan lookup, seed,
-  // every probe, and literal resolution all observe its watermarks.
+  // `snapshot` is the one read view of the whole run: plan lookup, compile,
+  // seed, every probe, and literal resolution all observe its watermarks.
   PlanCache* cache = options_.plan_cache;
-  auto snapshot_cache_stats = [&] {
+  std::string key;
+  std::shared_ptr<const CompiledPlan> plan;
+  if (cache != nullptr) {
+    key = PlanKey(q, output_attrs, dedup_frontier, options_.join_order,
+                  pivot_var);
+    plan = cache->Lookup(key, snapshot);
+  }
+  stats_.plan_cache_hit = plan != nullptr;
+  if (plan == nullptr) {
+    EBA_ASSIGN_OR_RETURN(plan,
+                         CompilePlan(snapshot, q, output_attrs, dedup_frontier,
+                                     pivot_var, options_.join_order));
+    if (cache != nullptr) cache->Insert(key, plan);
+  }
+
+  std::vector<size_t> var_bounds;
+  var_bounds.reserve(plan->tables.size());
+  for (const Table* t : plan->tables) var_bounds.push_back(snapshot.BoundOf(t));
+  FrameRun run;
+  run.frame = RunPlan(*plan, range, var_bounds,
+                      MakePar(ProbePool(), options_, &stats_), &stats_);
+  run.plan = std::move(plan);
+  if (cache != nullptr) {
     const PlanCache::Stats cs = cache->stats();
     stats_.plan_cache_hits = cs.hits;
     stats_.plan_cache_misses = cs.misses;
     stats_.plan_cache_invalidations = cs.invalidations;
     stats_.plan_rebinds = cs.rebinds;
     stats_.plan_cache_evictions = cs.evictions;
-  };
-  std::string key;
-  if (cache != nullptr) {
-    key = PlanKey(q, output_attrs, dedup_frontier, options_, pivot);
-    std::shared_ptr<const CompiledPlan> plan = cache->Lookup(key, snapshot);
-    if (plan != nullptr) {
-      std::vector<size_t> var_bounds;
-      var_bounds.reserve(plan->tables.size());
-      for (const Table* t : plan->tables) {
-        var_bounds.push_back(snapshot.BoundOf(t));
-      }
-      FrameRun run;
-      run.frame = ReplayPlan(*plan, pivot, var_bounds, par, &stats_);
-      run.tables = plan->tables;
-      snapshot_cache_stats();
-      return run;
-    }
-  }
-
-  auto plan = std::make_shared<CompiledPlan>();
-  PlanningExecutor exec(snapshot, options_, &stats_, par);
-  EBA_ASSIGN_OR_RETURN(
-      Frame frame,
-      exec.Run(q, output_attrs, dedup_frontier, pivot, plan.get()));
-  FrameRun run;
-  run.frame = std::move(frame);
-  run.tables = plan->tables;
-  if (cache != nullptr) {
-    cache->Insert(key, std::move(plan));
-    snapshot_cache_stats();
   }
   return run;
 }
@@ -1327,8 +1280,8 @@ StatusOr<Relation> Executor::Materialize(const PathQuery& q) const {
   EBA_ASSIGN_OR_RETURN(
       FrameRun run, RunFrame(QuerySnapshot(), q, output,
                              /*dedup_frontier=*/false, /*pivot_var=*/0,
-                             /*seeded=*/true, kAllRows));
-  return MaterializeFrame(run.frame, run.tables, output,
+                             kAllRows));
+  return MaterializeFrame(run.frame, *run.plan, output,
                           MakePar(ProbePool(), options_, &stats_));
 }
 
@@ -1364,7 +1317,8 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
       }
     }
   }
-  // No row still runs once, so the query is validated and its plan cached.
+  // No row still runs once, from an empty seed range, so the query is
+  // validated and its plan cached.
   if (ranges.empty()) ranges.emplace_back();
 
   Relation out;
@@ -1372,8 +1326,8 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
   for (const RowRange& range : ranges) {
     EBA_ASSIGN_OR_RETURN(
         FrameRun run, RunFrame(snapshot, q, output, /*dedup_frontier=*/false,
-                               /*pivot_var=*/0, /*seeded=*/true, range));
-    Relation part = MaterializeFrame(run.frame, run.tables, output,
+                               /*pivot_var=*/0, range));
+    Relation part = MaterializeFrame(run.frame, *run.plan, output,
                                      MakePar(ProbePool(), options_, &stats_));
     out.rows.insert(out.rows.end(), std::make_move_iterator(part.rows.begin()),
                     std::make_move_iterator(part.rows.end()));
@@ -1405,11 +1359,12 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
       FrameRun run,
       RunFrame(QuerySnapshot(), q, output,
                strategy == SupportStrategy::kDedupFrontier, /*pivot_var=*/0,
-               /*seeded=*/true, kAllRows));
-  const int slot = run.frame.SlotOf(lid_attr.var);
+               kAllRows));
+  const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
   EBA_CHECK(slot >= 0);
   const std::vector<uint32_t>& ids = run.frame.ids[static_cast<size_t>(slot)];
-  const Column& col = run.tables[0]->column(static_cast<size_t>(lid_attr.col));
+  const Column& col =
+      run.plan->tables[0]->column(static_cast<size_t>(lid_attr.col));
 
   if (col.IsIntLike()) {
     // Distinct raw payloads, boxed once at the very end; NULL (if any)
@@ -1458,12 +1413,6 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLids(const PathQuery& q,
 StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
     const PathQuery& q, QAttr lid_attr, const std::string& table,
     RowRange appended) const {
-  return DistinctLidsJoinedTo(q, lid_attr, table, appended, JoinedToOptions{});
-}
-
-StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
-    const PathQuery& q, QAttr lid_attr, const std::string& table,
-    RowRange appended, const JoinedToOptions& jopts) const {
   EBA_ASSIGN_OR_RETURN(const Table* log_table, LidTable(*db_, q, lid_attr));
   const Column& lid_col = log_table->column(static_cast<size_t>(lid_attr.col));
   if (!lid_col.IsIntLike()) {
@@ -1499,36 +1448,19 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
       if (!row[0].is_null()) lids.push_back(row[0].RawInt64());
     }
   } else {
-    // One pivot run per tuple variable bound to the appended table; a lid
-    // is in the result iff *some* occurrence takes an appended row, so the
-    // runs union. An unreferenced table (or an empty range) cannot add
+    // One pivot run per tuple variable bound to the appended table, each
+    // seeded at the appended rows and joined outward from them; a lid is in
+    // the result iff *some* occurrence takes an appended row, so the runs
+    // union. An unreferenced table (or an empty range) cannot add
     // witnesses.
     for (size_t v = 0; v < q.vars.size(); ++v) {
       if (q.vars[v].table != table) continue;
       if (var0_covers_all ? v > 0 : appended.empty()) continue;
-      bool reverse = true;
-      switch (jopts.pivot) {
-        case PivotChoice::kReverseSeed:
-          break;
-        case PivotChoice::kForwardFilter:
-          // Restricting variable 0 is always cheapest as a seed (the filter
-          // would scan the full log first just to drop most of it).
-          reverse = v == 0;
-          break;
-        case PivotChoice::kAuto:
-          // Cost-based pivot choice: compare the two seed-scan
-          // cardinalities — joining outward from the appended rows costs
-          // ~|delta| up front, the forward pipeline costs ~|log|.
-          // Deterministic, so the plan cache sees a stable key per (query,
-          // pivot, mode).
-          reverse = v == 0 || appended.size() <= snapshot.BoundOf(log_table);
-          break;
-      }
       EBA_ASSIGN_OR_RETURN(
           FrameRun run,
           RunFrame(snapshot, q, {lid_attr}, /*dedup_frontier=*/true,
-                   static_cast<int>(v), reverse, appended));
-      const int slot = run.frame.SlotOf(lid_attr.var);
+                   static_cast<int>(v), appended));
+      const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
       EBA_CHECK(slot >= 0);
       lids.reserve(lids.size() + run.frame.size());
       for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {

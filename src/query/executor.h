@@ -15,12 +15,17 @@
 //    result multiplicity" optimization (§3.2.1), without ever building a
 //    boxed row.
 //
-//    A row range of one tuple variable is the engine's only restriction:
-//    every run starts from a kSeedRange step — variable 0 over all its rows
-//    (Materialize, DistinctLids), variable 0 over the rows of the requested
-//    lids (MaterializeForLogIds, one run per contiguous row range), or the
-//    pivot variable of DistinctLidsJoinedTo over a caller's range — and
-//    every range is clamped to the snapshot bound of its table.
+//    Every run compiles, then runs: a compiler turns the query into a
+//    CompiledPlan (query/plan_cache.h) without touching a row — it tracks
+//    only the slot layout its steps produce — and one interpreter runs the
+//    plan's steps. A plan-cache hit skips the compile and runs the same
+//    interpreter. A row range of one tuple variable, the *seed range*, is
+//    the engine's only restriction and the interpreter's runtime input:
+//    every plan starts from a kSeedRange step — variable 0 over all its
+//    rows (Materialize, DistinctLids), variable 0 over the rows of the
+//    requested lids (MaterializeForLogIds, one run per contiguous row
+//    range), or the pivot variable of DistinctLidsJoinedTo over a caller's
+//    range — and every range is clamped to the snapshot bound of its table.
 //
 //  - kBoxedReference: the original Row = std::vector<Value> implementation,
 //    retained as the equivalence oracle for tests (it restricts per-access
@@ -31,16 +36,19 @@
 // are already bound always apply first as filters; among chain conditions
 // that bind a new tuple variable, kDeclared picks the first in declaration
 // order (the historical greedy behavior) while kCostBased (default) asks
-// the CardinalityEstimator for each candidate's predicted intermediate size
-// and picks the smallest, breaking ties by declaration order so plans stay
-// deterministic. The chosen order and per-step cardinalities are surfaced
-// in ExecStats::join_order.
+// the CardinalityEstimator for each candidate's fan-out (output rows per
+// input row) and picks the smallest, breaking ties by declaration order so
+// plans stay deterministic. Every candidate would be fed the same frame, so
+// the pick never depends on the seed range. The chosen order and per-step
+// cardinalities are surfaced in ExecStats::join_order.
 //
-// Support-evaluation strategies (DESIGN.md decision 2): kNaive enumerates
-// the full join then counts distinct log ids; kDedupFrontier deduplicates
-// the intermediate after every step, carrying only what is still needed
-// downstream — the intermediate stays bounded by |Log| x (frontier domain)
-// instead of growing with event multiplicity.
+// Support-evaluation strategies: kNaive enumerates the full join then
+// counts distinct log ids — the paper's unoptimized baseline, kept for the
+// ablation (bench_ablation_support); kDedupFrontier deduplicates the
+// intermediate after every step, carrying only what is still needed
+// downstream — the paper's "reducing result multiplicity" (§3.2.1): the
+// intermediate stays bounded by |Log| x (frontier domain) instead of
+// growing with event multiplicity.
 
 #ifndef EBA_QUERY_EXECUTOR_H_
 #define EBA_QUERY_EXECUTOR_H_
@@ -120,13 +128,13 @@ struct ExecutorOptions {
   size_t min_rows_per_morsel = 4096;
 
   /// Optional shared compiled-plan cache (not owned; see
-  /// query/plan_cache.h). When set, executions record their fully-compiled
-  /// physical plan — chosen join order, compiled condition closures,
-  /// pre-translated dictionary codes, index bindings — keyed on the query's
+  /// query/plan_cache.h). When set, each fully-compiled physical plan —
+  /// chosen join order, compiled condition closures, pre-translated
+  /// dictionary codes, index bindings — is cached under the query's
   /// canonical condition-set key, revalidated against the referenced
   /// tables' structural epochs + append watermarks (appends re-bind the
   /// plan instead of discarding it), and structurally identical queries
-  /// replay it, skipping planning entirely.
+  /// run it without compiling.
   PlanCache* plan_cache = nullptr;
 };
 
@@ -141,7 +149,10 @@ struct ExecStats {
     int condition_index = -1;     // index into PathQuery::join_chain
     bool is_filter = false;       // both sides were already bound
     size_t rows_after = 0;        // intermediate size after this step
-    double estimated_rows = -1.0; // cost-based prediction; -1 if not consulted
+    /// Cost-based prediction for the rows this run fed into the join: the
+    /// plan's fan-out times the frame size entering it, on a compiling run
+    /// and a replay alike. -1 if the estimator was not consulted.
+    double estimated_rows = -1.0;
   };
   std::vector<JoinStep> join_order;
 
@@ -150,8 +161,8 @@ struct ExecStats {
   /// dropped + row-id dedup instead of boxed-row projection).
   bool used_semi_join = false;
 
-  /// True when this execution replayed a cached compiled plan instead of
-  /// planning from scratch.
+  /// True when this execution ran a cached compiled plan instead of
+  /// compiling one.
   bool plan_cache_hit = false;
   /// Cumulative counters of the attached PlanCache, snapshotted after this
   /// execution (all zero when no cache is attached).
@@ -222,20 +233,6 @@ class Executor {
   StatusOr<std::vector<int64_t>> DistinctLids(const PathQuery& q,
                                               QAttr lid_attr) const;
 
-  /// How DistinctLidsJoinedTo restricts a tuple variable to the appended
-  /// row range. kReverseSeed starts the join frontier *at the appended
-  /// rows* and joins back toward the log (cost scales with the delta);
-  /// kForwardFilter runs the normal log-seeded pipeline and filters the
-  /// variable's row ids once it binds (cost scales with the log — the right
-  /// side when the appended range is larger than the log, e.g. a bulk
-  /// load). kAuto compares the two seed-scan cardinalities (range size vs
-  /// log rows) and picks the smaller, deterministically.
-  enum class PivotChoice { kAuto, kReverseSeed, kForwardFilter };
-
-  struct JoinedToOptions {
-    PivotChoice pivot = PivotChoice::kAuto;
-  };
-
   /// The range-audit entry point: the distinct log ids of query results in
   /// which some tuple variable bound to `table` takes a row in `appended`
   /// (clamped to the table's snapshot bound), ascending. Appends are
@@ -243,13 +240,16 @@ class Executor {
   /// is exactly the set of lids the append can newly explain:
   ///   DistinctLids(after) == DistinctLids(before) ∪ JoinedTo(suffix).
   /// Evaluates one pivot run per matching tuple variable, all against one
-  /// snapshot; each run compiles to its own cached plan (keyed on the
-  /// pivot, revalidated/re-bound like any other), with the row range as a
-  /// runtime input. When the variable-0 pivot already covers every row of
-  /// `table`, it alone runs: every explained lid is found there, and the
-  /// run is exactly DistinctLids (same plan) — the only case the boxed
-  /// reference engine answers. Returns empty when `table` is not referenced
-  /// or the range is empty. `lid_attr` must belong to variable 0 and be
+  /// snapshot. Each run is seeded at the appended rows of its variable and
+  /// joins outward from them, so its cost scales with the range, not the
+  /// log (a bulk load costs about as much to audit as to append). Each run
+  /// compiles to its own cached plan (keyed on the pivot variable,
+  /// revalidated/re-bound like any other), with the row range as a runtime
+  /// input. When the variable-0 pivot already covers every row of `table`,
+  /// it alone runs: every explained lid is found there, and the run is
+  /// exactly DistinctLids (same plan) — the only case the boxed reference
+  /// engine answers. Returns empty when `table` is not referenced or the
+  /// range is empty. `lid_attr` must belong to variable 0 and be
   /// integer-like.
   /// last_stats() afterwards describes the FINAL pivot run only (each run
   /// resets it); the cumulative plan-cache counters inside it still cover
@@ -257,14 +257,11 @@ class Executor {
   StatusOr<std::vector<int64_t>> DistinctLidsJoinedTo(
       const PathQuery& q, QAttr lid_attr, const std::string& table,
       RowRange appended) const;
-  StatusOr<std::vector<int64_t>> DistinctLidsJoinedTo(
-      const PathQuery& q, QAttr lid_attr, const std::string& table,
-      RowRange appended, const JoinedToOptions& jopts) const;
 
   const ExecStats& last_stats() const { return stats_; }
 
  private:
-  /// Frame + resolved per-variable tables from one late-materialization run.
+  /// Frame + the plan that produced it, from one late-materialization run.
   struct FrameRun;
 
   /// The boxed reference engine; `lid_filter` (null = every log row)
@@ -275,18 +272,14 @@ class Executor {
                                   const std::vector<Value>* lid_filter,
                                   QAttr lid_attr) const;
 
-  /// Late-materialization entry point: one run against `snapshot`,
-  /// restricted to the rows `range` of tuple variable `pivot_var`. A
-  /// `seeded` run starts its frame at those rows; otherwise (a forward
-  /// pivot) the frame starts at every row of variable 0 and keeps only the
-  /// tuples whose `pivot_var` row lies in `range` once that variable binds.
-  /// Replays a cached compiled plan when options_.plan_cache holds a fresh
-  /// one for this query shape, otherwise records the plan while executing
-  /// (and caches it).
+  /// Late-materialization entry point: one run against `snapshot`, seeded
+  /// at the rows `range` of tuple variable `pivot_var`. Looks the plan up in
+  /// options_.plan_cache; on a miss compiles it (and caches it); then runs
+  /// it.
   StatusOr<FrameRun> RunFrame(const Database::Snapshot& snapshot,
                               const PathQuery& q,
                               const std::vector<QAttr>& output_attrs,
-                              bool dedup_frontier, int pivot_var, bool seeded,
+                              bool dedup_frontier, int pivot_var,
                               RowRange range) const;
 
   /// The pool probe morsels fan out over: the external options_.pool when

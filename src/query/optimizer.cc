@@ -83,30 +83,15 @@ StatusOr<double> CardinalityEstimator::EstimateRows(const PathQuery& q) const {
   return std::max(est, 0.0);
 }
 
-StatusOr<double> CardinalityEstimator::EstimateJoinStep(const PathQuery& q,
-                                                        double current_rows,
-                                                        QAttr probe,
-                                                        QAttr build) const {
-  EBA_ASSIGN_OR_RETURN(
-      const Table* probe_table,
-      db_->GetTable(q.vars[static_cast<size_t>(probe.var)].table));
-  EBA_ASSIGN_OR_RETURN(
-      const Table* build_table,
-      db_->GetTable(q.vars[static_cast<size_t>(build.var)].table));
-  return EstimateJoinStep(probe_table, probe, build_table, build,
-                          current_rows);
-}
-
 double CardinalityEstimator::EstimateJoinStep(const Table* probe_table,
                                               QAttr probe,
                                               const Table* build_table,
-                                              QAttr build,
-                                              double current_rows) const {
+                                              QAttr build) const {
   auto ndv = [](const Table* t, int col) {
     const ColumnStats& stats = t->GetOrComputeStats(static_cast<size_t>(col));
     return std::max<double>(1.0, static_cast<double>(stats.num_distinct));
   };
-  return current_rows * static_cast<double>(build_table->num_rows()) /
+  return static_cast<double>(build_table->num_rows()) /
          std::max(ndv(probe_table, probe.col), ndv(build_table, build.col));
 }
 

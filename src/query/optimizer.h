@@ -6,7 +6,10 @@
 // Standard textbook estimation: equi-join size |R join S| =
 // |R| * |S| / max(ndv(R.a), ndv(S.b)); comparison filters use 1/3
 // selectivity; the final distinct-lid count applies a balls-into-bins
-// correction so the estimate is bounded by |Log|.
+// correction so the estimate is bounded by |Log|. The executor's plan
+// compiler also orders joins with it, by each join's fan-out
+// |S| / max(ndv(R.a), ndv(S.b)) — the one factor that differs between
+// candidates fed the same intermediate.
 
 #ifndef EBA_QUERY_OPTIMIZER_H_
 #define EBA_QUERY_OPTIMIZER_H_
@@ -29,21 +32,16 @@ class CardinalityEstimator {
   StatusOr<double> EstimateDistinctLogIds(const PathQuery& q,
                                           QAttr lid_attr) const;
 
-  /// Expected intermediate size after equi-joining a `current_rows`-row
-  /// intermediate whose join key is `probe` against the full table bound by
-  /// `build` (both attrs resolved through `q`): the textbook
-  /// |R| * |S| / max(ndv(R.a), ndv(S.b)) formula. The executor's cost-based
-  /// join ordering asks this for every applicable chain condition and picks
-  /// the smallest predicted intermediate.
-  StatusOr<double> EstimateJoinStep(const PathQuery& q, double current_rows,
-                                    QAttr probe, QAttr build) const;
-
-  /// Same estimate with the endpoint tables already resolved — the plan
-  /// recorder resolves every tuple-variable table once per query, so its
-  /// O(joins^2) ordering probes skip the per-call name lookups.
+  /// Expected fan-out of equi-joining an intermediate whose join key is
+  /// `probe` (a column of `probe_table`) against the full `build_table` on
+  /// `build`: output rows per input row, |S| / max(ndv(R.a), ndv(S.b)) —
+  /// the textbook |R join S| = |R| * |S| / max(ndv(R.a), ndv(S.b)) divided
+  /// by |R|. The plan compiler's cost-based join ordering asks this for
+  /// every applicable chain condition and picks the smallest: every
+  /// candidate is fed the same intermediate, so the smallest fan-out is the
+  /// smallest predicted intermediate, whatever the intermediate's size.
   double EstimateJoinStep(const Table* probe_table, QAttr probe,
-                          const Table* build_table, QAttr build,
-                          double current_rows) const;
+                          const Table* build_table, QAttr build) const;
 
  private:
   const Database* db_;

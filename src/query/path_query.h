@@ -73,8 +73,10 @@ class PathQuery {
   int RawLength() const { return static_cast<int>(join_chain.size()); }
 
   /// Reported length: join-chain conditions minus one per mapping-table
-  /// instance traversed (each mapping hop replaces one direct edge with
-  /// two conditions; see DESIGN.md).
+  /// instance traversed. A mapping hop replaces one direct edge with two
+  /// conditions only because the data names one user by two identifiers;
+  /// the paper does not count it toward a template's length (§5.3.3), so
+  /// the figures' lengths match the paper's.
   int ReportedLength(const Database& db) const;
 };
 

@@ -6,11 +6,12 @@
 // ordering decision), per-step condition "closures" with literals resolved
 // to raw payloads / dictionary codes, pre-computed dictionary-code
 // translation tables for cross-column string joins, hash-index bindings,
-// and the semi-join column-drop schedule. Replaying a plan skips query
-// validation, table resolution, cardinality estimation and closure
-// compilation entirely — exactly the per-query planning cost the miner pays
-// thousands of times for structurally identical support queries, and the
-// per-access explain loop pays once per served request.
+// and the semi-join column-drop schedule. The executor compiles a plan
+// first and then runs it through one interpreter, so a cache hit skips
+// exactly the compile — query validation, table resolution, cardinality
+// estimation and closure compilation — the per-query planning cost the
+// miner pays thousands of times for structurally identical support
+// queries, and the per-access explain loop pays once per served request.
 //
 // Staleness is three-valued (CompiledPlan::Freshness) and judged against
 // the querying snapshot (Database::Snapshot), matching the Table mutation
@@ -71,8 +72,9 @@ namespace eba {
 
 /// One frozen pipeline operation over the executor's row-id frame. Slot
 /// numbers refer to the frame layout at the point the step applies; the
-/// layout evolves deterministically from the kSeedRange step every plan
-/// starts with, so recorded slots stay valid on every replay.
+/// compiler tracks that layout as it emits steps, starting from the
+/// kSeedRange step every plan begins with, so the slots are valid on every
+/// run.
 struct PlanStep {
   enum class Kind : uint8_t {
     kJoin,          // hash-probe binding a new tuple variable
@@ -80,12 +82,11 @@ struct PlanStep {
     kVarVarFilter,  // decoration between two bound attributes
     kConstFilter,   // decoration against a pre-resolved literal
     kDrop,          // semi-join column drop (+ row-id tuple dedup)
-    // Row-range steps, the executor's only restriction. The row range is a
-    // *runtime* input — the plan freezes which variable is range-restricted,
-    // not the range itself, so one compiled plan serves every append batch
-    // (and the whole log).
-    kSeedRange,      // first step: seed the empty frame at `new_var`'s rows
-    kRowRangeFilter  // keep tuples whose `lhs_slot` row id is in the range
+    // First step: seed the empty frame at `new_var`'s rows. The seed range
+    // is the executor's only restriction and a *runtime* input — the plan
+    // freezes which variable is seeded, not the range, so one compiled plan
+    // serves every append batch (and the whole log).
+    kSeedRange
   };
   /// Probe dispatch resolved at compile time (kJoin).
   enum class ProbeKind : uint8_t {
@@ -105,10 +106,9 @@ struct PlanStep {
   };
 
   Kind kind = Kind::kDrop;
-  int condition_index = -1;      // join_chain index (kJoin / kJoinFilter)
-  double estimated_rows = -1.0;  // cost-based prediction; -1 if not consulted
+  int condition_index = -1;  // join_chain index (kJoin / kJoinFilter)
 
-  // kJoin.
+  // kJoin (new_var also names kSeedRange's variable).
   int probe_slot = -1;
   const Column* probe_col = nullptr;
   const HashIndex* index = nullptr;
@@ -148,7 +148,7 @@ struct PlanStep {
 };
 
 /// A fully-compiled physical plan: the frozen step pipeline plus everything
-/// needed to revalidate it. Immutable once built (replay never mutates; an
+/// needed to revalidate it. Immutable once built (a run never mutates it; an
 /// append-rebind produces a patched copy).
 struct CompiledPlan {
   const Database* db = nullptr;
@@ -165,18 +165,23 @@ struct CompiledPlan {
 
   std::vector<PlanStep> steps;
 
-  /// Where to record an ExecStats::JoinStep during replay: after applying
-  /// steps[after_step] (i.e. once the join's trailing filters and drops have
-  /// run), mirroring the recording execution's bookkeeping.
+  /// Where a run records an ExecStats::JoinStep: after applying
+  /// steps[after_step], i.e. once the chain condition's trailing filters and
+  /// drops have run.
   struct StatsPoint {
     size_t after_step = 0;
     int condition_index = -1;
     bool is_filter = false;
-    double estimated_rows = -1.0;
+    /// Cost-based prediction of the join's output rows per input row; a run
+    /// reports it times the frame size entering the join as
+    /// JoinStep::estimated_rows. -1 if the estimator was not consulted.
+    double fanout = -1.0;
   };
   std::vector<StatsPoint> stats_points;
 
-  std::vector<int> final_vars;  // final frame slot -> tuple variable
+  /// The slot layout the compiler tracked, as the last step leaves it:
+  /// final frame slot -> tuple variable.
+  std::vector<int> final_vars;
   bool used_cost_based_order = false;
   bool used_semi_join = false;
 
@@ -205,8 +210,8 @@ struct CompiledPlan {
 /// and stamps the current watermarks (read FIRST, before any dictionary
 /// state — so the translation tables provably cover every code reachable
 /// below the stamped watermarks even under a concurrent writer). The frozen
-/// join order, slot layout and stats points are untouched, so a replay of
-/// the rebound plan over the old prefix is byte-identical to the original.
+/// join order, slot layout and stats points are untouched, so a run of the
+/// rebound plan over the old prefix is byte-identical to the original.
 /// Requires CheckFreshness(snapshot) == kAppendedOnly for the caller's
 /// snapshot (same structural epochs).
 std::shared_ptr<const CompiledPlan> RebindPlanForAppend(

@@ -263,6 +263,19 @@ std::string CheckpointStore::WalPath(uint64_t seq) const {
   return dir_ + "/wal-" + std::to_string(seq) + ".log";
 }
 
+StatusOr<std::vector<uint64_t>> CheckpointStore::ListWalSeqs() const {
+  EBA_ASSIGN_OR_RETURN(std::vector<std::string> names, env_->ListDir(dir_));
+  std::vector<uint64_t> seqs;
+  for (const std::string& name : names) {
+    if (!StartsWith(name, "wal-") || !EndsWith(name, ".log")) continue;
+    StatusOr<uint64_t> n = ParseU64(name.substr(4, name.size() - 4 - 4));
+    // Only WalPath's own spelling counts (not, say, "wal-07.log").
+    if (n.ok() && WalPath(*n) == dir_ + "/" + name) seqs.push_back(*n);
+  }
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
 StatusOr<uint64_t> CheckpointStore::CurrentSeq() const {
   const std::string current_path = dir_ + "/" + kCurrentFile;
   if (!env_->FileExists(current_path)) {
@@ -543,18 +556,16 @@ Status CheckpointStore::Publish(uint64_t seq) {
 
   EBA_ASSIGN_OR_RETURN(std::vector<std::string> names, env_->ListDir(dir_));
   for (const std::string& name : names) {
-    if (StartsWith(name, "ckpt-")) {
-      StatusOr<uint64_t> n = ParseU64(name.substr(5));
-      if (n.ok() && chain.count(*n) == 0) {
-        EBA_RETURN_IF_ERROR(env_->RemoveAll(dir_ + "/" + name));
-      }
-    } else if (StartsWith(name, "wal-") && EndsWith(name, ".log")) {
-      StatusOr<uint64_t> n =
-          ParseU64(name.substr(4, name.size() - 4 - 4));
-      if (n.ok() && *n < wal_min) {
-        EBA_RETURN_IF_ERROR(env_->RemoveFile(dir_ + "/" + name));
-      }
+    if (!StartsWith(name, "ckpt-")) continue;
+    StatusOr<uint64_t> n = ParseU64(name.substr(5));
+    if (n.ok() && chain.count(*n) == 0) {
+      EBA_RETURN_IF_ERROR(env_->RemoveAll(dir_ + "/" + name));
     }
+  }
+  EBA_ASSIGN_OR_RETURN(std::vector<uint64_t> wals, ListWalSeqs());
+  for (uint64_t wal : wals) {
+    if (wal >= wal_min) break;
+    EBA_RETURN_IF_ERROR(env_->RemoveFile(WalPath(wal)));
   }
   return Status::OK();
 }

@@ -100,6 +100,10 @@ class CheckpointStore {
   /// Path of the WAL file paired with checkpoint `seq`.
   std::string WalPath(uint64_t seq) const;
 
+  /// The sequence numbers of the store's WAL files (every name WalPath
+  /// produces that is present), ascending.
+  StatusOr<std::vector<uint64_t>> ListWalSeqs() const;
+
   /// Writes checkpoint `max(CurrentSeq()+1, min_seq)` (starting at 1)
   /// without publishing it: a crash before Publish leaves CURRENT pointing
   /// at the old checkpoint. `min_seq` lets callers keep the sequence ahead

@@ -41,7 +41,15 @@ Status Table::ValidateRow(const Row& row) const {
         std::to_string(columns_.size()) + " for table '" + name() + "'");
   }
   for (size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null() && row[i].type() != schema_.column(i).type) {
+    if (row[i].is_null()) {
+      // Integer columns read a NULL back as the raw payload 0, so a NULL
+      // key would be audited as key 0: keys are never NULL.
+      if (!schema_.column(i).is_primary_key) continue;
+      return Status::InvalidArgument("NULL in primary-key column '" +
+                                     schema_.column(i).name + "' of table '" +
+                                     name() + "'");
+    }
+    if (row[i].type() != schema_.column(i).type) {
       return Status::InvalidArgument(
           "type mismatch in column '" + schema_.column(i).name + "': " +
           DataTypeToString(row[i].type()) + " vs " +

@@ -58,8 +58,8 @@ class Table {
   /// the table joins it; standalone tables free retired state immediately.
   void AttachEpochManager(EpochManager* epochs) EBA_EXCLUDES(*lazy_mu_);
 
-  /// Checks a row against the schema (arity, per-column types) without
-  /// appending it. A row that validates cannot fail to append — write-ahead
+  /// Checks a row against the schema (arity, per-column types, no NULL in
+  /// the primary-key column) without appending it. A row that validates cannot fail to append — write-ahead
   /// logging relies on this: validate, log, then apply.
   Status ValidateRow(const Row& row) const;
 

@@ -911,5 +911,62 @@ TEST(DurabilityTest, RecoveryFailsOnMissingMidChainWalFile) {
       << recovered.ToString();
 }
 
+// A NULL in a primary-key column is refused on every append path. Integer
+// columns read a NULL back as 0, so an accepted NULL Lid would be audited
+// as lid 0.
+TEST(DurabilityTest, NullLidIsRefusedBeforeAnyWalByte) {
+  const int64_t mar3 = Date::FromCivil(2010, 3, 3, 9, 0, 0).ToSeconds();
+  auto access = [&](Value lid) {
+    return Row{std::move(lid), Value::Timestamp(mar3),
+               Value::Int64(testing_util::kDave),
+               Value::Int64(testing_util::kAlice),
+               Value::String("viewed record")};
+  };
+  Database db = BuildPaperToyDatabase();
+  Table* log = db.GetTable("Log").value();
+  const Status plain = log->AppendRow(access(Value::Null()));
+  EXPECT_EQ(plain.code(), StatusCode::kInvalidArgument) << plain.ToString();
+  EXPECT_NE(plain.message().find("'Lid'"), std::string::npos)
+      << plain.ToString();
+  EXPECT_EQ(log->num_rows(), 2u);
+
+  const std::string dir = TempDir("null_lid");
+  DurabilityOptions opts;
+  opts.dir = dir;
+  opts.checkpoint_after_wal_bytes = 0;
+  EBA_ASSERT_OK_AND_ASSIGN(StreamingAuditor auditor,
+                           StreamingAuditor::RecoverFrom(&db, "Log", opts));
+  EBA_ASSERT_OK(auditor.AddTemplate(UnwrapOrDie(ExplanationTemplate::Parse(
+      db, "appt", "Log L, Appointments A",
+      "L.Patient = A.Patient AND A.Doctor = L.User",
+      "[L.Patient] had an appointment with [L.User]"))));
+  const CheckpointStore store(RealEnv(), dir);
+  auto wal_bytes = [&] {
+    size_t bytes = 0;
+    for (uint64_t seq : UnwrapOrDie(store.ListWalSeqs())) {
+      bytes += ReadBytes(store.WalPath(seq)).size();
+    }
+    return bytes;
+  };
+  const size_t wal_before = wal_bytes();
+  // The NULL-Lid row follows a valid one: the whole batch is refused.
+  const Status durable = auditor.AppendAccessBatch(
+      {access(Value::Int64(3)), access(Value::Null())});
+  EXPECT_EQ(durable.code(), StatusCode::kInvalidArgument)
+      << durable.ToString();
+  EXPECT_EQ(wal_bytes(), wal_before);
+  EXPECT_EQ(log->num_rows(), 2u);
+
+  const StreamingReport streamed = UnwrapOrDie(auditor.ExplainNew());
+  const ExplanationReport full = UnwrapOrDie(auditor.engine().ExplainAll());
+  for (const std::vector<int64_t>* lids :
+       {&streamed.explained_lids, &streamed.unexplained_lids,
+        &full.explained_lids, &full.unexplained_lids}) {
+    EXPECT_EQ(std::count(lids->begin(), lids->end(), int64_t{0}), 0);
+  }
+  EXPECT_EQ(full.log_size, 2u);
+  EXPECT_EQ(full.unexplained_lids, (std::vector<int64_t>{2}));
+}
+
 }  // namespace
 }  // namespace eba

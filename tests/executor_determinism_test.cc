@@ -4,13 +4,14 @@
 // (Materialize row order included), DistinctLids vectors, and ExplainAll
 // reports — per-shard selection vectors are concatenated in shard order, so
 // sharding must never reorder output. Plan-cache tests assert that a replay
-// is bit-identical to the recording execution, that an append re-binds the
+// is bit-identical to the compiling run, that an append re-binds the
 // plan (watermark move, structure intact) instead of discarding it, that a
 // structural mutation still invalidates it, and that the LRU byte cap
 // evicts in recency order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -170,7 +171,7 @@ TEST_F(PlanCacheTest, SecondExecutionReplaysCachedPlan) {
   EXPECT_EQ(second, UnwrapOrDie(fresh.DistinctLids(q, Lid())));
 
   // The replayed execution reports the same frozen join order and
-  // intermediate cardinalities as the recording execution.
+  // intermediate cardinalities as the compiling run.
   const ExecStats& replayed = cached.last_stats();
   ASSERT_EQ(replayed.join_order.size(), recorded.join_order.size());
   for (size_t i = 0; i < replayed.join_order.size(); ++i) {
@@ -526,22 +527,52 @@ TEST(EnginePlanCacheTest, RepeatedExplainAllReusesPlans) {
   EXPECT_EQ(second.unexplained_lids, first.unexplained_lids);
 }
 
-// ------------------- Reverse semi-join (DistinctLidsJoinedTo) -------------
+/// A lid with no row still runs once, from an empty seed range, so the plan
+/// is compiled there. The compile never looks at the seed, so a later call
+/// for a lid that has rows replays that plan and must return the rows and
+/// the join order of an uncached executor.
+TEST_F(PlanCacheTest, EmptySeedCompilesThePlanALaterLidReplays) {
+  const QAttr lid = Lid();
+  for (const PathQuery& q : ToyQueries(db_)) {
+    cache_.Clear();
+    Executor cached(&db_, Cached());
+    Executor fresh(&db_);
+    const Relation none =
+        UnwrapOrDie(cached.MaterializeForLogIds(q, lid, {Value::Int64(999)}));
+    EXPECT_TRUE(none.rows.empty());
+    EXPECT_FALSE(cached.last_stats().plan_cache_hit);
+    EXPECT_EQ(cache_.size(), 1u);
 
-/// Both pivot modes for a forced A/B, plus kAuto.
-constexpr Executor::PivotChoice kPivotModes[] = {
-    Executor::PivotChoice::kAuto, Executor::PivotChoice::kReverseSeed,
-    Executor::PivotChoice::kForwardFilter};
-
-Executor::JoinedToOptions WithPivot(Executor::PivotChoice choice) {
-  Executor::JoinedToOptions jopts;
-  jopts.pivot = choice;
-  return jopts;
+    const std::vector<Value> lids = {Value::Int64(1), Value::Int64(2)};
+    const Relation got = UnwrapOrDie(cached.MaterializeForLogIds(q, lid, lids));
+    const ExecStats replayed = cached.last_stats();
+    EXPECT_TRUE(replayed.plan_cache_hit);
+    EXPECT_EQ(cache_.size(), 1u);
+    const Relation want = UnwrapOrDie(fresh.MaterializeForLogIds(q, lid, lids));
+    const ExecStats& compiled = fresh.last_stats();
+    EXPECT_FALSE(compiled.plan_cache_hit);
+    EXPECT_FALSE(want.rows.empty());
+    EXPECT_EQ(got.attrs, want.attrs);
+    EXPECT_EQ(got.rows, want.rows);
+    ASSERT_EQ(replayed.join_order.size(), compiled.join_order.size());
+    for (size_t i = 0; i < compiled.join_order.size(); ++i) {
+      EXPECT_EQ(replayed.join_order[i].condition_index,
+                compiled.join_order[i].condition_index);
+      EXPECT_EQ(replayed.join_order[i].is_filter,
+                compiled.join_order[i].is_filter);
+      EXPECT_EQ(replayed.join_order[i].rows_after,
+                compiled.join_order[i].rows_after);
+      EXPECT_EQ(replayed.join_order[i].estimated_rows,
+                compiled.join_order[i].estimated_rows);
+    }
+  }
 }
 
+// ------------------- Reverse semi-join (DistinctLidsJoinedTo) -------------
+
 /// Restricting a variable to its table's FULL row range is no restriction:
-/// JoinedTo must reproduce DistinctLids exactly, whichever side the pivot
-/// seeds and at any thread count.
+/// JoinedTo must reproduce DistinctLids exactly, whichever variable the
+/// pivot seeds and at any thread count.
 TEST(ReverseSemiJoinTest, FullRangeEqualsDistinctLids) {
   CareWebData data = UnwrapOrDie(GenerateCareWeb(CareWebConfig::Tiny()));
   const QAttr lid_attr{
@@ -555,16 +586,12 @@ TEST(ReverseSemiJoinTest, FullRangeEqualsDistinctLids) {
     for (size_t v = 0; v < q.vars.size(); ++v) {
       const std::string& table = q.vars[v].table;
       const size_t rows = UnwrapOrDie(data.db.GetTable(table))->num_rows();
-      for (Executor::PivotChoice mode : kPivotModes) {
-        for (size_t threads : {size_t{1}, size_t{4}}) {
-          Executor executor(&data.db, Threaded(threads));
-          EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                        q, lid_attr, table, RowRange{0, rows},
-                        WithPivot(mode))),
-                    reference)
-              << tmpl.name() << " var " << v << " mode "
-              << static_cast<int>(mode) << " threads " << threads;
-        }
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        Executor executor(&data.db, Threaded(threads));
+        EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
+                      q, lid_attr, table, RowRange{0, rows})),
+                  reference)
+            << tmpl.name() << " var " << v << " threads " << threads;
       }
     }
   }
@@ -589,14 +616,63 @@ TEST(ReverseSemiJoinTest, AppendedSuffixIsExactlyTheDelta) {
        Value::Timestamp(Date::FromCivil(2010, 2, 2, 9, 0, 0).ToSeconds()),
        Value::Int64(testing_util::kDave)}));
 
-  for (Executor::PivotChoice mode : kPivotModes) {
-    const std::vector<int64_t> delta = UnwrapOrDie(executor.DistinctLidsJoinedTo(
-        q, lid, "Appointments", RowRange{suffix_begin, appt->num_rows()},
-        WithPivot(mode)));
-    EXPECT_EQ(delta, (std::vector<int64_t>{2})) << static_cast<int>(mode);
-  }
+  const std::vector<int64_t> delta = UnwrapOrDie(executor.DistinctLidsJoinedTo(
+      q, lid, "Appointments", RowRange{suffix_begin, appt->num_rows()}));
+  EXPECT_EQ(delta, (std::vector<int64_t>{2}));
   const std::vector<int64_t> after = UnwrapOrDie(executor.DistinctLids(q, lid));
   EXPECT_EQ(after, (std::vector<int64_t>{1, 2}));
+}
+
+/// A bulk load: more rows appended to a joined table than the log holds.
+/// The pivot run is seeded at the appended rows even then, and the delta
+/// property holds at every thread count.
+TEST(ReverseSemiJoinTest, BulkLoadLargerThanTheLogIsExactlyTheDelta) {
+  Database db = BuildPaperToyDatabase();
+  const QAttr lid{0, 0};
+  const std::vector<PathQuery> queries = ToyQueries(db);
+  std::vector<std::vector<int64_t>> before;
+  {
+    Executor executor(&db);
+    for (const PathQuery& q : queries) {
+      before.push_back(UnwrapOrDie(executor.DistinctLids(q, lid)));
+    }
+  }
+
+  Table* appt = db.GetTable("Appointments").value();
+  const size_t log_rows = db.GetTable("Log").value()->num_rows();
+  const size_t suffix_begin = appt->num_rows();
+  const int64_t feb2 = Date::FromCivil(2010, 2, 2, 9, 0, 0).ToSeconds();
+  // Bob with Dave explains L2 (Dave viewed Bob); the filler patients have
+  // no access in the log, so they explain nothing.
+  EBA_ASSERT_OK(appt->AppendRow({Value::Int64(testing_util::kBob),
+                                 Value::Timestamp(feb2),
+                                 Value::Int64(testing_util::kDave)}));
+  for (int64_t p = 0; p < static_cast<int64_t>(2 * log_rows + 3); ++p) {
+    EBA_ASSERT_OK(appt->AppendRow({Value::Int64(1000 + p),
+                                   Value::Timestamp(feb2 + p),
+                                   Value::Int64(testing_util::kMike)}));
+  }
+  const RowRange suffix{suffix_begin, appt->num_rows()};
+  ASSERT_GT(suffix.size(), log_rows);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    Executor executor(&db, Threaded(threads));
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const PathQuery& q = queries[qi];
+      const std::vector<int64_t> delta = UnwrapOrDie(
+          executor.DistinctLidsJoinedTo(q, lid, "Appointments", suffix));
+      std::vector<int64_t> expected = before[qi];
+      expected.insert(expected.end(), delta.begin(), delta.end());
+      std::sort(expected.begin(), expected.end());
+      expected.erase(std::unique(expected.begin(), expected.end()),
+                     expected.end());
+      EXPECT_EQ(UnwrapOrDie(executor.DistinctLids(q, lid)), expected)
+          << "query " << qi << " threads " << threads;
+      if (qi == 0) {
+        EXPECT_EQ(delta, (std::vector<int64_t>{2})) << threads;
+      }
+    }
+  }
 }
 
 TEST(ReverseSemiJoinTest, EmptyRangeUnreferencedTableAndBoxedEngine) {
@@ -645,17 +721,14 @@ TEST(ReverseSemiJoinTest, SelfJoinPivotFindsRetroactiveWitnesses) {
        Value::Int64(testing_util::kDave), Value::Int64(testing_util::kAlice),
        Value::String("viewed record")}));
   Executor executor(&db);
-  for (Executor::PivotChoice mode : kPivotModes) {
-    EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                  q, lid, "Log", RowRange{suffix_begin, log->num_rows()},
-                  WithPivot(mode))),
-              (std::vector<int64_t>{1}))
-        << static_cast<int>(mode);
-  }
+  EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
+                q, lid, "Log", RowRange{suffix_begin, log->num_rows()})),
+            (std::vector<int64_t>{1}));
 }
 
 /// Pivot plans are first-class plan-cache citizens: cached per (query,
-/// pivot, mode) with the row range as a runtime input, re-bound on appends.
+/// pivot variable) with the row range as a runtime input, re-bound on
+/// appends.
 TEST_F(PlanCacheTest, PivotPlansCacheAndRebindAcrossAppends) {
   Executor cached(&db_, Cached());
   Executor fresh(&db_);

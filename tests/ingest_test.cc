@@ -509,10 +509,11 @@ TEST(StreamingAuditorTest, LateArrivingLogRowExplainsOldAccessViaSelfJoin) {
   EXPECT_TRUE(auditor.ExplainedSetEquals(full_set));
 }
 
-// The Lid column is documented as a primary key, but nothing enforces it:
-// an appended row may repeat an audited lid. A lid is explained when ANY of
-// its rows is, so the new row must not hide an older explained row, nor an
-// older row that this same audit window newly explains.
+// The Lid column is documented as a primary key, but only non-NULL-ness is
+// enforced, not uniqueness: an appended row may repeat an audited lid. A
+// lid is explained when ANY of its rows is, so the new row must not hide an
+// older explained row, nor an older row that this same audit window newly
+// explains.
 
 TEST(StreamingAuditorTest, RepeatedLidKeepsItsExplainedOlderRow) {
   ToyAuditor t = MakeToyAuditor();
