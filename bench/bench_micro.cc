@@ -436,7 +436,7 @@ int RunExecutorJsonBench(const std::string& path, bool smoke) {
   // probe-bound at this log size, so planning amortizes to noise; (b) the
   // per-access explain loop (MaterializeForLogIds, one lid at a time — the
   // audit-portal serving shape), where the frame is tiny and planning
-  // (validation, table resolution, estimator calls, closure compilation,
+  // (validation, table resolution, estimator calls, check compilation,
   // dictionary translation) dominates each query.
   auto explain_workload = [&](Executor& executor) {
     size_t total = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -108,7 +109,7 @@ StatusOr<ExplanationReport> ExplanationEngine::ExplainAll(
 StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     const Database::Snapshot& snapshot, size_t log_from,
     const std::vector<CatalogDrift::Append>& appends,
-    const std::unordered_set<int64_t>& accumulated,
+    const std::vector<int64_t>& accumulated,
     const ExplainAllOptions& options,
     std::unique_ptr<ThreadPool>* workers) const {
   EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(log_table_));
@@ -203,6 +204,9 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
   }
   audit.plan_cache = exec.plan_cache->stats();
+  auto held = [&accumulated](int64_t lid) {
+    return std::binary_search(accumulated.begin(), accumulated.end(), lid);
+  };
 
   // --- Classify the audited rows in chunk-aligned shards (a worker scans
   // --- only the chunks it owns), concatenated in shard order.
@@ -215,7 +219,7 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
   ParallelFor(pool, shards.size(), [&](size_t s) {
     for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
       const int64_t lid = lid_col.Int64At(r);
-      if (explained.count(lid) > 0 || accumulated.count(lid) > 0) {
+      if (explained.count(lid) > 0 || held(lid)) {
         shard_explained[s].push_back(lid);
       } else {
         shard_unexplained[s].push_back(lid);
@@ -244,7 +248,7 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
       while (row != on_rows.end() && *row < lid) ++row;
       if (row != on_rows.end() && *row == lid) {
         ++audit.per_template_counts[i];
-      } else if (accumulated.count(lid) == 0) {
+      } else if (!held(lid)) {
         audit.delta_lids[i].push_back(lid);
       }
     }

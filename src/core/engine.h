@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -151,11 +150,12 @@ class ExplanationEngine {
   /// that references it; from row 0 the log alone (its variable 0 then
   /// finds every explained lid). One chunk-aligned scan then classifies
   /// the audited rows: by monotonicity a lid is explained iff some task's
-  /// result or `accumulated` (lids earlier audits explained) holds it.
+  /// result or `accumulated` (lids earlier audits explained, ascending)
+  /// holds it.
   StatusOr<RangeAudit> AuditRange(
       const Database::Snapshot& snapshot, size_t log_from,
       const std::vector<CatalogDrift::Append>& appends,
-      const std::unordered_set<int64_t>& accumulated,
+      const std::vector<int64_t>& accumulated,
       const ExplainAllOptions& options,
       std::unique_ptr<ThreadPool>* workers) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -159,11 +160,7 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
 
   AuditState audit;
   audit.audited_rows = audited_rows_;
-  // One walk over the hash set: assign() would walk it twice (distance,
-  // then copy), which costs as much as the sort.
-  audit.explained_lids.reserve(explained_.size());
-  for (const int64_t lid : explained_) audit.explained_lids.push_back(lid);
-  std::sort(audit.explained_lids.begin(), audit.explained_lids.end());
+  audit.explained_lids = explained_;  // already ascending and distinct
   // Watermarks as of the last completed audit (snapshot_), NOT current row
   // counts: rows appended since the last audit must re-surface as drift
   // after recovery or the delta pass would silently skip them.
@@ -194,15 +191,21 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
   return Status::OK();
 }
 
-Status StreamingAuditor::AdoptRecoveredState(const CheckpointContents& ckpt,
+Status StreamingAuditor::AdoptRecoveredState(CheckpointContents ckpt,
                                              Env* env,
                                              const DurabilityOptions& options,
                                              uint64_t new_wal_seq) {
   MutexLock audit_lock(*audit_mu_);
   MutexLock writer_lock(*writer_mu_);
-  explained_.reserve(ckpt.audit.explained_lids.size());
-  explained_.insert(ckpt.audit.explained_lids.begin(),
-                    ckpt.audit.explained_lids.end());
+  // The manifest lists the lids ascending and distinct; anything else is
+  // put in order rather than trusted.
+  explained_ = std::move(ckpt.audit.explained_lids);
+  if (std::adjacent_find(explained_.begin(), explained_.end(),
+                         std::greater_equal<int64_t>()) != explained_.end()) {
+    std::sort(explained_.begin(), explained_.end());
+    explained_.erase(std::unique(explained_.begin(), explained_.end()),
+                     explained_.end());
+  }
   audited_rows_ = static_cast<size_t>(ckpt.audit.audited_rows);
   // Current generation/epochs (the recovered tables are this auditor's
   // reality now) but the *checkpointed* audit watermarks, so appends that
@@ -341,8 +344,23 @@ StatusOr<StreamingAuditor> StreamingAuditor::RecoverFrom(
 
   EBA_ASSIGN_OR_RETURN(StreamingAuditor auditor, Create(db, log_table));
   EBA_RETURN_IF_ERROR(
-      auditor.AdoptRecoveredState(ckpt, env, options, max_wal_seq + 1));
+      auditor.AdoptRecoveredState(std::move(ckpt), env, options,
+                                  max_wal_seq + 1));
   return auditor;
+}
+
+void StreamingAuditor::AddExplained(const std::vector<int64_t>& lids) {
+  if (lids.empty()) return;
+  const size_t held = explained_.size();
+  // New rows carry new, larger lids: then the vector just grows at its end.
+  const bool past_end = held == 0 || lids.front() > explained_.back();
+  explained_.insert(explained_.end(), lids.begin(), lids.end());
+  if (past_end) return;
+  std::inplace_merge(explained_.begin(),
+                     explained_.begin() + static_cast<long>(held),
+                     explained_.end());
+  explained_.erase(std::unique(explained_.begin(), explained_.end()),
+                   explained_.end());
 }
 
 StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
@@ -397,10 +415,8 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
   std::sort(delta.begin(), delta.end());
   delta = distinct(std::move(delta));
 
-  explained_.insert(report.explained_lids.begin(),
-                    report.explained_lids.end());
-  explained_.insert(report.delta_explained_lids.begin(),
-                    report.delta_explained_lids.end());
+  AddExplained(report.explained_lids);
+  AddExplained(report.delta_explained_lids);
   audited_rows_ = report.audited_to;
   // The next audit's drift baseline is what THIS audit actually saw — the
   // pinned snapshot, not live state. Rows appended while this audit ran sit

@@ -31,6 +31,7 @@
 #ifndef EBA_CORE_INGEST_H_
 #define EBA_CORE_INGEST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -273,7 +274,7 @@ class StreamingAuditor {
   /// comparison should use explained_count() / ExplainedSetEquals().
   std::unordered_set<int64_t> explained_lids() const EBA_EXCLUDES(*audit_mu_) {
     MutexLock lock(*audit_mu_);
-    return explained_;
+    return std::unordered_set<int64_t>(explained_.begin(), explained_.end());
   }
   /// Size of the explained-lid set without copying it (the bench/report
   /// accessor: O(1) under the audit lock).
@@ -286,11 +287,14 @@ class StreamingAuditor {
   bool ExplainedSetEquals(const std::unordered_set<int64_t>& other) const
       EBA_EXCLUDES(*audit_mu_) {
     MutexLock lock(*audit_mu_);
-    return explained_ == other;
+    // explained_ is duplicate-free: equal sizes plus containment is equality.
+    return explained_.size() == other.size() &&
+           std::all_of(explained_.begin(), explained_.end(),
+                       [&other](int64_t lid) { return other.count(lid) > 0; });
   }
   bool IsExplained(int64_t lid) const EBA_EXCLUDES(*audit_mu_) {
     MutexLock lock(*audit_mu_);
-    return explained_.count(lid) > 0;
+    return std::binary_search(explained_.begin(), explained_.end(), lid);
   }
 
   // Monotonic ingestion counters; relaxed atomics so bench/report loops can
@@ -335,10 +339,15 @@ class StreamingAuditor {
       EBA_REQUIRES(*audit_mu_, *writer_mu_);
   /// Installs checkpointed audit state + a fresh WAL on a just-created
   /// auditor (the recovery tail of RecoverFrom).
-  Status AdoptRecoveredState(const CheckpointContents& ckpt, Env* env,
+  Status AdoptRecoveredState(CheckpointContents ckpt, Env* env,
                              const DurabilityOptions& options,
                              uint64_t new_wal_seq)
       EBA_EXCLUDES(*audit_mu_, *writer_mu_);
+  /// Adds ascending, distinct `lids` to explained_, keeping it ascending and
+  /// distinct without a rebuild: lids past the largest held one append, and
+  /// only an older lid costs a merge.
+  void AddExplained(const std::vector<int64_t>& lids)
+      EBA_REQUIRES(*audit_mu_);
 
   Database* db_;
   ExplanationEngine engine_;
@@ -349,7 +358,9 @@ class StreamingAuditor {
   mutable std::unique_ptr<Mutex> audit_mu_;
   mutable std::unique_ptr<Mutex> writer_mu_;
 
-  std::unordered_set<int64_t> explained_ EBA_GUARDED_BY(*audit_mu_);
+  /// Lids explained by at least one template across all audits, ascending
+  /// and distinct.
+  std::vector<int64_t> explained_ EBA_GUARDED_BY(*audit_mu_);
   size_t audited_rows_ EBA_GUARDED_BY(*audit_mu_) = 0;
   AtomicCounter rows_appended_;
   AtomicCounter batches_appended_;

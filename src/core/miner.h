@@ -56,7 +56,7 @@ struct MinerOptions {
   /// every support query; the benches A/B the boxed reference engine
   /// against the late-materialization one through this).
   ExecutorOptions executor;
-  /// Cache compiled physical plans (join order, condition closures,
+  /// Cache compiled physical plans (join order, compiled checks,
   /// dictionary translations, index bindings) across support queries,
   /// keyed on the canonical condition set and revalidated against table
   /// structural epochs + append watermarks. Orthogonal to

@@ -152,9 +152,10 @@ std::vector<uint32_t> GatherU32(const std::vector<uint32_t>& src,
   return out;
 }
 
-/// Morsel fan-out context for one execution: how probe and filter scans are
-/// partitioned over the thread pool. Morsels() returns an empty vector as
-/// the "run serial" sentinel (no pool, one thread, or too few rows).
+/// Morsel fan-out context for one execution: how probe scans and final
+/// gathers are partitioned over the thread pool. Morsels() returns an empty
+/// vector as the "run serial" sentinel (no pool, one thread, or too few
+/// rows).
 struct ParCtx {
   ThreadPool* pool = nullptr;
   size_t threads = 1;
@@ -218,57 +219,6 @@ void ParallelSortInt64(std::vector<int64_t>* v, const ParCtx& par) {
   }
 }
 
-/// Keeps exactly the tuples for which `pred(i)` holds, compacting every
-/// row-id column. The predicate runs before any column moves. With morsels,
-/// per-shard keep lists are built independently and concatenated in shard
-/// order — byte-identical to the serial scan at any thread count.
-template <typename Pred>
-void FilterFrame(Frame* f, const ParCtx& par, Pred pred) {
-  const size_t n = f->size();
-  if (n == 0) return;
-  const std::vector<ShardRange> shards = par.Morsels(n);
-  if (shards.empty()) {
-    std::vector<uint32_t> keep;
-    keep.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (pred(i)) keep.push_back(i);
-    }
-    if (keep.size() == n) return;
-    for (auto& col : f->ids) col = GatherU32(col, keep);
-    return;
-  }
-  std::vector<std::vector<uint32_t>> keeps(shards.size());
-  ParallelFor(par.pool, shards.size(), [&](size_t s) {
-    std::vector<uint32_t>& k = keeps[s];
-    k.reserve(shards[s].end - shards[s].begin);
-    for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      if (pred(static_cast<uint32_t>(i))) k.push_back(static_cast<uint32_t>(i));
-    }
-  });
-  size_t total = 0;
-  std::vector<size_t> offsets(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
-    offsets[s] = total;
-    total += keeps[s].size();
-  }
-  if (total == n) return;
-  std::vector<std::vector<uint32_t>> compacted(f->ids.size(),
-                                               std::vector<uint32_t>(total));
-  ParallelFor(par.pool, shards.size(), [&](size_t s) {
-    for (size_t c = 0; c < f->ids.size(); ++c) {
-      const std::vector<uint32_t>& src = f->ids[c];
-      std::vector<uint32_t>& dst = compacted[c];
-      size_t o = offsets[s];
-      for (uint32_t i : keeps[s]) dst[o++] = src[i];
-    }
-  });
-  f->ids = std::move(compacted);
-}
-
-void ClearFrame(Frame* f) {
-  for (auto& col : f->ids) col.clear();
-}
-
 struct U32VecHasher {
   size_t operator()(const std::vector<uint32_t>& v) const {
     size_t h = 0x7a3c19d5;
@@ -321,144 +271,131 @@ void DedupFrame(Frame* f) {
 // caller.
 // ===========================================================================
 
-/// Applies a bound-bound condition directly against raw column payloads
-/// (kJoinFilter / kVarVarFilter steps). Same-type integer-like columns
-/// compare int64 payloads, strings compare dictionary codes (same column)
-/// or dictionary strings, doubles compare raw doubles; any cross-type pair
-/// falls back to boxed EvalCmp so the result is bit-identical to the
-/// reference engine.
-void ApplyVarVarStep(Frame* f, const PlanStep& st, const ParCtx& par) {
-  const std::vector<uint32_t>& lids = f->ids[static_cast<size_t>(st.lhs_slot)];
-  const std::vector<uint32_t>& rids = f->ids[static_cast<size_t>(st.rhs_slot)];
-  const Column* lc = st.lhs_col;
-  const Column* rc = st.rhs_col;
-  const CmpOp op = st.op;
-  if (lc->type() == rc->type() && lc->IsIntLike()) {
-    FilterFrame(f, par, [&](uint32_t i) {
-      const uint32_t lr = lids[i], rr = rids[i];
-      if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-      return RawCmp(lc->Int64At(lr), op, rc->Int64At(rr));
-    });
-  } else if (lc->type() == rc->type() && lc->IsString()) {
-    if (op == CmpOp::kEq && lc == rc) {
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t lr = lids[i], rr = rids[i];
-        if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-        return lc->StringCodeAt(lr) == rc->StringCodeAt(rr);
-      });
-    } else {
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t lr = lids[i], rr = rids[i];
-        if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-        return RawCmp(lc->StringAt(lr), op, rc->StringAt(rr));
-      });
-    }
-  } else if (lc->type() == rc->type() && lc->type() == DataType::kDouble) {
-    FilterFrame(f, par, [&](uint32_t i) {
-      const uint32_t lr = lids[i], rr = rids[i];
-      if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-      return RawCmp(lc->DoubleAt(lr), op, rc->DoubleAt(rr));
-    });
+/// Compiles an attribute-attribute check: same-type integer-like columns
+/// compare int64 payloads, strings compare dictionary codes (equality
+/// within one column) or dictionary strings, doubles compare raw doubles;
+/// any cross-type pair falls back to boxed EvalCmp so the result is
+/// bit-identical to the reference engine.
+PlanCheck CompileAttrCheck(int lhs_slot, const Column* lc, CmpOp op,
+                           int rhs_slot, const Column* rc) {
+  PlanCheck c;
+  c.op = op;
+  c.lhs_slot = lhs_slot;
+  c.lhs_col = lc;
+  c.rhs_slot = rhs_slot;
+  c.rhs_col = rc;
+  if (lc->type() != rc->type()) {
+    c.kind = PlanCheck::Kind::kBoxed;
+  } else if (lc->IsIntLike()) {
+    c.kind = PlanCheck::Kind::kInt64;
+  } else if (lc->IsString()) {
+    c.kind = op == CmpOp::kEq && lc == rc ? PlanCheck::Kind::kStringCode
+                                          : PlanCheck::Kind::kString;
+  } else if (lc->type() == DataType::kDouble) {
+    c.kind = PlanCheck::Kind::kDouble;
   } else {
-    FilterFrame(f, par, [&](uint32_t i) {
-      return EvalCmp(lc->Get(lids[i]), op, rc->Get(rids[i]));
-    });
+    c.kind = PlanCheck::Kind::kBoxed;
   }
+  return c;
 }
 
-/// Compiles an attribute-literal condition: the literal is resolved once at
+/// Compiles an attribute-literal check: the literal is resolved once at
 /// plan time (raw int64 / dictionary code / string / double) instead of per
 /// row per execution. Cross-type pairs fall back to boxed EvalCmp.
-PlanStep CompileConstFilter(int slot, const Column* c, CmpOp op,
-                            const Value& rhs) {
-  PlanStep st;
-  st.kind = PlanStep::Kind::kConstFilter;
-  st.lhs_slot = slot;
-  st.lhs_col = c;
-  st.op = op;
+PlanCheck CompileLiteralCheck(int slot, const Column* col, CmpOp op,
+                              const Value& rhs) {
+  PlanCheck c;
+  c.op = op;
+  c.lhs_slot = slot;
+  c.lhs_col = col;
   if (rhs.is_null()) {
-    st.lit_kind = PlanStep::LitKind::kNeverMatches;  // EvalCmp is false
-  } else if (c->IsIntLike() && rhs.type() == c->type()) {
-    st.lit_kind = PlanStep::LitKind::kInt64;
-    st.lit_int = rhs.RawInt64();
-  } else if (c->IsString() && rhs.type() == DataType::kString) {
+    c.kind = PlanCheck::Kind::kNeverMatches;  // EvalCmp is false
+  } else if (col->IsIntLike() && rhs.type() == col->type()) {
+    c.kind = PlanCheck::Kind::kInt64;
+    c.lit_int = rhs.RawInt64();
+  } else if (col->IsString() && rhs.type() == DataType::kString) {
     if (op == CmpOp::kEq) {
-      auto code = c->FindStringCode(rhs.AsString());
+      auto code = col->FindStringCode(rhs.AsString());
       if (code) {
-        st.lit_kind = PlanStep::LitKind::kStringCode;
-        st.lit_int = *code;
+        c.kind = PlanCheck::Kind::kStringCode;
+        c.lit_int = *code;
       } else {
         // Literal not in the dictionary: no row can match — but appends may
         // mint the code later, so keep the literal for append-rebinds.
-        st.lit_kind = PlanStep::LitKind::kNeverMatches;
-        st.lit_string = rhs.AsString();
-        st.lit_rebindable = true;
+        c.kind = PlanCheck::Kind::kNeverMatches;
+        c.lit_string = rhs.AsString();
+        c.lit_rebindable = true;
       }
     } else {
-      st.lit_kind = PlanStep::LitKind::kString;
-      st.lit_string = rhs.AsString();
+      c.kind = PlanCheck::Kind::kString;
+      c.lit_string = rhs.AsString();
     }
-  } else if (c->type() == DataType::kDouble &&
+  } else if (col->type() == DataType::kDouble &&
              rhs.type() == DataType::kDouble) {
-    st.lit_kind = PlanStep::LitKind::kDouble;
-    st.lit_double = rhs.AsDouble();
+    c.kind = PlanCheck::Kind::kDouble;
+    c.lit_double = rhs.AsDouble();
   } else {
-    st.lit_kind = PlanStep::LitKind::kBoxed;
-    st.lit_value = rhs;
+    c.kind = PlanCheck::Kind::kBoxed;
+    c.lit_value = rhs;
   }
-  return st;
+  return c;
 }
 
-void ApplyConstStep(Frame* f, const PlanStep& st, const ParCtx& par) {
-  const std::vector<uint32_t>& sids = f->ids[static_cast<size_t>(st.lhs_slot)];
-  const Column* c = st.lhs_col;
-  const CmpOp op = st.op;
-  switch (st.lit_kind) {
-    case PlanStep::LitKind::kNeverMatches:
-      ClearFrame(f);
-      return;
-    case PlanStep::LitKind::kInt64: {
-      const int64_t key = st.lit_int;
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t r = sids[i];
-        if (c->IsNull(r)) return false;
-        return RawCmp(c->Int64At(r), op, key);
-      });
-      return;
-    }
-    case PlanStep::LitKind::kStringCode: {
-      const int64_t key = st.lit_int;
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t r = sids[i];
-        if (c->IsNull(r)) return false;
-        return c->StringCodeAt(r) == key;
-      });
-      return;
-    }
-    case PlanStep::LitKind::kString: {
-      const std::string& key = st.lit_string;
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t r = sids[i];
-        if (c->IsNull(r)) return false;
-        return RawCmp(c->StringAt(r), op, key);
-      });
-      return;
-    }
-    case PlanStep::LitKind::kDouble: {
-      const double key = st.lit_double;
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t r = sids[i];
-        if (c->IsNull(r)) return false;
-        return RawCmp(c->DoubleAt(r), op, key);
-      });
-      return;
-    }
-    case PlanStep::LitKind::kBoxed:
-      FilterFrame(f, par, [&](uint32_t i) {
-        return EvalCmp(c->Get(sids[i]), op, st.lit_value);
-      });
-      return;
+/// Evaluates one check with its sides at rows `l` and `r` (a literal check
+/// ignores `r`). NULL never matches, as in the reference engine's EvalCmp.
+bool CheckHolds(const PlanCheck& c, uint32_t l, uint32_t r) {
+  const Column& lc = *c.lhs_col;
+  const Column* rc = c.rhs_col;
+  switch (c.kind) {
+    case PlanCheck::Kind::kNeverMatches:
+      return false;
+    case PlanCheck::Kind::kBoxed:
+      return rc != nullptr ? EvalCmp(lc.Get(l), c.op, rc->Get(r))
+                           : EvalCmp(lc.Get(l), c.op, c.lit_value);
+    default:
+      break;
   }
+  if (lc.IsNull(l) || (rc != nullptr && rc->IsNull(r))) return false;
+  switch (c.kind) {
+    case PlanCheck::Kind::kInt64:
+      return RawCmp(lc.Int64At(l), c.op,
+                    rc != nullptr ? rc->Int64At(r) : c.lit_int);
+    case PlanCheck::Kind::kStringCode:
+      return lc.StringCodeAt(l) ==
+             (rc != nullptr ? rc->StringCodeAt(r) : c.lit_int);
+    case PlanCheck::Kind::kString:
+      return rc != nullptr ? RawCmp(lc.StringAt(l), c.op, rc->StringAt(r))
+                           : RawCmp(lc.StringAt(l), c.op, c.lit_string);
+    case PlanCheck::Kind::kDouble:
+      return RawCmp(lc.DoubleAt(l), c.op,
+                    rc != nullptr ? rc->DoubleAt(r) : c.lit_double);
+    default:
+      return false;
+  }
+}
+
+/// True when every check of a binding step holds for row `i` of the frame
+/// `in` entering the step and the candidate row `cand`.
+bool ChecksHold(const std::vector<PlanCheck>& checks, const Frame& in,
+                size_t i, uint32_t cand) {
+  const size_t cand_slot = in.ids.size();
+  auto row = [&](int slot) {
+    const size_t s = static_cast<size_t>(slot);
+    return s == cand_slot ? cand : in.ids[s][i];
+  };
+  for (const PlanCheck& c : checks) {
+    const uint32_t l = row(c.lhs_slot);
+    const uint32_t r = c.rhs_col != nullptr ? row(c.rhs_slot) : l;
+    if (!CheckHolds(c, l, r)) return false;
+  }
+  return true;
+}
+
+/// A step with a never-matching literal check binds no row at all.
+bool NeverMatches(const std::vector<PlanCheck>& checks) {
+  return std::any_of(checks.begin(), checks.end(), [](const PlanCheck& c) {
+    return c.kind == PlanCheck::Kind::kNeverMatches;
+  });
 }
 
 /// Applies a semi-join drop step: rebuilds the frame from the surviving
@@ -476,16 +413,19 @@ void ApplyDropStep(Frame* f, const PlanStep& st) {
 }
 
 /// One hash-join step: probes the build side's index with raw payloads (or
-/// pre-translated dictionary codes) and appends row ids — the accumulated
-/// tuple is never copied as boxed values, only its uint32 columns are
-/// gathered through the selection vector. With morsels, the probe column is
-/// partitioned into contiguous shards; per-shard selection vectors are
-/// built independently and concatenated in shard order, so the output frame
-/// is byte-identical to the serial probe at any thread count.
+/// pre-translated dictionary codes), checks every condition the binding
+/// completes against each candidate match, and appends the row ids of the
+/// survivors only — the accumulated tuple is never copied as boxed values,
+/// only its uint32 columns are gathered through the selection vector. A
+/// step that does not keep its new variable (semi-join) appends each input
+/// row at most once, at its first surviving match. With morsels, the probe
+/// column is partitioned into contiguous shards; per-shard selection
+/// vectors are built independently and concatenated in shard order, so the
+/// output frame is byte-identical to the serial probe at any thread count.
 void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
                      ExecStats* stats, size_t build_bound) {
   const std::vector<uint32_t>& pids = f->ids[static_cast<size_t>(st.probe_slot)];
-  const size_t n = f->size();
+  const size_t n = NeverMatches(st.checks) ? 0 : f->size();
   const Column& probe_col = *st.probe_col;
   const HashIndex& idx = *st.index;
 
@@ -497,7 +437,9 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
     // watermark never join.
     auto emit = [&](size_t i, RowIdSpan matches) {
       for (uint32_t m : matches) {
+        if (!st.checks.empty() && !ChecksHold(st.checks, *f, i, m)) continue;
         sel->push_back(static_cast<uint32_t>(i));
+        if (!st.keep_new) return;
         new_ids->push_back(m);
       }
     };
@@ -601,27 +543,28 @@ void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
       ExecuteJoinStep(f, st, par, stats,
                       var_bounds[static_cast<size_t>(st.new_var)]);
       break;
-    case PlanStep::Kind::kJoinFilter:
-    case PlanStep::Kind::kVarVarFilter:
-      ApplyVarVarStep(f, st, par);
-      break;
-    case PlanStep::Kind::kConstFilter:
-      ApplyConstStep(f, st, par);
-      break;
     case PlanStep::Kind::kDrop:
       ApplyDropStep(f, st);
       break;
     case PlanStep::Kind::kSeedRange: {
       // The (empty) frame becomes the seed range's rows of `new_var`'s
-      // table, never past the snapshot bound; the join frontier grows
-      // outward from them.
+      // table that pass the seed's checks, never past the snapshot bound;
+      // the join frontier grows outward from them.
       EBA_CHECK_MSG(f->ids.empty(), "kSeedRange needs an empty frame");
       const size_t end = std::min(
           seed_range.end, var_bounds[static_cast<size_t>(st.new_var)]);
       const size_t begin = std::min(seed_range.begin, end);
-      f->ids.emplace_back(end - begin);
-      std::iota(f->ids[0].begin(), f->ids[0].end(),
-                static_cast<uint32_t>(begin));
+      std::vector<uint32_t> rows;
+      if (st.checks.empty()) {
+        rows.resize(end - begin);
+        std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(begin));
+      } else if (!NeverMatches(st.checks)) {
+        for (size_t r = begin; r < end; ++r) {
+          const uint32_t row = static_cast<uint32_t>(r);
+          if (ChecksHold(st.checks, *f, 0, row)) rows.push_back(row);
+        }
+      }
+      f->ids.push_back(std::move(rows));
       stats->peak_intermediate = std::max(stats->peak_intermediate, f->size());
       break;
     }
@@ -630,8 +573,10 @@ void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
 
 // ===========================================================================
 // Plan compiler: turns a PathQuery into a CompiledPlan — chosen join order,
-// resolved condition closures, pre-translated dictionary codes, index
-// bindings, and the semi-join drop schedule — without moving a row. It
+// each binding step's checks with resolved literals, pre-translated
+// dictionary codes, index bindings, and the semi-join drop schedule —
+// without moving a row. Every condition is checked inside the step that
+// binds the last variable it references, so there are no filter steps. It
 // holds no frame, only the slot layout its emitted steps will produce. One
 // instance per compile.
 // ===========================================================================
@@ -691,35 +636,31 @@ class PlanCompiler {
       plan_->used_cost_based_order = true;
     }
 
-    // --- Initial frame: the pivot variable's rows. ---
+    // --- Initial frame: the pivot variable's rows that pass every
+    // --- condition on the pivot alone. ---
     PlanStep seed;
     seed.kind = PlanStep::Kind::kSeedRange;
     seed.new_var = pivot_var;
+    std::vector<int> fused = TakeChecks(pivot_var, &seed.checks);
     Emit(std::move(seed));
-    EmitFilters();
     EmitDropAndDedup();
+    AddStatsPoints(-1, -1.0, fused);
 
-    // --- Join loop: order the chain conditions. ---
-    size_t remaining = joins_.size();
+    // --- Join loop: order the binding joins. Every binding step checks
+    // --- the conditions it completes, so no unapplied chain condition ever
+    // --- has both sides bound here. ---
+    size_t remaining = joins_.size() - fused.size();
     while (remaining > 0) {
-      // Fully-bound conditions always apply first (they only shrink the
-      // frame); among binding joins the policy picks declaration order or
-      // the smallest fan-out per input row — every candidate would be fed
-      // the same frame, so that is also the smallest predicted
-      // intermediate.
+      // The policy picks declaration order or the smallest fan-out per
+      // input row — every candidate would be fed the same frame, so that is
+      // also the smallest predicted intermediate.
       int pick = -1;
-      bool pick_is_filter = false;
       double pick_fanout = -1.0;
       for (size_t i = 0; i < joins_.size(); ++i) {
         if (join_applied_[i]) continue;
         const bool lb = bound_[static_cast<size_t>(joins_[i].lhs.var)];
         const bool rb = bound_[static_cast<size_t>(joins_[i].rhs.var)];
-        if (lb && rb) {
-          pick = static_cast<int>(i);
-          pick_is_filter = true;
-          pick_fanout = -1.0;
-          break;
-        }
+        EBA_CHECK_MSG(!(lb && rb), "bound chain condition left unchecked");
         if (!lb && !rb) continue;
         if (!estimator) {
           if (pick < 0) pick = static_cast<int>(i);
@@ -741,36 +682,16 @@ class PlanCompiler {
             "variable");
       }
       const VarCondition& c = joins_[static_cast<size_t>(pick)];
-      join_applied_[static_cast<size_t>(pick)] = true;
-      --remaining;
-
-      if (pick_is_filter) {
-        PlanStep st;
-        st.kind = PlanStep::Kind::kJoinFilter;
-        st.condition_index = pick;
-        st.lhs_slot = Slot(c.lhs.var);
-        st.rhs_slot = Slot(c.rhs.var);
-        st.lhs_col = ColumnOf(c.lhs);
-        st.rhs_col = ColumnOf(c.rhs);
-        st.op = c.op;
-        Emit(std::move(st));
-      } else {
-        if (c.op != CmpOp::kEq) {
-          return Status::Unimplemented(
-              "non-equality join in chain; put theta conditions in "
-              "extra_conditions");
-        }
-        EmitJoin(c, pick);
+      if (c.op != CmpOp::kEq) {
+        return Status::Unimplemented(
+            "non-equality join in chain; put theta conditions in "
+            "extra_conditions");
       }
-
-      EmitFilters();
+      join_applied_[static_cast<size_t>(pick)] = true;
+      fused = EmitJoin(c);
       EmitDropAndDedup();
-      CompiledPlan::StatsPoint sp;
-      sp.after_step = plan_->steps.size() - 1;
-      sp.condition_index = pick;
-      sp.is_filter = pick_is_filter;
-      sp.fanout = pick_fanout;
-      plan_->stats_points.push_back(sp);
+      AddStatsPoints(pick, pick_fanout, fused);
+      remaining -= 1 + fused.size();
     }
 
     // Every variable must have been bound (otherwise the query was not a
@@ -810,9 +731,8 @@ class PlanCompiler {
   }
 
   /// Appends `st` to the plan and advances the slot layout to the one the
-  /// step leaves behind: a seed starts it, a join and a drop keep their
-  /// surviving slots in order (a join then appends its new variable), and
-  /// filters leave it unchanged.
+  /// step leaves behind: a seed starts it, and a join and a drop keep their
+  /// surviving slots in order (a join then appends its new variable).
   void Emit(PlanStep st) {
     auto keep = [this](const std::vector<uint32_t>& slots) {
       std::vector<int> next;
@@ -831,40 +751,67 @@ class PlanCompiler {
       case PlanStep::Kind::kDrop:
         vars_ = keep(st.drop_keep_slots);
         break;
-      case PlanStep::Kind::kJoinFilter:
-      case PlanStep::Kind::kVarVarFilter:
-      case PlanStep::Kind::kConstFilter:
-        break;
     }
     plan_->steps.push_back(std::move(st));
   }
 
-  /// Emits every decoration whose variables are all bound.
-  void EmitFilters() {
-    for (size_t i = 0; i < extras_.size(); ++i) {
-      if (extra_applied_[i]) continue;
-      const VarCondition& c = extras_[i];
-      if (!bound_[static_cast<size_t>(c.lhs.var)] ||
-          !bound_[static_cast<size_t>(c.rhs.var)]) {
-        continue;
-      }
-      extra_applied_[i] = true;
-      PlanStep st;
-      st.kind = PlanStep::Kind::kVarVarFilter;
-      st.lhs_slot = Slot(c.lhs.var);
-      st.rhs_slot = Slot(c.rhs.var);
-      st.lhs_col = ColumnOf(c.lhs);
-      st.rhs_col = ColumnOf(c.rhs);
-      st.op = c.op;
-      Emit(std::move(st));
+  /// Records the stats point of the chain condition `pick` probed by the
+  /// last binding step (none for the seed, pick < 0) and of each chain
+  /// condition in `fused` it checked, all after the step's trailing drop.
+  void AddStatsPoints(int pick, double fanout, const std::vector<int>& fused) {
+    CompiledPlan::StatsPoint sp;
+    sp.after_step = plan_->steps.size() - 1;
+    if (pick >= 0) {
+      sp.condition_index = pick;
+      sp.fanout = fanout;
+      plan_->stats_points.push_back(sp);
+    }
+    sp.is_filter = true;
+    sp.fanout = -1.0;
+    for (int i : fused) {
+      sp.condition_index = i;
+      plan_->stats_points.push_back(sp);
+    }
+  }
+
+  /// Marks applied, and compiles into `checks`, every unapplied condition
+  /// that binding `var` (already marked bound) completes: chain conditions
+  /// first, then literals, then decorations. Sides on `var` name the
+  /// candidate slot, one past the current layout. Returns the chain
+  /// conditions taken, for their stats points.
+  std::vector<int> TakeChecks(int var, std::vector<PlanCheck>* checks) {
+    const int cand = static_cast<int>(vars_.size());
+    auto slot = [&](int v) { return v == var ? cand : Slot(v); };
+    auto complete = [&](const VarCondition& c) {
+      return bound_[static_cast<size_t>(c.lhs.var)] &&
+             bound_[static_cast<size_t>(c.rhs.var)];
+    };
+    auto attr_check = [&](const VarCondition& c) {
+      return CompileAttrCheck(slot(c.lhs.var), ColumnOf(c.lhs), c.op,
+                              slot(c.rhs.var), ColumnOf(c.rhs));
+    };
+    std::vector<int> fused;
+    for (size_t i = 0; i < joins_.size(); ++i) {
+      if (join_applied_[i] || !complete(joins_[i])) continue;
+      join_applied_[i] = true;
+      fused.push_back(static_cast<int>(i));
+      checks->push_back(attr_check(joins_[i]));
     }
     for (size_t i = 0; i < consts_.size(); ++i) {
-      if (const_applied_[i]) continue;
       const ConstCondition& c = consts_[i];
-      if (!bound_[static_cast<size_t>(c.lhs.var)]) continue;
+      if (const_applied_[i] || !bound_[static_cast<size_t>(c.lhs.var)]) {
+        continue;
+      }
       const_applied_[i] = true;
-      Emit(CompileConstFilter(Slot(c.lhs.var), ColumnOf(c.lhs), c.op, c.rhs));
+      checks->push_back(
+          CompileLiteralCheck(slot(c.lhs.var), ColumnOf(c.lhs), c.op, c.rhs));
     }
+    for (size_t i = 0; i < extras_.size(); ++i) {
+      if (extra_applied_[i] || !complete(extras_[i])) continue;
+      extra_applied_[i] = true;
+      checks->push_back(attr_check(extras_[i]));
+    }
+    return fused;
   }
 
   /// Variables still needed downstream: referenced by an unapplied
@@ -893,9 +840,11 @@ class PlanCompiler {
 
   /// The semi-join step: drops every frame column whose tuple variable is
   /// no longer needed (see NeededVars), then deduplicates the surviving
-  /// row-id tuples. Join and filter steps keep tuples unique, so dedup is
+  /// row-id tuples. Seed and join steps keep tuples unique, so dedup is
   /// only needed when a column was dropped — here or inside the preceding
-  /// join (join_dropped_).
+  /// join (join_dropped_). A join that drops only its new variable writes
+  /// each input row at most once, a subsequence of its duplicate-free input,
+  /// so it needs none.
   void EmitDropAndDedup() {
     if (!dedup_frontier_) return;
     const std::vector<bool> needed = NeededVars();
@@ -919,8 +868,10 @@ class PlanCompiler {
   }
 
   /// Compiles one binding hash-join: resolves the probe dispatch, the index
-  /// binding, the dictionary-code translation, and the semi-join keep mask.
-  void EmitJoin(const VarCondition& c, int pick) {
+  /// binding, the dictionary-code translation, the checks of every
+  /// condition the binding completes, and the semi-join keep mask. Returns
+  /// the chain conditions it checks.
+  std::vector<int> EmitJoin(const VarCondition& c) {
     const bool lhs_bound = bound_[static_cast<size_t>(c.lhs.var)];
     const QAttr bound_attr = lhs_bound ? c.lhs : c.rhs;
     const QAttr new_attr = lhs_bound ? c.rhs : c.lhs;
@@ -934,7 +885,6 @@ class PlanCompiler {
 
     PlanStep st;
     st.kind = PlanStep::Kind::kJoin;
-    st.condition_index = pick;
     st.probe_slot = Slot(bound_attr.var);
     st.probe_col = &probe_col;
     st.index = &idx;
@@ -954,10 +904,13 @@ class PlanCompiler {
       st.probe_kind = PlanStep::ProbeKind::kBoxed;
     }
 
+    bound_[static_cast<size_t>(new_var)] = true;
+    std::vector<int> fused = TakeChecks(new_var, &st.checks);
+
     // In semi-join mode, columns whose variable is already doomed (the
-    // just-applied join was marked applied before this call, so NeededVars
-    // reflects the post-join state) are never gathered: they would be
-    // dropped by EmitDropAndDedup's step right after the decorations run.
+    // probed condition and every checked one are marked applied, so
+    // NeededVars reflects the post-join state) are never gathered: the
+    // checks read the entering frame, and nothing downstream reads them.
     st.keep_slots.reserve(vars_.size());
     st.keep_new = true;
     if (dedup_frontier_) {
@@ -970,14 +923,13 @@ class PlanCompiler {
         }
       }
       st.keep_new = needed[static_cast<size_t>(new_var)];
-      if (!st.keep_new) join_dropped_ = true;
     } else {
       for (size_t s = 0; s < vars_.size(); ++s) {
         st.keep_slots.push_back(static_cast<uint32_t>(s));
       }
     }
-    bound_[static_cast<size_t>(new_var)] = true;
     Emit(std::move(st));
+    return fused;
   }
 
   const Database::Snapshot& snapshot_;
@@ -993,7 +945,7 @@ class PlanCompiler {
   const std::vector<ConstCondition>& consts_;
 
   std::vector<int> vars_;      // slot -> tuple variable after the last step
-  bool join_dropped_ = false;  // a join skipped a doomed column; dedup due
+  bool join_dropped_ = false;  // a join skipped a doomed entering column
   std::vector<bool> join_applied_;
   std::vector<bool> extra_applied_;
   std::vector<bool> const_applied_;

@@ -4,16 +4,21 @@
 //
 //  - kLateMaterialization (default): intermediates are a struct-of-arrays
 //    *frame* — one std::vector<uint32_t> of row ids per bound tuple variable.
-//    A hash-join probe appends row ids instead of copying boxed rows,
-//    filters evaluate compiled per-condition closures directly against
-//    Column raw payloads / dictionary codes, and boxed Values are
-//    materialized exactly once, at the final projection
-//    (Column::MaterializeInto). Distinct-lid evaluation takes a semi-join
-//    fast path: tuple-variable columns are dropped from the frame as soon as
-//    no unapplied condition touches them, and the surviving row-id tuples
-//    are deduplicated in place — the row-id analog of the paper's "reducing
-//    result multiplicity" optimization (§3.2.1), without ever building a
-//    boxed row.
+//    Every condition is applied inside the step that binds the last tuple
+//    variable it references: the seed checks the conditions on the seeded
+//    variable alone, and a hash-join probe checks every chain condition,
+//    decoration and literal its binding completes against each candidate
+//    match — directly on Column raw payloads / dictionary codes — and
+//    appends row ids for the survivors only. There are no filter steps, so
+//    no step writes a row a later step drops. Boxed Values are materialized
+//    exactly once, at the final projection (Column::MaterializeInto).
+//    Distinct-lid evaluation takes a semi-join fast path: tuple-variable
+//    columns are dropped from the frame as soon as no unapplied condition
+//    touches them, a join that keeps no new column writes each input row at
+//    most once (at its first surviving match), and the row-id tuples left
+//    after a drop are deduplicated in place — the row-id analog of the
+//    paper's "reducing result multiplicity" optimization (§3.2.1), without
+//    ever building a boxed row.
 //
 //    Every run compiles, then runs: a compiler turns the query into a
 //    CompiledPlan (query/plan_cache.h) without touching a row — it tracks
@@ -32,9 +37,9 @@
 //    explains with its own lid filter) and as the baseline for the A/B
 //    benchmarks (BM_ExecutorJoin / BM_DistinctLids).
 //
-// Join ordering (ExecutorOptions::join_order): conditions whose variables
-// are already bound always apply first as filters; among chain conditions
-// that bind a new tuple variable, kDeclared picks the first in declaration
+// Join ordering (ExecutorOptions::join_order): since every binding step
+// checks the conditions it completes, each pick is a chain condition that
+// binds a new tuple variable. kDeclared picks the first in declaration
 // order (the historical greedy behavior) while kCostBased (default) asks
 // the CardinalityEstimator for each candidate's fan-out (output rows per
 // input row) and picks the smallest, breaking ties by declaration order so
@@ -111,11 +116,11 @@ struct ExecutorOptions {
   JoinOrder join_order = JoinOrder::kCostBased;
 
   /// Morsel-parallel probe phase (kLateMaterialization only): each join
-  /// step's probe column — and every filter scan — is partitioned into
-  /// contiguous shards, per-shard selection vectors are built independently,
-  /// and the shards are concatenated in shard order, so frames, DistinctLids
-  /// results, and ExplainAll reports are byte-identical to serial execution
-  /// at any thread count. <= 1 runs everything on the calling thread.
+  /// step's probe column is partitioned into contiguous shards, per-shard
+  /// selection vectors are built independently, and the shards are
+  /// concatenated in shard order, so frames, DistinctLids results, and
+  /// ExplainAll reports are byte-identical to serial execution at any
+  /// thread count. <= 1 runs everything on the calling thread.
   size_t num_threads = 1;
   /// Optional external pool the morsels run on when num_threads > 1 (not
   /// owned; e.g. ExplainAll's pool — ParallelFor is nesting-safe, the
@@ -123,18 +128,17 @@ struct ExecutorOptions {
   /// num_threads alone governs the fan-out width. When null and
   /// num_threads > 1 the executor lazily creates its own pool.
   ThreadPool* pool = nullptr;
-  /// Lower bound on probe/filter rows per morsel, so small frames are not
-  /// split into shards smaller than the fan-out overhead.
+  /// Lower bound on probe rows per morsel, so small frames are not split
+  /// into shards smaller than the fan-out overhead.
   size_t min_rows_per_morsel = 4096;
 
   /// Optional shared compiled-plan cache (not owned; see
   /// query/plan_cache.h). When set, each fully-compiled physical plan —
-  /// chosen join order, compiled condition closures, pre-translated
-  /// dictionary codes, index bindings — is cached under the query's
-  /// canonical condition-set key, revalidated against the referenced
-  /// tables' structural epochs + append watermarks (appends re-bind the
-  /// plan instead of discarding it), and structurally identical queries
-  /// run it without compiling.
+  /// chosen join order, compiled checks, pre-translated dictionary codes,
+  /// index bindings — is cached under the query's canonical condition-set
+  /// key, revalidated against the referenced tables' structural epochs +
+  /// append watermarks (appends re-bind the plan instead of discarding
+  /// it), and structurally identical queries run it without compiling.
   PlanCache* plan_cache = nullptr;
 };
 
@@ -147,7 +151,9 @@ struct ExecStats {
   /// One entry per applied chain condition, in application order.
   struct JoinStep {
     int condition_index = -1;     // index into PathQuery::join_chain
-    bool is_filter = false;       // both sides were already bound
+    /// The condition bound no new variable: the seed or join that bound
+    /// its last variable checked it, and rows_after is that step's.
+    bool is_filter = false;
     size_t rows_after = 0;        // intermediate size after this step
     /// Cost-based prediction for the rows this run fed into the join: the
     /// plan's fan-out times the frame size entering it, on a compiling run
@@ -175,7 +181,7 @@ struct ExecStats {
   uint64_t plan_rebinds = 0;
   /// Cumulative LRU evictions forced by PlanCacheOptions::max_bytes.
   uint64_t plan_cache_evictions = 0;
-  /// Largest morsel count any probe/filter scan was split into (1 = serial).
+  /// Largest morsel count any probe scan was split into (1 = serial).
   size_t max_probe_shards = 1;
 };
 

@@ -41,7 +41,8 @@ size_t CompiledPlan::ApproxBytes() const {
     bytes += st.translated_codes.capacity() * sizeof(int64_t);
     bytes += st.keep_slots.capacity() * sizeof(uint32_t);
     bytes += st.drop_keep_slots.capacity() * sizeof(uint32_t);
-    bytes += st.lit_string.capacity();
+    bytes += st.checks.capacity() * sizeof(PlanCheck);
+    for (const PlanCheck& c : st.checks) bytes += c.lit_string.capacity();
   }
   return bytes;
 }
@@ -59,53 +60,41 @@ std::shared_ptr<const CompiledPlan> RebindPlanForAppend(
     rebound->table_watermarks[i] = rebound->tables[i]->append_watermark();
   }
   for (PlanStep& st : rebound->steps) {
-    switch (st.kind) {
-      case PlanStep::Kind::kJoin: {
-        const Table* table =
-            rebound->tables[static_cast<size_t>(st.new_var)];
-        // Re-request the index: extends it past the watermark. The HashIndex
-        // object survives appends, so the pointer is unchanged in practice —
-        // the call exists for its extension side effect.
-        st.index = &table->GetOrBuildIndex(static_cast<size_t>(st.index_col));
-        if (st.probe_kind == PlanStep::ProbeKind::kStringTranslated) {
-          const Column& build_col =
-              table->column(static_cast<size_t>(st.index_col));
-          const size_t build_dict = build_col.DictionarySize();
-          const size_t probe_dict = st.probe_col->DictionarySize();
-          if (build_dict != st.build_dict_size) {
-            // New build-side strings: probe codes that previously resolved
-            // to -1 may now translate, so recompute the whole table.
-            st.translated_codes = st.index->TranslateCodesFrom(*st.probe_col);
-            st.build_dict_size = build_dict;
-          } else if (probe_dict > st.translated_codes.size()) {
-            // Only the probe side minted codes: translate just the suffix.
-            st.translated_codes.reserve(probe_dict);
-            for (size_t code = st.translated_codes.size(); code < probe_dict;
-                 ++code) {
-              auto own = build_col.FindStringCode(
-                  st.probe_col->DictionaryEntry(static_cast<int64_t>(code)));
-              st.translated_codes.push_back(own ? *own : -1);
-            }
-          }
-        }
-        break;
+    for (PlanCheck& c : st.checks) {
+      if (!c.lit_rebindable) continue;
+      // A string-equality literal absent from the dictionary at compile
+      // time: appends may have minted its code.
+      auto code = c.lhs_col->FindStringCode(c.lit_string);
+      if (code) {
+        c.kind = PlanCheck::Kind::kStringCode;
+        c.lit_int = *code;
+        c.lit_rebindable = false;  // codes are stable once minted
       }
-      case PlanStep::Kind::kConstFilter:
-        if (st.lit_rebindable) {
-          // A string-equality literal absent from the dictionary at compile
-          // time: appends may have minted its code.
-          auto code = st.lhs_col->FindStringCode(st.lit_string);
-          if (code) {
-            st.lit_kind = PlanStep::LitKind::kStringCode;
-            st.lit_int = *code;
-            st.lit_rebindable = false;  // codes are stable once minted
-          } else {
-            st.lit_kind = PlanStep::LitKind::kNeverMatches;
-          }
-        }
-        break;
-      default:
-        break;
+    }
+    if (st.kind != PlanStep::Kind::kJoin) continue;
+    const Table* table = rebound->tables[static_cast<size_t>(st.new_var)];
+    // Re-request the index: extends it past the watermark. The HashIndex
+    // object survives appends, so the pointer is unchanged in practice —
+    // the call exists for its extension side effect.
+    st.index = &table->GetOrBuildIndex(static_cast<size_t>(st.index_col));
+    if (st.probe_kind != PlanStep::ProbeKind::kStringTranslated) continue;
+    const Column& build_col = table->column(static_cast<size_t>(st.index_col));
+    const size_t build_dict = build_col.DictionarySize();
+    const size_t probe_dict = st.probe_col->DictionarySize();
+    if (build_dict != st.build_dict_size) {
+      // New build-side strings: probe codes that previously resolved to -1
+      // may now translate, so recompute the whole table.
+      st.translated_codes = st.index->TranslateCodesFrom(*st.probe_col);
+      st.build_dict_size = build_dict;
+    } else if (probe_dict > st.translated_codes.size()) {
+      // Only the probe side minted codes: translate just the suffix.
+      st.translated_codes.reserve(probe_dict);
+      for (size_t code = st.translated_codes.size(); code < probe_dict;
+           ++code) {
+        auto own = build_col.FindStringCode(
+            st.probe_col->DictionaryEntry(static_cast<int64_t>(code)));
+        st.translated_codes.push_back(own ? *own : -1);
+      }
     }
   }
   return rebound;

@@ -3,15 +3,16 @@
 //
 // A CompiledPlan freezes everything the executor decides or resolves before
 // the first row moves: the chosen join order (including every cost-based
-// ordering decision), per-step condition "closures" with literals resolved
-// to raw payloads / dictionary codes, pre-computed dictionary-code
-// translation tables for cross-column string joins, hash-index bindings,
-// and the semi-join column-drop schedule. The executor compiles a plan
-// first and then runs it through one interpreter, so a cache hit skips
-// exactly the compile — query validation, table resolution, cardinality
-// estimation and closure compilation — the per-query planning cost the
-// miner pays thousands of times for structurally identical support
-// queries, and the per-access explain loop pays once per served request.
+// ordering decision), the checks each binding step evaluates per candidate
+// row with literals resolved to raw payloads / dictionary codes,
+// pre-computed dictionary-code translation tables for cross-column string
+// joins, hash-index bindings, and the semi-join column-drop schedule. The
+// executor compiles a plan first and then runs it through one interpreter,
+// so a cache hit skips exactly the compile — query validation, table
+// resolution, cardinality estimation and check compilation — the per-query
+// planning cost the miner pays thousands of times for structurally
+// identical support queries, and the per-access explain loop pays once per
+// served request.
 //
 // Staleness is three-valued (CompiledPlan::Freshness) and judged against
 // the querying snapshot (Database::Snapshot), matching the Table mutation
@@ -70,18 +71,55 @@
 
 namespace eba {
 
+/// One condition a binding step evaluates per candidate row: a chain
+/// condition or decoration between two attributes, or an attribute against
+/// a literal resolved at compile time. The compiler attaches every
+/// condition to the step that binds the last tuple variable it references,
+/// so each check involves the variable that step binds. Slots refer to the
+/// frame entering the step; the slot equal to that frame's slot count names
+/// the candidate row the step is about to bind (for the seed, whose
+/// entering frame is empty, that is slot 0).
+struct PlanCheck {
+  /// Comparison dispatch resolved at compile time.
+  enum class Kind : uint8_t {
+    kInt64,        // same-type integer-like payloads compare as int64
+    kStringCode,   // equality of dictionary codes (one column, or a literal)
+    kString,       // dictionary strings compare
+    kDouble,       // raw double comparison
+    kBoxed,        // cross-type pairs fall back to boxed EvalCmp
+    kNeverMatches  // NULL literal or string absent from the dictionary
+  };
+
+  Kind kind = Kind::kBoxed;
+  CmpOp op = CmpOp::kEq;
+  int lhs_slot = -1;
+  const Column* lhs_col = nullptr;
+  /// The right-hand attribute; rhs_col is null for a literal check.
+  int rhs_slot = -1;
+  const Column* rhs_col = nullptr;
+
+  // Literal checks.
+  int64_t lit_int = 0;
+  double lit_double = 0.0;
+  std::string lit_string;
+  Value lit_value;
+  /// True for a string-equality literal that was absent from the dictionary
+  /// at compile time (kind == kNeverMatches with lit_string holding the
+  /// literal): appends can mint the code, so a rebind re-resolves it.
+  bool lit_rebindable = false;
+};
+
 /// One frozen pipeline operation over the executor's row-id frame. Slot
 /// numbers refer to the frame layout at the point the step applies; the
 /// compiler tracks that layout as it emits steps, starting from the
 /// kSeedRange step every plan begins with, so the slots are valid on every
-/// run.
+/// run. There are no standalone filter steps: the seed and every join
+/// check the conditions their binding completes and write only the rows
+/// that pass.
 struct PlanStep {
   enum class Kind : uint8_t {
-    kJoin,          // hash-probe binding a new tuple variable
-    kJoinFilter,    // chain condition whose sides were both already bound
-    kVarVarFilter,  // decoration between two bound attributes
-    kConstFilter,   // decoration against a pre-resolved literal
-    kDrop,          // semi-join column drop (+ row-id tuple dedup)
+    kJoin,  // hash-probe binding a new tuple variable
+    kDrop,  // semi-join column drop (+ row-id tuple dedup)
     // First step: seed the empty frame at `new_var`'s rows. The seed range
     // is the executor's only restriction and a *runtime* input — the plan
     // freezes which variable is seeded, not the range, so one compiled plan
@@ -95,18 +133,8 @@ struct PlanStep {
     kStringTranslated,  // codes route through translated_codes first
     kBoxed,             // doubles / mismatched kinds: boxed Lookup
   };
-  /// Literal dispatch resolved at compile time (kConstFilter).
-  enum class LitKind : uint8_t {
-    kInt64,        // raw int64 comparison
-    kStringCode,   // dictionary-code equality
-    kString,       // dictionary-string ordering comparison
-    kDouble,       // raw double comparison
-    kBoxed,        // cross-type fallback through EvalCmp
-    kNeverMatches  // NULL literal or string absent from the dictionary
-  };
 
   Kind kind = Kind::kDrop;
-  int condition_index = -1;  // join_chain index (kJoin / kJoinFilter)
 
   // kJoin (new_var also names kSeedRange's variable).
   int probe_slot = -1;
@@ -122,25 +150,13 @@ struct PlanStep {
   /// means previously unresolvable probe codes may now translate.
   size_t build_dict_size = 0;
   std::vector<uint32_t> keep_slots;       // surviving pre-join slots, in order
-  bool keep_new = true;                   // gather the newly bound column
+  /// Gather the newly bound column. A semi-join step that does not keep it
+  /// writes each input row at most once, at its first surviving match.
+  bool keep_new = true;
 
-  // kJoinFilter / kVarVarFilter (kConstFilter uses the lhs side + op).
-  int lhs_slot = -1;
-  int rhs_slot = -1;
-  const Column* lhs_col = nullptr;
-  const Column* rhs_col = nullptr;
-  CmpOp op = CmpOp::kEq;
-
-  // kConstFilter.
-  LitKind lit_kind = LitKind::kBoxed;
-  int64_t lit_int = 0;
-  double lit_double = 0.0;
-  std::string lit_string;
-  Value lit_value;
-  /// True for a string-equality literal that was absent from the dictionary
-  /// at compile time (lit_kind == kNeverMatches with lit_string holding the
-  /// literal): appends can mint the code, so a rebind re-resolves it.
-  bool lit_rebindable = false;
+  // kSeedRange / kJoin: the conditions this binding completes — chain
+  // conditions first, then literals, then decorations.
+  std::vector<PlanCheck> checks;
 
   // kDrop.
   std::vector<uint32_t> drop_keep_slots;  // slots that survive, in order
@@ -166,8 +182,10 @@ struct CompiledPlan {
   std::vector<PlanStep> steps;
 
   /// Where a run records an ExecStats::JoinStep: after applying
-  /// steps[after_step], i.e. once the chain condition's trailing filters and
-  /// drops have run.
+  /// steps[after_step], i.e. once the binding step that applied the chain
+  /// condition and its trailing drop have run. There is one per chain
+  /// condition; one checked inside a binding step (rather than probed)
+  /// reports is_filter and shares that step's point.
   struct StatsPoint {
     size_t after_step = 0;
     int condition_index = -1;
@@ -198,20 +216,21 @@ struct CompiledPlan {
   /// snapshot does not contain.
   Freshness CheckFreshness(const Database::Snapshot& snapshot) const;
 
-  /// Approximate resident footprint (steps, translation tables, slot lists,
-  /// literals) for the cache's byte accounting.
+  /// Approximate resident footprint (steps, checks, translation tables,
+  /// slot lists, literals) for the cache's byte accounting.
   size_t ApproxBytes() const;
 };
 
 /// Re-binds `plan` after appends to its tables: refreshes index bindings
 /// (extending each index past the watermark), extends dictionary-code
 /// translation tables for newly minted probe codes (recomputing them when
-/// the build-side dictionary grew), re-resolves rebindable string literals,
-/// and stamps the current watermarks (read FIRST, before any dictionary
-/// state — so the translation tables provably cover every code reachable
-/// below the stamped watermarks even under a concurrent writer). The frozen
-/// join order, slot layout and stats points are untouched, so a run of the
-/// rebound plan over the old prefix is byte-identical to the original.
+/// the build-side dictionary grew), re-resolves rebindable string literals
+/// in every step's checks, and stamps the current watermarks (read FIRST,
+/// before any dictionary state — so the translation tables provably cover
+/// every code reachable below the stamped watermarks even under a
+/// concurrent writer). The frozen join order, slot layout and stats points
+/// are untouched, so a run of the rebound plan over the old prefix is
+/// byte-identical to the original.
 /// Requires CheckFreshness(snapshot) == kAppendedOnly for the caller's
 /// snapshot (same structural epochs).
 std::shared_ptr<const CompiledPlan> RebindPlanForAppend(

@@ -5,6 +5,8 @@
 #define EBA_STORAGE_STATISTICS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <unordered_set>
 
 #include "common/value.h"
@@ -54,6 +56,10 @@ class IncrementalColumnStats {
   size_t rows_seen_ = 0;
   std::unordered_set<int64_t> distinct_ints_;   // int-like columns
   std::unordered_set<Value> distinct_values_;   // double columns
+  // Raw extrema of an int-like column (meaningful once distinct_ints_ holds
+  // a value).
+  int64_t min_int_ = std::numeric_limits<int64_t>::max();
+  int64_t max_int_ = std::numeric_limits<int64_t>::min();
 };
 
 }  // namespace eba

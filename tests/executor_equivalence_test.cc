@@ -3,7 +3,9 @@
 // and the row-id frame engine — with and without cost-based join ordering —
 // must return identical results across randomized path queries over the
 // Figure 3 toy database and a generated CareWeb database, plus targeted
-// unit tests for the distinct-lid semi-join fast path.
+// unit tests for the distinct-lid semi-join fast path and for the checks
+// a binding step fuses (NULLs, cross-type and cross-dictionary pairs,
+// doubles, literals, seed-only conditions).
 
 #include <gtest/gtest.h>
 
@@ -13,9 +15,11 @@
 
 #include "careweb/generator.h"
 #include "careweb/workload.h"
+#include "common/date.h"
 #include "common/random.h"
 #include "core/engine.h"
 #include "graph/schema_graph.h"
+#include "log/access_log.h"
 #include "query/executor.h"
 #include "query/optimizer.h"
 #include "query/parser.h"
@@ -370,6 +374,172 @@ TEST_F(SemiJoinTest, MaterializeForLogIdsMatchesReference) {
   Relation late_rel = UnwrapOrDie(late.MaterializeForLogIds(q, Lid(), lids));
   EXPECT_EQ(ref_rel.attrs, late_rel.attrs);
   EXPECT_EQ(ref_rel.rows, late_rel.rows);
+}
+
+// ------------------------ Fused checks (edge cases) ------------------------
+
+/// A hospital whose binding steps each complete several conditions at once:
+/// NULLs on both sides of fused equalities, two string columns with their
+/// own dictionaries, NULL doubles, and log rows whose User equals their
+/// Patient (for a self-equality on variable 0).
+Database BuildFusedCheckDatabase() {
+  Database db;
+  auto must = [](const Status& s) { EBA_CHECK_MSG(s.ok(), s.ToString()); };
+  must(db.CreateTable(AccessLog::StandardSchema("Log")));
+  must(db.CreateTable(TableSchema(
+      "Events", {ColumnDef{"Patient", DataType::kInt64, "patient", false},
+                 ColumnDef{"Worker", DataType::kInt64, "user", false},
+                 ColumnDef{"Kind", DataType::kString, "", false},
+                 ColumnDef{"Ward", DataType::kString, "ward", false},
+                 ColumnDef{"Score", DataType::kDouble, "", false},
+                 ColumnDef{"At", DataType::kTimestamp, "", false}})));
+  must(db.CreateTable(TableSchema(
+      "Staff", {ColumnDef{"Worker", DataType::kInt64, "user", false},
+                ColumnDef{"Ward", DataType::kString, "ward", false},
+                ColumnDef{"Score", DataType::kDouble, "", false}})));
+  auto day = [](int d) {
+    return Value::Timestamp(Date::FromCivil(2011, 1, d, 9, 0, 0).ToSeconds());
+  };
+  auto i64 = [](int64_t v) { return Value::Int64(v); };
+  const Value null = Value::Null();
+
+  Table* log = db.GetTable("Log").value();
+  const struct {
+    int64_t lid;
+    int day;
+    Value user, patient;
+    const char* action;
+  } accesses[] = {
+      {1, 1, i64(10), i64(1), "viewed"}, {2, 2, i64(11), i64(1), "viewed"},
+      {3, 3, i64(10), i64(1), "edited"}, {4, 1, i64(12), i64(2), "viewed"},
+      {5, 2, null, i64(2), "viewed"},    {6, 4, i64(12), i64(2), "viewed"},
+      {7, 2, i64(13), i64(3), "viewed"}, {8, 5, i64(13), i64(3), "printed"},
+      {9, 3, i64(11), null, "viewed"},   {10, 6, i64(3), i64(3), "viewed"},
+      {11, 6, i64(2), i64(2), "viewed"}, {12, 7, i64(10), i64(1), "viewed"},
+  };
+  for (const auto& a : accesses) {
+    must(log->AppendRow({i64(a.lid), day(a.day), a.user, a.patient,
+                         Value::String(a.action)}));
+  }
+
+  Table* events = db.GetTable("Events").value();
+  auto str = [](const char* s) {
+    return s == nullptr ? Value::Null() : Value::String(s);
+  };
+  auto dbl = [](double d) {
+    return d < 0 ? Value::Null() : Value::Double(d);  // -1 stands for NULL
+  };
+  const struct {
+    Value patient, worker;
+    const char* kind;
+    const char* ward;
+    double score;
+    int day;
+  } rows[] = {
+      {i64(1), i64(10), "visit", "north", 1.5, 1},
+      {i64(1), i64(11), "lab", "south", -1, 2},
+      {i64(1), null, "visit", "north", 2.0, 2},
+      {null, i64(10), "visit", "north", 0.5, 1},
+      {i64(2), i64(12), "visit", "east", 3.0, 1},
+      {i64(2), i64(12), "lab", "east", 1.0, 3},
+      {i64(2), i64(2), "visit", "east", 2.5, 5},
+      {i64(3), i64(13), "lab", "west", 4.0, 2},
+      {i64(3), i64(3), "visit", nullptr, 1.0, 6},
+      {i64(3), i64(12), "visit", "west", 5.0, 4},
+  };
+  for (const auto& e : rows) {
+    must(events->AppendRow({e.patient, e.worker, str(e.kind), str(e.ward),
+                            dbl(e.score), day(e.day)}));
+  }
+
+  // Staff.Ward mints its codes in another order than Events.Ward.
+  Table* staff = db.GetTable("Staff").value();
+  const struct {
+    int64_t worker;
+    const char* ward;
+    double score;
+  } members[] = {{10, "north", 2.0}, {11, "north", 0.1}, {12, "east", 2.0},
+                 {12, "west", -1},   {13, "west", 3.5},  {2, "east", 9.0},
+                 {3, nullptr, 1.0}};
+  for (const auto& m : members) {
+    must(staff->AppendRow({i64(m.worker), str(m.ward), dbl(m.score)}));
+  }
+  return db;
+}
+
+TEST(FusedCheckTest, EdgeCasesMatchReference) {
+  const Database db = BuildFusedCheckDatabase();
+  const QAttr lid{0, 0};
+  const struct {
+    const char* name;
+    const char* from;
+    const char* where;
+    bool expect_rows;
+  } cases[] = {
+      // NULLs on both sides of the equality fused into the Events join.
+      {"null_equality", "Log L, Events E",
+       "L.Patient = E.Patient AND E.Worker = L.User", true},
+      // Timestamp against int64: the boxed EvalCmp path.
+      {"cross_type_decoration", "Log L, Events E",
+       "L.Patient = E.Patient AND E.Worker = L.User AND E.At > L.User", true},
+      // Ward equality across two dictionaries, fused with Worker = User.
+      {"cross_dictionary_string", "Log L, Events E, Staff S",
+       "L.Patient = E.Patient AND E.Worker = S.Worker AND S.Ward = E.Ward "
+       "AND S.Worker = L.User",
+       true},
+      {"double_comparison", "Log L, Events E, Staff S",
+       "L.Patient = E.Patient AND E.Worker = S.Worker AND S.Worker = L.User "
+       "AND S.Score > E.Score",
+       true},
+      {"literal_on_joined_variable", "Log L, Events E",
+       "L.Patient = E.Patient AND E.Worker = L.User AND E.Kind = 'visit' "
+       "AND E.At >= '2011-01-01'",
+       true},
+      {"absent_literal_on_joined_variable", "Log L, Events E",
+       "L.Patient = E.Patient AND E.Worker = L.User AND E.Kind = 'surgery'",
+       false},
+      // Both checks bind nothing but variable 0: the seed applies them.
+      {"seed_literal_and_self_equality", "Log L, Events E",
+       "L.Patient = E.Patient AND L.User = L.Patient AND "
+       "L.Action = 'viewed' AND E.Worker = L.User",
+       true},
+      // Two chain equalities and a decoration completed by one join.
+      {"repeat_access_shape", "Log L, Log L2",
+       "L.Patient = L2.Patient AND L2.User = L.User AND L.Date > L2.Date",
+       true},
+  };
+  const std::vector<Value> some_lids = {
+      Value::Int64(12), Value::Int64(1), Value::Int64(5), Value::Int64(99),
+      Value::Int64(7),  Value::Int64(3), Value::Int64(10), Value::Int64(11),
+      Value::Int64(2),  Value::Int64(6)};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PathQuery q = UnwrapOrDie(ParsePathQuery(db, c.from, c.where));
+    ExpectEquivalent(db, q, lid);
+
+    Executor reference(&db, BoxedReference());
+    Executor late(&db, LateDeclared());
+    const Relation ref_rel = UnwrapOrDie(reference.Materialize(q));
+    EXPECT_EQ(!ref_rel.rows.empty(), c.expect_rows);
+
+    const Relation ref_some =
+        UnwrapOrDie(reference.MaterializeForLogIds(q, lid, some_lids));
+    const Relation late_some =
+        UnwrapOrDie(late.MaterializeForLogIds(q, lid, some_lids));
+    EXPECT_EQ(ref_some.attrs, late_some.attrs);
+    EXPECT_EQ(ref_some.rows, late_some.rows);
+
+    // The morsel probe checks the same candidates as the serial one.
+    ExecutorOptions parallel = LateCostBased();
+    parallel.num_threads = 3;
+    parallel.min_rows_per_morsel = 1;
+    Executor late_cost(&db, LateCostBased());
+    Executor late_parallel(&db, parallel);
+    EXPECT_EQ(UnwrapOrDie(late_parallel.Materialize(q)).rows,
+              UnwrapOrDie(late_cost.Materialize(q)).rows);
+    EXPECT_EQ(UnwrapOrDie(late_parallel.DistinctLids(q, lid)),
+              UnwrapOrDie(reference.DistinctLids(q, lid)));
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Property-based (parameterized) tests of the library's core invariants:
 //   - support monotonicity: extending a path never increases support
 //     (the pruning property Algorithm 1 relies on),
-//   - executor strategy agreement on randomized databases,
+//   - executor strategy agreement on randomized databases, and binding
+//     joins that write only the rows their checks keep,
 //   - canonical-key reversal invariance on random paths,
 //   - date round-trips across a wide sweep,
 //   - estimator sanity (never negative, bounded by log size).
@@ -118,6 +119,32 @@ TEST_P(RandomDbTest, DecorationOnlyShrinksResults) {
   int64_t s_decorated = UnwrapOrDie(executor.CountDistinct(
       decorated, lid, Executor::SupportStrategy::kNaive));
   EXPECT_LE(s_decorated, s_simple);
+}
+
+TEST_P(RandomDbTest, BindingJoinWritesOnlySurvivingRows) {
+  // Each join checks every condition its binding completes before it writes
+  // a row, so it emits exactly the result: one row per explained lid in the
+  // semi-join (lids are unique here), one per result row otherwise.
+  Database db = RandomDatabase(GetParam(), 300, 150, 20, 40);
+  Executor executor(&db);
+  const QAttr lid{0, 0};
+  const struct {
+    const char* from;
+    const char* where;
+  } queries[] = {
+      {"Log L, Events E", "L.Patient = E.Patient AND E.Worker = L.User"},
+      {"Log L, Log L2",
+       "L.Patient = L2.Patient AND L2.User = L.User AND L.Date > L2.Date"},
+  };
+  for (const auto& text : queries) {
+    const PathQuery q = UnwrapOrDie(ParsePathQuery(db, text.from, text.where));
+    const std::vector<int64_t> lids = UnwrapOrDie(executor.DistinctLids(q, lid));
+    EXPECT_FALSE(lids.empty()) << text.where;
+    EXPECT_EQ(executor.last_stats().rows_emitted, lids.size()) << text.where;
+    const Relation rel = UnwrapOrDie(executor.Materialize(q));
+    EXPECT_EQ(executor.last_stats().rows_emitted, rel.rows.size())
+        << text.where;
+  }
 }
 
 TEST_P(RandomDbTest, EstimatorBoundedAndNonNegative) {

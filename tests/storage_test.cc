@@ -364,6 +364,40 @@ TEST(StatisticsTest, IncrementalExtensionMatchesRecompute) {
   EXPECT_EQ(ext.max, Value::Int64(12));
 }
 
+TEST(StatisticsTest, TimestampExtremaKeepTheColumnType) {
+  Column c(DataType::kTimestamp);
+  IncrementalColumnStats incremental;
+  c.AppendTimestamp(500);
+  c.AppendTimestamp(300);
+  incremental.ExtendTo(c);
+  EXPECT_EQ(incremental.stats().min, Value::Timestamp(300));
+  EXPECT_EQ(incremental.stats().max, Value::Timestamp(500));
+
+  // The second extension brings a new minimum and a new maximum.
+  c.AppendTimestamp(100);
+  c.AppendNull();
+  c.AppendTimestamp(900);
+  incremental.ExtendTo(c);
+  const ColumnStats& ext = incremental.stats();
+  EXPECT_EQ(ext.min.type(), DataType::kTimestamp);
+  EXPECT_EQ(ext.max.type(), DataType::kTimestamp);
+  EXPECT_EQ(ext.min, Value::Timestamp(100));
+  EXPECT_EQ(ext.max, Value::Timestamp(900));
+  EXPECT_EQ(ext.num_distinct, 4u);
+  EXPECT_EQ(ext.num_nulls, 1u);
+}
+
+TEST(StatisticsTest, BoolExtremaAreBools) {
+  Column c(DataType::kBool);
+  for (bool v : {true, false, true}) c.AppendBool(v);
+  const ColumnStats stats = ComputeColumnStats(c);
+  EXPECT_EQ(stats.min.type(), DataType::kBool);
+  EXPECT_EQ(stats.max.type(), DataType::kBool);
+  EXPECT_EQ(stats.min, Value::Bool(false));
+  EXPECT_EQ(stats.max, Value::Bool(true));
+  EXPECT_EQ(stats.num_distinct, 2u);
+}
+
 TEST(TableTest, ColumnByName) {
   Table t(SimpleSchema());
   EXPECT_TRUE(t.ColumnByName("name").ok());
