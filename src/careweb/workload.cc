@@ -1,7 +1,6 @@
 #include "careweb/workload.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/random.h"

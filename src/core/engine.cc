@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
+#include "common/flat_hash.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "log/access_log.h"
@@ -186,12 +186,20 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     results[k] = executor.DistinctLidsJoinedTo(
         tmpl.query(), tmpl.lid_attr(), *tasks[k].table, tasks[k].rows);
   });
-  // Per template: the ascending union of its tasks' results.
+  // Per template: the ascending union of its tasks' results. Every lid any
+  // task found is explained; the largest result is a lower bound on how
+  // many there are, so the set is sized for it.
+  size_t largest = 0;
+  for (const auto& result : results) {
+    if (!result.ok()) return result.status();
+    largest = std::max(largest, result->size());
+  }
   std::vector<std::vector<int64_t>> found(templates_.size());
-  std::unordered_set<int64_t> explained;
+  FlatSet64 explained(largest);
   for (size_t k = 0; k < tasks.size(); ++k) {
-    if (!results[k].ok()) return results[k].status();
-    explained.insert(results[k]->begin(), results[k]->end());
+    for (int64_t lid : *results[k]) {
+      explained.Insert(static_cast<uint64_t>(lid));
+    }
     std::vector<int64_t>& lids = found[tasks[k].template_index];
     if (lids.empty()) {
       lids = std::move(*results[k]);
@@ -219,7 +227,7 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
   ParallelFor(pool, shards.size(), [&](size_t s) {
     for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
       const int64_t lid = lid_col.Int64At(r);
-      if (explained.count(lid) > 0 || held(lid)) {
+      if (explained.Contains(static_cast<uint64_t>(lid)) || held(lid)) {
         shard_explained[s].push_back(lid);
       } else {
         shard_unexplained[s].push_back(lid);

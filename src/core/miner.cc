@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/string_util.h"

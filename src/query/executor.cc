@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/flat_hash.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "query/optimizer.h"
@@ -219,50 +220,18 @@ void ParallelSortInt64(std::vector<int64_t>* v, const ParCtx& par) {
   }
 }
 
-struct U32VecHasher {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    size_t h = 0x7a3c19d5;
-    for (uint32_t x : v) h = HashCombine(h, std::hash<uint32_t>{}(x));
-    return h;
-  }
-};
-
-/// Removes duplicate row-id tuples. Specialized for the 1- and 2-slot
-/// frames the distinct-lid semi-join produces (a packed integer key)
-/// before falling back to a generic tuple set. First-occurrence order is
-/// semantic, so this stays serial.
+/// Removes duplicate row-id tuples, keeping each first occurrence in frame
+/// order (FirstOccurrences: no per-tuple allocation). The kept rows are
+/// compacted in place, front to back, since every kept index is at or past
+/// its destination. First-occurrence order is semantic, so this stays
+/// serial.
 void DedupFrame(Frame* f) {
-  const size_t n = f->size();
-  if (n == 0 || f->ids.empty()) return;
-  std::vector<uint32_t> keep;
-  keep.reserve(n);
-  if (f->ids.size() == 1) {
-    const auto& c0 = f->ids[0];
-    std::unordered_set<uint32_t> seen;
-    seen.reserve(2 * n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (seen.insert(c0[i]).second) keep.push_back(i);
-    }
-  } else if (f->ids.size() == 2) {
-    const auto& c0 = f->ids[0];
-    const auto& c1 = f->ids[1];
-    std::unordered_set<uint64_t> seen;
-    seen.reserve(2 * n);
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint64_t key = (static_cast<uint64_t>(c0[i]) << 32) | c1[i];
-      if (seen.insert(key).second) keep.push_back(i);
-    }
-  } else {
-    std::unordered_set<std::vector<uint32_t>, U32VecHasher> seen;
-    seen.reserve(2 * n);
-    std::vector<uint32_t> tuple(f->ids.size());
-    for (uint32_t i = 0; i < n; ++i) {
-      for (size_t s = 0; s < f->ids.size(); ++s) tuple[s] = f->ids[s][i];
-      if (seen.insert(tuple).second) keep.push_back(i);
-    }
+  const std::vector<uint32_t> keep = FirstOccurrences(f->ids);
+  if (keep.size() == f->size()) return;
+  for (auto& col : f->ids) {
+    for (size_t j = 0; j < keep.size(); ++j) col[j] = col[keep[j]];
+    col.resize(keep.size());
   }
-  if (keep.size() == n) return;
-  for (auto& col : f->ids) col = GatherU32(col, keep);
 }
 
 // ===========================================================================
@@ -1257,11 +1226,11 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
   const size_t col = static_cast<size_t>(lid_attr.col);
   const HashIndex& idx = log_table->GetOrBuildIndex(col);
   std::vector<RowRange> ranges;
-  std::unordered_set<uint32_t> rows_seen;
+  FlatSet64 rows_seen;
   for (const Value& lid : lids) {
     for (uint32_t r : LidMatches(idx, log_table->column(col), lid,
                                  snapshot.BoundOf(log_table))) {
-      if (!rows_seen.insert(r).second) continue;
+      if (!rows_seen.Insert(r)) continue;
       if (!ranges.empty() && ranges.back().end == r) {
         ++ranges.back().end;
       } else {

@@ -18,7 +18,8 @@
 //    most once (at its first surviving match), and the row-id tuples left
 //    after a drop are deduplicated in place — the row-id analog of the
 //    paper's "reducing result multiplicity" optimization (§3.2.1), without
-//    ever building a boxed row.
+//    ever building a boxed row. The dedup (common/flat_hash.h) keeps first
+//    occurrences in frame order and allocates nothing per tuple.
 //
 //    Every run compiles, then runs: a compiler turns the query into a
 //    CompiledPlan (query/plan_cache.h) without touching a row — it tracks

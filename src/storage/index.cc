@@ -3,21 +3,12 @@
 #include <new>
 #include <type_traits>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace eba {
 
 namespace {
-
-/// splitmix64 finalizer: int64 keys (ids, timestamps, dictionary codes)
-/// are frequently sequential or share low bits; the mixer spreads them
-/// across the power-of-two slot space.
-inline uint64_t MixHash(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 inline size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -85,7 +76,7 @@ HashIndex::~HashIndex() {
 
 void HashIndex::InsertInt(int64_t key, uint32_t row) {
   Dir* dir = dir_.load(std::memory_order_relaxed);
-  size_t i = MixHash(static_cast<uint64_t>(key)) & dir->mask;
+  size_t i = Mix64(static_cast<uint64_t>(key)) & dir->mask;
   while (true) {
     Slot& slot = dir->slots[i];
     Bucket* b = slot.bucket.load(std::memory_order_relaxed);
@@ -135,7 +126,7 @@ void HashIndex::GrowDirectory() {
     Bucket* b = old->slots[i].bucket.load(std::memory_order_relaxed);
     if (b == nullptr) continue;
     const int64_t key = old->slots[i].key;
-    size_t j = MixHash(static_cast<uint64_t>(key)) & fresh->mask;
+    size_t j = Mix64(static_cast<uint64_t>(key)) & fresh->mask;
     while (fresh->slots[j].bucket.load(std::memory_order_relaxed) !=
            nullptr) {
       j = (j + 1) & fresh->mask;
@@ -181,7 +172,7 @@ void HashIndex::ExtendTo(size_t num_rows) {
 
 RowIdSpan HashIndex::LookupInt64(int64_t key) const {
   const Dir* dir = dir_.load(std::memory_order_acquire);
-  size_t i = MixHash(static_cast<uint64_t>(key)) & dir->mask;
+  size_t i = Mix64(static_cast<uint64_t>(key)) & dir->mask;
   while (true) {
     const Slot& slot = dir->slots[i];
     const Bucket* b = slot.bucket.load(std::memory_order_acquire);

@@ -1,6 +1,8 @@
 #include "storage/statistics.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 namespace eba {
 
@@ -16,6 +18,15 @@ Value BoxIntLike(DataType type, int64_t raw) {
     default:
       return Value::Int64(raw);
   }
+}
+
+/// The distinct-set key of a non-NaN double: its bit pattern, with -0.0
+/// folded into 0.0 since the two compare equal.
+uint64_t DoubleKey(double d) {
+  if (d == 0.0) return 0;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
 }
 
 }  // namespace
@@ -35,22 +46,27 @@ void IncrementalColumnStats::ExtendTo(const Column& column) {
         [&](size_t first_row, const int64_t* data, size_t count) {
           for (size_t i = 0; i < count; ++i) {
             if (column.IsNull(first_row + i)) continue;
-            distinct_ints_.insert(data[i]);
+            distinct_.Insert(static_cast<uint64_t>(data[i]));
             min_int_ = std::min(min_int_, data[i]);
             max_int_ = std::max(max_int_, data[i]);
           }
         });
-    if (!distinct_ints_.empty()) {
+    if (!distinct_.empty()) {
       stats_.min = BoxIntLike(column.type(), min_int_);
       stats_.max = BoxIntLike(column.type(), max_int_);
     }
   } else {
     for (size_t row = rows_seen_; row < n; ++row) {
       if (column.IsNull(row)) continue;
-      Value v = column.Get(row);
       if (!column.IsString()) {  // string distinct uses the dictionary
-        distinct_values_.insert(v);
+        const double d = column.DoubleAt(row);
+        if (std::isnan(d)) {
+          ++nan_rows_;
+        } else {
+          distinct_.Insert(DoubleKey(d));
+        }
       }
+      Value v = column.Get(row);
       if (stats_.min.is_null()) {
         stats_.min = v;
         stats_.max = std::move(v);
@@ -69,8 +85,7 @@ void IncrementalColumnStats::ExtendTo(const Column& column) {
     // above because dictionary order is insertion order.
     stats_.num_distinct = column.DictionarySize();
   } else {
-    stats_.num_distinct = column.IsIntLike() ? distinct_ints_.size()
-                                             : distinct_values_.size();
+    stats_.num_distinct = distinct_.size() + nan_rows_;
   }
 }
 

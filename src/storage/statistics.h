@@ -7,8 +7,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <unordered_set>
 
+#include "common/flat_hash.h"
 #include "common/value.h"
 #include "storage/column.h"
 
@@ -39,9 +39,12 @@ ColumnStats ComputeColumnStats(const Column& column);
 /// ExtendTo folds only the rows appended since the last call into the
 /// summary, so a streaming Table keeps its stats current in O(new rows)
 /// instead of rescanning the prefix on every append. The distinct-value
-/// state (which the one-shot ComputeColumnStats discards) is retained for
-/// int-like and double columns; string columns read their dictionary size,
-/// so they carry no extra state at all.
+/// state (which the one-shot ComputeColumnStats discards) is a FlatSet64 of
+/// raw 64-bit payloads — int-like values, or double bit patterns with -0.0
+/// folded into 0.0 — so a new value costs a slot, not a node. A NaN equals
+/// no value, itself included, so each NaN row counts as one more distinct
+/// value without entering the set. String columns read their dictionary
+/// size, so they carry no extra state at all.
 class IncrementalColumnStats {
  public:
   const ColumnStats& stats() const { return stats_; }
@@ -54,10 +57,10 @@ class IncrementalColumnStats {
  private:
   ColumnStats stats_;
   size_t rows_seen_ = 0;
-  std::unordered_set<int64_t> distinct_ints_;   // int-like columns
-  std::unordered_set<Value> distinct_values_;   // double columns
-  // Raw extrema of an int-like column (meaningful once distinct_ints_ holds
-  // a value).
+  FlatSet64 distinct_;     // int-like and double columns
+  size_t nan_rows_ = 0;    // double columns
+  // Raw extrema of an int-like column (meaningful once distinct_ holds a
+  // value).
   int64_t min_int_ = std::numeric_limits<int64_t>::max();
   int64_t max_int_ = std::numeric_limits<int64_t>::min();
 };

@@ -1,5 +1,5 @@
 // Unit tests for src/common: Status/StatusOr, Value, Date, Random, string
-// utilities, and CSV round-trips.
+// utilities, CSV round-trips, and the flat hash kernels.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +9,14 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <unordered_set>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/date.h"
+#include "common/flat_hash.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -593,6 +597,163 @@ TEST(SplitShardsAlignedTest, EmptyAndDegenerateRanges) {
   for (size_t s = 0; s < a.size(); ++s) {
     EXPECT_EQ(a[s].begin, b[s].begin);
     EXPECT_EQ(a[s].end, b[s].end);
+  }
+}
+
+// --------------------------- FlatSet64 ---------------------------
+
+// FlatSet64 marks free slots with INT64_MIN's bit pattern; to a caller that
+// value is an ordinary key, as are 0 and -1.
+TEST(FlatSet64Test, ReservedValueZeroAndMinusOneAreKeys) {
+  const uint64_t reserved = uint64_t{1} << 63;
+  const uint64_t minus_one = static_cast<uint64_t>(int64_t{-1});
+  FlatSet64 set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.Contains(reserved));
+  EXPECT_TRUE(set.Insert(reserved));
+  EXPECT_FALSE(set.Insert(reserved));
+  EXPECT_TRUE(set.Contains(reserved));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_FALSE(set.Contains(0));
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_FALSE(set.Contains(minus_one));
+  EXPECT_TRUE(set.Insert(minus_one));
+  EXPECT_FALSE(set.Insert(0));
+  EXPECT_FALSE(set.Insert(minus_one));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_TRUE(set.Contains(reserved));
+  EXPECT_TRUE(set.Contains(0));
+  EXPECT_TRUE(set.Contains(minus_one));
+  EXPECT_FALSE(set.Contains(1));
+  EXPECT_FALSE(set.Contains(reserved - 1));
+  EXPECT_FALSE(set.Contains(reserved + 1));
+}
+
+TEST(FlatSet64Test, KeepsEveryKeyAcrossDoublings) {
+  // The smallest array holds 8 keys; 4096 keys take it through 9 doublings.
+  // Keys differ only in their high halves, as packed row-id pairs do.
+  FlatSet64 set;
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 4096; ++k) keys.push_back(k << 32 | 7);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(set.Insert(keys[i]));
+    EXPECT_EQ(set.size(), i + 1);
+    if ((i & (i + 1)) == 0) {  // after 1, 2, 4, ... keys: every one held
+      for (size_t j = 0; j <= i; ++j) ASSERT_TRUE(set.Contains(keys[j]));
+      ASSERT_FALSE(set.Contains(keys[i] + 1));
+    }
+  }
+  for (uint64_t key : keys) {
+    EXPECT_TRUE(set.Contains(key));
+    EXPECT_FALSE(set.Insert(key));
+  }
+  EXPECT_EQ(set.size(), keys.size());
+}
+
+TEST(FlatSet64Test, MatchesUnorderedSetOnDuplicatedStream) {
+  Random rng(1701);
+  std::unordered_set<uint64_t> reference;
+  FlatSet64 grown;          // doubles as it fills
+  FlatSet64 sized(20000);   // sized up front for every draw
+  for (int i = 0; i < 20000; ++i) {
+    // Mostly a few hundred small keys, so most inserts are duplicates;
+    // sometimes a wide one, the reserved value, 0 or -1.
+    uint64_t key = rng.Uniform(300);
+    switch (rng.Uniform(16)) {
+      case 0:
+        key = rng.Next();
+        break;
+      case 1:
+        key = uint64_t{1} << 63;
+        break;
+      case 2:
+        key = static_cast<uint64_t>(int64_t{-1});
+        break;
+      default:
+        break;
+    }
+    const bool fresh = reference.insert(key).second;
+    ASSERT_EQ(grown.Insert(key), fresh) << "draw " << i;
+    ASSERT_EQ(sized.Insert(key), fresh) << "draw " << i;
+    ASSERT_EQ(grown.size(), reference.size());
+    ASSERT_EQ(sized.size(), reference.size());
+  }
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t probe = i % 2 == 0 ? rng.Uniform(600) : rng.Next();
+    EXPECT_EQ(grown.Contains(probe), reference.count(probe) > 0);
+    EXPECT_EQ(sized.Contains(probe), reference.count(probe) > 0);
+  }
+}
+
+// --------------------------- FirstOccurrences ---------------------------
+
+/// The first-occurrence reference: a std::set of whole tuples.
+std::vector<uint32_t> ReferenceFirstOccurrences(
+    const std::vector<std::vector<uint32_t>>& columns) {
+  std::vector<uint32_t> keep;
+  std::set<std::vector<uint32_t>> seen;
+  const size_t n = columns.empty() ? 0 : columns[0].size();
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<uint32_t> tuple;
+    for (const auto& col : columns) tuple.push_back(col[i]);
+    if (seen.insert(tuple).second) keep.push_back(static_cast<uint32_t>(i));
+  }
+  return keep;
+}
+
+/// A frame of `width` columns whose tuple i is `make(i, slot)`.
+template <typename Fn>
+std::vector<std::vector<uint32_t>> MakeFrame(size_t width, size_t n, Fn make) {
+  std::vector<std::vector<uint32_t>> columns(width);
+  for (size_t s = 0; s < width; ++s) {
+    for (size_t i = 0; i < n; ++i) columns[s].push_back(make(i, s));
+  }
+  return columns;
+}
+
+TEST(FirstOccurrencesTest, EmptyFramesKeepNothing) {
+  EXPECT_TRUE(FirstOccurrences({}).empty());
+  for (size_t width = 1; width <= 4; ++width) {
+    EXPECT_TRUE(
+        FirstOccurrences(std::vector<std::vector<uint32_t>>(width)).empty());
+  }
+}
+
+TEST(FirstOccurrencesTest, MatchesSetReferenceForOneToFourSlots) {
+  constexpr uint32_t kMax = 0xFFFFFFFFu;
+  for (size_t width = 1; width <= 4; ++width) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<std::vector<std::vector<uint32_t>>> frames;
+    // All equal, once at the largest row id.
+    frames.push_back(MakeFrame(width, 50, [](size_t, size_t) { return 7u; }));
+    frames.push_back(
+        MakeFrame(width, 50, [](size_t, size_t) { return kMax; }));
+    // All distinct.
+    frames.push_back(MakeFrame(width, 300, [](size_t i, size_t s) {
+      return static_cast<uint32_t>(i * 3 + s);
+    }));
+    // 0 and the largest row id mixed: a sparse id range.
+    frames.push_back(MakeFrame(width, 40, [](size_t i, size_t s) {
+      return (i + s) % 3 == 0 ? kMax : static_cast<uint32_t>((i * s) % 2);
+    }));
+    // A dense range just below the largest row id.
+    frames.push_back(MakeFrame(width, 200, [](size_t i, size_t s) {
+      return kMax - static_cast<uint32_t>((i * (s + 1)) % 9);
+    }));
+    // Row ids 2^31 and 0: the pair that packs to the free-slot mark.
+    frames.push_back(MakeFrame(width, 30, [](size_t i, size_t s) {
+      return s == 0 ? 0x80000000u : static_cast<uint32_t>(i % 2 == 0 ? 0 : 5);
+    }));
+    // Seeded streams with heavy duplication, narrow and wide.
+    for (uint64_t domain : {uint64_t{3}, uint64_t{40}, uint64_t{1} << 32}) {
+      Random rng(domain * 31 + width);
+      frames.push_back(MakeFrame(width, 2000, [&](size_t, size_t) {
+        return static_cast<uint32_t>(rng.Uniform(domain));
+      }));
+    }
+    for (const auto& frame : frames) {
+      EXPECT_EQ(FirstOccurrences(frame), ReferenceFirstOccurrences(frame));
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <initializer_list>
 #include <memory>
@@ -385,6 +386,28 @@ TEST(StatisticsTest, TimestampExtremaKeepTheColumnType) {
   EXPECT_EQ(ext.max, Value::Timestamp(900));
   EXPECT_EQ(ext.num_distinct, 4u);
   EXPECT_EQ(ext.num_nulls, 1u);
+}
+
+// Double distinct counts follow Value equality: -0.0 equals 0.0, and a NaN
+// equals no value, itself included.
+TEST(StatisticsTest, DoubleDistinctFollowsValueEquality) {
+  Column c(DataType::kDouble);
+  for (double v : {1.5, 0.0, -0.0, 1.5, -2.0}) c.AppendDouble(v);
+  IncrementalColumnStats incremental;
+  incremental.ExtendTo(c);
+  EXPECT_EQ(incremental.stats().num_distinct, 3u);
+
+  c.AppendDouble(std::nan(""));
+  c.AppendDouble(std::nan(""));
+  c.AppendNull();
+  c.AppendDouble(-2.0);
+  incremental.ExtendTo(c);
+  const ColumnStats& ext = incremental.stats();
+  EXPECT_EQ(ext.num_distinct, 5u);
+  EXPECT_EQ(ext.num_nulls, 1u);
+  EXPECT_EQ(ext.min, Value::Double(-2.0));
+  EXPECT_EQ(ext.max, Value::Double(1.5));
+  EXPECT_EQ(ComputeColumnStats(c).num_distinct, 5u);
 }
 
 TEST(StatisticsTest, BoolExtremaAreBools) {
