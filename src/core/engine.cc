@@ -1,15 +1,49 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
 #include <memory>
 
-#include "common/flat_hash.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "log/access_log.h"
-#include "storage/chunk.h"
 
 namespace eba {
+
+namespace {
+
+/// The ascending, duplicate-free union of ascending lists, merged pairwise;
+/// the merges of one round run concurrently on `pool`.
+std::vector<int64_t> UnionOfSorted(
+    const std::vector<std::vector<int64_t>>& lists, ThreadPool* pool) {
+  if (lists.empty()) return {};
+  std::vector<const std::vector<int64_t>*> round;
+  for (const std::vector<int64_t>& list : lists) round.push_back(&list);
+  // Growing a deque at its end keeps references to its elements valid.
+  std::deque<std::vector<int64_t>> merged;
+  while (round.size() > 1) {
+    const size_t pairs = round.size() / 2;
+    const size_t first = merged.size();
+    merged.resize(first + pairs);
+    ParallelFor(pool, pairs, [&](size_t p) {
+      const std::vector<int64_t>& x = *round[2 * p];
+      const std::vector<int64_t>& y = *round[2 * p + 1];
+      std::vector<int64_t>& out = merged[first + p];
+      out.reserve(x.size() + y.size());
+      std::set_union(x.begin(), x.end(), y.begin(), y.end(),
+                     std::back_inserter(out));
+    });
+    std::vector<const std::vector<int64_t>*> next;
+    for (size_t p = 0; p < pairs; ++p) next.push_back(&merged[first + p]);
+    if (round.size() % 2 != 0) next.push_back(round.back());
+    round = std::move(next);
+  }
+  // The last round merged one pair, unless there was never a pair.
+  return merged.empty() ? *round[0] : std::move(merged.back());
+}
+
+}  // namespace
 
 ExplanationEngine::ExplanationEngine(const Database* db, std::string log_table,
                                      QAttr lid_attr)
@@ -186,20 +220,10 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     results[k] = executor.DistinctLidsJoinedTo(
         tmpl.query(), tmpl.lid_attr(), *tasks[k].table, tasks[k].rows);
   });
-  // Per template: the ascending union of its tasks' results. Every lid any
-  // task found is explained; the largest result is a lower bound on how
-  // many there are, so the set is sized for it.
-  size_t largest = 0;
-  for (const auto& result : results) {
-    if (!result.ok()) return result.status();
-    largest = std::max(largest, result->size());
-  }
+  // Per template: the ascending union of its tasks' results.
   std::vector<std::vector<int64_t>> found(templates_.size());
-  FlatSet64 explained(largest);
   for (size_t k = 0; k < tasks.size(); ++k) {
-    for (int64_t lid : *results[k]) {
-      explained.Insert(static_cast<uint64_t>(lid));
-    }
+    if (!results[k].ok()) return results[k].status();
     std::vector<int64_t>& lids = found[tasks[k].template_index];
     if (lids.empty()) {
       lids = std::move(*results[k]);
@@ -216,34 +240,34 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     return std::binary_search(accumulated.begin(), accumulated.end(), lid);
   };
 
-  // --- Classify the audited rows in chunk-aligned shards (a worker scans
-  // --- only the chunks it owns), concatenated in shard order.
+  // --- Classify the audited rows by one merge. Their lids, read in row
+  // --- order (sorted only when they do not already ascend), walk the
+  // --- union of every template's lids and `accumulated` from the first
+  // --- audited lid: a lid is explained iff either holds it, and both
+  // --- lists come out ascending.
   const Column& lid_col = table->column(static_cast<size_t>(log.lid_col()));
-  const std::vector<ShardRange> shards =
-      SplitShardsAlignedRange(log_rows.begin, log_rows.end, threads,
-                              options.min_rows_per_shard, kColumnChunkRows);
-  std::vector<std::vector<int64_t>> shard_explained(shards.size());
-  std::vector<std::vector<int64_t>> shard_unexplained(shards.size());
-  ParallelFor(pool, shards.size(), [&](size_t s) {
-    for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-      const int64_t lid = lid_col.Int64At(r);
-      if (explained.Contains(static_cast<uint64_t>(lid)) || held(lid)) {
-        shard_explained[s].push_back(lid);
-      } else {
-        shard_unexplained[s].push_back(lid);
-      }
-    }
-  });
-  for (size_t s = 0; s < shards.size(); ++s) {
-    audit.explained_lids.insert(audit.explained_lids.end(),
-                                shard_explained[s].begin(),
-                                shard_explained[s].end());
-    audit.unexplained_lids.insert(audit.unexplained_lids.end(),
-                                  shard_unexplained[s].begin(),
-                                  shard_unexplained[s].end());
+  std::vector<int64_t> row_lids(log_rows.size());
+  lid_col.ForEachInt64Span(
+      log_rows.begin, log_rows.end,
+      [&](size_t first_row, const int64_t* data, size_t count) {
+        std::copy(data, data + count,
+                  row_lids.begin() +
+                      static_cast<long>(first_row - log_rows.begin));
+      });
+  if (!std::is_sorted(row_lids.begin(), row_lids.end())) {
+    std::sort(row_lids.begin(), row_lids.end());
   }
-  std::sort(audit.explained_lids.begin(), audit.explained_lids.end());
-  std::sort(audit.unexplained_lids.begin(), audit.unexplained_lids.end());
+  const std::vector<int64_t> any = UnionOfSorted(found, pool);
+  const int64_t first_lid = row_lids.empty() ? 0 : row_lids.front();
+  auto u = std::lower_bound(any.begin(), any.end(), first_lid);
+  auto a = std::lower_bound(accumulated.begin(), accumulated.end(), first_lid);
+  for (int64_t lid : row_lids) {
+    while (u != any.end() && *u < lid) ++u;
+    while (a != accumulated.end() && *a < lid) ++a;
+    const bool explained = (u != any.end() && *u == lid) ||
+                           (a != accumulated.end() && *a == lid);
+    (explained ? audit.explained_lids : audit.unexplained_lids).push_back(lid);
+  }
 
   // --- Split each template's lids: those of audited rows (all explained)
   // --- count for it; the rest lie on older rows.

@@ -41,12 +41,10 @@ namespace eba {
 /// ExplainNew (core/ingest.h; StreamingOptions is this struct).
 struct ExplainAllOptions {
   /// Worker threads. <= 1 evaluates everything on the calling thread; any
-  /// higher value fans the audit's tasks and log shards out over a fixed
-  /// pool. The report is byte-identical regardless of the thread count.
+  /// higher value fans the audit's template tasks out over a fixed pool
+  /// (the log's rows are classified by one merge). The report is
+  /// byte-identical regardless of the thread count.
   size_t num_threads = 1;
-  /// Lower bound on log rows per classification shard, so small ranges are
-  /// not split into shards smaller than the fan-out overhead.
-  size_t min_rows_per_shard = 1024;
   /// Executor engine/join-order/parallelism knobs used for template
   /// evaluation. The defaults run the late-materialization engine with
   /// cost-based join ordering; the boxed reference engine is available for
@@ -131,11 +129,11 @@ class ExplanationEngine {
 
   /// Full-log coverage report: AuditRange from row 0. With
   /// options.num_threads > 1, templates are evaluated concurrently (one
-  /// executor per worker) and the log is partitioned into contiguous shards
-  /// for classification; per-shard results are merged in shard order, so
-  /// the report is deterministic and identical to the serial one. The whole
-  /// report — template evaluation and classification — runs against one
-  /// snapshot: the caller's, or a fresh one pinned at call entry.
+  /// executor per worker); the log's rows are then classified by one
+  /// sorted merge, so the report is deterministic and identical to the
+  /// serial one. The whole report — template evaluation and
+  /// classification — runs against one snapshot: the caller's, or a fresh
+  /// one pinned at call entry.
   StatusOr<ExplanationReport> ExplainAll(const ExplainAllOptions& options) const;
   StatusOr<ExplanationReport> ExplainAll(
       const ExplainAllOptions& options,
@@ -148,10 +146,9 @@ class ExplanationEngine {
   /// pairs each appended table — the log with the audited rows, each
   /// non-log table of `appends` with its new rows — with every template
   /// that references it; from row 0 the log alone (its variable 0 then
-  /// finds every explained lid). One chunk-aligned scan then classifies
-  /// the audited rows: by monotonicity a lid is explained iff some task's
-  /// result or `accumulated` (lids earlier audits explained, ascending)
-  /// holds it.
+  /// finds every explained lid). One merge then classifies the audited
+  /// rows: by monotonicity a lid is explained iff some task's result or
+  /// `accumulated` (lids earlier audits explained, ascending) holds it.
   StatusOr<RangeAudit> AuditRange(
       const Database::Snapshot& snapshot, size_t log_from,
       const std::vector<CatalogDrift::Append>& appends,

@@ -310,52 +310,90 @@ PlanCheck CompileLiteralCheck(int slot, const Column* col, CmpOp op,
   return c;
 }
 
-/// Evaluates one check with its sides at rows `l` and `r` (a literal check
-/// ignores `r`). NULL never matches, as in the reference engine's EvalCmp.
+/// Evaluates a check the raw path does not take (kString, kDouble,
+/// kBoxed) with its sides at rows `l` and `r` (a literal check ignores
+/// `r`). NULL never matches, as in the reference engine's EvalCmp.
 bool CheckHolds(const PlanCheck& c, uint32_t l, uint32_t r) {
   const Column& lc = *c.lhs_col;
   const Column* rc = c.rhs_col;
-  switch (c.kind) {
-    case PlanCheck::Kind::kNeverMatches:
-      return false;
-    case PlanCheck::Kind::kBoxed:
-      return rc != nullptr ? EvalCmp(lc.Get(l), c.op, rc->Get(r))
-                           : EvalCmp(lc.Get(l), c.op, c.lit_value);
-    default:
-      break;
+  if (c.kind == PlanCheck::Kind::kBoxed) {
+    return rc != nullptr ? EvalCmp(lc.Get(l), c.op, rc->Get(r))
+                         : EvalCmp(lc.Get(l), c.op, c.lit_value);
   }
   if (lc.IsNull(l) || (rc != nullptr && rc->IsNull(r))) return false;
-  switch (c.kind) {
-    case PlanCheck::Kind::kInt64:
-      return RawCmp(lc.Int64At(l), c.op,
-                    rc != nullptr ? rc->Int64At(r) : c.lit_int);
-    case PlanCheck::Kind::kStringCode:
-      return lc.StringCodeAt(l) ==
-             (rc != nullptr ? rc->StringCodeAt(r) : c.lit_int);
-    case PlanCheck::Kind::kString:
-      return rc != nullptr ? RawCmp(lc.StringAt(l), c.op, rc->StringAt(r))
-                           : RawCmp(lc.StringAt(l), c.op, c.lit_string);
-    case PlanCheck::Kind::kDouble:
-      return RawCmp(lc.DoubleAt(l), c.op,
-                    rc != nullptr ? rc->DoubleAt(r) : c.lit_double);
-    default:
-      return false;
+  if (c.kind == PlanCheck::Kind::kString) {
+    return rc != nullptr ? RawCmp(lc.StringAt(l), c.op, rc->StringAt(r))
+                         : RawCmp(lc.StringAt(l), c.op, c.lit_string);
   }
+  return RawCmp(lc.DoubleAt(l), c.op,
+                rc != nullptr ? rc->DoubleAt(r) : c.lit_double);
 }
 
-/// True when every check of a binding step holds for row `i` of the frame
-/// `in` entering the step and the candidate row `cand`.
-bool ChecksHold(const std::vector<PlanCheck>& checks, const Frame& in,
-                size_t i, uint32_t cand) {
+/// One check of a seed or join step, bound for one run of the step to the
+/// frame entering it and to raw column views. It lives on the stack of that
+/// run, under the run's snapshot pin, and never in a CompiledPlan: cached
+/// plans outlive snapshot pins, and the views do not.
+struct BoundCheck {
+  const PlanCheck* check;
+  /// Frame column of each side, read at positions below the entering
+  /// frame's size; unread (null) when that side is the candidate row. A
+  /// literal check's right side repeats its left.
+  const uint32_t* lhs_ids;
+  const uint32_t* rhs_ids;
+  bool lhs_is_cand;
+  bool rhs_is_cand;
+  /// kInt64 and kStringCode compare int64 payloads through the views
+  /// (a string-code check is an equality, so RawCmp with its op agrees);
+  /// the other kinds call CheckHolds.
+  bool raw;
+  bool literal;
+  CmpOp op;
+  int64_t lit;
+  Column::Reader lhs;
+  Column::Reader rhs;
+};
+
+/// Binds `checks` to the frame `in` entering the step (its slot count names
+/// the candidate slot) and to read views of their columns.
+std::vector<BoundCheck> BindChecks(const std::vector<PlanCheck>& checks,
+                                   const Frame& in) {
   const size_t cand_slot = in.ids.size();
-  auto row = [&](int slot) {
-    const size_t s = static_cast<size_t>(slot);
-    return s == cand_slot ? cand : in.ids[s][i];
-  };
+  std::vector<BoundCheck> bound;
+  bound.reserve(checks.size());
   for (const PlanCheck& c : checks) {
-    const uint32_t l = row(c.lhs_slot);
-    const uint32_t r = c.rhs_col != nullptr ? row(c.rhs_slot) : l;
-    if (!CheckHolds(c, l, r)) return false;
+    const bool literal = c.rhs_col == nullptr;
+    const size_t ls = static_cast<size_t>(c.lhs_slot);
+    const size_t rs = literal ? ls : static_cast<size_t>(c.rhs_slot);
+    bound.push_back(BoundCheck{
+        &c, ls == cand_slot ? nullptr : in.ids[ls].data(),
+        rs == cand_slot ? nullptr : in.ids[rs].data(), ls == cand_slot,
+        rs == cand_slot,
+        c.kind == PlanCheck::Kind::kInt64 ||
+            c.kind == PlanCheck::Kind::kStringCode,
+        literal, c.op, c.lit_int, Column::Reader(*c.lhs_col),
+        Column::Reader(literal ? *c.lhs_col : *c.rhs_col)});
+  }
+  return bound;
+}
+
+/// True when every bound check holds for position `i` of the entering
+/// frame and the candidate row `cand`.
+inline bool AllHold(const std::vector<BoundCheck>& checks, size_t i,
+                    uint32_t cand) {
+  for (const BoundCheck& c : checks) {
+    const uint32_t l = c.lhs_is_cand ? cand : c.lhs_ids[i];
+    const uint32_t r = c.rhs_is_cand ? cand : c.rhs_ids[i];
+    if (!c.raw) {
+      if (!CheckHolds(*c.check, l, r)) return false;
+      continue;
+    }
+    if (c.lhs.IsNull(l)) return false;
+    int64_t rhs = c.lit;
+    if (!c.literal) {
+      if (c.rhs.IsNull(r)) return false;
+      rhs = c.rhs.Int64At(r);
+    }
+    if (!RawCmp(c.lhs.Int64At(l), c.op, rhs)) return false;
   }
   return true;
 }
@@ -396,17 +434,19 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
   const std::vector<uint32_t>& pids = f->ids[static_cast<size_t>(st.probe_slot)];
   const size_t n = NeverMatches(st.checks) ? 0 : f->size();
   const Column& probe_col = *st.probe_col;
+  const Column::Reader probe(probe_col);
+  const std::vector<BoundCheck> checks = BindChecks(st.checks, *f);
   const HashIndex& idx = *st.index;
 
   auto probe_range = [&](size_t begin, size_t end, std::vector<uint32_t>* sel,
                          std::vector<uint32_t>* new_ids) {
     // Every probe clamps its match list to the build table's snapshot
-    // bound: bucket row lists are ascending, so the clamp is a binary
-    // search, and rows the concurrent writer appended past the pinned
-    // watermark never join.
+    // bound: bucket row lists are ascending, so the clamp is one compare
+    // unless the concurrent writer appended to the key past the pinned
+    // watermark, and those rows never join.
     auto emit = [&](size_t i, RowIdSpan matches) {
       for (uint32_t m : matches) {
-        if (!st.checks.empty() && !ChecksHold(st.checks, *f, i, m)) continue;
+        if (!AllHold(checks, i, m)) continue;
         sel->push_back(static_cast<uint32_t>(i));
         if (!st.keep_new) return;
         new_ids->push_back(m);
@@ -416,24 +456,23 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
       case PlanStep::ProbeKind::kInt64:
         for (size_t i = begin; i < end; ++i) {
           const uint32_t r = pids[i];
-          if (probe_col.IsNull(r)) continue;
-          emit(i, idx.LookupInt64(probe_col.Int64At(r)).ClampTo(build_bound));
+          if (probe.IsNull(r)) continue;
+          emit(i, idx.LookupInt64(probe.Int64At(r)).ClampTo(build_bound));
         }
         break;
       case PlanStep::ProbeKind::kStringSameColumn:
         for (size_t i = begin; i < end; ++i) {
           const uint32_t r = pids[i];
-          if (probe_col.IsNull(r)) continue;
-          emit(i,
-               idx.LookupCode(probe_col.StringCodeAt(r)).ClampTo(build_bound));
+          if (probe.IsNull(r)) continue;
+          emit(i, idx.LookupCode(probe.Int64At(r)).ClampTo(build_bound));
         }
         break;
       case PlanStep::ProbeKind::kStringTranslated:
         for (size_t i = begin; i < end; ++i) {
           const uint32_t r = pids[i];
-          if (probe_col.IsNull(r)) continue;
+          if (probe.IsNull(r)) continue;
           const int64_t code =
-              st.translated_codes[static_cast<size_t>(probe_col.StringCodeAt(r))];
+              st.translated_codes[static_cast<size_t>(probe.Int64At(r))];
           if (code < 0) continue;
           emit(i, idx.LookupCode(code).ClampTo(build_bound));
         }
@@ -528,9 +567,11 @@ void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
         rows.resize(end - begin);
         std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(begin));
       } else if (!NeverMatches(st.checks)) {
+        // Every slot of a seed check is the candidate row.
+        const std::vector<BoundCheck> checks = BindChecks(st.checks, *f);
         for (size_t r = begin; r < end; ++r) {
           const uint32_t row = static_cast<uint32_t>(r);
-          if (ChecksHold(st.checks, *f, 0, row)) rows.push_back(row);
+          if (AllHold(checks, 0, row)) rows.push_back(row);
         }
       }
       f->ids.push_back(std::move(rows));
@@ -1389,7 +1430,11 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
       }
     }
   }
-  ParallelSortInt64(&lids, MakePar(ProbePool(), options_, &stats_));
+  // A variable-0 run keeps its seed's row order, so its lids already
+  // ascend whenever the log's lids ascend in row order.
+  if (!std::is_sorted(lids.begin(), lids.end())) {
+    ParallelSortInt64(&lids, MakePar(ProbePool(), options_, &stats_));
+  }
   lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
   return lids;
 }

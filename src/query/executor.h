@@ -10,7 +10,9 @@
 //    decoration and literal its binding completes against each candidate
 //    match — directly on Column raw payloads / dictionary codes — and
 //    appends row ids for the survivors only. There are no filter steps, so
-//    no step writes a row a later step drops. Boxed Values are materialized
+//    no step writes a row a later step drops. Each run of a step binds its
+//    probe column and integer and dictionary-code checks once to raw column
+//    views (Column::Reader, storage/column.h) and evaluates them inline. Boxed Values are materialized
 //    exactly once, at the final projection (Column::MaterializeInto).
 //    Distinct-lid evaluation takes a semi-join fast path: tuple-variable
 //    columns are dropped from the frame as soon as no unapplied condition

@@ -150,6 +150,26 @@ class ChunkedVector {
 
   size_t num_chunks() const { return num_chunks_; }
 
+  /// The published size and chunk directory, each loaded once.
+  struct View {
+    T* const* dir = nullptr;
+    size_t size = 0;
+
+    /// Slot i, for i below `size`.
+    const T& operator[](size_t i) const { return dir[i >> Shift][i & kMask]; }
+  };
+
+  /// A view of every slot below the size it loads, for loops that index
+  /// many slots without re-loading the directory per access. The size is
+  /// loaded first: the directory loaded after it holds the chunk of every
+  /// slot below it. A directory the writer retires after the load stays
+  /// readable until the caller's snapshot pin is released (storage/epoch.h),
+  /// so the view must not outlive that pin.
+  View Published() const {
+    const size_t n = size();
+    return View{dir_.load(std::memory_order_acquire), n};
+  }
+
   /// Invokes fn(first_row, data, count) for each maximal run of rows in
   /// [begin, end) lying within a single chunk; `data` points at the slot of
   /// row `first_row`. The chunk-aware scan primitive: index builds, stats

@@ -125,6 +125,30 @@ class Column {
     return dict_[static_cast<size_t>(code)];
   }
 
+  /// A read view of the int64 payload (integer-like values and dictionary
+  /// codes) and the null flags, with both chunk directories loaded once at
+  /// construction. It reads every row below the size the column had
+  /// published when it was built, so it is valid only while the caller
+  /// holds the snapshot pin its row bound came from, and only for rows
+  /// below that bound. It is never cached in a plan: cached plans outlive
+  /// snapshot pins. The executor binds one per checked column per step.
+  class Reader {
+   public:
+    explicit Reader(const Column& column)
+        : ints_(column.ints_.Published()), nulls_(column.nulls_.Published()) {}
+
+    /// As Column::IsNull: a row past the flags loaded here is non-null,
+    /// because the flags of a NULL row are published before the row.
+    bool IsNull(size_t row) const {
+      return row < nulls_.size && nulls_[row] != 0;
+    }
+    int64_t Int64At(size_t row) const { return ints_[row]; }
+
+   private:
+    ChunkedVector<int64_t>::View ints_;
+    ChunkedVector<uint8_t>::View nulls_;
+  };
+
   /// True for types whose payload lives in the int64 vector.
   bool IsIntLike() const {
     return type_ == DataType::kBool || type_ == DataType::kInt64 ||

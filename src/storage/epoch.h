@@ -31,6 +31,7 @@
 #define EBA_STORAGE_EPOCH_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <utility>
@@ -114,24 +115,22 @@ class EpochManager {
   void CollectLocked(std::vector<Retired>* free_now) EBA_REQUIRES(mu_) {
     const uint64_t min_pinned =
         pins_.empty() ? UINT64_MAX : pins_.begin()->first;
-    size_t kept = 0;
-    for (auto& r : retired_) {
-      // Free once every pin taken at or before the retirement stamp is
-      // gone (pins_ is an ordered map, so begin() is the oldest pin).
-      if (r.epoch < min_pinned) {
-        free_now->push_back(std::move(r));
-        ++freed_;
-      } else {
-        retired_[kept++] = std::move(r);
-      }
+    // Free once every pin taken at or before the retirement stamp is gone
+    // (pins_ is an ordered map, so begin() is the oldest pin). Stamps
+    // ascend in retirement order, so the freeable entries are a prefix and
+    // a retirement under a long-held pin costs O(1), not a scan of every
+    // entry that pin keeps.
+    while (!retired_.empty() && retired_.front().epoch < min_pinned) {
+      free_now->push_back(std::move(retired_.front()));
+      retired_.pop_front();
+      ++freed_;
     }
-    retired_.resize(kept);
   }
 
   mutable Mutex mu_;
   uint64_t epoch_ EBA_GUARDED_BY(mu_) = 1;
   std::map<uint64_t, uint32_t> pins_ EBA_GUARDED_BY(mu_);
-  std::vector<Retired> retired_ EBA_GUARDED_BY(mu_);
+  std::deque<Retired> retired_ EBA_GUARDED_BY(mu_);  // stamps ascend
   uint64_t freed_ EBA_GUARDED_BY(mu_) = 0;
 };
 

@@ -170,22 +170,6 @@ void HashIndex::ExtendTo(size_t num_rows) {
   indexed_rows_.Publish(target);
 }
 
-RowIdSpan HashIndex::LookupInt64(int64_t key) const {
-  const Dir* dir = dir_.load(std::memory_order_acquire);
-  size_t i = Mix64(static_cast<uint64_t>(key)) & dir->mask;
-  while (true) {
-    const Slot& slot = dir->slots[i];
-    const Bucket* b = slot.bucket.load(std::memory_order_acquire);
-    // Null bucket = stop sentinel: linear probing without deletions means
-    // this key cannot be stored past an empty slot on its probe path.
-    if (b == nullptr) return RowIdSpan{};
-    if (slot.key == key) {
-      return RowIdSpan{b->rows(), b->size.load(std::memory_order_acquire)};
-    }
-    i = (i + 1) & dir->mask;
-  }
-}
-
 std::vector<uint32_t> HashIndex::Lookup(const Value& v, size_t bound) const {
   if (v.is_null()) return {};
   if (column_->IsIntLike()) {

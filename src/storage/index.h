@@ -48,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/value.h"
@@ -70,8 +71,11 @@ struct RowIdSpan {
   uint32_t operator[](size_t i) const { return data[i]; }
 
   /// Restricts the span to rows below `bound` (a snapshot watermark).
-  /// O(log size): rows are ascending.
+  /// Rows ascend, so a span whose last row is below the bound (no append
+  /// past the snapshot reached this key) is returned after one compare;
+  /// otherwise the cut is a binary search.
   RowIdSpan ClampTo(size_t bound) const {
+    if (count == 0 || data[count - 1] < bound) return *this;
     const uint32_t* cut =
         std::lower_bound(data, data + count, static_cast<uint32_t>(bound));
     return RowIdSpan{data, static_cast<size_t>(cut - data)};
@@ -98,7 +102,21 @@ class HashIndex {
   std::vector<uint32_t> Lookup(const Value& v, size_t bound) const;
 
   /// Fast path for integer-like columns. Lock-free; caller clamps.
-  RowIdSpan LookupInt64(int64_t key) const;
+  RowIdSpan LookupInt64(int64_t key) const {
+    const Dir* dir = dir_.load(std::memory_order_acquire);
+    size_t i = Mix64(static_cast<uint64_t>(key)) & dir->mask;
+    while (true) {
+      const Slot& slot = dir->slots[i];
+      const Bucket* b = slot.bucket.load(std::memory_order_acquire);
+      // Null bucket = stop sentinel: linear probing without deletions means
+      // this key cannot be stored past an empty slot on its probe path.
+      if (b == nullptr) return RowIdSpan{};
+      if (slot.key == key) {
+        return RowIdSpan{b->rows(), b->size.load(std::memory_order_acquire)};
+      }
+      i = (i + 1) & dir->mask;
+    }
+  }
 
   /// Fast path for string columns: probes by a dictionary code of the
   /// *indexed* column (string payloads are codes, so this is the string

@@ -4,7 +4,9 @@
 // hammered from several threads sharing one byte-capped cache. The clang
 // thread-safety analysis proves the lock discipline on every path at
 // compile time; these tests give TSAN real interleavings of the same
-// surfaces so the runtime and compile-time checks cover each other.
+// surfaces so the runtime and compile-time checks cover each other. The
+// last test pins a reader whose join checks read column views while the
+// writer republishes the chunk directories under it.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +16,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/date.h"
 #include "common/thread_pool.h"
+#include "log/access_log.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/plan_cache.h"
+#include "storage/chunk.h"
+#include "storage/database.h"
 #include "tests/test_util.h"
 
 namespace eba {
@@ -235,6 +241,70 @@ TEST(ConcurrencyTest, PlanCacheConcurrentSteadyStateReplays) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.invalidations, 0u);
   EXPECT_EQ(stats.rebinds, 0u);
+}
+
+// --------------------- Column views under a growing log ---------------------
+
+// A reader pinned at a watermark just past the first chunk seam runs a
+// repeat-access query (its join checks read User and Date through column
+// views) while the writer appends User's first NULL, which backfills the
+// null flags, and grows the log past the next seam and past the 8-chunk
+// directory, so both directories are republished and retired under the
+// reader's pin. Every run of the reader must return what a frozen clone at
+// its watermark returns.
+TEST(ConcurrencyTest, PinnedReaderSeesFrozenLidsWhileColumnsGrow) {
+  constexpr size_t kPinnedRows = kColumnChunkRows + 1000;
+  constexpr size_t kFinalRows = 8 * kColumnChunkRows + 1000;
+  constexpr int64_t kPatients = 40000;
+  Database db;
+  EBA_ASSERT_OK(db.CreateTable(AccessLog::StandardSchema("Log")));
+  Table* log = db.GetTable("Log").value();
+  const int64_t start = Date::FromCivil(2011, 1, 1, 0, 0, 0).ToSeconds();
+  auto append = [&](size_t r, bool null_user) {
+    const int64_t row = static_cast<int64_t>(r);
+    return log->AppendRow(
+        {Value::Int64(row + 1), Value::Timestamp(start + row),
+         null_user ? Value::Null() : Value::Int64(row % 7 == 0 ? 1 : 0),
+         Value::Int64(row % kPatients), Value::String("viewed")});
+  };
+  for (size_t r = 0; r < kPinnedRows; ++r) {
+    EBA_ASSERT_OK(append(r, /*null_user=*/false));
+  }
+  const PathQuery q = UnwrapOrDie(ParsePathQuery(
+      db, "Log L, Log L2",
+      "L.Patient = L2.Patient AND L2.User = L.User AND L.Date > L2.Date"));
+  const QAttr lid{0, 0};
+  const Database frozen = db.Clone();
+  const std::vector<int64_t> expected =
+      UnwrapOrDie(Executor(&frozen).DistinctLids(q, lid));
+  ASSERT_FALSE(expected.empty());
+
+  const Executor reader(db.CreateSnapshot());
+  ASSERT_EQ(UnwrapOrDie(reader.DistinctLids(q, lid)), expected);
+  std::atomic<bool> writer_done{false};
+  std::atomic<size_t> runs{0};
+  std::atomic<size_t> mismatches{0};
+  std::thread reader_thread([&] {
+    while (true) {
+      const bool last = writer_done.load();
+      auto lids = reader.DistinctLids(q, lid);
+      if (!lids.ok() || *lids != expected) mismatches.fetch_add(1);
+      runs.fetch_add(1);
+      if (last) break;
+    }
+  });
+  while (runs.load() == 0) std::this_thread::yield();
+  Status status = append(kPinnedRows, /*null_user=*/true);
+  for (size_t r = kPinnedRows + 1; status.ok() && r < kFinalRows; ++r) {
+    status = append(r, /*null_user=*/r % 10 == 0);
+  }
+  writer_done.store(true);
+  reader_thread.join();
+  EBA_EXPECT_OK(status);
+  ASSERT_EQ(log->column(2).size(), kFinalRows);
+  EXPECT_TRUE(log->column(2).IsNull(kPinnedRows));
+  EXPECT_GE(runs.load(), 2u);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

@@ -187,9 +187,7 @@ TEST(EngineTest, ExplainAllReportsCoverageAndUnexplained) {
 }
 
 // The multithreaded report must be byte-identical to the serial one: same
-// per-template counts, same (sorted) explained/unexplained lids. Forcing
-// min_rows_per_shard to 1 exercises the shard merge even on the 2-row toy
-// log.
+// per-template counts, same (sorted) explained/unexplained lids.
 TEST(EngineTest, ExplainAllParallelMatchesSerialOnToyDatabase) {
   Database db = BuildPaperToyDatabase();
   ExplanationEngine engine =
@@ -203,7 +201,6 @@ TEST(EngineTest, ExplainAllParallelMatchesSerialOnToyDatabase) {
   for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     ExplainAllOptions options;
     options.num_threads = threads;
-    options.min_rows_per_shard = 1;
     EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport parallel,
                              engine.ExplainAll(options));
     EXPECT_EQ(parallel.log_size, serial.log_size) << threads << " threads";

@@ -545,7 +545,6 @@ DurFixture MakeDurFixture() {
 
 StreamingOptions SmallStreamingOptions() {
   StreamingOptions options;
-  options.min_rows_per_shard = 1;
   options.executor.min_rows_per_morsel = 1;
   return options;
 }

@@ -5,7 +5,8 @@
 // Figure 3 toy database and a generated CareWeb database, plus targeted
 // unit tests for the distinct-lid semi-join fast path and for the checks
 // a binding step fuses (NULLs, cross-type and cross-dictionary pairs,
-// doubles, literals, seed-only conditions).
+// doubles, literals, seed-only conditions) and for checks that read
+// column views across a 64k-row chunk seam.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "query/optimizer.h"
 #include "query/parser.h"
 #include "query/plan_cache.h"
+#include "storage/chunk.h"
 #include "tests/test_util.h"
 
 namespace eba {
@@ -539,6 +541,88 @@ TEST(FusedCheckTest, EdgeCasesMatchReference) {
               UnwrapOrDie(late_cost.Materialize(q)).rows);
     EXPECT_EQ(UnwrapOrDie(late_parallel.DistinctLids(q, lid)),
               UnwrapOrDie(reference.DistinctLids(q, lid)));
+  }
+}
+
+// ---------------------- Column views at a chunk seam -----------------------
+
+/// A log one 64k-row chunk and a bit long. Each patient's accesses lie
+/// kPatients rows apart, so every probe row past the seam has candidates on
+/// both sides of it. User's first NULL falls in the second chunk, so its
+/// null flags were backfilled there; the third pass over the patients gets
+/// other users, so the fused User equality rejects some candidates.
+constexpr size_t kSeamRows = kColumnChunkRows + 4096;
+constexpr size_t kPatients = 20000;
+constexpr size_t kFirstNullUser = kColumnChunkRows + 464;
+
+Database BuildChunkSeamDatabase() {
+  Database db;
+  auto must = [](const Status& s) { EBA_CHECK_MSG(s.ok(), s.ToString()); };
+  must(db.CreateTable(AccessLog::StandardSchema("Log")));
+  Table* log = db.GetTable("Log").value();
+  const int64_t start = Date::FromCivil(2011, 1, 1, 0, 0, 0).ToSeconds();
+  for (size_t r = 0; r < kSeamRows; ++r) {
+    const int64_t patient = static_cast<int64_t>(r % kPatients);
+    const int64_t pass = static_cast<int64_t>(r / kPatients);
+    const bool null_user =
+        r == kFirstNullUser || (r > kFirstNullUser && r % 97 == 0);
+    must(log->AppendRow(
+        {Value::Int64(static_cast<int64_t>(r) + 1),
+         Value::Timestamp(start + static_cast<int64_t>(r)),
+         null_user ? Value::Null()
+                   : Value::Int64((patient + (pass == 2 ? 1 : 0)) % 3),
+         Value::Int64(patient), Value::String("viewed")}));
+  }
+  return db;
+}
+
+TEST(ColumnViewTest, ChecksAcrossChunkSeamMatchReference) {
+  const Database db = BuildChunkSeamDatabase();
+  const Table* log = db.GetTable("Log").value();
+  ASSERT_GT(log->column(2).size(), kColumnChunkRows);
+  ASSERT_FALSE(log->column(2).IsNull(kFirstNullUser - 1));
+  ASSERT_TRUE(log->column(2).IsNull(kFirstNullUser));
+
+  const QAttr lid{0, 0};
+  const char* const wheres[] = {
+      "L.Patient = L2.Patient AND L2.User = L.User AND L.Date > L2.Date",
+      // A literal check on the candidate next to the attribute checks.
+      "L.Patient = L2.Patient AND L2.User = L.User AND L2.User = 1",
+  };
+  // Lids of rows on both sides of the seam, of NULL-user rows, and of rows
+  // whose candidates the User check rejects.
+  std::vector<Value> lids;
+  for (size_t r : {size_t{0}, size_t{45000}, kColumnChunkRows - 1,
+                   kColumnChunkRows, kColumnChunkRows + 1, kFirstNullUser,
+                   kFirstNullUser + 1, kSeamRows - 1}) {
+    lids.push_back(Value::Int64(static_cast<int64_t>(r) + 1));
+  }
+  for (const char* where : wheres) {
+    SCOPED_TRACE(where);
+    const PathQuery q = UnwrapOrDie(ParsePathQuery(db, "Log L, Log L2", where));
+    Executor reference(&db, BoxedReference());
+    const std::vector<int64_t> ref_lids =
+        UnwrapOrDie(reference.DistinctLids(q, lid));
+    ASSERT_FALSE(ref_lids.empty());
+    EXPECT_GT(ref_lids.back(), static_cast<int64_t>(kColumnChunkRows));
+
+    ExecutorOptions parallel = LateCostBased();
+    parallel.num_threads = 2;
+    parallel.min_rows_per_morsel = 1;
+    for (const ExecutorOptions& options :
+         {LateDeclared(), LateCostBased(), parallel}) {
+      Executor late(&db, options);
+      EXPECT_EQ(UnwrapOrDie(late.DistinctLids(q, lid)), ref_lids);
+    }
+
+    const Relation ref_rel =
+        UnwrapOrDie(reference.MaterializeForLogIds(q, lid, lids));
+    ASSERT_FALSE(ref_rel.rows.empty());
+    Executor late(&db, LateDeclared());
+    const Relation late_rel =
+        UnwrapOrDie(late.MaterializeForLogIds(q, lid, lids));
+    EXPECT_EQ(ref_rel.attrs, late_rel.attrs);
+    EXPECT_EQ(ref_rel.rows, late_rel.rows);
   }
 }
 

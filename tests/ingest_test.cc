@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -153,7 +155,6 @@ TEST(StreamingAuditorTest, ExplainNewIsDeterministicAcrossThreadCounts) {
   StreamingAuditor parallel = MakeAuditor(&f2);
   StreamingOptions par_options;
   par_options.num_threads = 4;
-  par_options.min_rows_per_shard = 1;
   par_options.executor.min_rows_per_morsel = 1;
 
   (void)UnwrapOrDie(serial.ExplainNew());
@@ -555,6 +556,163 @@ TEST(StreamingAuditorTest, RepeatedLidSeesItsOlderRowNewlyExplained) {
   EXPECT_EQ(report.explained_lids, (std::vector<int64_t>{2}));
   EXPECT_TRUE(report.unexplained_lids.empty());
   EXPECT_TRUE(t.auditor->IsExplained(2));
+}
+
+/// Independent of AuditRange's merge: the lids of `log_table`'s rows
+/// [from, to), one per row and ascending, split by whether the boxed
+/// engine's DistinctLids of some template holds them.
+RestrictedReport BoxedClassification(
+    const Database& db, const std::string& log_table,
+    const std::vector<ExplanationTemplate>& templates, size_t from,
+    size_t to) {
+  ExecutorOptions boxed;
+  boxed.engine = ExecutorOptions::Engine::kBoxedReference;
+  Executor executor(&db, boxed);
+  std::unordered_set<int64_t> explained;
+  for (const ExplanationTemplate& tmpl : templates) {
+    const ExplanationTemplate bound = tmpl.WithLogTable(log_table);
+    for (int64_t lid : UnwrapOrDie(
+             executor.DistinctLids(bound.query(), bound.lid_attr()))) {
+      explained.insert(lid);
+    }
+  }
+  const Table* log = UnwrapOrDie(db.GetTable(log_table));
+  const size_t lid_col =
+      static_cast<size_t>(log->schema().ColumnIndex("Lid"));
+  RestrictedReport out;
+  for (size_t r = from; r < to; ++r) {
+    const int64_t lid = log->Get(r, lid_col).AsInt64();
+    (explained.count(lid) ? out.explained : out.unexplained).push_back(lid);
+  }
+  std::sort(out.explained.begin(), out.explained.end());
+  std::sort(out.unexplained.begin(), out.unexplained.end());
+  return out;
+}
+
+std::vector<int64_t> Distinct(std::vector<int64_t> lids) {
+  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+  return lids;
+}
+
+// Lids that descend in row order, one of them on two rows: no audited
+// range's lids ascend, so AuditRange and DistinctLidsJoinedTo take their
+// sort fallbacks. ExplainAll, a from-zero ExplainNew and an ExplainNew
+// after a foreign append must still agree with the boxed engine and with a
+// classification of a cloned database.
+TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
+  CareWebData data = UnwrapOrDie(GenerateCareWeb(CareWebConfig::Tiny()));
+  const std::vector<ExplanationTemplate> templates =
+      UnwrapOrDie(TemplatesHandcraftedDirect(data.db, true));
+  const Table* source = UnwrapOrDie(
+      static_cast<const Database&>(data.db).GetTable("Log"));
+  const size_t n = source->num_rows();
+  const size_t prefix = 2 * n / 3;
+  const size_t lid_col =
+      static_cast<size_t>(source->schema().ColumnIndex("Lid"));
+
+  // Which prefix rows the generated log's own audit explains: the repeated
+  // lid joins an explained row to an unexplained one, and the foreign
+  // append below explains another unexplained row.
+  ExplanationEngine plain = UnwrapOrDie(ExplanationEngine::Create(&data.db, "Log"));
+  for (const auto& tmpl : templates) EBA_ASSERT_OK(plain.AddTemplate(tmpl));
+  const ExplanationReport plain_report = UnwrapOrDie(plain.ExplainAll());
+  const std::unordered_set<int64_t> plain_explained(
+      plain_report.explained_lids.begin(), plain_report.explained_lids.end());
+  std::vector<size_t> explained_rows, unexplained_rows;
+  for (size_t r = 0; r < prefix; ++r) {
+    (plain_explained.count(source->Get(r, lid_col).AsInt64())
+         ? explained_rows
+         : unexplained_rows)
+        .push_back(r);
+  }
+  ASSERT_FALSE(explained_rows.empty());
+  ASSERT_GE(unexplained_rows.size(), 2u);
+  const size_t shared_row = explained_rows.front();
+  const size_t repeat_row = unexplained_rows.front();
+  const size_t foreign_row = unexplained_rows.back();
+
+  EBA_ASSERT_OK(data.db.CreateTable(AccessLog::StandardSchema("LogDesc")));
+  Table* desc = data.db.GetTable("LogDesc").value();
+  auto row_with_lid = [&](size_t r) {
+    Row row = source->GetRow(r);
+    const size_t lid_row = r == repeat_row ? shared_row : r;
+    row[lid_col] = Value::Int64(static_cast<int64_t>(n - lid_row));
+    return row;
+  };
+  for (size_t r = 0; r < prefix; ++r) {
+    EBA_ASSERT_OK(desc->AppendRow(row_with_lid(r)));
+  }
+  ASSERT_EQ(desc->Get(repeat_row, lid_col), desc->Get(shared_row, lid_col));
+
+  // ExplainAll, serial and on two threads, against the boxed engine's
+  // ExplainAll and the independent classification.
+  StreamingAuditor auditor =
+      UnwrapOrDie(StreamingAuditor::Create(&data.db, "LogDesc"));
+  for (const auto& tmpl : templates) EBA_ASSERT_OK(auditor.AddTemplate(tmpl));
+  ExplainAllOptions boxed;
+  boxed.executor.engine = ExecutorOptions::Engine::kBoxedReference;
+  const ExplanationReport boxed_all =
+      UnwrapOrDie(auditor.engine().ExplainAll(boxed));
+  const RestrictedReport oracle =
+      BoxedClassification(data.db, "LogDesc", templates, 0, prefix);
+  ASSERT_FALSE(oracle.explained.empty());
+  ASSERT_FALSE(oracle.unexplained.empty());
+  ExplainAllOptions two_threads;
+  two_threads.num_threads = 2;
+  for (const ExplainAllOptions& options : {ExplainAllOptions{}, two_threads}) {
+    const ExplanationReport all =
+        UnwrapOrDie(auditor.engine().ExplainAll(options));
+    EXPECT_EQ(all.explained_lids, oracle.explained);
+    EXPECT_EQ(all.unexplained_lids, oracle.unexplained);
+    EXPECT_EQ(all.explained_lids, boxed_all.explained_lids);
+    EXPECT_EQ(all.unexplained_lids, boxed_all.unexplained_lids);
+    EXPECT_EQ(all.per_template_counts, boxed_all.per_template_counts);
+  }
+
+  // From zero, ExplainNew reports each lid once.
+  const StreamingReport first = UnwrapOrDie(auditor.ExplainNew());
+  EXPECT_EQ(first.explained_lids, Distinct(oracle.explained));
+  EXPECT_EQ(first.unexplained_lids, Distinct(oracle.unexplained));
+  EXPECT_EQ(first.per_template_counts, boxed_all.per_template_counts);
+
+  // A foreign appointment explains an older row, and the rest of the log
+  // arrives with still smaller lids.
+  const int64_t foreign_lid = desc->Get(foreign_row, lid_col).AsInt64();
+  EXPECT_FALSE(auditor.IsExplained(foreign_lid));
+  const size_t user_col =
+      static_cast<size_t>(source->schema().ColumnIndex("User"));
+  const size_t patient_col =
+      static_cast<size_t>(source->schema().ColumnIndex("Patient"));
+  EBA_ASSERT_OK(auditor.AppendRows(
+      "Appointments",
+      {{desc->Get(foreign_row, patient_col),
+        Value::Timestamp(Date::FromCivil(2010, 3, 3, 9, 0, 0).ToSeconds()),
+        desc->Get(foreign_row, user_col)}}));
+  std::vector<Row> rest;
+  for (size_t r = prefix; r < n; ++r) rest.push_back(row_with_lid(r));
+  EBA_ASSERT_OK(auditor.AppendAccessBatch(rest));
+  const StreamingReport next = UnwrapOrDie(auditor.ExplainNew());
+  EXPECT_FALSE(next.full_reaudit);
+
+  const Database clone = data.db.Clone();
+  const RestrictedReport new_rows =
+      BoxedClassification(clone, "LogDesc", templates, prefix, n);
+  EXPECT_EQ(next.explained_lids, Distinct(new_rows.explained));
+  EXPECT_EQ(next.unexplained_lids, Distinct(new_rows.unexplained));
+  const RestrictedReport old_rows =
+      BoxedClassification(clone, "LogDesc", templates, 0, prefix);
+  std::vector<int64_t> newly_explained;
+  std::set_difference(old_rows.explained.begin(), old_rows.explained.end(),
+                      oracle.explained.begin(), oracle.explained.end(),
+                      std::back_inserter(newly_explained));
+  EXPECT_EQ(next.delta_explained_lids, Distinct(newly_explained));
+  EXPECT_TRUE(std::binary_search(next.delta_explained_lids.begin(),
+                                 next.delta_explained_lids.end(),
+                                 foreign_lid));
+  std::unordered_set<int64_t> all_explained(old_rows.explained.begin(),
+                                            old_rows.explained.end());
+  all_explained.insert(new_rows.explained.begin(), new_rows.explained.end());
+  EXPECT_TRUE(auditor.ExplainedSetEquals(all_explained));
 }
 
 TEST(StreamingAuditorTest, EmptyAuditAndBadBatchRows) {

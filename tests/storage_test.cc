@@ -198,6 +198,23 @@ TEST(IndexTest, IntLookup) {
   EXPECT_TRUE(idx.Lookup(Value::String("7"), col.size()).empty());  // wrong type
 }
 
+TEST(IndexTest, ClampToCutsAtTheBound) {
+  const uint32_t rows[] = {2, 5, 9};
+  const RowIdSpan span{rows, 3};
+  auto clamped = [&](size_t bound) { return span.ClampTo(bound).size(); };
+  EXPECT_TRUE(RowIdSpan{}.ClampTo(0).empty());
+  EXPECT_TRUE(RowIdSpan{}.ClampTo(10).empty());
+  // Every id below the bound: the span itself.
+  EXPECT_EQ(span.ClampTo(10).data, rows);
+  EXPECT_EQ(clamped(10), 3u);
+  // The bound inside the span, at an id, and at the last id.
+  EXPECT_EQ(clamped(6), 2u);
+  EXPECT_EQ(clamped(5), 1u);
+  EXPECT_EQ(clamped(9), 2u);
+  EXPECT_EQ(clamped(0), 0u);
+  EXPECT_EQ(span.ClampTo(0).data, rows);
+}
+
 TEST(IndexTest, StringLookupThroughDictionary) {
   Column col(DataType::kString);
   for (const char* v : {"a", "b", "a"}) col.AppendString(v);

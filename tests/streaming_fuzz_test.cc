@@ -131,7 +131,6 @@ std::vector<std::string> RunFuzz(uint64_t seed, size_t steps,
   Random rng(seed);
   StreamingOptions options;
   options.num_threads = num_threads;
-  options.min_rows_per_shard = 1;
   options.executor.min_rows_per_morsel = 1;
 
   const std::vector<std::string> foreign_tables = {"Appointments", "Visits",
@@ -332,7 +331,6 @@ TEST(StreamingFuzzTest, CrashAtEveryStepRecoversAndFinishesSchedule) {
   const size_t kSteps = 12;
   const std::string dir = ::testing::TempDir() + "/fuzz_crash_recover";
   StreamingOptions options;
-  options.min_rows_per_shard = 1;
   options.executor.min_rows_per_morsel = 1;
   DurabilityOptions dopts;
   dopts.dir = dir;
@@ -388,7 +386,6 @@ TEST(StreamingFuzzTest, ConcurrentReadersUnderIngestMatchClonedOracle) {
   FuzzFixture f = MakeFuzzFixture();
   StreamingOptions options;
   options.num_threads = 2;
-  options.min_rows_per_shard = 1;
   options.executor.min_rows_per_morsel = 1;
 
   // The seeded lids exist for the whole run: safe point-lookup targets.
