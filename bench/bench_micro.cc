@@ -309,45 +309,6 @@ void BM_DistinctLidsPlanCache(benchmark::State& state) {
 }
 BENCHMARK(BM_DistinctLidsPlanCache)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Morsel-parallel probe phase at increasing worker counts (plan cache on,
-// so the measured delta is the probe fan-out, not planning). Real time is
-// reported because the work happens on pool threads; expect ~linear probe
-// scaling up to the physical core count — a single-core machine reports
-// per-thread-count throughput instead (see PR 1's note).
-void BM_DistinctLidsParallel(benchmark::State& state) {
-  const CareWebData& data = ExecutorBenchData();
-  PlanCache cache;
-  ExecutorOptions options;
-  options.plan_cache = &cache;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  options.min_rows_per_morsel = 1024;
-  Executor executor(&data.db, options);
-  static const std::vector<ExplanationTemplate>* templates =
-      new std::vector<ExplanationTemplate>(
-          Unwrap(TemplatesHandcraftedDirect(ExecutorBenchData().db, true)));
-  for (auto _ : state) {
-    size_t total = 0;
-    for (const auto& tmpl : *templates) {
-      auto lids = executor.DistinctLids(tmpl.query(), tmpl.lid_attr());
-      EBA_CHECK_MSG(lids.ok(), lids.status().ToString());
-      total += lids->size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  const Table* log = Unwrap(data.db.GetTable("Log"));
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(log->num_rows()) *
-                          static_cast<int64_t>(templates->size()));
-}
-void ParallelProbeThreadCounts(benchmark::internal::Benchmark* b) {
-  b->Arg(1)->Arg(2)->Arg(4);
-  if (HardwareThreads() > 4) {
-    b->Arg(static_cast<int64_t>(HardwareThreads()));
-  }
-  b->UseRealTime()->Unit(benchmark::kMillisecond);
-}
-BENCHMARK(BM_DistinctLidsParallel)->Apply(ParallelProbeThreadCounts);
-
 void BM_MineOneWayTinyLog(benchmark::State& state) {
   const CareWebData& data = SharedData();
   // Mining over day 1's first accesses only (kept small so the benchmark
@@ -469,27 +430,6 @@ int RunExecutorJsonBench(const std::string& path, bool smoke) {
       [&] { explain_workload(cached_explain_executor); }, min_seconds,
       max_iters);
 
-  // Morsel-parallel probe at increasing worker counts (plan cache on, so
-  // the delta is probe fan-out only). On a single-core runner the absolute
-  // numbers stay flat; the JSON records per-thread-count throughput either
-  // way.
-  std::vector<size_t> thread_counts = {1, 2, 4};
-  if (HardwareThreads() > 4) thread_counts.push_back(HardwareThreads());
-  std::vector<double> parallel_s(thread_counts.size());
-  for (size_t t = 0; t < thread_counts.size(); ++t) {
-    PlanCache per_thread_cache;
-    ExecutorOptions options;
-    options.plan_cache = &per_thread_cache;
-    options.num_threads = thread_counts[t];
-    options.min_rows_per_morsel = 1024;
-    Executor executor(&data.db, options);
-    parallel_s[t] = SecondsPerIter([&] { lids_workload(executor); },
-                                   min_seconds, max_iters);
-  }
-
-  const double rows_per_iter = static_cast<double>(log->num_rows()) *
-                               static_cast<double>(templates.size());
-
   // Streaming serving loop: appends interleaved with incremental audits and
   // per-access explains, recorded here so the committed BENCH_executor.json
   // and the CI regression gate cover it.
@@ -549,17 +489,6 @@ int RunExecutorJsonBench(const std::string& path, bool smoke) {
                plan_off_explain_s, plan_on_explain_s,
                plan_off_explain_s / plan_on_explain_s);
   std::fprintf(f, "    },\n");
-  std::fprintf(f, "    \"parallel_probe\": {\n");
-  for (size_t t = 0; t < thread_counts.size(); ++t) {
-    std::fprintf(f,
-                 "      \"threads_%zu\": {\"seconds_per_iter\": %.6f, "
-                 "\"probe_rows_per_second\": %.0f, \"speedup_vs_serial\": "
-                 "%.2f}%s\n",
-                 thread_counts[t], parallel_s[t],
-                 rows_per_iter / parallel_s[t], parallel_s[0] / parallel_s[t],
-                 t + 1 == thread_counts.size() ? "" : ",");
-  }
-  std::fprintf(f, "    },\n");
   std::fprintf(f, "    \"streaming\": {\n");
   WriteConcurrentIngestJson(f, concurrent, "      ");
   WriteStreamingJson(f, streaming, "      ");
@@ -583,12 +512,6 @@ int RunExecutorJsonBench(const std::string& path, bool smoke) {
               "(%.1fx)\n",
               plan_off_explain_s * 1e3, plan_on_explain_s * 1e3,
               plan_off_explain_s / plan_on_explain_s);
-  for (size_t t = 0; t < thread_counts.size(); ++t) {
-    std::printf("probe threads %zu : %.3f ms (%.2fx vs serial, %.0f "
-                "rows/s)\n",
-                thread_counts[t], parallel_s[t] * 1e3,
-                parallel_s[0] / parallel_s[t], rows_per_iter / parallel_s[t]);
-  }
   std::printf("streaming ingest : %.0f appends/s, ExplainNew %.3f ms/batch, "
               "plan-cache hit rate %.1f%% (%s full ExplainAll)\n",
               streaming.AppendsPerSecond(), streaming.ExplainNewMsPerBatch(),

@@ -173,59 +173,6 @@ std::vector<ShardRange> SplitShards(size_t n, size_t max_shards,
   return shards;
 }
 
-std::vector<ShardRange> SplitShardsAligned(size_t n, size_t max_shards,
-                                           size_t min_per_shard,
-                                           size_t alignment) {
-  return SplitShardsAlignedRange(0, n, max_shards, min_per_shard, alignment);
-}
-
-std::vector<ShardRange> SplitShardsAlignedRange(size_t range_begin,
-                                                size_t range_end,
-                                                size_t max_shards,
-                                                size_t min_per_shard,
-                                                size_t alignment) {
-  std::vector<ShardRange> shards;
-  if (range_end <= range_begin) return shards;
-  const size_t n = range_end - range_begin;
-  const size_t per = std::max<size_t>(1, min_per_shard);
-  const size_t count = std::max<size_t>(1, std::min(max_shards, n / per));
-  const size_t first_block = alignment > 1 ? range_begin / alignment : 0;
-  const size_t last_block = alignment > 1 ? (range_end - 1) / alignment : 0;
-  const size_t blocks = last_block - first_block + 1;
-  // Alignment is an optimization, never a parallelism cap: when the range
-  // spans fewer chunks than the even split would make shards (small and
-  // mid-size workloads often fit in one chunk), fall back to the even
-  // element split rather than collapsing the shard count.
-  if (alignment <= 1 || blocks < count) {
-    shards = SplitShards(n, max_shards, min_per_shard);
-    for (ShardRange& shard : shards) {
-      shard.begin += range_begin;
-      shard.end += range_begin;
-    }
-    return shards;
-  }
-  // Work in whole alignment blocks: block k covers absolute rows
-  // [k*alignment, (k+1)*alignment) clipped to the range. Spreading the
-  // remainder of the block division one block at a time keeps shard sizes
-  // within one block of each other — a naive "dump the remainder on the
-  // last shard" split leaves it up to ~2x the rest, and the slowest shard
-  // sets the wall-clock of every ParallelFor. The extra blocks go to the
-  // *trailing* shards: the last shard owns the partial tail block (and the
-  // first a possibly ragged head), so handing it an extra block keeps the
-  // max-min spread at one block; extras on the leading shards would stack
-  // a full extra block on top of a full-block shard while the tail shard
-  // holds only the partial block, widening the spread to almost two.
-  const size_t base = blocks / count;
-  const size_t extra = blocks % count;  // trailing shards take one extra block
-  size_t block = first_block;
-  for (size_t s = 0; s < count; ++s) {
-    const size_t begin = std::max(range_begin, block * alignment);
-    block += base + (s + extra >= count ? 1 : 0);
-    shards.push_back(ShardRange{begin, std::min(range_end, block * alignment)});
-  }
-  return shards;
-}
-
 size_t HardwareThreads() {
   unsigned int n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<size_t>(n);

@@ -84,28 +84,6 @@ struct ShardRange {
 std::vector<ShardRange> SplitShards(size_t n, size_t max_shards,
                                     size_t min_per_shard);
 
-/// Like SplitShards, but every interior shard boundary lies on a multiple
-/// of `alignment`, so a shard of table rows never straddles a column-chunk
-/// boundary (the final shard's end is n, which may be mid-chunk). The
-/// remainder of the block division is spread one block at a time across the
-/// leading shards — never accumulated onto the last shard — so shard sizes
-/// differ by at most `alignment`. Alignment never reduces parallelism:
-/// when [0, n) spans fewer aligned blocks than the even split would make
-/// shards, the even (unaligned) split is returned instead. alignment <= 1
-/// degrades to SplitShards exactly.
-std::vector<ShardRange> SplitShardsAligned(size_t n, size_t max_shards,
-                                           size_t min_per_shard,
-                                           size_t alignment);
-
-/// SplitShardsAligned over an arbitrary half-open row range [begin, end):
-/// interior boundaries lie on absolute multiples of `alignment` (the first
-/// and last shard absorb the unaligned head and tail). Used where a scan
-/// starts at an append watermark that is rarely chunk-aligned.
-std::vector<ShardRange> SplitShardsAlignedRange(size_t begin, size_t end,
-                                                size_t max_shards,
-                                                size_t min_per_shard,
-                                                size_t alignment);
-
 /// std::thread::hardware_concurrency with a floor of 1.
 size_t HardwareThreads();
 

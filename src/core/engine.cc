@@ -4,6 +4,8 @@
 #include <deque>
 #include <iterator>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -12,6 +14,12 @@
 namespace eba {
 
 namespace {
+
+/// The fewest rows one audit task seeds when a range is split over
+/// threads: a smaller range stays one executor run, whose fixed cost (plan
+/// lookup, frame setup, its own sort and dedup) would outweigh the rows a
+/// split hands another thread.
+constexpr size_t kMinSeedRows = 4096;
 
 /// The ascending, duplicate-free union of ascending lists, merged pairwise;
 /// the merges of one round run concurrently on `pool`.
@@ -164,47 +172,59 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
   ThreadPool* pool = workers->get();
 
   // Tasks share the engine's persistent plan cache unless the caller wired
-  // their own, and the pool also drives probe morsels: ParallelFor is
-  // nesting-safe, so task and probe fan-out coexist on the same workers.
+  // their own.
   ExecutorOptions exec = options.executor;
   if (exec.plan_cache == nullptr) exec.plan_cache = plan_cache_.get();
-  if (exec.pool == nullptr && pool != nullptr) {
-    exec.pool = pool;
-    if (exec.num_threads <= 1) exec.num_threads = threads;
-  }
 
-  // --- One task list: each appended table paired with every template that
-  // --- references it (no other template can change).
+  // --- One task list: for each appended table — the log with the audited
+  // --- rows, each non-log table of `appends` with its new rows — every
+  // --- template variable bound to it pivots over those rows, one task per
+  // --- near-equal cut of them (at most one per thread, none under
+  // --- kMinSeedRows rows). The seed range is a run's only restriction, so
+  // --- a template's tasks together find what one run per pivot would.
+  // --- From row 0 variable 0 alone pivots: seeded at every log row, it
+  // --- finds every explained lid.
   RangeAudit audit;
   struct Task {
     size_t template_index;
-    const std::string* table;
+    int pivot;
     RowRange rows;
   };
   std::vector<Task> tasks;
-  auto references = [&](size_t i, const std::string& name, size_t first_var) {
-    const std::vector<TupleVar>& vars = templates_[i].query().vars;
-    for (size_t v = first_var; v < vars.size(); ++v) {
-      if (vars[v].table == name) return true;
+  // An empty range (an empty log, from row 0) still runs once, validating
+  // the query.
+  auto add_tasks = [&](size_t i, int pivot, RowRange rows) {
+    std::vector<ShardRange> cuts =
+        SplitShards(rows.size(), threads, kMinSeedRows);
+    if (cuts.empty()) cuts.emplace_back();
+    for (const ShardRange& cut : cuts) {
+      tasks.push_back(Task{
+          i, pivot, RowRange{rows.begin + cut.begin, rows.begin + cut.end}});
     }
-    return false;
   };
-  if (from_zero || !log_rows.empty()) {
-    for (size_t i = 0; i < templates_.size(); ++i) {
-      tasks.push_back(Task{i, &log_table_, log_rows});
-      if (!from_zero && references(i, log_table_, 1)) ++audit.delta_queries;
-    }
-  }
-  if (!from_zero) {
-    for (const CatalogDrift::Append& appended : appends) {
-      if (appended.table == log_table_) continue;
+  if (from_zero) {
+    for (size_t i = 0; i < templates_.size(); ++i) add_tasks(i, 0, log_rows);
+  } else {
+    std::vector<std::pair<const std::string*, RowRange>> appended;
+    if (!log_rows.empty()) appended.emplace_back(&log_table_, log_rows);
+    for (const CatalogDrift::Append& append : appends) {
+      if (append.table == log_table_) continue;
       ++audit.delta_tables;
-      const RowRange rows{static_cast<size_t>(appended.from_watermark),
-                          static_cast<size_t>(appended.to_watermark)};
+      appended.emplace_back(
+          &append.table, RowRange{static_cast<size_t>(append.from_watermark),
+                                  static_cast<size_t>(append.to_watermark)});
+    }
+    for (const auto& [name, rows] : appended) {
       for (size_t i = 0; i < templates_.size(); ++i) {
-        if (!references(i, appended.table, 0)) continue;
-        tasks.push_back(Task{i, &appended.table, rows});
-        ++audit.delta_queries;
+        const std::vector<TupleVar>& vars = templates_[i].query().vars;
+        size_t pivots = 0;
+        for (size_t v = 0; v < vars.size(); ++v) {
+          if (vars[v].table != *name) continue;
+          add_tasks(i, static_cast<int>(v), rows);
+          ++pivots;
+        }
+        // A delta query seeds more than the log's variable 0.
+        if (pivots > (*name == log_table_ ? 1u : 0u)) ++audit.delta_queries;
       }
     }
   }
@@ -218,9 +238,10 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     const ExplanationTemplate& tmpl = templates_[tasks[k].template_index];
     Executor executor(snapshot, exec);
     results[k] = executor.DistinctLidsJoinedTo(
-        tmpl.query(), tmpl.lid_attr(), *tasks[k].table, tasks[k].rows);
+        tmpl.query(), tmpl.lid_attr(), tasks[k].pivot, tasks[k].rows);
   });
-  // Per template: the ascending union of its tasks' results.
+  // Per template: the ascending union of its tasks' results (a lid whose
+  // rows fall in two cuts is found by both).
   std::vector<std::vector<int64_t>> found(templates_.size());
   for (size_t k = 0; k < tasks.size(); ++k) {
     if (!results[k].ok()) return results[k].status();

@@ -40,18 +40,17 @@ namespace eba {
 /// Tuning knobs for a range audit: ExplainAll, and the streaming
 /// ExplainNew (core/ingest.h; StreamingOptions is this struct).
 struct ExplainAllOptions {
-  /// Worker threads. <= 1 evaluates everything on the calling thread; any
-  /// higher value fans the audit's template tasks out over a fixed pool
-  /// (the log's rows are classified by one merge). The report is
-  /// byte-identical regardless of the thread count.
+  /// Worker threads. <= 1 evaluates everything on the calling thread, one
+  /// executor run per template and pivot variable; any higher value also
+  /// cuts each run's seed rows into up to that many subranges and fans the
+  /// runs out over a fixed pool (the log's rows are classified by one
+  /// merge). The report is byte-identical regardless of the thread count.
   size_t num_threads = 1;
-  /// Executor engine/join-order/parallelism knobs used for template
-  /// evaluation. The defaults run the late-materialization engine with
-  /// cost-based join ordering; the boxed reference engine is available for
-  /// A/B comparison of from-zero audits. The audit threads its pool into
-  /// `executor.pool`/`executor.num_threads` when they are unset, so probe
-  /// morsels and the task fan-out share the same workers. A null
-  /// `executor.plan_cache` means the engine's persistent plan cache.
+  /// Executor engine/join-order knobs used for template evaluation. The
+  /// defaults run the late-materialization engine with cost-based join
+  /// ordering; the boxed reference engine is available for A/B comparison
+  /// of from-zero audits. A null `executor.plan_cache` means the engine's
+  /// persistent plan cache.
   ExecutorOptions executor;
 };
 
@@ -67,8 +66,9 @@ struct RangeAudit {
   /// Per registered template: lids of older rows its tasks found that the
   /// accumulated set lacks (ascending) — accesses the appends newly explain.
   std::vector<std::vector<int64_t>> delta_lids;
-  /// Appended non-log tables, and the tasks that seed anything but the
-  /// log's variable 0 (see StreamingReport).
+  /// Appended non-log tables, and the (template, appended table) pairs
+  /// whose tasks seed anything but the log's variable 0 (see
+  /// StreamingReport).
   size_t delta_tables = 0;
   size_t delta_queries = 0;
   /// Cumulative counters of the plan cache the tasks used, read after them.
@@ -128,12 +128,12 @@ class ExplanationEngine {
   StatusOr<ExplanationReport> ExplainAll() const;
 
   /// Full-log coverage report: AuditRange from row 0. With
-  /// options.num_threads > 1, templates are evaluated concurrently (one
-  /// executor per worker); the log's rows are then classified by one
-  /// sorted merge, so the report is deterministic and identical to the
-  /// serial one. The whole report — template evaluation and
-  /// classification — runs against one snapshot: the caller's, or a fresh
-  /// one pinned at call entry.
+  /// options.num_threads > 1, each template's log rows are split into
+  /// subranges evaluated concurrently (one executor per task); the log's
+  /// rows are then classified by one sorted merge, so the report is
+  /// deterministic and identical to the serial one. The whole report —
+  /// template evaluation and classification — runs against one snapshot:
+  /// the caller's, or a fresh one pinned at call entry.
   StatusOr<ExplanationReport> ExplainAll(const ExplainAllOptions& options) const;
   StatusOr<ExplanationReport> ExplainAll(
       const ExplainAllOptions& options,
@@ -143,12 +143,15 @@ class ExplanationEngine {
   /// audits log rows [log_from, bound) of `snapshot` on `*workers`, a pool
   /// sized to options.num_threads (kept across audits when it fits). One
   /// task list (Executor::DistinctLidsJoinedTo calls, one ParallelFor)
-  /// pairs each appended table — the log with the audited rows, each
-  /// non-log table of `appends` with its new rows — with every template
-  /// that references it; from row 0 the log alone (its variable 0 then
-  /// finds every explained lid). One merge then classifies the audited
-  /// rows: by monotonicity a lid is explained iff some task's result or
-  /// `accumulated` (lids earlier audits explained, ascending) holds it.
+  /// holds a (template, pivot variable, subrange) task for every template
+  /// variable bound to an appended table — the log with the audited rows,
+  /// each non-log table of `appends` with its new rows — and every cut of
+  /// those rows (at most options.num_threads near-equal cuts of at least
+  /// 4096 rows); from row 0 the log's variable 0 alone (it then finds every
+  /// explained lid). A template's lids are the union of its tasks'. One
+  /// merge then classifies the audited rows: by monotonicity a lid is
+  /// explained iff some task's result or `accumulated` (lids earlier
+  /// audits explained, ascending) holds it.
   StatusOr<RangeAudit> AuditRange(
       const Database::Snapshot& snapshot, size_t log_from,
       const std::vector<CatalogDrift::Append>& appends,

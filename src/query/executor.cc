@@ -14,7 +14,6 @@
 #include "common/logging.h"
 #include "query/optimizer.h"
 #include "query/plan_cache.h"
-#include "storage/chunk.h"
 
 namespace eba {
 
@@ -151,73 +150,6 @@ std::vector<uint32_t> GatherU32(const std::vector<uint32_t>& src,
   std::vector<uint32_t> out(sel.size());
   for (size_t i = 0; i < sel.size(); ++i) out[i] = src[sel[i]];
   return out;
-}
-
-/// Morsel fan-out context for one execution: how probe scans and final
-/// gathers are partitioned over the thread pool. Morsels() returns an empty
-/// vector as the "run serial" sentinel (no pool, one thread, or too few
-/// rows).
-struct ParCtx {
-  ThreadPool* pool = nullptr;
-  size_t threads = 1;
-  size_t min_rows = 4096;
-  ExecStats* stats = nullptr;
-
-  std::vector<ShardRange> Morsels(size_t n) const {
-    if (pool == nullptr || threads <= 1) return {};
-    // Chunk-aligned when it costs no shards: for the variable-0 scan (frame
-    // positions == table rows) a probe morsel then never straddles a column
-    // chunk; for gathered frames the aligned split is just another legal
-    // contiguous partition (merges are shard-ordered either way).
-    std::vector<ShardRange> shards = SplitShardsAligned(
-        n, threads, std::max<size_t>(1, min_rows), kColumnChunkRows);
-    if (shards.size() <= 1) return {};
-    if (stats != nullptr) {
-      stats->max_probe_shards = std::max(stats->max_probe_shards, shards.size());
-    }
-    return shards;
-  }
-};
-
-ParCtx MakePar(ThreadPool* pool, const ExecutorOptions& options,
-               ExecStats* stats) {
-  ParCtx par;
-  par.pool = pool;
-  par.threads = pool == nullptr ? 1 : options.num_threads;
-  par.min_rows = std::max<size_t>(1, options.min_rows_per_morsel);
-  par.stats = stats;
-  return par;
-}
-
-/// Sorts `v` ascending with the same contiguous sharding as the probe
-/// phase: morsels are sorted independently on the pool, then merged
-/// pairwise (the merges of one round also run concurrently). Sorting is
-/// order-insensitive, so the result is identical to std::sort at any
-/// thread count.
-void ParallelSortInt64(std::vector<int64_t>* v, const ParCtx& par) {
-  std::vector<ShardRange> runs = par.Morsels(v->size());
-  if (runs.empty()) {
-    std::sort(v->begin(), v->end());
-    return;
-  }
-  ParallelFor(par.pool, runs.size(), [&](size_t s) {
-    std::sort(v->begin() + static_cast<long>(runs[s].begin),
-              v->begin() + static_cast<long>(runs[s].end));
-  });
-  while (runs.size() > 1) {
-    const size_t pairs = runs.size() / 2;
-    std::vector<ShardRange> next((runs.size() + 1) / 2);
-    ParallelFor(par.pool, pairs, [&](size_t p) {
-      const ShardRange& a = runs[2 * p];
-      const ShardRange& b = runs[2 * p + 1];
-      std::inplace_merge(v->begin() + static_cast<long>(a.begin),
-                         v->begin() + static_cast<long>(b.begin),
-                         v->begin() + static_cast<long>(b.end));
-      next[p] = ShardRange{a.begin, b.end};
-    });
-    if (runs.size() % 2 != 0) next[pairs] = runs.back();
-    runs = std::move(next);
-  }
 }
 
 /// Removes duplicate row-id tuples, keeping each first occurrence in frame
@@ -425,12 +357,9 @@ void ApplyDropStep(Frame* f, const PlanStep& st) {
 /// survivors only — the accumulated tuple is never copied as boxed values,
 /// only its uint32 columns are gathered through the selection vector. A
 /// step that does not keep its new variable (semi-join) appends each input
-/// row at most once, at its first surviving match. With morsels, the probe
-/// column is partitioned into contiguous shards; per-shard selection
-/// vectors are built independently and concatenated in shard order, so the
-/// output frame is byte-identical to the serial probe at any thread count.
-void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
-                     ExecStats* stats, size_t build_bound) {
+/// row at most once, at its first surviving match.
+void ExecuteJoinStep(Frame* f, const PlanStep& st, ExecStats* stats,
+                     size_t build_bound) {
   const std::vector<uint32_t>& pids = f->ids[static_cast<size_t>(st.probe_slot)];
   const size_t n = NeverMatches(st.checks) ? 0 : f->size();
   const Column& probe_col = *st.probe_col;
@@ -438,99 +367,63 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
   const std::vector<BoundCheck> checks = BindChecks(st.checks, *f);
   const HashIndex& idx = *st.index;
 
-  auto probe_range = [&](size_t begin, size_t end, std::vector<uint32_t>* sel,
-                         std::vector<uint32_t>* new_ids) {
-    // Every probe clamps its match list to the build table's snapshot
-    // bound: bucket row lists are ascending, so the clamp is one compare
-    // unless the concurrent writer appended to the key past the pinned
-    // watermark, and those rows never join.
-    auto emit = [&](size_t i, RowIdSpan matches) {
-      for (uint32_t m : matches) {
-        if (!AllHold(checks, i, m)) continue;
-        sel->push_back(static_cast<uint32_t>(i));
-        if (!st.keep_new) return;
-        new_ids->push_back(m);
-      }
-    };
-    switch (st.probe_kind) {
-      case PlanStep::ProbeKind::kInt64:
-        for (size_t i = begin; i < end; ++i) {
-          const uint32_t r = pids[i];
-          if (probe.IsNull(r)) continue;
-          emit(i, idx.LookupInt64(probe.Int64At(r)).ClampTo(build_bound));
-        }
-        break;
-      case PlanStep::ProbeKind::kStringSameColumn:
-        for (size_t i = begin; i < end; ++i) {
-          const uint32_t r = pids[i];
-          if (probe.IsNull(r)) continue;
-          emit(i, idx.LookupCode(probe.Int64At(r)).ClampTo(build_bound));
-        }
-        break;
-      case PlanStep::ProbeKind::kStringTranslated:
-        for (size_t i = begin; i < end; ++i) {
-          const uint32_t r = pids[i];
-          if (probe.IsNull(r)) continue;
-          const int64_t code =
-              st.translated_codes[static_cast<size_t>(probe.Int64At(r))];
-          if (code < 0) continue;
-          emit(i, idx.LookupCode(code).ClampTo(build_bound));
-        }
-        break;
-      case PlanStep::ProbeKind::kBoxed:
-        // Doubles and mismatched column kinds: boxed probes, identical to
-        // the reference engine's Lookup semantics (NULLs and cross-kind
-        // probes match nothing).
-        for (size_t i = begin; i < end; ++i) {
-          const std::vector<uint32_t> matches =
-              idx.Lookup(probe_col.Get(pids[i]), build_bound);
-          emit(i, RowIdSpan{matches.data(), matches.size()});
-        }
-        break;
+  // Every probe clamps its match list to the build table's snapshot bound:
+  // bucket row lists are ascending, so the clamp is one compare unless the
+  // concurrent writer appended to the key past the pinned watermark, and
+  // those rows never join.
+  std::vector<uint32_t> sel;
+  std::vector<uint32_t> new_ids;
+  auto emit = [&](size_t i, RowIdSpan matches) {
+    for (uint32_t m : matches) {
+      if (!AllHold(checks, i, m)) continue;
+      sel.push_back(static_cast<uint32_t>(i));
+      if (!st.keep_new) return;
+      new_ids.push_back(m);
     }
   };
+  switch (st.probe_kind) {
+    case PlanStep::ProbeKind::kInt64:
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = pids[i];
+        if (probe.IsNull(r)) continue;
+        emit(i, idx.LookupInt64(probe.Int64At(r)).ClampTo(build_bound));
+      }
+      break;
+    case PlanStep::ProbeKind::kStringSameColumn:
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = pids[i];
+        if (probe.IsNull(r)) continue;
+        emit(i, idx.LookupCode(probe.Int64At(r)).ClampTo(build_bound));
+      }
+      break;
+    case PlanStep::ProbeKind::kStringTranslated:
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = pids[i];
+        if (probe.IsNull(r)) continue;
+        const int64_t code =
+            st.translated_codes[static_cast<size_t>(probe.Int64At(r))];
+        if (code < 0) continue;
+        emit(i, idx.LookupCode(code).ClampTo(build_bound));
+      }
+      break;
+    case PlanStep::ProbeKind::kBoxed:
+      // Doubles and mismatched column kinds: boxed probes, identical to the
+      // reference engine's Lookup semantics (NULLs and cross-kind probes
+      // match nothing).
+      for (size_t i = 0; i < n; ++i) {
+        const std::vector<uint32_t> matches =
+            idx.Lookup(probe_col.Get(pids[i]), build_bound);
+        emit(i, RowIdSpan{matches.data(), matches.size()});
+      }
+      break;
+  }
 
   Frame next;
-  next.ids.resize(st.keep_slots.size() + (st.keep_new ? 1 : 0));
-
-  const std::vector<ShardRange> shards = par.Morsels(n);
-  if (shards.empty()) {
-    std::vector<uint32_t> sel;
-    std::vector<uint32_t> new_ids;
-    probe_range(0, n, &sel, &new_ids);
-    size_t out = 0;
-    for (uint32_t s : st.keep_slots) {
-      next.ids[out++] = GatherU32(f->ids[s], sel);
-    }
-    if (st.keep_new) next.ids[out] = std::move(new_ids);
-  } else {
-    std::vector<std::vector<uint32_t>> sels(shards.size());
-    std::vector<std::vector<uint32_t>> nids(shards.size());
-    ParallelFor(par.pool, shards.size(), [&](size_t s) {
-      probe_range(shards[s].begin, shards[s].end, &sels[s], &nids[s]);
-    });
-    size_t total = 0;
-    std::vector<size_t> offsets(shards.size());
-    for (size_t s = 0; s < shards.size(); ++s) {
-      offsets[s] = total;
-      total += sels[s].size();
-    }
-    for (auto& col : next.ids) col.resize(total);
-    ParallelFor(par.pool, shards.size(), [&](size_t s) {
-      size_t out = 0;
-      for (uint32_t slot : st.keep_slots) {
-        const std::vector<uint32_t>& src = f->ids[slot];
-        std::vector<uint32_t>& dst = next.ids[out++];
-        size_t o = offsets[s];
-        for (uint32_t i : sels[s]) dst[o++] = src[i];
-      }
-      if (st.keep_new) {
-        std::vector<uint32_t>& dst = next.ids[out];
-        std::copy(nids[s].begin(), nids[s].end(),
-                  dst.begin() + static_cast<long>(offsets[s]));
-      }
-    });
+  next.ids.reserve(st.keep_slots.size() + (st.keep_new ? 1 : 0));
+  for (uint32_t s : st.keep_slots) {
+    next.ids.push_back(GatherU32(f->ids[s], sel));
   }
+  if (st.keep_new) next.ids.push_back(std::move(new_ids));
 
   stats->joins_executed++;
   stats->rows_emitted += next.size();
@@ -543,12 +436,11 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
 /// watermark of each tuple variable's table — the other runtime input: the
 /// same frozen plan runs correctly for any snapshot because every seed and
 /// probe clamps to these bounds.
-void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
-               ExecStats* stats, RowRange seed_range,
-               const std::vector<size_t>& var_bounds) {
+void ApplyStep(Frame* f, const PlanStep& st, ExecStats* stats,
+               RowRange seed_range, const std::vector<size_t>& var_bounds) {
   switch (st.kind) {
     case PlanStep::Kind::kJoin:
-      ExecuteJoinStep(f, st, par, stats,
+      ExecuteJoinStep(f, st, stats,
                       var_bounds[static_cast<size_t>(st.new_var)]);
       break;
     case PlanStep::Kind::kDrop:
@@ -977,8 +869,7 @@ StatusOr<std::shared_ptr<CompiledPlan>> CompilePlan(
 /// the runtime inputs (the seed range and the snapshot bounds). A plan just
 /// compiled and one replayed from the cache run through exactly this code.
 Frame RunPlan(const CompiledPlan& plan, RowRange seed_range,
-              const std::vector<size_t>& var_bounds, const ParCtx& par,
-              ExecStats* stats) {
+              const std::vector<size_t>& var_bounds, ExecStats* stats) {
   stats->used_cost_based_order = plan.used_cost_based_order;
   stats->used_semi_join = plan.used_semi_join;
   Frame frame;
@@ -987,7 +878,7 @@ Frame RunPlan(const CompiledPlan& plan, RowRange seed_range,
   for (size_t k = 0; k < plan.steps.size(); ++k) {
     const PlanStep& st = plan.steps[k];
     if (st.kind == PlanStep::Kind::kJoin) join_input_rows = frame.size();
-    ApplyStep(&frame, st, par, stats, seed_range, var_bounds);
+    ApplyStep(&frame, st, stats, seed_range, var_bounds);
     for (; sp < plan.stats_points.size() &&
            plan.stats_points[sp].after_step == k;
          ++sp) {
@@ -1089,59 +980,26 @@ std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
 }
 
 /// Materializes the frame onto `output_attrs`: one gather per output column
-/// — the only place boxed Values are created. The gathers and the final row
-/// assembly partition into the same contiguous morsels as the probe phase
-/// (in-place writes into disjoint ranges), so the parallel result is
-/// byte-identical to the serial one.
+/// — the only place boxed Values are created — then one row per tuple.
 Relation MaterializeFrame(const Frame& frame, const CompiledPlan& plan,
-                          const std::vector<QAttr>& output_attrs,
-                          const ParCtx& par) {
+                          const std::vector<QAttr>& output_attrs) {
   Relation out;
   out.attrs = output_attrs;
-  const size_t n = frame.size();
   std::vector<std::vector<Value>> cols(output_attrs.size());
-  std::vector<const Column*> src(output_attrs.size());
-  std::vector<const std::vector<uint32_t>*> ids(output_attrs.size());
   for (size_t j = 0; j < output_attrs.size(); ++j) {
     const QAttr& a = output_attrs[j];
     const int slot = SlotOf(plan.final_vars, a.var);
     EBA_CHECK_MSG(slot >= 0, "projection variable missing from frame");
-    src[j] = &plan.tables[static_cast<size_t>(a.var)]->column(
-        static_cast<size_t>(a.col));
-    ids[j] = &frame.ids[static_cast<size_t>(slot)];
+    plan.tables[static_cast<size_t>(a.var)]
+        ->column(static_cast<size_t>(a.col))
+        .MaterializeInto(frame.ids[static_cast<size_t>(slot)], &cols[j]);
   }
-  const std::vector<ShardRange> shards = par.Morsels(n);
-  if (shards.empty()) {
-    for (size_t j = 0; j < cols.size(); ++j) {
-      src[j]->MaterializeInto(*ids[j], &cols[j]);
-    }
-    out.rows.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      Row& row = out.rows[i];
-      row.reserve(cols.size());
-      for (size_t j = 0; j < cols.size(); ++j) {
-        row.push_back(std::move(cols[j][i]));
-      }
-    }
-    return out;
+  out.rows.resize(frame.size());
+  for (size_t i = 0; i < out.rows.size(); ++i) {
+    Row& row = out.rows[i];
+    row.reserve(cols.size());
+    for (std::vector<Value>& col : cols) row.push_back(std::move(col[i]));
   }
-  for (auto& col : cols) col.resize(n);
-  ParallelFor(par.pool, shards.size(), [&](size_t s) {
-    for (size_t j = 0; j < cols.size(); ++j) {
-      src[j]->MaterializeRange(*ids[j], shards[s].begin, shards[s].end,
-                               cols[j].data());
-    }
-  });
-  out.rows.resize(n);
-  ParallelFor(par.pool, shards.size(), [&](size_t s) {
-    for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      Row& row = out.rows[i];
-      row.reserve(cols.size());
-      for (size_t j = 0; j < cols.size(); ++j) {
-        row.push_back(std::move(cols[j][i]));
-      }
-    }
-  });
   return out;
 }
 
@@ -1178,18 +1036,6 @@ Database::Snapshot Executor::QuerySnapshot() const {
   return has_fixed_snapshot_ ? fixed_snapshot_ : db_->CreateSnapshot();
 }
 
-ThreadPool* Executor::ProbePool() const {
-  // num_threads governs: <= 1 is serial regardless of an attached pool.
-  if (options_.num_threads <= 1) return nullptr;
-  if (options_.pool != nullptr) return options_.pool;
-  if (owned_pool_ == nullptr) {
-    // The calling thread participates in every ParallelFor, so the owned
-    // pool only needs num_threads - 1 workers.
-    owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
-  }
-  return owned_pool_.get();
-}
-
 StatusOr<Executor::FrameRun> Executor::RunFrame(
     const Database::Snapshot& snapshot, const PathQuery& q,
     const std::vector<QAttr>& output_attrs, bool dedup_frontier,
@@ -1218,8 +1064,7 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
   var_bounds.reserve(plan->tables.size());
   for (const Table* t : plan->tables) var_bounds.push_back(snapshot.BoundOf(t));
   FrameRun run;
-  run.frame = RunPlan(*plan, range, var_bounds,
-                      MakePar(ProbePool(), options_, &stats_), &stats_);
+  run.frame = RunPlan(*plan, range, var_bounds, &stats_);
   run.plan = std::move(plan);
   if (cache != nullptr) {
     const PlanCache::Stats cs = cache->stats();
@@ -1237,14 +1082,13 @@ StatusOr<Relation> Executor::Materialize(const PathQuery& q) const {
   if (output.empty()) output = q.ReferencedAttrs();
   if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
     return ExecuteBoxed(q, output, /*dedup_intermediate=*/false,
-                        /*lid_filter=*/nullptr, QAttr{});
+                        /*lid_filter=*/nullptr, QAttr{}, kAllRows);
   }
   EBA_ASSIGN_OR_RETURN(
       FrameRun run, RunFrame(QuerySnapshot(), q, output,
                              /*dedup_frontier=*/false, /*pivot_var=*/0,
                              kAllRows));
-  return MaterializeFrame(run.frame, *run.plan, output,
-                          MakePar(ProbePool(), options_, &stats_));
+  return MaterializeFrame(run.frame, *run.plan, output);
 }
 
 StatusOr<Relation> Executor::MaterializeForLogIds(
@@ -1258,7 +1102,7 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
   }
   if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
     return ExecuteBoxed(q, output, /*dedup_intermediate=*/false, &lids,
-                        lid_attr);
+                        lid_attr, kAllRows);
   }
   // The lids' rows, each once and in lid order, as contiguous ranges. Runs
   // keep their seed order, so concatenating one run per range equals one
@@ -1289,8 +1133,7 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
     EBA_ASSIGN_OR_RETURN(
         FrameRun run, RunFrame(snapshot, q, output, /*dedup_frontier=*/false,
                                /*pivot_var=*/0, range));
-    Relation part = MaterializeFrame(run.frame, *run.plan, output,
-                                     MakePar(ProbePool(), options_, &stats_));
+    Relation part = MaterializeFrame(run.frame, *run.plan, output);
     out.rows.insert(out.rows.end(), std::make_move_iterator(part.rows.begin()),
                     std::make_move_iterator(part.rows.end()));
   }
@@ -1311,7 +1154,7 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
     EBA_ASSIGN_OR_RETURN(
         Relation rel,
         ExecuteBoxed(q, output, strategy == SupportStrategy::kDedupFrontier,
-                     /*lid_filter=*/nullptr, lid_attr));
+                     /*lid_filter=*/nullptr, lid_attr, kAllRows));
     std::set<Value> distinct;
     for (const auto& row : rel.rows) distinct.insert(row[0]);
     return std::vector<Value>(distinct.begin(), distinct.end());
@@ -1341,7 +1184,7 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
         raw.push_back(col.Int64At(r));
       }
     }
-    ParallelSortInt64(&raw, MakePar(ProbePool(), options_, &stats_));
+    std::sort(raw.begin(), raw.end());
     raw.erase(std::unique(raw.begin(), raw.end()), raw.end());
     std::vector<Value> values;
     values.reserve(raw.size() + (has_null ? 1 : 0));
@@ -1368,72 +1211,49 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
 
 StatusOr<std::vector<int64_t>> Executor::DistinctLids(const PathQuery& q,
                                                       QAttr lid_attr) const {
-  EBA_RETURN_IF_ERROR(LidTable(*db_, q, lid_attr).status());
-  return DistinctLidsJoinedTo(q, lid_attr, q.vars[0].table, kAllRows);
+  return DistinctLidsJoinedTo(q, lid_attr, /*pivot_var=*/0, kAllRows);
 }
 
 StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
-    const PathQuery& q, QAttr lid_attr, const std::string& table,
-    RowRange appended) const {
+    const PathQuery& q, QAttr lid_attr, int pivot_var, RowRange rows) const {
   EBA_ASSIGN_OR_RETURN(const Table* log_table, LidTable(*db_, q, lid_attr));
   const Column& lid_col = log_table->column(static_cast<size_t>(lid_attr.col));
   if (!lid_col.IsIntLike()) {
     return Status::InvalidArgument("the lid column must be integer-like");
   }
-  EBA_ASSIGN_OR_RETURN(const Table* appended_table, db_->GetTable(table));
-  // One pinned read view for every pivot run, and the range clamped to its
-  // watermark: rows the writer appends during this call are the next
-  // delta's business.
-  const Database::Snapshot snapshot = QuerySnapshot();
-  const size_t table_rows = snapshot.BoundOf(appended_table);
-  appended.end = std::min(appended.end, table_rows);
-  appended.begin = std::min(appended.begin, appended.end);
-  // Variable 0 over every row of its table finds every explained lid: it
-  // then runs alone, even over an empty table (validating the query).
-  const bool var0_covers_all = q.vars[0].table == table &&
-                               appended.begin == 0 &&
-                               appended.end == table_rows;
-
+  if (pivot_var < 0 || static_cast<size_t>(pivot_var) >= q.vars.size()) {
+    return Status::InvalidArgument("pivot variable out of range");
+  }
   std::vector<int64_t> lids;
   if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    // The oracle has no row-id pivot machinery, only the unrestricted run.
-    if (!var0_covers_all) {
+    // The oracle has no row-id pivot machinery, only its variable-0 scan.
+    if (pivot_var != 0) {
       return Status::Unimplemented(
-          "DistinctLidsJoinedTo over part of a table requires the "
+          "DistinctLidsJoinedTo pivoted past variable 0 requires the "
           "late-materialization engine");
     }
     EBA_ASSIGN_OR_RETURN(
         Relation rel,
         ExecuteBoxed(q, {lid_attr}, /*dedup_intermediate=*/true,
-                     /*lid_filter=*/nullptr, lid_attr));
+                     /*lid_filter=*/nullptr, lid_attr, rows));
     for (const auto& row : rel.rows) {
       if (!row[0].is_null()) lids.push_back(row[0].RawInt64());
     }
   } else {
-    // One pivot run per tuple variable bound to the appended table, each
-    // seeded at the appended rows and joined outward from them; a lid is in
-    // the result iff *some* occurrence takes an appended row, so the runs
-    // union. An unreferenced table (or an empty range) cannot add
-    // witnesses.
-    for (size_t v = 0; v < q.vars.size(); ++v) {
-      if (q.vars[v].table != table) continue;
-      if (var0_covers_all ? v > 0 : appended.empty()) continue;
-      EBA_ASSIGN_OR_RETURN(
-          FrameRun run,
-          RunFrame(snapshot, q, {lid_attr}, /*dedup_frontier=*/true,
-                   static_cast<int>(v), appended));
-      const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
-      EBA_CHECK(slot >= 0);
-      lids.reserve(lids.size() + run.frame.size());
-      for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
-        if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
-      }
+    EBA_ASSIGN_OR_RETURN(FrameRun run,
+                         RunFrame(QuerySnapshot(), q, {lid_attr},
+                                  /*dedup_frontier=*/true, pivot_var, rows));
+    const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
+    EBA_CHECK(slot >= 0);
+    lids.reserve(run.frame.size());
+    for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
+      if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
     }
   }
   // A variable-0 run keeps its seed's row order, so its lids already
   // ascend whenever the log's lids ascend in row order.
   if (!std::is_sorted(lids.begin(), lids.end())) {
-    ParallelSortInt64(&lids, MakePar(ProbePool(), options_, &stats_));
+    std::sort(lids.begin(), lids.end());
   }
   lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
   return lids;
@@ -1442,7 +1262,7 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
 StatusOr<Relation> Executor::ExecuteBoxed(
     const PathQuery& q, const std::vector<QAttr>& output_attrs,
     bool dedup_intermediate, const std::vector<Value>* lid_filter,
-    QAttr lid_attr) const {
+    QAttr lid_attr, RowRange rows) const {
   EBA_RETURN_IF_ERROR(q.Validate(*db_));
   stats_ = ExecStats{};
 
@@ -1551,7 +1371,8 @@ StatusOr<Relation> Executor::ExecuteBoxed(
     }
   };
 
-  // --- Initial relation: variable 0 (the log). ---
+  // --- Initial relation: variable 0 (the log), over the rows of the
+  // --- requested lids or the row range `rows`. ---
   Relation rel;
   rel.attrs = needed_for_var(0);
   const Table* log_table = tables[0];
@@ -1576,8 +1397,10 @@ StatusOr<Relation> Executor::ExecuteBoxed(
       }
     }
   } else {
-    rel.rows.reserve(bounds[0]);
-    for (size_t r = 0; r < bounds[0]; ++r) emit_log_row(r);
+    const size_t end = std::min(rows.end, bounds[0]);
+    const size_t begin = std::min(rows.begin, end);
+    rel.rows.reserve(end - begin);
+    for (size_t r = begin; r < end; ++r) emit_log_row(r);
   }
   stats_.peak_intermediate = std::max(stats_.peak_intermediate, rel.rows.size());
   apply_filters(&rel);

@@ -34,11 +34,16 @@
 //    requested lids (MaterializeForLogIds, one run per contiguous row
 //    range), or the pivot variable of DistinctLidsJoinedTo over a caller's
 //    range — and every range is clamped to the snapshot bound of its table.
+//    A run over rows [a, c) therefore finds exactly the union of what runs
+//    over [a, b) and [b, c) find, so callers parallelize by splitting seed
+//    ranges over threads (ExplanationEngine::AuditRange); every run itself
+//    is serial.
 //
 //  - kBoxedReference: the original Row = std::vector<Value> implementation,
 //    retained as the equivalence oracle for tests (it restricts per-access
-//    explains with its own lid filter) and as the baseline for the A/B
-//    benchmarks (BM_ExecutorJoin / BM_DistinctLids).
+//    explains with its own lid filter, and its variable-0 scan honours a
+//    seed range) and as the baseline for the A/B benchmarks
+//    (BM_ExecutorJoin / BM_DistinctLids).
 //
 // Join ordering (ExecutorOptions::join_order): since every binding step
 // checks the conditions it completes, each pick is a chain condition that
@@ -62,11 +67,9 @@
 #define EBA_QUERY_EXECUTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "query/path_query.h"
 #include "storage/database.h"
 
@@ -100,7 +103,8 @@ struct Relation {
 };
 
 /// Execution knobs, threaded from ExplainAllOptions / MinerOptions so every
-/// entry point (engine, miner, metrics, benches) can A/B the engines.
+/// entry point (engine, miner, metrics, benches) can A/B the engines. There
+/// is no thread knob: a run is serial, and callers fan out by seed range.
 struct ExecutorOptions {
   enum class Engine {
     kBoxedReference,      // original boxed-Row executor (oracle/baseline)
@@ -117,23 +121,6 @@ struct ExecutorOptions {
   /// kDeclared is retired from the benches and exists solely as the
   /// byte-identical-row-order oracle in tests/executor_equivalence_test.cc.
   JoinOrder join_order = JoinOrder::kCostBased;
-
-  /// Morsel-parallel probe phase (kLateMaterialization only): each join
-  /// step's probe column is partitioned into contiguous shards, per-shard
-  /// selection vectors are built independently, and the shards are
-  /// concatenated in shard order, so frames, DistinctLids results, and
-  /// ExplainAll reports are byte-identical to serial execution at any
-  /// thread count. <= 1 runs everything on the calling thread.
-  size_t num_threads = 1;
-  /// Optional external pool the morsels run on when num_threads > 1 (not
-  /// owned; e.g. ExplainAll's pool — ParallelFor is nesting-safe, the
-  /// calling thread always participates). Ignored while num_threads <= 1:
-  /// num_threads alone governs the fan-out width. When null and
-  /// num_threads > 1 the executor lazily creates its own pool.
-  ThreadPool* pool = nullptr;
-  /// Lower bound on probe rows per morsel, so small frames are not split
-  /// into shards smaller than the fan-out overhead.
-  size_t min_rows_per_morsel = 4096;
 
   /// Optional shared compiled-plan cache (not owned; see
   /// query/plan_cache.h). When set, each fully-compiled physical plan —
@@ -184,8 +171,6 @@ struct ExecStats {
   uint64_t plan_rebinds = 0;
   /// Cumulative LRU evictions forced by PlanCacheOptions::max_bytes.
   uint64_t plan_cache_evictions = 0;
-  /// Largest morsel count any probe scan was split into (1 = serial).
-  size_t max_probe_shards = 1;
 };
 
 class Executor {
@@ -235,37 +220,32 @@ class Executor {
 
   /// The distinct log ids in the query result as a sorted int64 vector —
   /// the hot entry point for the miner's support counting. `lid_attr` must
-  /// belong to variable 0 and reference an integer-like column. Under
-  /// kLateMaterialization this is DistinctLidsJoinedTo over every row of
-  /// the variable-0 table: the semi-join fast path end to end, no boxed row
-  /// is ever built.
+  /// belong to variable 0 and reference an integer-like column. This is
+  /// DistinctLidsJoinedTo pivoted at variable 0 over every row; under
+  /// kLateMaterialization it is the semi-join fast path end to end, and no
+  /// boxed row is ever built.
   StatusOr<std::vector<int64_t>> DistinctLids(const PathQuery& q,
                                               QAttr lid_attr) const;
 
   /// The range-audit entry point: the distinct log ids of query results in
-  /// which some tuple variable bound to `table` takes a row in `appended`
-  /// (clamped to the table's snapshot bound), ascending. Appends are
-  /// monotone — they only add witnesses — so for an appended suffix this
-  /// is exactly the set of lids the append can newly explain:
-  ///   DistinctLids(after) == DistinctLids(before) ∪ JoinedTo(suffix).
-  /// Evaluates one pivot run per matching tuple variable, all against one
-  /// snapshot. Each run is seeded at the appended rows of its variable and
-  /// joins outward from them, so its cost scales with the range, not the
-  /// log (a bulk load costs about as much to audit as to append). Each run
-  /// compiles to its own cached plan (keyed on the pivot variable,
-  /// revalidated/re-bound like any other), with the row range as a runtime
-  /// input. When the variable-0 pivot already covers every row of `table`,
-  /// it alone runs: every explained lid is found there, and the run is
-  /// exactly DistinctLids (same plan) — the only case the boxed reference
-  /// engine answers. Returns empty when `table` is not referenced or the
-  /// range is empty. `lid_attr` must belong to variable 0 and be
-  /// integer-like.
-  /// last_stats() afterwards describes the FINAL pivot run only (each run
-  /// resets it); the cumulative plan-cache counters inside it still cover
-  /// all runs, because they snapshot the attached cache's totals.
-  StatusOr<std::vector<int64_t>> DistinctLidsJoinedTo(
-      const PathQuery& q, QAttr lid_attr, const std::string& table,
-      RowRange appended) const;
+  /// which tuple variable `pivot_var` takes a row in `rows` (clamped to its
+  /// table's snapshot bound), ascending — one run, seeded at those rows and
+  /// joined outward from them, so its cost scales with the range, not the
+  /// log. Appends are monotone — they only add witnesses — so the lids an
+  /// appended suffix of a table can newly explain are the union of this
+  /// over every variable bound to the table:
+  ///   DistinctLids(after) == DistinctLids(before) ∪ ⋃_v JoinedTo(v, suffix),
+  /// and a range's result is the union of its subranges' results. Each
+  /// pivot variable compiles to its own cached plan (revalidated/re-bound
+  /// like any other), with the row range as a runtime input; variable 0
+  /// over every row is exactly DistinctLids (same plan). The boxed
+  /// reference engine answers variable 0 only. An empty range still runs
+  /// (validating the query) and finds nothing. `lid_attr` must belong to
+  /// variable 0 and be integer-like.
+  StatusOr<std::vector<int64_t>> DistinctLidsJoinedTo(const PathQuery& q,
+                                                      QAttr lid_attr,
+                                                      int pivot_var,
+                                                      RowRange rows) const;
 
   const ExecStats& last_stats() const { return stats_; }
 
@@ -273,13 +253,13 @@ class Executor {
   /// Frame + the plan that produced it, from one late-materialization run.
   struct FrameRun;
 
-  /// The boxed reference engine; `lid_filter` (null = every log row)
-  /// restricts variable 0 to the rows holding those lids.
+  /// The boxed reference engine; `lid_filter` restricts variable 0 to the
+  /// rows holding those lids, else to the rows `rows`.
   StatusOr<Relation> ExecuteBoxed(const PathQuery& q,
                                   const std::vector<QAttr>& output_attrs,
                                   bool dedup_intermediate,
                                   const std::vector<Value>* lid_filter,
-                                  QAttr lid_attr) const;
+                                  QAttr lid_attr, RowRange rows) const;
 
   /// Late-materialization entry point: one run against `snapshot`, seeded
   /// at the rows `range` of tuple variable `pivot_var`. Looks the plan up in
@@ -291,10 +271,6 @@ class Executor {
                               bool dedup_frontier, int pivot_var,
                               RowRange range) const;
 
-  /// The pool probe morsels fan out over: the external options_.pool when
-  /// set, else a lazily created owned pool (num_threads > 1), else null.
-  ThreadPool* ProbePool() const;
-
   /// The read view this query runs against: the fixed snapshot when the
   /// executor was constructed from one (copies share the reclamation pin),
   /// else a freshly pinned snapshot of the live database.
@@ -305,7 +281,6 @@ class Executor {
   bool has_fixed_snapshot_ = false;
   ExecutorOptions options_;
   mutable ExecStats stats_;
-  mutable std::unique_ptr<ThreadPool> owned_pool_;
 };
 
 }  // namespace eba

@@ -41,8 +41,9 @@
 namespace eba {
 
 /// Rows per chunk. 64k rows keeps an int64 chunk at 512 KB — large enough
-/// that per-chunk overhead vanishes, small enough that a chunk-aligned
-/// morsel is a sensible unit of parallel work.
+/// that per-chunk overhead (a directory slot, a ForEachSpan hop, a
+/// checkpoint chunk record) vanishes, small enough that a chunk allocated
+/// at full capacity up front wastes little on a short table.
 inline constexpr size_t kColumnChunkShift = 16;
 inline constexpr size_t kColumnChunkRows = size_t{1} << kColumnChunkShift;
 inline constexpr size_t kColumnChunkMask = kColumnChunkRows - 1;

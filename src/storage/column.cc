@@ -161,13 +161,6 @@ void Column::MaterializeInto(const std::vector<uint32_t>& row_ids,
   for (uint32_t row : row_ids) out->push_back(Get(row));
 }
 
-void Column::MaterializeRange(const std::vector<uint32_t>& row_ids,
-                              size_t begin, size_t end, Value* out) const {
-  EBA_CHECK(out != nullptr);
-  EBA_CHECK(end <= row_ids.size());
-  for (size_t i = begin; i < end; ++i) out[i] = Get(row_ids[i]);
-}
-
 // A chunk image is the in-memory payload byte for byte.
 static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "checkpoint chunk images assume a little-endian host");

@@ -176,12 +176,6 @@ class Column {
   void MaterializeInto(const std::vector<uint32_t>& row_ids,
                        std::vector<Value>* out) const;
 
-  /// Random-access variant for sharded gathers: writes Get(row_ids[i]) into
-  /// out[i] for i in [begin, end). `out` must span at least row_ids.size()
-  /// slots; disjoint ranges may be filled from different threads.
-  void MaterializeRange(const std::vector<uint32_t>& row_ids, size_t begin,
-                        size_t end, Value* out) const;
-
   /// Chunk-aware scan over the int64 payload (int-like and string columns —
   /// for strings the values are dictionary codes): invokes
   /// fn(first_row, data, count) for each maximal single-chunk run of rows

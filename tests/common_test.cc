@@ -536,70 +536,6 @@ TEST(SplitShardsTest, ShardSizesNeverDifferByMoreThanOne) {
   }
 }
 
-TEST(SplitShardsAlignedTest, InteriorBoundariesLieOnAlignment) {
-  const size_t kAlign = 1u << 16;
-  // 5 chunks and a partial tail, 4 shards: boundaries must be multiples of
-  // the alignment, sizes within one chunk of each other.
-  const size_t n = 5 * kAlign + 1234;
-  auto shards = SplitShardsAligned(n, 4, 1, kAlign);
-  ASSERT_EQ(shards.size(), 4u);
-  size_t expect_begin = 0, lo = n, hi = 0;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    EXPECT_EQ(shards[s].begin, expect_begin);
-    if (s + 1 < shards.size()) {
-      EXPECT_EQ(shards[s].end % kAlign, 0u) << "shard " << s;
-    }
-    const size_t len = shards[s].end - shards[s].begin;
-    lo = std::min(lo, len);
-    hi = std::max(hi, len);
-    expect_begin = shards[s].end;
-  }
-  EXPECT_EQ(shards.back().end, n);
-  // Remainder chunks spread over leading shards: no shard exceeds another
-  // by more than one alignment block.
-  EXPECT_LE(hi - lo, kAlign);
-}
-
-TEST(SplitShardsAlignedTest, FallsBackWhenAlignmentWouldCostShards) {
-  // 18k rows fit inside one 64k chunk; a strict aligned split would yield a
-  // single shard and de-parallelize mid-size workloads. The fallback must
-  // return the plain even split instead.
-  auto aligned = SplitShardsAligned(18000, 4, 1, 1u << 16);
-  auto plain = SplitShards(18000, 4, 1);
-  ASSERT_EQ(aligned.size(), plain.size());
-  for (size_t s = 0; s < aligned.size(); ++s) {
-    EXPECT_EQ(aligned[s].begin, plain[s].begin);
-    EXPECT_EQ(aligned[s].end, plain[s].end);
-  }
-}
-
-TEST(SplitShardsAlignedTest, RangeVariantAlignsAbsoluteRows) {
-  const size_t kAlign = 100;
-  // An unaligned watermark start: interior boundaries are absolute
-  // multiples of the alignment; the first shard absorbs the ragged head.
-  auto shards = SplitShardsAlignedRange(250, 1050, 4, 1, kAlign);
-  ASSERT_GT(shards.size(), 1u);
-  EXPECT_EQ(shards.front().begin, 250u);
-  EXPECT_EQ(shards.back().end, 1050u);
-  for (size_t s = 0; s + 1 < shards.size(); ++s) {
-    EXPECT_EQ(shards[s].end, shards[s + 1].begin);
-    EXPECT_EQ(shards[s].end % kAlign, 0u) << "shard " << s;
-  }
-}
-
-TEST(SplitShardsAlignedTest, EmptyAndDegenerateRanges) {
-  EXPECT_TRUE(SplitShardsAligned(0, 4, 1, 64).empty());
-  EXPECT_TRUE(SplitShardsAlignedRange(10, 10, 4, 1, 64).empty());
-  // alignment <= 1 degrades to SplitShards exactly.
-  auto a = SplitShardsAligned(10, 4, 1, 1);
-  auto b = SplitShards(10, 4, 1);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a[s].begin, b[s].begin);
-    EXPECT_EQ(a[s].end, b[s].end);
-  }
-}
-
 // --------------------------- FlatSet64 ---------------------------
 
 // FlatSet64 marks free slots with INT64_MIN's bit pattern; to a caller that

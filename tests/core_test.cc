@@ -231,14 +231,20 @@ TEST(EngineTest, ExplainAllParallelMatchesSerialOnCareWebLog) {
   EXPECT_EQ(serial.explained_lids.size() + serial.unexplained_lids.size(),
             serial.log_size);
 
-  ExplainAllOptions options;
-  options.num_threads = 4;
-  EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport parallel,
-                           engine.ExplainAll(options));
-  EXPECT_EQ(parallel.log_size, serial.log_size);
-  EXPECT_EQ(parallel.per_template_counts, serial.per_template_counts);
-  EXPECT_EQ(parallel.explained_lids, serial.explained_lids);
-  EXPECT_EQ(parallel.unexplained_lids, serial.unexplained_lids);
+  // At 4096 rows per cut at least, the log splits into 2, 4 and 4 cuts.
+  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    ExplainAllOptions options;
+    options.num_threads = threads;
+    EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport parallel,
+                             engine.ExplainAll(options));
+    EXPECT_EQ(parallel.log_size, serial.log_size) << threads << " threads";
+    EXPECT_EQ(parallel.per_template_counts, serial.per_template_counts)
+        << threads << " threads";
+    EXPECT_EQ(parallel.explained_lids, serial.explained_lids)
+        << threads << " threads";
+    EXPECT_EQ(parallel.unexplained_lids, serial.unexplained_lids)
+        << threads << " threads";
+  }
 }
 
 TEST(EngineTest, TemplatesRebindToEngineLog) {

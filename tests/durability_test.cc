@@ -543,12 +543,6 @@ DurFixture MakeDurFixture() {
   return f;
 }
 
-StreamingOptions SmallStreamingOptions() {
-  StreamingOptions options;
-  options.executor.min_rows_per_morsel = 1;
-  return options;
-}
-
 /// A fixed durable serving schedule: appends (log + foreign), audits, and an
 /// explicit checkpoint. Deterministic, so the dry run and every kill run
 /// issue the identical write-op sequence up to the kill point. Reports rows
@@ -556,7 +550,7 @@ StreamingOptions SmallStreamingOptions() {
 /// WAL and recovery must preserve them.
 Status RunDurableSchedule(StreamingAuditor* auditor, const DurFixture& f,
                           size_t* acked_log_rows) {
-  const StreamingOptions options = SmallStreamingOptions();
+  const StreamingOptions options{};
   size_t pos = 0;
   auto next_batch = [&](size_t n) {
     std::vector<Row> rows;
@@ -707,14 +701,14 @@ TEST(DurabilityTest, KillAtEveryWriteOpRecoversAndConverges) {
     for (const auto& t : master.templates) {
       EBA_ASSERT_OK(recovered.AddTemplate(t));
     }
-    (void)UnwrapOrDie(recovered.ExplainNew(SmallStreamingOptions()));
+    (void)UnwrapOrDie(recovered.ExplainNew());
     CheckRecoveredAgainstOracle(db, master.templates, recovered, k);
     if (::testing::Test::HasFatalFailure()) return;
 
     // The recovered auditor is live: it can keep appending and auditing
     // durably.
     EBA_ASSERT_OK(recovered.AppendAccessBatch({master.backlog.back()}));
-    (void)UnwrapOrDie(recovered.ExplainNew(SmallStreamingOptions()));
+    (void)UnwrapOrDie(recovered.ExplainNew());
   }
   // The sweep must have crossed all three recovery regimes somewhere.
   EXPECT_TRUE(any_recovered);
@@ -758,7 +752,7 @@ TEST(DurabilityTest, FreshStartThenRestartResumesFromCheckpoint) {
       return rows;
     };
     EBA_ASSERT_OK(fresh.AppendAccessBatch(batch(6)));
-    (void)UnwrapOrDie(fresh.ExplainNew(SmallStreamingOptions()));
+    (void)UnwrapOrDie(fresh.ExplainNew());
     EBA_ASSERT_OK(fresh.Checkpoint());
     EBA_ASSERT_OK(fresh.AppendAccessBatch(batch(6)));  // WAL-only tail
     acked = pos;
@@ -781,7 +775,7 @@ TEST(DurabilityTest, FreshStartThenRestartResumesFromCheckpoint) {
   for (const auto& t : master.templates) {
     EBA_ASSERT_OK(recovered.AddTemplate(t));
   }
-  (void)UnwrapOrDie(recovered.ExplainNew(SmallStreamingOptions()));
+  (void)UnwrapOrDie(recovered.ExplainNew());
   CheckRecoveredAgainstOracle(db, master.templates, recovered, ~uint64_t{0});
 }
 
@@ -858,7 +852,7 @@ TEST(DurabilityTest, KillRecoverCheckpointKillKeepsRowCountExact) {
   for (const auto& t : master.templates) {
     EBA_ASSERT_OK(recovered.AddTemplate(t));
   }
-  (void)UnwrapOrDie(recovered.ExplainNew(SmallStreamingOptions()));
+  (void)UnwrapOrDie(recovered.ExplainNew());
   CheckRecoveredAgainstOracle(db, master.templates, recovered, ~uint64_t{0});
 }
 

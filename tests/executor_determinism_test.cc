@@ -1,13 +1,12 @@
-// Determinism suite for the morsel-parallel probe phase and the compiled
-// plan cache: at every tested thread count {1, 2, 4, 8} the
-// late-materialization executor must produce byte-identical frames
-// (Materialize row order included), DistinctLids vectors, and ExplainAll
-// reports — per-shard selection vectors are concatenated in shard order, so
-// sharding must never reorder output. Plan-cache tests assert that a replay
-// is bit-identical to the compiling run, that an append re-binds the
-// plan (watermark move, structure intact) instead of discarding it, that a
-// structural mutation still invalidates it, and that the LRU byte cap
-// evicts in recency order.
+// Determinism suite for seed-range splitting and the compiled plan cache.
+// A run's seed range is its only restriction, so the runs over any cut of a
+// pivot variable's rows together find what one run over all of them finds —
+// the property ExplanationEngine::AuditRange splits its tasks over threads
+// by — and ExplainAll reports are byte-identical at every tested thread
+// count {2, 4, 8}. Plan-cache tests assert that a replay is bit-identical
+// to the compiling run, that an append re-binds the plan (watermark move,
+// structure intact) instead of discarding it, that a structural mutation
+// still invalidates it, and that the LRU byte cap evicts in recency order.
 
 #include <gtest/gtest.h>
 
@@ -29,19 +28,10 @@ namespace eba {
 namespace {
 
 using testing_util::BuildPaperToyDatabase;
+using testing_util::CutRunLids;
 using testing_util::UnwrapOrDie;
 
 constexpr size_t kThreadCounts[] = {2, 4, 8};
-
-/// Parallel executor options: min_rows_per_morsel = 1 forces multi-shard
-/// probes even on tiny frames, so the toy database exercises the same
-/// concatenation machinery as the large log.
-ExecutorOptions Threaded(size_t num_threads) {
-  ExecutorOptions options;
-  options.num_threads = num_threads;
-  options.min_rows_per_morsel = 1;
-  return options;
-}
 
 /// The Figure 3 toy queries the semi-join unit tests use, plus a decorated
 /// variant, parsed fresh per call.
@@ -57,52 +47,38 @@ std::vector<PathQuery> ToyQueries(const Database& db) {
   return queries;
 }
 
-/// Runs every (query, thread count) combination and asserts the parallel
-/// executor reproduces the serial executor's output byte for byte.
-void ExpectIdenticalAcrossThreadCounts(const Database& db,
-                                       const std::vector<PathQuery>& queries,
-                                       QAttr lid_attr) {
-  Executor serial(&db);
+/// For each toy query, each pivot variable and every cut point b of the
+/// pivot's n-row table, the runs over [0, b) and [b, n) together find what
+/// the run over [0, n) finds — DistinctLids, whichever variable pivots. The
+/// boxed oracle's variable-0 scan honours the same cuts.
+TEST(SeedRangeSplitTest, CutRunsUnionToTheWholeRun) {
+  Database db = BuildPaperToyDatabase();
+  const QAttr lid{0, 0};
+  ExecutorOptions boxed_options;
+  boxed_options.engine = ExecutorOptions::Engine::kBoxedReference;
+  const Executor late(&db);
+  const Executor boxed(&db, boxed_options);
+  const std::vector<PathQuery> queries = ToyQueries(db);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const PathQuery& q = queries[qi];
-    const std::vector<int64_t> ref_lids =
-        UnwrapOrDie(serial.DistinctLids(q, lid_attr));
-    const Relation ref_rel = UnwrapOrDie(serial.Materialize(q));
-    for (size_t threads : kThreadCounts) {
-      Executor parallel(&db, Threaded(threads));
-      EXPECT_EQ(UnwrapOrDie(parallel.DistinctLids(q, lid_attr)), ref_lids)
-          << "query " << qi << " threads " << threads;
-      const Relation rel = UnwrapOrDie(parallel.Materialize(q));
-      EXPECT_EQ(rel.attrs, ref_rel.attrs);
-      // Byte-identical row order, not just the same multiset: shard-ordered
-      // concatenation must reproduce the serial probe order exactly.
-      EXPECT_EQ(rel.rows, ref_rel.rows)
-          << "query " << qi << " threads " << threads;
+    const std::vector<int64_t> all = UnwrapOrDie(late.DistinctLids(q, lid));
+    ASSERT_FALSE(all.empty());
+    for (int v = 0; v < static_cast<int>(q.vars.size()); ++v) {
+      const size_t n = UnwrapOrDie(db.GetTable(q.vars[v].table))->num_rows();
+      EXPECT_EQ(UnwrapOrDie(late.DistinctLidsJoinedTo(q, lid, v,
+                                                      RowRange{0, n})),
+                all)
+          << "query " << qi << " var " << v;
+      for (size_t b = 0; b <= n; ++b) {
+        EXPECT_EQ(CutRunLids(late, q, lid, v, RowRange{0, n}, b), all)
+            << "query " << qi << " var " << v << " cut " << b;
+        if (v == 0) {
+          EXPECT_EQ(CutRunLids(boxed, q, lid, v, RowRange{0, n}, b), all)
+              << "boxed query " << qi << " cut " << b;
+        }
+      }
     }
   }
-}
-
-TEST(ExecutorDeterminismTest, ToyDatabaseIdenticalAcrossThreadCounts) {
-  Database db = BuildPaperToyDatabase();
-  ExpectIdenticalAcrossThreadCounts(db, ToyQueries(db), QAttr{0, 0});
-}
-
-TEST(ExecutorDeterminismTest, CareWebLogIdenticalAcrossThreadCounts) {
-  // The ~18k-row generated hospital log (Small config at 14 days), probing
-  // with every hand-crafted direct template.
-  CareWebConfig config = CareWebConfig::Small();
-  config.num_days = 14;
-  CareWebData data = UnwrapOrDie(GenerateCareWeb(config));
-  const Table* log = UnwrapOrDie(data.db.GetTable("Log"));
-  ASSERT_GT(log->num_rows(), 10000u);
-  const QAttr lid_attr{0, log->schema().ColumnIndex("Lid")};
-  std::vector<PathQuery> queries;
-  for (const auto& tmpl :
-       UnwrapOrDie(TemplatesHandcraftedDirect(data.db, true))) {
-    queries.push_back(tmpl.query());
-  }
-  ASSERT_FALSE(queries.empty());
-  ExpectIdenticalAcrossThreadCounts(data.db, queries, lid_attr);
 }
 
 TEST(ExecutorDeterminismTest, ExplainAllReportIdenticalAcrossThreadCounts) {
@@ -118,8 +94,6 @@ TEST(ExecutorDeterminismTest, ExplainAllReportIdenticalAcrossThreadCounts) {
   for (size_t threads : kThreadCounts) {
     ExplainAllOptions options;
     options.num_threads = threads;
-    options.executor.num_threads = threads;
-    options.executor.min_rows_per_morsel = 1;
     const ExplanationReport report = UnwrapOrDie(engine.ExplainAll(options));
     EXPECT_EQ(report.log_size, reference.log_size) << threads;
     EXPECT_EQ(report.per_template_counts, reference.per_template_counts)
@@ -438,24 +412,6 @@ TEST_F(PlanCacheTest, DropAndRecreateTableInvalidatesPlan) {
   EXPECT_EQ(after, UnwrapOrDie(fresh.DistinctLids(q, Lid())));
 }
 
-TEST_F(PlanCacheTest, ReplayWithMorselsMatchesSerialUncached) {
-  ExecutorOptions options = Cached();
-  options.num_threads = 4;
-  options.min_rows_per_morsel = 1;
-  Executor cached_parallel(&db_, options);
-  Executor serial(&db_);
-  for (const PathQuery& q : ToyQueries(db_)) {
-    const std::vector<int64_t> ref = UnwrapOrDie(serial.DistinctLids(q, Lid()));
-    // Record, then replay: both must match the serial uncached executor.
-    EXPECT_EQ(UnwrapOrDie(cached_parallel.DistinctLids(q, Lid())), ref);
-    EXPECT_EQ(UnwrapOrDie(cached_parallel.DistinctLids(q, Lid())), ref);
-    EXPECT_TRUE(cached_parallel.last_stats().plan_cache_hit);
-    const Relation ref_rel = UnwrapOrDie(serial.Materialize(q));
-    EXPECT_EQ(UnwrapOrDie(cached_parallel.Materialize(q)).rows, ref_rel.rows);
-    EXPECT_EQ(UnwrapOrDie(cached_parallel.Materialize(q)).rows, ref_rel.rows);
-  }
-}
-
 TEST_F(PlanCacheTest, LidFilterReplaysAcrossDifferentFilters) {
   Executor cached(&db_, Cached());
   Executor fresh(&db_);
@@ -572,7 +528,7 @@ TEST_F(PlanCacheTest, EmptySeedCompilesThePlanALaterLidReplays) {
 
 /// Restricting a variable to its table's FULL row range is no restriction:
 /// JoinedTo must reproduce DistinctLids exactly, whichever variable the
-/// pivot seeds and at any thread count.
+/// pivot seeds, and so must the runs over two halves of the range.
 TEST(ReverseSemiJoinTest, FullRangeEqualsDistinctLids) {
   CareWebData data = UnwrapOrDie(GenerateCareWeb(CareWebConfig::Tiny()));
   const QAttr lid_attr{
@@ -583,16 +539,17 @@ TEST(ReverseSemiJoinTest, FullRangeEqualsDistinctLids) {
     Executor serial(&data.db);
     const std::vector<int64_t> reference =
         UnwrapOrDie(serial.DistinctLids(q, lid_attr));
-    for (size_t v = 0; v < q.vars.size(); ++v) {
-      const std::string& table = q.vars[v].table;
-      const size_t rows = UnwrapOrDie(data.db.GetTable(table))->num_rows();
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        Executor executor(&data.db, Threaded(threads));
-        EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                      q, lid_attr, table, RowRange{0, rows})),
-                  reference)
-            << tmpl.name() << " var " << v << " threads " << threads;
-      }
+    for (int v = 0; v < static_cast<int>(q.vars.size()); ++v) {
+      const size_t rows =
+          UnwrapOrDie(data.db.GetTable(q.vars[v].table))->num_rows();
+      EXPECT_EQ(UnwrapOrDie(serial.DistinctLidsJoinedTo(q, lid_attr, v,
+                                                        RowRange{0, rows})),
+                reference)
+          << tmpl.name() << " var " << v;
+      EXPECT_EQ(
+          CutRunLids(serial, q, lid_attr, v, RowRange{0, rows}, rows / 2),
+          reference)
+          << tmpl.name() << " var " << v << " halves";
     }
   }
 }
@@ -617,7 +574,7 @@ TEST(ReverseSemiJoinTest, AppendedSuffixIsExactlyTheDelta) {
        Value::Int64(testing_util::kDave)}));
 
   const std::vector<int64_t> delta = UnwrapOrDie(executor.DistinctLidsJoinedTo(
-      q, lid, "Appointments", RowRange{suffix_begin, appt->num_rows()}));
+      q, lid, /*pivot_var=*/1, RowRange{suffix_begin, appt->num_rows()}));
   EXPECT_EQ(delta, (std::vector<int64_t>{2}));
   const std::vector<int64_t> after = UnwrapOrDie(executor.DistinctLids(q, lid));
   EXPECT_EQ(after, (std::vector<int64_t>{1, 2}));
@@ -625,7 +582,7 @@ TEST(ReverseSemiJoinTest, AppendedSuffixIsExactlyTheDelta) {
 
 /// A bulk load: more rows appended to a joined table than the log holds.
 /// The pivot run is seeded at the appended rows even then, and the delta
-/// property holds at every thread count.
+/// property holds, also when the suffix is cut in two.
 TEST(ReverseSemiJoinTest, BulkLoadLargerThanTheLogIsExactlyTheDelta) {
   Database db = BuildPaperToyDatabase();
   const QAttr lid{0, 0};
@@ -655,27 +612,30 @@ TEST(ReverseSemiJoinTest, BulkLoadLargerThanTheLogIsExactlyTheDelta) {
   const RowRange suffix{suffix_begin, appt->num_rows()};
   ASSERT_GT(suffix.size(), log_rows);
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    Executor executor(&db, Threaded(threads));
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const PathQuery& q = queries[qi];
-      const std::vector<int64_t> delta = UnwrapOrDie(
-          executor.DistinctLidsJoinedTo(q, lid, "Appointments", suffix));
-      std::vector<int64_t> expected = before[qi];
-      expected.insert(expected.end(), delta.begin(), delta.end());
-      std::sort(expected.begin(), expected.end());
-      expected.erase(std::unique(expected.begin(), expected.end()),
-                     expected.end());
-      EXPECT_EQ(UnwrapOrDie(executor.DistinctLids(q, lid)), expected)
-          << "query " << qi << " threads " << threads;
-      if (qi == 0) {
-        EXPECT_EQ(delta, (std::vector<int64_t>{2})) << threads;
-      }
+  Executor executor(&db);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const PathQuery& q = queries[qi];
+    // Appointments is variable 1 of both toy queries.
+    const std::vector<int64_t> delta = UnwrapOrDie(
+        executor.DistinctLidsJoinedTo(q, lid, /*pivot_var=*/1, suffix));
+    EXPECT_EQ(CutRunLids(executor, q, lid, 1, suffix,
+                         suffix.begin + suffix.size() / 2),
+              delta)
+        << "query " << qi;
+    std::vector<int64_t> expected = before[qi];
+    expected.insert(expected.end(), delta.begin(), delta.end());
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    EXPECT_EQ(UnwrapOrDie(executor.DistinctLids(q, lid)), expected)
+        << "query " << qi;
+    if (qi == 0) {
+      EXPECT_EQ(delta, (std::vector<int64_t>{2}));
     }
   }
 }
 
-TEST(ReverseSemiJoinTest, EmptyRangeUnreferencedTableAndBoxedEngine) {
+TEST(ReverseSemiJoinTest, EmptyRangeBadPivotAndBoxedEngine) {
   Database db = BuildPaperToyDatabase();
   const PathQuery q = UnwrapOrDie(ParsePathQuery(
       db, "Log L, Appointments A",
@@ -683,24 +643,28 @@ TEST(ReverseSemiJoinTest, EmptyRangeUnreferencedTableAndBoxedEngine) {
   const QAttr lid{0, 0};
   Executor executor(&db);
   // Empty range: nothing to join to.
-  EXPECT_TRUE(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                  q, lid, "Appointments", RowRange{1, 1}))
-                  .empty());
+  EXPECT_TRUE(
+      UnwrapOrDie(executor.DistinctLidsJoinedTo(q, lid, 1, RowRange{1, 1}))
+          .empty());
   // Range clamped past the table end.
-  EXPECT_TRUE(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                  q, lid, "Appointments", RowRange{100, 200}))
-                  .empty());
-  // A table the query never touches cannot add witnesses.
-  EXPECT_TRUE(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                  q, lid, "Doctor_Info", RowRange{0, 2}))
-                  .empty());
-  // The boxed reference engine has no row-id pivot machinery.
+  EXPECT_TRUE(
+      UnwrapOrDie(executor.DistinctLidsJoinedTo(q, lid, 1, RowRange{100, 200}))
+          .empty());
+  // A pivot past the query's variables names no table.
+  EXPECT_FALSE(executor.DistinctLidsJoinedTo(q, lid, 2, RowRange{0, 2}).ok());
+  EXPECT_FALSE(executor.DistinctLidsJoinedTo(q, lid, -1, RowRange{0, 2}).ok());
+  // The boxed reference engine has no row-id pivot machinery; its
+  // variable-0 scan takes the range.
   ExecutorOptions boxed;
   boxed.engine = ExecutorOptions::Engine::kBoxedReference;
   Executor boxed_exec(&db, boxed);
-  EXPECT_FALSE(
-      boxed_exec.DistinctLidsJoinedTo(q, lid, "Appointments", RowRange{0, 2})
-          .ok());
+  EXPECT_FALSE(boxed_exec.DistinctLidsJoinedTo(q, lid, 1, RowRange{0, 2}).ok());
+  EXPECT_EQ(
+      UnwrapOrDie(boxed_exec.DistinctLidsJoinedTo(q, lid, 0, RowRange{0, 1})),
+      (std::vector<int64_t>{1}));
+  EXPECT_TRUE(
+      UnwrapOrDie(boxed_exec.DistinctLidsJoinedTo(q, lid, 0, RowRange{1, 2}))
+          .empty());
 }
 
 /// A self-join query pivoted at its non-log occurrence: seeding variable 1
@@ -722,7 +686,8 @@ TEST(ReverseSemiJoinTest, SelfJoinPivotFindsRetroactiveWitnesses) {
        Value::String("viewed record")}));
   Executor executor(&db);
   EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                q, lid, "Log", RowRange{suffix_begin, log->num_rows()})),
+                q, lid, /*pivot_var=*/1,
+                RowRange{suffix_begin, log->num_rows()})),
             (std::vector<int64_t>{1}));
 }
 
@@ -737,14 +702,14 @@ TEST_F(PlanCacheTest, PivotPlansCacheAndRebindAcrossAppends) {
 
   // Cold: the pivot plan is recorded and cached under its own key.
   const std::vector<int64_t> cold = UnwrapOrDie(cached.DistinctLidsJoinedTo(
-      q, Lid(), "Appointments", RowRange{0, appt->num_rows()}));
+      q, Lid(), /*pivot_var=*/1, RowRange{0, appt->num_rows()}));
   EXPECT_FALSE(cached.last_stats().plan_cache_hit);
   EXPECT_EQ(cold, (std::vector<int64_t>{1}));
   EXPECT_EQ(cache_.size(), 1u);
 
   // Warm, different runtime range, same plan: a pure hit.
-  const std::vector<int64_t> warm = UnwrapOrDie(cached.DistinctLidsJoinedTo(
-      q, Lid(), "Appointments", RowRange{0, 1}));
+  const std::vector<int64_t> warm = UnwrapOrDie(
+      cached.DistinctLidsJoinedTo(q, Lid(), 1, RowRange{0, 1}));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
   EXPECT_EQ(cached.last_stats().plan_rebinds, 0u);
   EXPECT_EQ(warm, (std::vector<int64_t>{1}));
@@ -757,14 +722,13 @@ TEST_F(PlanCacheTest, PivotPlansCacheAndRebindAcrossAppends) {
        Value::Timestamp(Date::FromCivil(2010, 2, 2, 9, 0, 0).ToSeconds()),
        Value::Int64(testing_util::kDave)}));
   const std::vector<int64_t> delta = UnwrapOrDie(cached.DistinctLidsJoinedTo(
-      q, Lid(), "Appointments", RowRange{suffix_begin, appt->num_rows()}));
+      q, Lid(), 1, RowRange{suffix_begin, appt->num_rows()}));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
   EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
   EXPECT_EQ(cached.last_stats().plan_cache_invalidations, 0u);
   EXPECT_EQ(delta, (std::vector<int64_t>{2}));
   EXPECT_EQ(delta, UnwrapOrDie(fresh.DistinctLidsJoinedTo(
-                       q, Lid(), "Appointments",
-                       RowRange{suffix_begin, appt->num_rows()})));
+                       q, Lid(), 1, RowRange{suffix_begin, appt->num_rows()})));
 }
 
 }  // namespace

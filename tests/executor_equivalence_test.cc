@@ -32,6 +32,7 @@ namespace eba {
 namespace {
 
 using testing_util::BuildPaperToyDatabase;
+using testing_util::CutRunLids;
 using testing_util::UnwrapOrDie;
 
 ExecutorOptions BoxedReference() {
@@ -531,16 +532,19 @@ TEST(FusedCheckTest, EdgeCasesMatchReference) {
     EXPECT_EQ(ref_some.attrs, late_some.attrs);
     EXPECT_EQ(ref_some.rows, late_some.rows);
 
-    // The morsel probe checks the same candidates as the serial one.
-    ExecutorOptions parallel = LateCostBased();
-    parallel.num_threads = 3;
-    parallel.min_rows_per_morsel = 1;
+    // Runs over the two sides of any cut of any pivot's rows check the
+    // same candidates as one run over all of them.
+    const std::vector<int64_t> ref_lids =
+        UnwrapOrDie(reference.DistinctLids(q, lid));
     Executor late_cost(&db, LateCostBased());
-    Executor late_parallel(&db, parallel);
-    EXPECT_EQ(UnwrapOrDie(late_parallel.Materialize(q)).rows,
-              UnwrapOrDie(late_cost.Materialize(q)).rows);
-    EXPECT_EQ(UnwrapOrDie(late_parallel.DistinctLids(q, lid)),
-              UnwrapOrDie(reference.DistinctLids(q, lid)));
+    for (int v = 0; v < static_cast<int>(q.vars.size()); ++v) {
+      const size_t n = UnwrapOrDie(db.GetTable(q.vars[v].table))->num_rows();
+      for (size_t b = 0; b <= n; ++b) {
+        EXPECT_EQ(CutRunLids(late_cost, q, lid, v, RowRange{0, n}, b),
+                  ref_lids)
+            << "var " << v << " cut " << b;
+      }
+    }
   }
 }
 
@@ -606,21 +610,24 @@ TEST(ColumnViewTest, ChecksAcrossChunkSeamMatchReference) {
     ASSERT_FALSE(ref_lids.empty());
     EXPECT_GT(ref_lids.back(), static_cast<int64_t>(kColumnChunkRows));
 
-    ExecutorOptions parallel = LateCostBased();
-    parallel.num_threads = 2;
-    parallel.min_rows_per_morsel = 1;
-    for (const ExecutorOptions& options :
-         {LateDeclared(), LateCostBased(), parallel}) {
+    for (const ExecutorOptions& options : {LateDeclared(), LateCostBased()}) {
       Executor late(&db, options);
       EXPECT_EQ(UnwrapOrDie(late.DistinctLids(q, lid)), ref_lids);
+    }
+    // Runs cut at the seam, from either occurrence of the log.
+    Executor late(&db, LateCostBased());
+    for (int pivot : {0, 1}) {
+      EXPECT_EQ(CutRunLids(late, q, lid, pivot, RowRange{0, kSeamRows},
+                           kColumnChunkRows),
+                ref_lids)
+          << "pivot " << pivot;
     }
 
     const Relation ref_rel =
         UnwrapOrDie(reference.MaterializeForLogIds(q, lid, lids));
     ASSERT_FALSE(ref_rel.rows.empty());
-    Executor late(&db, LateDeclared());
-    const Relation late_rel =
-        UnwrapOrDie(late.MaterializeForLogIds(q, lid, lids));
+    const Relation late_rel = UnwrapOrDie(
+        Executor(&db, LateDeclared()).MaterializeForLogIds(q, lid, lids));
     EXPECT_EQ(ref_rel.attrs, late_rel.attrs);
     EXPECT_EQ(ref_rel.rows, late_rel.rows);
   }

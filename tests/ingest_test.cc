@@ -155,7 +155,6 @@ TEST(StreamingAuditorTest, ExplainNewIsDeterministicAcrossThreadCounts) {
   StreamingAuditor parallel = MakeAuditor(&f2);
   StreamingOptions par_options;
   par_options.num_threads = 4;
-  par_options.executor.min_rows_per_morsel = 1;
 
   (void)UnwrapOrDie(serial.ExplainNew());
   (void)UnwrapOrDie(parallel.ExplainNew(par_options));
@@ -598,9 +597,15 @@ std::vector<int64_t> Distinct(std::vector<int64_t> lids) {
 // range's lids ascend, so AuditRange and DistinctLidsJoinedTo take their
 // sort fallbacks. ExplainAll, a from-zero ExplainNew and an ExplainNew
 // after a foreign append must still agree with the boxed engine and with a
-// classification of a cloned database.
-TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
-  CareWebData data = UnwrapOrDie(GenerateCareWeb(CareWebConfig::Tiny()));
+// classification of a cloned database. Without `split`, the repeated lid
+// joins an explained row to an unexplained one. With it, the log is long
+// enough that 2-thread audits cut its first 2/3 in two, and the repeated
+// lid's rows lie on both sides of the cut, both explained by the first
+// template: its two tasks each find the lid, and the union must count it
+// once.
+void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
+                                                 bool split) {
+  CareWebData data = UnwrapOrDie(GenerateCareWeb(config));
   const std::vector<ExplanationTemplate> templates =
       UnwrapOrDie(TemplatesHandcraftedDirect(data.db, true));
   const Table* source = UnwrapOrDie(
@@ -627,9 +632,31 @@ TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
   }
   ASSERT_FALSE(explained_rows.empty());
   ASSERT_GE(unexplained_rows.size(), 2u);
-  const size_t shared_row = explained_rows.front();
-  const size_t repeat_row = unexplained_rows.front();
+  size_t shared_row = explained_rows.front();
+  size_t repeat_row = unexplained_rows.front();
   const size_t foreign_row = unexplained_rows.back();
+  ExplainAllOptions two_threads;
+  two_threads.num_threads = 2;
+  const StreamingOptions new_options = split ? two_threads : StreamingOptions{};
+  if (split) {
+    // A 2-thread audit of the prefix cuts it into [0, cut) and
+    // [cut, prefix) once it holds two 4096-row cuts.
+    ASSERT_GE(prefix, 2u * 4096u);
+    const size_t cut = (prefix + 1) / 2;
+    const std::vector<int64_t> first = UnwrapOrDie(plain.ExplainedLids(0));
+    auto by_first = [&](size_t r) {
+      return std::binary_search(first.begin(), first.end(),
+                                source->Get(r, lid_col).AsInt64());
+    };
+    shared_row = repeat_row = prefix;
+    for (size_t r = 0; r < prefix; ++r) {
+      if (!by_first(r)) continue;
+      if (r < cut && shared_row == prefix) shared_row = r;
+      if (r >= cut && repeat_row == prefix) repeat_row = r;
+    }
+    ASSERT_LT(shared_row, cut);
+    ASSERT_LT(repeat_row, prefix);
+  }
 
   EBA_ASSERT_OK(data.db.CreateTable(AccessLog::StandardSchema("LogDesc")));
   Table* desc = data.db.GetTable("LogDesc").value();
@@ -649,7 +676,9 @@ TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
   StreamingAuditor auditor =
       UnwrapOrDie(StreamingAuditor::Create(&data.db, "LogDesc"));
   for (const auto& tmpl : templates) EBA_ASSERT_OK(auditor.AddTemplate(tmpl));
-  ExplainAllOptions boxed;
+  // With `split` the boxed engine's ExplainAll is cut too: its variable-0
+  // scan takes the seed range.
+  ExplainAllOptions boxed = new_options;
   boxed.executor.engine = ExecutorOptions::Engine::kBoxedReference;
   const ExplanationReport boxed_all =
       UnwrapOrDie(auditor.engine().ExplainAll(boxed));
@@ -657,8 +686,6 @@ TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
       BoxedClassification(data.db, "LogDesc", templates, 0, prefix);
   ASSERT_FALSE(oracle.explained.empty());
   ASSERT_FALSE(oracle.unexplained.empty());
-  ExplainAllOptions two_threads;
-  two_threads.num_threads = 2;
   for (const ExplainAllOptions& options : {ExplainAllOptions{}, two_threads}) {
     const ExplanationReport all =
         UnwrapOrDie(auditor.engine().ExplainAll(options));
@@ -670,7 +697,7 @@ TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
   }
 
   // From zero, ExplainNew reports each lid once.
-  const StreamingReport first = UnwrapOrDie(auditor.ExplainNew());
+  const StreamingReport first = UnwrapOrDie(auditor.ExplainNew(new_options));
   EXPECT_EQ(first.explained_lids, Distinct(oracle.explained));
   EXPECT_EQ(first.unexplained_lids, Distinct(oracle.unexplained));
   EXPECT_EQ(first.per_template_counts, boxed_all.per_template_counts);
@@ -691,7 +718,7 @@ TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
   std::vector<Row> rest;
   for (size_t r = prefix; r < n; ++r) rest.push_back(row_with_lid(r));
   EBA_ASSERT_OK(auditor.AppendAccessBatch(rest));
-  const StreamingReport next = UnwrapOrDie(auditor.ExplainNew());
+  const StreamingReport next = UnwrapOrDie(auditor.ExplainNew(new_options));
   EXPECT_FALSE(next.full_reaudit);
 
   const Database clone = data.db.Clone();
@@ -713,6 +740,17 @@ TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
                                             old_rows.explained.end());
   all_explained.insert(new_rows.explained.begin(), new_rows.explained.end());
   EXPECT_TRUE(auditor.ExplainedSetEquals(all_explained));
+}
+
+TEST(StreamingAuditorTest, DescendingAndRepeatedLidsMatchOracles) {
+  ExpectDescendingAndRepeatedLidsMatchOracles(CareWebConfig::Tiny(),
+                                              /*split=*/false);
+}
+
+TEST(StreamingAuditorTest, DescendingLidRepeatedAcrossCutsMatchesOracles) {
+  CareWebConfig config = CareWebConfig::Small();
+  config.num_days = 12;  // ~13k accesses: the audited 2/3 holds two cuts
+  ExpectDescendingAndRepeatedLidsMatchOracles(config, /*split=*/true);
 }
 
 TEST(StreamingAuditorTest, EmptyAuditAndBadBatchRows) {

@@ -79,12 +79,6 @@ const NetFixture& SharedFixture() {
   return *fixture;
 }
 
-StreamingOptions SmallStreamingOptions() {
-  StreamingOptions options;
-  options.executor.min_rows_per_morsel = 1;
-  return options;
-}
-
 /// A live server over its own clone of the fixture database.
 struct ServerHarness {
   std::unique_ptr<Database> db;
@@ -105,7 +99,6 @@ ServerHarness MakeHarness(ServerOptions options) {
   for (const auto& t : f.templates) MustOk(h.auditor->AddTemplate(t));
   h.net = NewInMemoryNetEnv();
   options.net = h.net.get();
-  options.audit = SmallStreamingOptions();
   h.server = UnwrapOrDie(AuditServer::Start(h.auditor.get(), options));
   h.client_ = UnwrapOrDie(AuditClient::Connect(
       h.net.get(), "local", h.server->port(), options.auth_token));
@@ -519,7 +512,7 @@ TEST(AuditServerTest, ServedReportsAreByteIdenticalToInProcess) {
     EBA_ASSERT_OK(twin.AppendAccessBatch(rows));
     const std::string served = UnwrapOrDie(h.client().ExplainNewRaw());
     const StreamingReport expected =
-        UnwrapOrDie(twin.ExplainNew(SmallStreamingOptions()));
+        UnwrapOrDie(twin.ExplainNew());
     EXPECT_EQ(served, EncodeStreamingReport(expected)) << "round " << round;
   }
 
@@ -623,8 +616,7 @@ TEST(AuditServerTest, ServedAppendsSurviveRestart) {
     auto net = NewInMemoryNetEnv();
     ServerOptions options;
     options.net = net.get();
-    options.audit = SmallStreamingOptions();
-    auto server = UnwrapOrDie(AuditServer::Start(&auditor, options));
+      auto server = UnwrapOrDie(AuditServer::Start(&auditor, options));
     auto client =
         UnwrapOrDie(AuditClient::Connect(net.get(), "local", server->port(), ""));
     for (size_t i = 0; i < 8 && i < f.backlog.size(); ++i) {
@@ -661,7 +653,6 @@ TEST(AuditServerTest, RealTcpLoopbackSmoke) {
 
   ServerOptions options;
   options.auth_token = "tcp-token";
-  options.audit = SmallStreamingOptions();
   StatusOr<std::unique_ptr<AuditServer>> server =
       AuditServer::Start(&auditor, options);
   if (!server.ok()) {

@@ -131,7 +131,6 @@ std::vector<std::string> RunFuzz(uint64_t seed, size_t steps,
   Random rng(seed);
   StreamingOptions options;
   options.num_threads = num_threads;
-  options.executor.min_rows_per_morsel = 1;
 
   const std::vector<std::string> foreign_tables = {"Appointments", "Visits",
                                                    "Documents"};
@@ -331,7 +330,6 @@ TEST(StreamingFuzzTest, CrashAtEveryStepRecoversAndFinishesSchedule) {
   const size_t kSteps = 12;
   const std::string dir = ::testing::TempDir() + "/fuzz_crash_recover";
   StreamingOptions options;
-  options.executor.min_rows_per_morsel = 1;
   DurabilityOptions dopts;
   dopts.dir = dir;
   dopts.sync = WalSync::kNone;
@@ -386,7 +384,6 @@ TEST(StreamingFuzzTest, ConcurrentReadersUnderIngestMatchClonedOracle) {
   FuzzFixture f = MakeFuzzFixture();
   StreamingOptions options;
   options.num_threads = 2;
-  options.executor.min_rows_per_morsel = 1;
 
   // The seeded lids exist for the whole run: safe point-lookup targets.
   std::vector<int64_t> seeded_lids;

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "common/date.h"
 #include "common/logging.h"
 #include "log/access_log.h"
+#include "query/executor.h"
 #include "storage/database.h"
 
 namespace eba {
@@ -110,6 +113,23 @@ inline Database BuildPaperToyDatabase() {
                        Value::Int64(kDave), Value::Int64(kBob),
                        Value::String("viewed record")}));
   return db;
+}
+
+/// The lids the runs of `executor` seeded at rows [rows.begin, cut) and
+/// [cut, rows.end) of tuple variable `pivot` find together (ascending,
+/// distinct) — what one run over `rows` finds, since the seed range is a
+/// run's only restriction.
+inline std::vector<int64_t> CutRunLids(const Executor& executor,
+                                       const PathQuery& q, QAttr lid,
+                                       int pivot, RowRange rows, size_t cut) {
+  std::vector<int64_t> lids = UnwrapOrDie(
+      executor.DistinctLidsJoinedTo(q, lid, pivot, RowRange{rows.begin, cut}));
+  const std::vector<int64_t> tail = UnwrapOrDie(
+      executor.DistinctLidsJoinedTo(q, lid, pivot, RowRange{cut, rows.end}));
+  lids.insert(lids.end(), tail.begin(), tail.end());
+  std::sort(lids.begin(), lids.end());
+  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+  return lids;
 }
 
 /// Deep-copies a database. Differential tests run their oracle engine on
