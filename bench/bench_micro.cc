@@ -24,6 +24,7 @@
 #include "log/access_log.h"
 #include "query/executor.h"
 #include "query/plan_cache.h"
+#include "tests/oracle/boxed_executor.h"
 
 namespace eba {
 namespace {
@@ -62,21 +63,19 @@ const CareWebData& ExecutorBenchData() {
 }
 
 /// The executor configurations under comparison, indexed by state.range(0)
-/// / JSON row: the boxed reference engine (the fixed oracle) vs the
-/// late-materialization frame engine with cost-based join ordering (the
-/// production default). JoinOrder::kDeclared is retired from the A/B
-/// matrix now that cost-based ordering has soaked; it survives only as the
-/// byte-identical-row-order oracle in tests/executor_equivalence_test.cc.
-ExecutorOptions ExecConfig(int idx) {
-  ExecutorOptions options;
+/// / JSON row: 0 is the boxed reference engine (BoxedExecutor, the tests'
+/// oracle), 1 the Executor — the late-materialization frame engine with
+/// cost-based join ordering. Calls `fn` with the configuration's executor;
+/// both answer Materialize and DistinctLids.
+template <typename Fn>
+void WithExecConfig(int idx, const Database* db, Fn&& fn) {
   if (idx == 0) {
-    options.engine = ExecutorOptions::Engine::kBoxedReference;
-    options.join_order = ExecutorOptions::JoinOrder::kDeclared;
+    BoxedExecutor executor(db);
+    fn(executor);
   } else {
-    options.engine = ExecutorOptions::Engine::kLateMaterialization;
-    options.join_order = ExecutorOptions::JoinOrder::kCostBased;
+    Executor executor(db);
+    fn(executor);
   }
-  return options;
 }
 
 const char* ExecConfigName(int idx) {
@@ -236,16 +235,18 @@ void ExplainAllThreadCounts(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_ExplainAll)->Apply(ExplainAllThreadCounts);
 
 // Join materialization over the ~18k-row hospital log: boxed reference (0)
-// vs late-materialization (1) vs +cost-based ordering (2).
+// vs late materialization with cost-based ordering (1).
 void BM_ExecutorJoin(benchmark::State& state) {
   const CareWebData& data = ExecutorBenchData();
-  Executor executor(&data.db, ExecConfig(static_cast<int>(state.range(0))));
   ExplanationTemplate tmpl = Unwrap(TemplateApptWithDoctor(data.db));
-  for (auto _ : state) {
-    auto rel = executor.Materialize(tmpl.query());
-    EBA_CHECK_MSG(rel.ok(), rel.status().ToString());
-    benchmark::DoNotOptimize(rel->rows.size());
-  }
+  WithExecConfig(static_cast<int>(state.range(0)), &data.db,
+                 [&](const auto& executor) {
+                   for (auto _ : state) {
+                     auto rel = executor.Materialize(tmpl.query());
+                     EBA_CHECK_MSG(rel.ok(), rel.status().ToString());
+                     benchmark::DoNotOptimize(rel->rows.size());
+                   }
+                 });
   const Table* log = Unwrap(data.db.GetTable("Log"));
   state.SetLabel(ExecConfigName(static_cast<int>(state.range(0))));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -254,23 +255,26 @@ void BM_ExecutorJoin(benchmark::State& state) {
 BENCHMARK(BM_ExecutorJoin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Distinct-lid support evaluation (the miner's and ExplainAll's hot call)
-// over every hand-crafted direct template, same three configurations. The
-// late configurations run the semi-join fast path end to end.
+// over every hand-crafted direct template, same two configurations. The
+// late configuration runs the semi-join fast path end to end.
 void BM_DistinctLids(benchmark::State& state) {
   const CareWebData& data = ExecutorBenchData();
-  Executor executor(&data.db, ExecConfig(static_cast<int>(state.range(0))));
   static const std::vector<ExplanationTemplate>* templates =
       new std::vector<ExplanationTemplate>(
           Unwrap(TemplatesHandcraftedDirect(ExecutorBenchData().db, true)));
-  for (auto _ : state) {
-    size_t total = 0;
-    for (const auto& tmpl : *templates) {
-      auto lids = executor.DistinctLids(tmpl.query(), tmpl.lid_attr());
-      EBA_CHECK_MSG(lids.ok(), lids.status().ToString());
-      total += lids->size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
+  WithExecConfig(static_cast<int>(state.range(0)), &data.db,
+                 [&](const auto& executor) {
+                   for (auto _ : state) {
+                     size_t total = 0;
+                     for (const auto& tmpl : *templates) {
+                       auto lids = executor.DistinctLids(tmpl.query(),
+                                                         tmpl.lid_attr());
+                       EBA_CHECK_MSG(lids.ok(), lids.status().ToString());
+                       total += lids->size();
+                     }
+                     benchmark::DoNotOptimize(total);
+                   }
+                 });
   const Table* log = Unwrap(data.db.GetTable("Log"));
   state.SetLabel(ExecConfigName(static_cast<int>(state.range(0))));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -335,7 +339,7 @@ void BM_MineOneWayTinyLog(benchmark::State& state) {
 BENCHMARK(BM_MineOneWayTinyLog);
 
 // ---------------------------------------------------------------------------
-// Machine-readable executor comparison: --executor_json=PATH times the three
+// Machine-readable executor comparison: --executor_json=PATH times the two
 // executor configurations on the BM_ExecutorJoin / BM_DistinctLids workloads
 // with a steady clock and writes speedups to a JSON file (the bench
 // trajectory artifact; CI runs the smoke variant on every push).
@@ -365,7 +369,7 @@ int RunExecutorJsonBench(const std::string& path, bool smoke) {
   const double min_seconds = smoke ? 0.02 : 0.5;
   const int max_iters = smoke ? 3 : 200;
 
-  auto lids_workload = [&](Executor& executor) {
+  auto lids_workload = [&](const auto& executor) {
     size_t total = 0;
     for (const auto& tmpl : templates) {
       auto lids = executor.DistinctLids(tmpl.query(), tmpl.lid_attr());
@@ -379,16 +383,17 @@ int RunExecutorJsonBench(const std::string& path, bool smoke) {
   double join_s[2];
   double lids_s[2];
   for (int cfg = 0; cfg < 2; ++cfg) {
-    Executor executor(&data.db, ExecConfig(cfg));
-    join_s[cfg] = SecondsPerIter(
-        [&] {
-          auto rel = executor.Materialize(appt.query());
-          EBA_CHECK_MSG(rel.ok(), rel.status().ToString());
-          benchmark::DoNotOptimize(rel->rows.size());
-        },
-        min_seconds, max_iters);
-    lids_s[cfg] = SecondsPerIter([&] { lids_workload(executor); },
-                                 min_seconds, max_iters);
+    WithExecConfig(cfg, &data.db, [&](const auto& executor) {
+      join_s[cfg] = SecondsPerIter(
+          [&] {
+            auto rel = executor.Materialize(appt.query());
+            EBA_CHECK_MSG(rel.ok(), rel.status().ToString());
+            benchmark::DoNotOptimize(rel->rows.size());
+          },
+          min_seconds, max_iters);
+      lids_s[cfg] = SecondsPerIter([&] { lids_workload(executor); },
+                                   min_seconds, max_iters);
+    });
   }
 
   // Plan cache off/on, single thread, two repeated-template workloads.

@@ -12,14 +12,16 @@
 //                   [--require_speedup=X] [--json[=PATH]]
 //                                         (default PATH BENCH_scaling.json)
 //
-// --smoke restricts the sweep to factors {1,10} with one timing iteration —
-// the CI shape: fast, but factor 10 (~180k rows) is large enough for the
-// fan-out to beat its overhead. --require_speedup=X additionally fails the
-// run unless 4-thread ExplainAll reaches X times the 1-thread time on the
-// largest factor swept; on a machine with fewer than 4 cores the gate is
-// skipped with a notice (the curves are still recorded). The equivalence
-// self-check — reports byte-identical across all thread counts, and the
-// from-zero ExplainNew matching ExplainAll — always gates the exit status.
+// --smoke restricts the sweep to factors {1,10} — the CI shape: fast, but
+// factor 10 (~180k rows) is large enough for the fan-out to beat its
+// overhead. Each cell below factor 100 is the minimum of 3 runs, so a
+// speedup is not one run's scheduling. --require_speedup=X additionally
+// fails the run unless 4-thread ExplainAll reaches X times the 1-thread
+// time on the largest factor swept; on a machine with fewer than 4 cores
+// the gate is skipped with a notice (the curves are still recorded). The
+// equivalence self-check — reports byte-identical across all thread
+// counts, and the from-zero ExplainNew matching ExplainAll — always gates
+// the exit status.
 
 #include <algorithm>
 #include <chrono>
@@ -95,8 +97,7 @@ double MinSeconds(int iters, Fn&& fn) {
   return best;
 }
 
-FactorResult RunFactor(int factor, const std::vector<size_t>& thread_counts,
-                       bool smoke) {
+FactorResult RunFactor(int factor, const std::vector<size_t>& thread_counts) {
   FactorResult result;
   result.factor = factor;
 
@@ -122,7 +123,7 @@ FactorResult RunFactor(int factor, const std::vector<size_t>& thread_counts,
 
   // Small factors re-run a few times and keep the minimum; at factor >= 100
   // one run is already seconds long and repeat noise is irrelevant.
-  const int iters = (smoke || factor >= 100) ? 1 : 3;
+  const int iters = factor >= 100 ? 1 : 3;
 
   ExplanationReport reference;
   for (size_t t = 0; t < thread_counts.size(); ++t) {
@@ -269,8 +270,7 @@ int main(int argc, char** argv) {
 
   std::vector<FactorResult> results;
   for (size_t factor : factors) {
-    results.push_back(
-        RunFactor(static_cast<int>(factor), thread_counts, smoke));
+    results.push_back(RunFactor(static_cast<int>(factor), thread_counts));
   }
   const double max_rss_mb = MaxRssMb();
   std::printf("\npeak RSS across the sweep: %.0f MiB\n", max_rss_mb);

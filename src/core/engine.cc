@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -21,34 +20,27 @@ namespace {
 /// split hands another thread.
 constexpr size_t kMinSeedRows = 4096;
 
-/// The ascending, duplicate-free union of ascending lists, merged pairwise;
-/// the merges of one round run concurrently on `pool`.
-std::vector<int64_t> UnionOfSorted(
-    const std::vector<std::vector<int64_t>>& lists, ThreadPool* pool) {
+/// The ascending, duplicate-free union of ascending, duplicate-free lists,
+/// merged pairwise; the merges of one round run concurrently on `pool`. A
+/// lone list moves through without a copy.
+std::vector<int64_t> UnionOfSorted(std::vector<std::vector<int64_t>> lists,
+                                   ThreadPool* pool) {
   if (lists.empty()) return {};
-  std::vector<const std::vector<int64_t>*> round;
-  for (const std::vector<int64_t>& list : lists) round.push_back(&list);
-  // Growing a deque at its end keeps references to its elements valid.
-  std::deque<std::vector<int64_t>> merged;
-  while (round.size() > 1) {
-    const size_t pairs = round.size() / 2;
-    const size_t first = merged.size();
-    merged.resize(first + pairs);
+  while (lists.size() > 1) {
+    const size_t pairs = lists.size() / 2;
+    std::vector<std::vector<int64_t>> merged(pairs + lists.size() % 2);
     ParallelFor(pool, pairs, [&](size_t p) {
-      const std::vector<int64_t>& x = *round[2 * p];
-      const std::vector<int64_t>& y = *round[2 * p + 1];
-      std::vector<int64_t>& out = merged[first + p];
+      const std::vector<int64_t>& x = lists[2 * p];
+      const std::vector<int64_t>& y = lists[2 * p + 1];
+      std::vector<int64_t>& out = merged[p];
       out.reserve(x.size() + y.size());
       std::set_union(x.begin(), x.end(), y.begin(), y.end(),
                      std::back_inserter(out));
     });
-    std::vector<const std::vector<int64_t>*> next;
-    for (size_t p = 0; p < pairs; ++p) next.push_back(&merged[first + p]);
-    if (round.size() % 2 != 0) next.push_back(round.back());
-    round = std::move(next);
+    if (lists.size() % 2 != 0) merged.back() = std::move(lists.back());
+    lists = std::move(merged);
   }
-  // The last round merged one pair, unless there was never a pair.
-  return merged.empty() ? *round[0] : std::move(merged.back());
+  return std::move(lists[0]);
 }
 
 }  // namespace
@@ -171,10 +163,9 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
   }
   ThreadPool* pool = workers->get();
 
-  // Tasks share the engine's persistent plan cache unless the caller wired
-  // their own.
-  ExecutorOptions exec = options.executor;
-  if (exec.plan_cache == nullptr) exec.plan_cache = plan_cache_.get();
+  // Tasks share the engine's persistent plan cache.
+  ExecutorOptions exec;
+  exec.plan_cache = plan_cache_.get();
 
   // --- One task list: for each appended table — the log with the audited
   // --- rows, each non-log table of `appends` with its new rows — every
@@ -240,32 +231,15 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     results[k] = executor.DistinctLidsJoinedTo(
         tmpl.query(), tmpl.lid_attr(), tasks[k].pivot, tasks[k].rows);
   });
-  // Per template: the ascending union of its tasks' results (a lid whose
-  // rows fall in two cuts is found by both).
-  std::vector<std::vector<int64_t>> found(templates_.size());
+  // Per template: its tasks' results, in task order.
+  std::vector<std::vector<std::vector<int64_t>>> cuts(templates_.size());
   for (size_t k = 0; k < tasks.size(); ++k) {
     if (!results[k].ok()) return results[k].status();
-    std::vector<int64_t>& lids = found[tasks[k].template_index];
-    if (lids.empty()) {
-      lids = std::move(*results[k]);
-      continue;
-    }
-    const size_t mid = lids.size();
-    lids.insert(lids.end(), results[k]->begin(), results[k]->end());
-    std::inplace_merge(lids.begin(), lids.begin() + static_cast<long>(mid),
-                       lids.end());
-    lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+    cuts[tasks[k].template_index].push_back(std::move(*results[k]));
   }
-  audit.plan_cache = exec.plan_cache->stats();
-  auto held = [&accumulated](int64_t lid) {
-    return std::binary_search(accumulated.begin(), accumulated.end(), lid);
-  };
 
-  // --- Classify the audited rows by one merge. Their lids, read in row
-  // --- order (sorted only when they do not already ascend), walk the
-  // --- union of every template's lids and `accumulated` from the first
-  // --- audited lid: a lid is explained iff either holds it, and both
-  // --- lists come out ascending.
+  // The audited rows' lids, read in row order and sorted only when they do
+  // not already ascend.
   const Column& lid_col = table->column(static_cast<size_t>(log.lid_col()));
   std::vector<int64_t> row_lids(log_rows.size());
   lid_col.ForEachInt64Span(
@@ -278,7 +252,35 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
   if (!std::is_sorted(row_lids.begin(), row_lids.end())) {
     std::sort(row_lids.begin(), row_lids.end());
   }
-  const std::vector<int64_t> any = UnionOfSorted(found, pool);
+
+  // --- Per template: the ascending union of its tasks' results (a lid
+  // --- whose rows fall in two cuts is found by both). The lids on audited
+  // --- rows count for it — every one is explained; the rest lie on older
+  // --- rows.
+  auto held = [&accumulated](int64_t lid) {
+    return std::binary_search(accumulated.begin(), accumulated.end(), lid);
+  };
+  std::vector<std::vector<int64_t>> found(templates_.size());
+  audit.per_template_counts.assign(templates_.size(), 0);
+  audit.delta_lids.assign(templates_.size(), {});
+  ParallelFor(pool, templates_.size(), [&](size_t i) {
+    found[i] = UnionOfSorted(std::move(cuts[i]), /*pool=*/nullptr);
+    auto row = row_lids.begin();
+    for (int64_t lid : found[i]) {
+      while (row != row_lids.end() && *row < lid) ++row;
+      if (row != row_lids.end() && *row == lid) {
+        ++audit.per_template_counts[i];
+      } else if (!held(lid)) {
+        audit.delta_lids[i].push_back(lid);
+      }
+    }
+  });
+
+  // --- Classify the audited rows by one merge: their lids walk the union
+  // --- of every template's lids and `accumulated` from the first audited
+  // --- lid. A lid is explained iff either holds it, and both lists come out
+  // --- ascending.
+  const std::vector<int64_t> any = UnionOfSorted(std::move(found), pool);
   const int64_t first_lid = row_lids.empty() ? 0 : row_lids.front();
   auto u = std::lower_bound(any.begin(), any.end(), first_lid);
   auto a = std::lower_bound(accumulated.begin(), accumulated.end(), first_lid);
@@ -289,23 +291,6 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
                            (a != accumulated.end() && *a == lid);
     (explained ? audit.explained_lids : audit.unexplained_lids).push_back(lid);
   }
-
-  // --- Split each template's lids: those of audited rows (all explained)
-  // --- count for it; the rest lie on older rows.
-  const std::vector<int64_t>& on_rows = audit.explained_lids;
-  audit.per_template_counts.assign(templates_.size(), 0);
-  audit.delta_lids.assign(templates_.size(), {});
-  ParallelFor(pool, templates_.size(), [&](size_t i) {
-    auto row = on_rows.begin();
-    for (int64_t lid : found[i]) {
-      while (row != on_rows.end() && *row < lid) ++row;
-      if (row != on_rows.end() && *row == lid) {
-        ++audit.per_template_counts[i];
-      } else if (!held(lid)) {
-        audit.delta_lids[i].push_back(lid);
-      }
-    }
-  });
   return audit;
 }
 

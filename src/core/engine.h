@@ -6,7 +6,12 @@
 //     coverage, and the unexplained remainder (the misuse-detection
 //     operation of §1).
 // ExplainAll and the streaming ExplainNew (core/ingest.h) are one range
-// audit (AuditRange), with the log as one more appended table.
+// audit (AuditRange), with the log as one more appended table. Explain and
+// every range audit run their queries through the engine's persistent plan
+// cache (plan_cache()), whose PlanCache::stats() are their plan-cache
+// counters. The boxed test oracle's BoxedExplainAll
+// (tests/oracle/boxed_executor.h) computes ExplainAll's report without
+// AuditRange, to check it.
 //
 // Thread safety: the const query surface (Explain/ExplainedLids/ExplainAll)
 // is safe to call concurrently — the shared PlanCache and each Table's lazy
@@ -46,12 +51,6 @@ struct ExplainAllOptions {
   /// runs out over a fixed pool (the log's rows are classified by one
   /// merge). The report is byte-identical regardless of the thread count.
   size_t num_threads = 1;
-  /// Executor engine/join-order knobs used for template evaluation. The
-  /// defaults run the late-materialization engine with cost-based join
-  /// ordering; the boxed reference engine is available for A/B comparison
-  /// of from-zero audits. A null `executor.plan_cache` means the engine's
-  /// persistent plan cache.
-  ExecutorOptions executor;
 };
 
 /// What one range audit (ExplanationEngine::AuditRange) found.
@@ -71,8 +70,6 @@ struct RangeAudit {
   /// StreamingReport).
   size_t delta_tables = 0;
   size_t delta_queries = 0;
-  /// Cumulative counters of the plan cache the tasks used, read after them.
-  PlanCache::Stats plan_cache;
 };
 
 /// Result of ExplainAll.
@@ -159,8 +156,9 @@ class ExplanationEngine {
       const ExplainAllOptions& options,
       std::unique_ptr<ThreadPool>* workers) const;
 
-  /// The engine's persistent compiled-plan cache (shared by default across
-  /// audits; see ExplainAllOptions::executor).
+  /// The engine's persistent compiled-plan cache: every Explain and range
+  /// audit runs its queries through it. Its counters (PlanCache::stats())
+  /// are the audits' plan-cache statistics.
   PlanCache* plan_cache() const { return plan_cache_.get(); }
 
  private:

@@ -403,9 +403,6 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
   report.unexplained_lids = distinct(std::move(audit.unexplained_lids));
   report.delta_tables = audit.delta_tables;
   report.delta_queries = audit.delta_queries;
-  report.plan_cache_hits = audit.plan_cache.hits;
-  report.plan_cache_misses = audit.plan_cache.misses;
-  report.plan_rebinds = audit.plan_cache.rebinds;
   // One template can surface the same older lid as another.
   std::vector<int64_t>& delta = report.delta_explained_lids;
   for (const std::vector<int64_t>& lids : audit.delta_lids) {

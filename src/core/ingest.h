@@ -52,7 +52,8 @@ namespace eba {
 
 /// Tuning knobs for ExplainNew: the range audit's options. Under a pure
 /// append workload every ExplainNew after the first replays re-bound plans
-/// from the engine's cache (hit + rebind), keeping the serving loop cheap.
+/// from the engine's cache (hit + rebind), keeping the serving loop cheap;
+/// the engine's PlanCache::stats() count them.
 using StreamingOptions = ExplainAllOptions;
 
 /// Configuration of the durable-state layer (EnableDurability/RecoverFrom).
@@ -132,13 +133,6 @@ struct StreamingReport {
   /// Reverse semi-join evaluations actually run (template × appended-table
   /// pairs where the template references the table).
   size_t delta_queries = 0;
-
-  /// Cumulative totals of the plan cache this audit used (the engine's
-  /// unless options.executor.plan_cache names another), snapshotted after
-  /// its queries (library-visible mirror of the bench counters).
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t plan_rebinds = 0;
 
   size_t new_rows() const { return audited_to - audited_from; }
   double Coverage() const {

@@ -89,37 +89,28 @@ struct TemplateMiner::Context {
   Clock::time_point start_time;
 
   Context(const Database* db, const MinerOptions& options)
-      : executor(db, PatchedExecutorOptions(options, plan_cache.get())),
-        estimator(db) {
-    // Baseline for FinishStats: an external cache shared across mining runs
-    // arrives with lifetime counters; this run reports only its delta.
-    if (const PlanCache* cache = executor.options().plan_cache) {
-      plan_cache_baseline = cache->stats();
-    }
-  }
+      : executor(db, ExecutorOptionsFor(options, plan_cache.get())),
+        estimator(db),
+        // Baseline for FinishStats: a cache shared across mining runs
+        // arrives with lifetime counters; this run reports only its delta.
+        plan_cache_hits_before(executor.options().plan_cache->stats().hits) {}
 
-  /// Routes support queries through the context-owned plan cache when the
-  /// caller enabled plan caching without supplying an external cache.
-  static ExecutorOptions PatchedExecutorOptions(const MinerOptions& options,
-                                                PlanCache* owned) {
+  /// Routes support queries through the context-owned plan cache unless
+  /// the caller supplied one.
+  static ExecutorOptions ExecutorOptionsFor(const MinerOptions& options,
+                                            PlanCache* owned) {
     ExecutorOptions exec = options.executor;
-    if (options.cache_plans && exec.plan_cache == nullptr) {
-      exec.plan_cache = owned;
-    }
+    if (exec.plan_cache == nullptr) exec.plan_cache = owned;
     return exec;
   }
 
-  /// Folds this run's plan-cache counter deltas into the mining stats.
+  /// Folds this run's plan-cache hits into the mining stats.
   void FinishStats() {
-    if (const PlanCache* cache = executor.options().plan_cache) {
-      const PlanCache::Stats cache_stats = cache->stats();
-      stats.plan_cache_hits = cache_stats.hits - plan_cache_baseline.hits;
-      stats.plan_cache_invalidations =
-          cache_stats.invalidations - plan_cache_baseline.invalidations;
-    }
+    stats.plan_cache_hits =
+        executor.options().plan_cache->stats().hits - plan_cache_hits_before;
   }
 
-  PlanCache::Stats plan_cache_baseline;
+  uint64_t plan_cache_hits_before = 0;
 };
 
 TemplateMiner::TemplateMiner(const Database* db, MinerOptions options)

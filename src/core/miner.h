@@ -52,19 +52,16 @@ struct MinerOptions {
   bool cache_support = true;
   Executor::SupportStrategy support_strategy =
       Executor::SupportStrategy::kDedupFrontier;
-  /// Executor engine/join-order knobs for support evaluation (threaded to
-  /// every support query; the benches A/B the boxed reference engine
-  /// against the late-materialization one through this).
+  /// Executor options for support evaluation. Support queries always run
+  /// through a compiled-plan cache (join order, compiled checks,
+  /// dictionary translations, index bindings, keyed on the canonical
+  /// condition set and revalidated against table structural epochs +
+  /// append watermarks): the run's own unless executor.plan_cache names a
+  /// cache shared across mining runs. Orthogonal to cache_support, which
+  /// caches final support *counts*: plan caching also pays off when the
+  /// same template shape is re-executed (e.g. with support caching
+  /// disabled for ablation, or across runs sharing a cache).
   ExecutorOptions executor;
-  /// Cache compiled physical plans (join order, compiled checks,
-  /// dictionary translations, index bindings) across support queries,
-  /// keyed on the canonical condition set and revalidated against table
-  /// structural epochs + append watermarks. Orthogonal to
-  /// cache_support, which caches final support *counts*: plan caching also
-  /// pays off when the same template shape is re-executed (e.g. with
-  /// support caching disabled for ablation, or across mining runs sharing
-  /// an external cache via executor.plan_cache).
-  bool cache_plans = true;
   bool skip_nonselective = true;
   /// The constant c that widens the skip threshold to S*c.
   double skip_constant_c = 10.0;
@@ -94,7 +91,6 @@ struct MiningStats {
   /// Compiled-plan cache hits: the query ran, but replayed a cached
   /// physical plan instead of planning from scratch.
   size_t plan_cache_hits = 0;
-  size_t plan_cache_invalidations = 0;
   size_t skipped_paths = 0;
   size_t pruned_paths = 0;  // candidates failing the support threshold
   std::vector<LengthTiming> timings;

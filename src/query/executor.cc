@@ -4,13 +4,10 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "common/flat_hash.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "query/optimizer.h"
 #include "query/plan_cache.h"
@@ -77,53 +74,7 @@ StatusOr<const Table*> LidTable(const Database& db, const PathQuery& q,
 constexpr RowRange kAllRows{0, std::numeric_limits<size_t>::max()};
 
 // ===========================================================================
-// Boxed reference engine helpers.
-// ===========================================================================
-
-struct RowHasher {
-  size_t operator()(const Row& row) const {
-    size_t h = 0x51ed270b;
-    for (const auto& v : row) h = HashCombine(h, v.Hash());
-    return h;
-  }
-};
-
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const { return a == b; }
-};
-
-/// Projects `rel` onto `attrs` (all of which must be present), optionally
-/// deduplicating rows. Takes the relation by value so callers can move it in
-/// and the no-op fast path moves it back out instead of deep-copying.
-Relation Project(Relation rel, const std::vector<QAttr>& attrs, bool dedup) {
-  // Fast path: identical header, no dedup.
-  if (!dedup && attrs == rel.attrs) return rel;
-  std::vector<int> positions;
-  positions.reserve(attrs.size());
-  for (const auto& a : attrs) {
-    int idx = rel.AttrIndex(a);
-    EBA_CHECK_MSG(idx >= 0, "projection attribute missing from relation");
-    positions.push_back(idx);
-  }
-  Relation out;
-  out.attrs = attrs;
-  out.rows.reserve(rel.rows.size());
-  std::optional<std::unordered_set<Row, RowHasher, RowEq>> seen;
-  if (dedup) seen.emplace();
-  for (const auto& row : rel.rows) {
-    Row projected;
-    projected.reserve(positions.size());
-    for (int p : positions) projected.push_back(row[static_cast<size_t>(p)]);
-    if (seen) {
-      if (!seen->insert(projected).second) continue;
-    }
-    out.rows.push_back(std::move(projected));
-  }
-  return out;
-}
-
-// ===========================================================================
-// Late-materialization engine: the row-id frame.
+// The row-id frame.
 // ===========================================================================
 
 /// A struct-of-arrays intermediate: one row-id column per bound tuple
@@ -175,8 +126,8 @@ void DedupFrame(Frame* f) {
 /// Compiles an attribute-attribute check: same-type integer-like columns
 /// compare int64 payloads, strings compare dictionary codes (equality
 /// within one column) or dictionary strings, doubles compare raw doubles;
-/// any cross-type pair falls back to boxed EvalCmp so the result is
-/// bit-identical to the reference engine.
+/// any cross-type pair falls back to boxed EvalCmp, so every kind agrees
+/// with EvalCmp on the boxed cells.
 PlanCheck CompileAttrCheck(int lhs_slot, const Column* lc, CmpOp op,
                            int rhs_slot, const Column* rc) {
   PlanCheck c;
@@ -244,7 +195,7 @@ PlanCheck CompileLiteralCheck(int slot, const Column* col, CmpOp op,
 
 /// Evaluates a check the raw path does not take (kString, kDouble,
 /// kBoxed) with its sides at rows `l` and `r` (a literal check ignores
-/// `r`). NULL never matches, as in the reference engine's EvalCmp.
+/// `r`). NULL never matches, as in EvalCmp.
 bool CheckHolds(const PlanCheck& c, uint32_t l, uint32_t r) {
   const Column& lc = *c.lhs_col;
   const Column* rc = c.rhs_col;
@@ -407,9 +358,8 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, ExecStats* stats,
       }
       break;
     case PlanStep::ProbeKind::kBoxed:
-      // Doubles and mismatched column kinds: boxed probes, identical to the
-      // reference engine's Lookup semantics (NULLs and cross-kind probes
-      // match nothing).
+      // Doubles and mismatched column kinds: boxed probes through
+      // HashIndex::Lookup (NULLs and cross-kind probes match nothing).
       for (size_t i = 0; i < n; ++i) {
         const std::vector<uint32_t> matches =
             idx.Lookup(probe_col.Get(pids[i]), build_bound);
@@ -486,14 +436,12 @@ void ApplyStep(Frame* f, const PlanStep& st, ExecStats* stats,
 class PlanCompiler {
  public:
   PlanCompiler(const Database::Snapshot& snapshot, const PathQuery& q,
-               const std::vector<QAttr>& output_attrs, bool dedup_frontier,
-               ExecutorOptions::JoinOrder join_order)
+               const std::vector<QAttr>& output_attrs, bool dedup_frontier)
       : snapshot_(snapshot),
         db_(snapshot.database()),
         q_(q),
         output_attrs_(output_attrs),
         dedup_frontier_(dedup_frontier),
-        join_order_(join_order),
         joins_(q.join_chain),
         extras_(q.extra_conditions),
         consts_(q.const_conditions) {}
@@ -532,11 +480,7 @@ class PlanCompiler {
     bound_.assign(q_.vars.size(), false);
     bound_[static_cast<size_t>(pivot_var)] = true;
 
-    std::optional<CardinalityEstimator> estimator;
-    if (join_order_ == ExecutorOptions::JoinOrder::kCostBased) {
-      estimator.emplace(db_);
-      plan_->used_cost_based_order = true;
-    }
+    const CardinalityEstimator estimator(db_);
 
     // --- Initial frame: the pivot variable's rows that pass every
     // --- condition on the pivot alone. ---
@@ -553,9 +497,9 @@ class PlanCompiler {
     // --- has both sides bound here. ---
     size_t remaining = joins_.size() - fused.size();
     while (remaining > 0) {
-      // The policy picks declaration order or the smallest fan-out per
-      // input row — every candidate would be fed the same frame, so that is
-      // also the smallest predicted intermediate.
+      // Pick the smallest fan-out per input row — every candidate would be
+      // fed the same frame, so that is also the smallest predicted
+      // intermediate; ties keep declaration order.
       int pick = -1;
       double pick_fanout = -1.0;
       for (size_t i = 0; i < joins_.size(); ++i) {
@@ -564,13 +508,9 @@ class PlanCompiler {
         const bool rb = bound_[static_cast<size_t>(joins_[i].rhs.var)];
         EBA_CHECK_MSG(!(lb && rb), "bound chain condition left unchecked");
         if (!lb && !rb) continue;
-        if (!estimator) {
-          if (pick < 0) pick = static_cast<int>(i);
-          continue;
-        }
         const QAttr probe = lb ? joins_[i].lhs : joins_[i].rhs;
         const QAttr build = lb ? joins_[i].rhs : joins_[i].lhs;
-        const double fanout = estimator->EstimateJoinStep(
+        const double fanout = estimator.EstimateJoinStep(
             plan_->tables[static_cast<size_t>(probe.var)], probe,
             plan_->tables[static_cast<size_t>(build.var)], build);
         if (pick < 0 || fanout < pick_fanout) {
@@ -839,7 +779,6 @@ class PlanCompiler {
   const PathQuery& q_;
   const std::vector<QAttr>& output_attrs_;
   const bool dedup_frontier_;
-  const ExecutorOptions::JoinOrder join_order_;
   std::shared_ptr<CompiledPlan> plan_;
 
   const std::vector<VarCondition>& joins_;
@@ -859,8 +798,8 @@ class PlanCompiler {
 StatusOr<std::shared_ptr<CompiledPlan>> CompilePlan(
     const Database::Snapshot& snapshot, const PathQuery& q,
     const std::vector<QAttr>& output_attrs, bool dedup_frontier,
-    int pivot_var, ExecutorOptions::JoinOrder join_order) {
-  return PlanCompiler(snapshot, q, output_attrs, dedup_frontier, join_order)
+    int pivot_var) {
+  return PlanCompiler(snapshot, q, output_attrs, dedup_frontier)
       .Compile(pivot_var);
 }
 
@@ -870,7 +809,6 @@ StatusOr<std::shared_ptr<CompiledPlan>> CompilePlan(
 /// compiled and one replayed from the cache run through exactly this code.
 Frame RunPlan(const CompiledPlan& plan, RowRange seed_range,
               const std::vector<size_t>& var_bounds, ExecStats* stats) {
-  stats->used_cost_based_order = plan.used_cost_based_order;
   stats->used_semi_join = plan.used_semi_join;
   Frame frame;
   size_t sp = 0;
@@ -902,12 +840,11 @@ Frame RunPlan(const CompiledPlan& plan, RowRange seed_range,
 
 /// Structural cache key for a compiled plan: every input that shapes the
 /// compiled pipeline — tables, conditions, resolved literals, projection,
-/// semi-join mode, pivot variable, and the join-order policy. Two queries
+/// semi-join mode and pivot variable. Two queries
 /// with equal keys compile to interchangeable plans (aliases do not affect
 /// execution, so they are deliberately excluded).
 std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
-                    bool dedup_frontier, ExecutorOptions::JoinOrder join_order,
-                    int pivot_var) {
+                    bool dedup_frontier, int pivot_var) {
   std::string key;
   key.reserve(64 + 16 * (q.vars.size() + q.join_chain.size() +
                          q.extra_conditions.size() +
@@ -940,7 +877,6 @@ std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
       text(v.ToString());
     }
   };
-  key += join_order == ExecutorOptions::JoinOrder::kCostBased ? 'C' : 'D';
   key += dedup_frontier ? 'F' : 'f';
   // The pivot variable shapes the compiled pipeline; the seed range itself
   // is a runtime input and deliberately excluded.
@@ -1048,15 +984,13 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
   std::string key;
   std::shared_ptr<const CompiledPlan> plan;
   if (cache != nullptr) {
-    key = PlanKey(q, output_attrs, dedup_frontier, options_.join_order,
-                  pivot_var);
+    key = PlanKey(q, output_attrs, dedup_frontier, pivot_var);
     plan = cache->Lookup(key, snapshot);
   }
   stats_.plan_cache_hit = plan != nullptr;
   if (plan == nullptr) {
-    EBA_ASSIGN_OR_RETURN(plan,
-                         CompilePlan(snapshot, q, output_attrs, dedup_frontier,
-                                     pivot_var, options_.join_order));
+    EBA_ASSIGN_OR_RETURN(plan, CompilePlan(snapshot, q, output_attrs,
+                                           dedup_frontier, pivot_var));
     if (cache != nullptr) cache->Insert(key, plan);
   }
 
@@ -1066,24 +1000,12 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
   FrameRun run;
   run.frame = RunPlan(*plan, range, var_bounds, &stats_);
   run.plan = std::move(plan);
-  if (cache != nullptr) {
-    const PlanCache::Stats cs = cache->stats();
-    stats_.plan_cache_hits = cs.hits;
-    stats_.plan_cache_misses = cs.misses;
-    stats_.plan_cache_invalidations = cs.invalidations;
-    stats_.plan_rebinds = cs.rebinds;
-    stats_.plan_cache_evictions = cs.evictions;
-  }
   return run;
 }
 
 StatusOr<Relation> Executor::Materialize(const PathQuery& q) const {
   std::vector<QAttr> output = q.projection;
   if (output.empty()) output = q.ReferencedAttrs();
-  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    return ExecuteBoxed(q, output, /*dedup_intermediate=*/false,
-                        /*lid_filter=*/nullptr, QAttr{}, kAllRows);
-  }
   EBA_ASSIGN_OR_RETURN(
       FrameRun run, RunFrame(QuerySnapshot(), q, output,
                              /*dedup_frontier=*/false, /*pivot_var=*/0,
@@ -1099,10 +1021,6 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
   // Ensure the lid is part of the output so callers can group instances.
   if (std::find(output.begin(), output.end(), lid_attr) == output.end()) {
     output.insert(output.begin(), lid_attr);
-  }
-  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    return ExecuteBoxed(q, output, /*dedup_intermediate=*/false, &lids,
-                        lid_attr, kAllRows);
   }
   // The lids' rows, each once and in lid order, as contiguous ranges. Runs
   // keep their seed order, so concatenating one run per range equals one
@@ -1150,16 +1068,6 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
     const PathQuery& q, QAttr lid_attr, SupportStrategy strategy) const {
   EBA_RETURN_IF_ERROR(LidTable(*db_, q, lid_attr).status());
   std::vector<QAttr> output = {lid_attr};
-  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    EBA_ASSIGN_OR_RETURN(
-        Relation rel,
-        ExecuteBoxed(q, output, strategy == SupportStrategy::kDedupFrontier,
-                     /*lid_filter=*/nullptr, lid_attr, kAllRows));
-    std::set<Value> distinct;
-    for (const auto& row : rel.rows) distinct.insert(row[0]);
-    return std::vector<Value>(distinct.begin(), distinct.end());
-  }
-
   EBA_ASSIGN_OR_RETURN(
       FrameRun run,
       RunFrame(QuerySnapshot(), q, output,
@@ -1224,31 +1132,15 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
   if (pivot_var < 0 || static_cast<size_t>(pivot_var) >= q.vars.size()) {
     return Status::InvalidArgument("pivot variable out of range");
   }
+  EBA_ASSIGN_OR_RETURN(FrameRun run,
+                       RunFrame(QuerySnapshot(), q, {lid_attr},
+                                /*dedup_frontier=*/true, pivot_var, rows));
+  const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
+  EBA_CHECK(slot >= 0);
   std::vector<int64_t> lids;
-  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    // The oracle has no row-id pivot machinery, only its variable-0 scan.
-    if (pivot_var != 0) {
-      return Status::Unimplemented(
-          "DistinctLidsJoinedTo pivoted past variable 0 requires the "
-          "late-materialization engine");
-    }
-    EBA_ASSIGN_OR_RETURN(
-        Relation rel,
-        ExecuteBoxed(q, {lid_attr}, /*dedup_intermediate=*/true,
-                     /*lid_filter=*/nullptr, lid_attr, rows));
-    for (const auto& row : rel.rows) {
-      if (!row[0].is_null()) lids.push_back(row[0].RawInt64());
-    }
-  } else {
-    EBA_ASSIGN_OR_RETURN(FrameRun run,
-                         RunFrame(QuerySnapshot(), q, {lid_attr},
-                                  /*dedup_frontier=*/true, pivot_var, rows));
-    const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
-    EBA_CHECK(slot >= 0);
-    lids.reserve(run.frame.size());
-    for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
-      if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
-    }
+  lids.reserve(run.frame.size());
+  for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
+    if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
   }
   // A variable-0 run keeps its seed's row order, so its lids already
   // ascend whenever the log's lids ascend in row order.
@@ -1257,272 +1149,6 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
   }
   lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
   return lids;
-}
-
-StatusOr<Relation> Executor::ExecuteBoxed(
-    const PathQuery& q, const std::vector<QAttr>& output_attrs,
-    bool dedup_intermediate, const std::vector<Value>* lid_filter,
-    QAttr lid_attr, RowRange rows) const {
-  EBA_RETURN_IF_ERROR(q.Validate(*db_));
-  stats_ = ExecStats{};
-
-  // Resolve tuple variables to tables, and pin the read view every scan and
-  // probe below clamps to — the boxed oracle observes exactly the same
-  // watermark semantics as the late-materialization engine.
-  const Database::Snapshot snapshot = QuerySnapshot();
-  std::vector<const Table*> tables(q.vars.size());
-  std::vector<size_t> bounds(q.vars.size());
-  for (size_t i = 0; i < q.vars.size(); ++i) {
-    EBA_ASSIGN_OR_RETURN(tables[i], db_->GetTable(q.vars[i].table));
-    bounds[i] = snapshot.BoundOf(tables[i]);
-  }
-
-  // Condition bookkeeping.
-  std::vector<VarCondition> joins = q.join_chain;
-  std::vector<bool> join_applied(joins.size(), false);
-  std::vector<VarCondition> extras = q.extra_conditions;
-  std::vector<bool> extra_applied(extras.size(), false);
-  std::vector<ConstCondition> consts = q.const_conditions;
-  std::vector<bool> const_applied(consts.size(), false);
-
-  std::vector<bool> bound(q.vars.size(), false);
-  bound[0] = true;
-
-  // The set of attributes a tuple variable must contribute when it is bound:
-  // every attribute of that variable referenced by any condition or output.
-  auto needed_for_var = [&](int var) {
-    std::set<QAttr> needed;
-    for (const auto& c : joins) {
-      if (c.lhs.var == var) needed.insert(c.lhs);
-      if (c.rhs.var == var) needed.insert(c.rhs);
-    }
-    for (const auto& c : extras) {
-      if (c.lhs.var == var) needed.insert(c.lhs);
-      if (c.rhs.var == var) needed.insert(c.rhs);
-    }
-    for (const auto& c : consts) {
-      if (c.lhs.var == var) needed.insert(c.lhs);
-    }
-    for (const auto& a : output_attrs) {
-      if (a.var == var) needed.insert(a);
-    }
-    return std::vector<QAttr>(needed.begin(), needed.end());
-  };
-
-  // Attributes still needed downstream of the current point: outputs plus
-  // attributes of unapplied conditions.
-  auto downstream_attrs = [&](const Relation& rel) {
-    std::set<QAttr> needed(output_attrs.begin(), output_attrs.end());
-    for (size_t i = 0; i < joins.size(); ++i) {
-      if (join_applied[i]) continue;
-      needed.insert(joins[i].lhs);
-      needed.insert(joins[i].rhs);
-    }
-    for (size_t i = 0; i < extras.size(); ++i) {
-      if (extra_applied[i]) continue;
-      needed.insert(extras[i].lhs);
-      needed.insert(extras[i].rhs);
-    }
-    for (size_t i = 0; i < consts.size(); ++i) {
-      if (const_applied[i]) continue;
-      needed.insert(consts[i].lhs);
-    }
-    std::vector<QAttr> present;
-    for (const auto& a : needed) {
-      if (rel.AttrIndex(a) >= 0) present.push_back(a);
-    }
-    return present;
-  };
-
-  // Applies every filter condition whose variables are all bound and whose
-  // attributes are materialized in `rel`.
-  auto apply_filters = [&](Relation* rel) {
-    auto run_filter = [&](auto pass) {
-      std::vector<Row> kept;
-      kept.reserve(rel->rows.size());
-      for (auto& row : rel->rows) {
-        if (pass(row)) kept.push_back(std::move(row));
-      }
-      rel->rows = std::move(kept);
-    };
-    for (size_t i = 0; i < extras.size(); ++i) {
-      if (extra_applied[i]) continue;
-      const auto& c = extras[i];
-      if (!bound[c.lhs.var] || !bound[c.rhs.var]) continue;
-      int li = rel->AttrIndex(c.lhs);
-      int ri = rel->AttrIndex(c.rhs);
-      EBA_CHECK(li >= 0 && ri >= 0);
-      extra_applied[i] = true;
-      run_filter([&](const Row& row) {
-        return EvalCmp(row[static_cast<size_t>(li)], c.op,
-                       row[static_cast<size_t>(ri)]);
-      });
-    }
-    for (size_t i = 0; i < consts.size(); ++i) {
-      if (const_applied[i]) continue;
-      const auto& c = consts[i];
-      if (!bound[c.lhs.var]) continue;
-      int li = rel->AttrIndex(c.lhs);
-      EBA_CHECK(li >= 0);
-      const_applied[i] = true;
-      run_filter([&](const Row& row) {
-        return EvalCmp(row[static_cast<size_t>(li)], c.op, c.rhs);
-      });
-    }
-  };
-
-  // --- Initial relation: variable 0 (the log), over the rows of the
-  // --- requested lids or the row range `rows`. ---
-  Relation rel;
-  rel.attrs = needed_for_var(0);
-  const Table* log_table = tables[0];
-  auto emit_log_row = [&](size_t r) {
-    Row row;
-    row.reserve(rel.attrs.size());
-    for (const auto& a : rel.attrs) {
-      row.push_back(log_table->Get(r, static_cast<size_t>(a.col)));
-    }
-    rel.rows.push_back(std::move(row));
-  };
-  if (lid_filter != nullptr) {
-    const HashIndex& idx =
-        log_table->GetOrBuildIndex(static_cast<size_t>(lid_attr.col));
-    const Column& lid_col =
-        log_table->column(static_cast<size_t>(lid_attr.col));
-    std::unordered_set<size_t> rows_seen;
-    rows_seen.reserve(2 * lid_filter->size());
-    for (const auto& lid : *lid_filter) {
-      for (uint32_t r : LidMatches(idx, lid_col, lid, bounds[0])) {
-        if (rows_seen.insert(r).second) emit_log_row(r);
-      }
-    }
-  } else {
-    const size_t end = std::min(rows.end, bounds[0]);
-    const size_t begin = std::min(rows.begin, end);
-    rel.rows.reserve(end - begin);
-    for (size_t r = begin; r < end; ++r) emit_log_row(r);
-  }
-  stats_.peak_intermediate = std::max(stats_.peak_intermediate, rel.rows.size());
-  apply_filters(&rel);
-  if (dedup_intermediate) {
-    std::vector<QAttr> frontier = downstream_attrs(rel);
-    rel = Project(std::move(rel), frontier, /*dedup=*/true);
-  }
-
-  // --- Join loop: greedily apply chain conditions. ---
-  size_t remaining = joins.size();
-  while (remaining > 0) {
-    // Prefer a filter (both sides bound), otherwise the first join that
-    // binds a new variable.
-    int pick = -1;
-    bool pick_is_filter = false;
-    for (size_t i = 0; i < joins.size(); ++i) {
-      if (join_applied[i]) continue;
-      bool lb = bound[joins[i].lhs.var];
-      bool rb = bound[joins[i].rhs.var];
-      if (lb && rb) {
-        pick = static_cast<int>(i);
-        pick_is_filter = true;
-        break;
-      }
-      if ((lb || rb) && pick < 0) pick = static_cast<int>(i);
-    }
-    if (pick < 0) {
-      return Status::InvalidArgument(
-          "query is disconnected: no join condition touches a bound variable");
-    }
-    const VarCondition& c = joins[static_cast<size_t>(pick)];
-    join_applied[static_cast<size_t>(pick)] = true;
-    --remaining;
-
-    if (pick_is_filter) {
-      int li = rel.AttrIndex(c.lhs);
-      int ri = rel.AttrIndex(c.rhs);
-      EBA_CHECK(li >= 0 && ri >= 0);
-      std::vector<Row> kept;
-      kept.reserve(rel.rows.size());
-      for (auto& row : rel.rows) {
-        if (EvalCmp(row[static_cast<size_t>(li)], c.op,
-                    row[static_cast<size_t>(ri)])) {
-          kept.push_back(std::move(row));
-        }
-      }
-      rel.rows = std::move(kept);
-    } else {
-      if (c.op != CmpOp::kEq) {
-        return Status::Unimplemented(
-            "non-equality join in chain; put theta conditions in "
-            "extra_conditions");
-      }
-      const bool lhs_bound = bound[c.lhs.var];
-      const QAttr bound_attr = lhs_bound ? c.lhs : c.rhs;
-      const QAttr new_attr = lhs_bound ? c.rhs : c.lhs;
-      const int new_var = new_attr.var;
-      const Table* new_table = tables[static_cast<size_t>(new_var)];
-      const HashIndex& idx =
-          new_table->GetOrBuildIndex(static_cast<size_t>(new_attr.col));
-
-      const std::vector<QAttr> new_cols = needed_for_var(new_var);
-      const int probe_idx = rel.AttrIndex(bound_attr);
-      EBA_CHECK(probe_idx >= 0);
-
-      Relation next;
-      next.attrs = rel.attrs;
-      next.attrs.insert(next.attrs.end(), new_cols.begin(), new_cols.end());
-      for (const auto& row : rel.rows) {
-        const Value& key = row[static_cast<size_t>(probe_idx)];
-        if (key.is_null()) continue;
-        for (uint32_t match :
-             idx.Lookup(key, bounds[static_cast<size_t>(new_var)])) {
-          Row combined = row;
-          combined.reserve(next.attrs.size());
-          for (const auto& a : new_cols) {
-            combined.push_back(
-                new_table->Get(match, static_cast<size_t>(a.col)));
-          }
-          next.rows.push_back(std::move(combined));
-        }
-      }
-      bound[static_cast<size_t>(new_var)] = true;
-      stats_.joins_executed++;
-      stats_.rows_emitted += next.rows.size();
-      stats_.peak_intermediate =
-          std::max(stats_.peak_intermediate, next.rows.size());
-      rel = std::move(next);
-    }
-
-    apply_filters(&rel);
-    if (dedup_intermediate) {
-      std::vector<QAttr> frontier = downstream_attrs(rel);
-      rel = Project(std::move(rel), frontier, /*dedup=*/true);
-    }
-    ExecStats::JoinStep step;
-    step.condition_index = pick;
-    step.is_filter = pick_is_filter;
-    step.rows_after = rel.rows.size();
-    stats_.join_order.push_back(step);
-  }
-
-  // Every variable must have been bound (otherwise the query was not a
-  // connected path) and every decoration applied.
-  for (size_t i = 0; i < q.vars.size(); ++i) {
-    if (!bound[i]) {
-      return Status::InvalidArgument("tuple variable '" + q.vars[i].alias +
-                                     "' is not connected to the query path");
-    }
-  }
-  for (size_t i = 0; i < extras.size(); ++i) {
-    if (!extra_applied[i]) {
-      return Status::Internal("decoration condition left unapplied");
-    }
-  }
-  for (size_t i = 0; i < consts.size(); ++i) {
-    if (!const_applied[i]) {
-      return Status::Internal("literal condition left unapplied");
-    }
-  }
-
-  return Project(std::move(rel), output_attrs, /*dedup=*/dedup_intermediate);
 }
 
 }  // namespace eba

@@ -1,59 +1,49 @@
 // Executor: evaluates PathQueries with pipelined hash joins.
 //
-// Two execution engines are provided (ExecutorOptions::engine):
+// Intermediates are a struct-of-arrays *frame* — one std::vector<uint32_t>
+// of row ids per bound tuple variable. Every condition is applied inside
+// the step that binds the last tuple variable it references: the seed
+// checks the conditions on the seeded variable alone, and a hash-join probe
+// checks every chain condition, decoration and literal its binding
+// completes against each candidate match — directly on Column raw payloads
+// / dictionary codes — and appends row ids for the survivors only. There
+// are no filter steps, so no step writes a row a later step drops. Each run
+// of a step binds its probe column and integer and dictionary-code checks
+// once to raw column views (Column::Reader, storage/column.h) and evaluates
+// them inline. Boxed Values are materialized exactly once, at the final
+// projection (Column::MaterializeInto). Distinct-lid evaluation takes a
+// semi-join fast path: tuple-variable columns are dropped from the frame as
+// soon as no unapplied condition touches them, a join that keeps no new
+// column writes each input row at most once (at its first surviving
+// match), and the row-id tuples left after a drop are deduplicated in place
+// — the row-id analog of the paper's "reducing result multiplicity"
+// optimization (§3.2.1), without ever building a boxed row. The dedup
+// (common/flat_hash.h) keeps first occurrences in frame order and
+// allocates nothing per tuple.
 //
-//  - kLateMaterialization (default): intermediates are a struct-of-arrays
-//    *frame* — one std::vector<uint32_t> of row ids per bound tuple variable.
-//    Every condition is applied inside the step that binds the last tuple
-//    variable it references: the seed checks the conditions on the seeded
-//    variable alone, and a hash-join probe checks every chain condition,
-//    decoration and literal its binding completes against each candidate
-//    match — directly on Column raw payloads / dictionary codes — and
-//    appends row ids for the survivors only. There are no filter steps, so
-//    no step writes a row a later step drops. Each run of a step binds its
-//    probe column and integer and dictionary-code checks once to raw column
-//    views (Column::Reader, storage/column.h) and evaluates them inline. Boxed Values are materialized
-//    exactly once, at the final projection (Column::MaterializeInto).
-//    Distinct-lid evaluation takes a semi-join fast path: tuple-variable
-//    columns are dropped from the frame as soon as no unapplied condition
-//    touches them, a join that keeps no new column writes each input row at
-//    most once (at its first surviving match), and the row-id tuples left
-//    after a drop are deduplicated in place — the row-id analog of the
-//    paper's "reducing result multiplicity" optimization (§3.2.1), without
-//    ever building a boxed row. The dedup (common/flat_hash.h) keeps first
-//    occurrences in frame order and allocates nothing per tuple.
+// Every run compiles, then runs: a compiler turns the query into a
+// CompiledPlan (query/plan_cache.h) without touching a row — it tracks only
+// the slot layout its steps produce — and one interpreter runs the plan's
+// steps. A plan-cache hit skips the compile and runs the same interpreter.
+// A row range of one tuple variable, the *seed range*, is the engine's only
+// restriction and the interpreter's runtime input: every plan starts from
+// a kSeedRange step — variable 0 over all its rows (Materialize,
+// DistinctLids), variable 0 over the rows of the requested lids
+// (MaterializeForLogIds, one run per contiguous row range), or the pivot
+// variable of DistinctLidsJoinedTo over a caller's range — and every range
+// is clamped to the snapshot bound of its table. A run over rows [a, c)
+// therefore finds exactly the union of what runs over [a, b) and [b, c)
+// find, so callers parallelize by splitting seed ranges over threads
+// (ExplanationEngine::AuditRange); every run itself is serial.
 //
-//    Every run compiles, then runs: a compiler turns the query into a
-//    CompiledPlan (query/plan_cache.h) without touching a row — it tracks
-//    only the slot layout its steps produce — and one interpreter runs the
-//    plan's steps. A plan-cache hit skips the compile and runs the same
-//    interpreter. A row range of one tuple variable, the *seed range*, is
-//    the engine's only restriction and the interpreter's runtime input:
-//    every plan starts from a kSeedRange step — variable 0 over all its
-//    rows (Materialize, DistinctLids), variable 0 over the rows of the
-//    requested lids (MaterializeForLogIds, one run per contiguous row
-//    range), or the pivot variable of DistinctLidsJoinedTo over a caller's
-//    range — and every range is clamped to the snapshot bound of its table.
-//    A run over rows [a, c) therefore finds exactly the union of what runs
-//    over [a, b) and [b, c) find, so callers parallelize by splitting seed
-//    ranges over threads (ExplanationEngine::AuditRange); every run itself
-//    is serial.
-//
-//  - kBoxedReference: the original Row = std::vector<Value> implementation,
-//    retained as the equivalence oracle for tests (it restricts per-access
-//    explains with its own lid filter, and its variable-0 scan honours a
-//    seed range) and as the baseline for the A/B benchmarks
-//    (BM_ExecutorJoin / BM_DistinctLids).
-//
-// Join ordering (ExecutorOptions::join_order): since every binding step
-// checks the conditions it completes, each pick is a chain condition that
-// binds a new tuple variable. kDeclared picks the first in declaration
-// order (the historical greedy behavior) while kCostBased (default) asks
-// the CardinalityEstimator for each candidate's fan-out (output rows per
-// input row) and picks the smallest, breaking ties by declaration order so
-// plans stay deterministic. Every candidate would be fed the same frame, so
-// the pick never depends on the seed range. The chosen order and per-step
-// cardinalities are surfaced in ExecStats::join_order.
+// Join ordering is cost-based: since every binding step checks the
+// conditions it completes, each pick is a chain condition that binds a new
+// tuple variable, and the compiler asks the CardinalityEstimator for each
+// candidate's fan-out (output rows per input row) and picks the smallest,
+// breaking ties by declaration order so plans stay deterministic. Every
+// candidate would be fed the same frame, so the pick never depends on the
+// seed range. The chosen order and per-step cardinalities are surfaced in
+// ExecStats::join_order.
 //
 // Support-evaluation strategies: kNaive enumerates the full join then
 // counts distinct log ids — the paper's unoptimized baseline, kept for the
@@ -62,6 +52,9 @@
 // downstream — the paper's "reducing result multiplicity" (§3.2.1): the
 // intermediate stays bounded by |Log| x (frontier domain) instead of
 // growing with event multiplicity.
+//
+// The boxed reference engine that checks this one row for row lives with
+// the tests (tests/oracle/boxed_executor.h).
 
 #ifndef EBA_QUERY_EXECUTOR_H_
 #define EBA_QUERY_EXECUTOR_H_
@@ -102,26 +95,10 @@ struct Relation {
   }
 };
 
-/// Execution knobs, threaded from ExplainAllOptions / MinerOptions so every
-/// entry point (engine, miner, metrics, benches) can A/B the engines. There
-/// is no thread knob: a run is serial, and callers fan out by seed range.
+/// Execution knobs, threaded from MinerOptions and set by callers that
+/// share a plan cache. There is no thread knob: a run is serial, and
+/// callers fan out by seed range.
 struct ExecutorOptions {
-  enum class Engine {
-    kBoxedReference,      // original boxed-Row executor (oracle/baseline)
-    kLateMaterialization  // row-id frame executor
-  };
-  enum class JoinOrder {
-    kDeclared,  // first applicable chain condition in declaration order
-    kCostBased  // smallest predicted intermediate (CardinalityEstimator)
-  };
-
-  Engine engine = Engine::kLateMaterialization;
-  /// Applies to kLateMaterialization only: the boxed reference engine is a
-  /// fixed oracle and always runs the declared greedy order.
-  /// kDeclared is retired from the benches and exists solely as the
-  /// byte-identical-row-order oracle in tests/executor_equivalence_test.cc.
-  JoinOrder join_order = JoinOrder::kCostBased;
-
   /// Optional shared compiled-plan cache (not owned; see
   /// query/plan_cache.h). When set, each fully-compiled physical plan —
   /// chosen join order, compiled checks, pre-translated dictionary codes,
@@ -147,30 +124,18 @@ struct ExecStats {
     size_t rows_after = 0;        // intermediate size after this step
     /// Cost-based prediction for the rows this run fed into the join: the
     /// plan's fan-out times the frame size entering it, on a compiling run
-    /// and a replay alike. -1 if the estimator was not consulted.
+    /// and a replay alike. -1 for a checked (is_filter) condition.
     double estimated_rows = -1.0;
   };
   std::vector<JoinStep> join_order;
 
-  bool used_cost_based_order = false;
   /// True when the distinct-lid semi-join fast path ran (frame columns
   /// dropped + row-id dedup instead of boxed-row projection).
   bool used_semi_join = false;
 
   /// True when this execution ran a cached compiled plan instead of
-  /// compiling one.
+  /// compiling one. The cache's own counters are PlanCache::stats().
   bool plan_cache_hit = false;
-  /// Cumulative counters of the attached PlanCache, snapshotted after this
-  /// execution (all zero when no cache is attached).
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_invalidations = 0;
-  /// Cumulative append-rebinds: cached plans whose tables only grew since
-  /// recording and were re-bound (index/translation refresh) instead of
-  /// re-planned. A rebind also counts as a hit.
-  uint64_t plan_rebinds = 0;
-  /// Cumulative LRU evictions forced by PlanCacheOptions::max_bytes.
-  uint64_t plan_cache_evictions = 0;
 };
 
 class Executor {
@@ -204,7 +169,7 @@ class Executor {
   /// The lids are looked up in the Lid index once; each contiguous range
   /// of their rows seeds one run, and rows come out in `lids` order.
   /// last_stats() afterwards describes the FINAL range run only (each run
-  /// resets it); its cumulative plan-cache counters still cover all runs.
+  /// resets it).
   StatusOr<Relation> MaterializeForLogIds(const PathQuery& q, QAttr lid_attr,
                                           const std::vector<Value>& lids) const;
 
@@ -221,9 +186,8 @@ class Executor {
   /// The distinct log ids in the query result as a sorted int64 vector —
   /// the hot entry point for the miner's support counting. `lid_attr` must
   /// belong to variable 0 and reference an integer-like column. This is
-  /// DistinctLidsJoinedTo pivoted at variable 0 over every row; under
-  /// kLateMaterialization it is the semi-join fast path end to end, and no
-  /// boxed row is ever built.
+  /// DistinctLidsJoinedTo pivoted at variable 0 over every row: the
+  /// semi-join fast path end to end, and no boxed row is ever built.
   StatusOr<std::vector<int64_t>> DistinctLids(const PathQuery& q,
                                               QAttr lid_attr) const;
 
@@ -238,10 +202,9 @@ class Executor {
   /// and a range's result is the union of its subranges' results. Each
   /// pivot variable compiles to its own cached plan (revalidated/re-bound
   /// like any other), with the row range as a runtime input; variable 0
-  /// over every row is exactly DistinctLids (same plan). The boxed
-  /// reference engine answers variable 0 only. An empty range still runs
-  /// (validating the query) and finds nothing. `lid_attr` must belong to
-  /// variable 0 and be integer-like.
+  /// over every row is exactly DistinctLids (same plan). An empty range
+  /// still runs (validating the query) and finds nothing. `lid_attr` must
+  /// belong to variable 0 and be integer-like.
   StatusOr<std::vector<int64_t>> DistinctLidsJoinedTo(const PathQuery& q,
                                                       QAttr lid_attr,
                                                       int pivot_var,
@@ -250,21 +213,12 @@ class Executor {
   const ExecStats& last_stats() const { return stats_; }
 
  private:
-  /// Frame + the plan that produced it, from one late-materialization run.
+  /// Frame + the plan that produced it, from one run.
   struct FrameRun;
 
-  /// The boxed reference engine; `lid_filter` restricts variable 0 to the
-  /// rows holding those lids, else to the rows `rows`.
-  StatusOr<Relation> ExecuteBoxed(const PathQuery& q,
-                                  const std::vector<QAttr>& output_attrs,
-                                  bool dedup_intermediate,
-                                  const std::vector<Value>* lid_filter,
-                                  QAttr lid_attr, RowRange rows) const;
-
-  /// Late-materialization entry point: one run against `snapshot`, seeded
-  /// at the rows `range` of tuple variable `pivot_var`. Looks the plan up in
-  /// options_.plan_cache; on a miss compiles it (and caches it); then runs
-  /// it.
+  /// One run against `snapshot`, seeded at the rows `range` of tuple
+  /// variable `pivot_var`. Looks the plan up in options_.plan_cache; on a
+  /// miss compiles it (and caches it); then runs it.
   StatusOr<FrameRun> RunFrame(const Database::Snapshot& snapshot,
                               const PathQuery& q,
                               const std::vector<QAttr>& output_attrs,

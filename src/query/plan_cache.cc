@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
-
 namespace eba {
 
 CompiledPlan::Freshness CompiledPlan::CheckFreshness(
@@ -102,8 +100,8 @@ std::shared_ptr<const CompiledPlan> RebindPlanForAppend(
 
 std::shared_ptr<const CompiledPlan> PlanCache::Lookup(
     const std::string& key, const Database::Snapshot& snapshot) {
-  // Writer lock even on the read path: a hit mutates the LRU list and the
-  // hit counters, and an append-only hit re-binds the entry in place.
+  // Writer lock even on the read path: a hit mutates the hit counters, and
+  // an append-only hit re-binds the entry in place.
   WriterMutexLock lock(mu_);
   auto it = plans_.find(key);
   if (it == plans_.end()) {
@@ -117,7 +115,6 @@ std::shared_ptr<const CompiledPlan> PlanCache::Lookup(
   if (it->second.plan->db != snapshot.database() ||
       it->second.plan->catalog_generation != snapshot.generation()) {
     resident_bytes_ -= it->second.bytes;
-    lru_.erase(it->second.lru_it);
     plans_.erase(it);
     ++stats_.invalidations;
     ++stats_.misses;
@@ -136,63 +133,27 @@ std::shared_ptr<const CompiledPlan> PlanCache::Lookup(
       it->second.bytes = it->second.plan->ApproxBytes() + it->first.size();
       resident_bytes_ += it->second.bytes;
       ++stats_.rebinds;
-      // Rebinds grow plans (extended translation tables): re-enforce the
-      // byte cap here too, or a steady hit+rebind stream would never pass
-      // through Insert and the cap would be dead in exactly that state.
-      // Mark this entry most-recently used FIRST (the splice below is then
-      // a no-op): in a round-robin rebind stream the looked-up key sits at
-      // the LRU back, where EvictOverCapLocked's keep-guard would otherwise
-      // stop the sweep before evicting anything.
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      EvictOverCapLocked(key);
       break;
     }
     case CompiledPlan::Freshness::kStale:
       resident_bytes_ -= it->second.bytes;
-      lru_.erase(it->second.lru_it);
       plans_.erase(it);
       ++stats_.invalidations;
       ++stats_.misses;
       return nullptr;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // most-recently used
   return it->second.plan;
 }
 
 void PlanCache::Insert(const std::string& key,
                        std::shared_ptr<const CompiledPlan> plan) {
   WriterMutexLock lock(mu_);
-  auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    resident_bytes_ -= it->second.bytes;
-    it->second.plan = std::move(plan);
-    it->second.bytes = it->second.plan->ApproxBytes() + key.size();
-    resident_bytes_ += it->second.bytes;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  } else {
-    lru_.push_front(key);
-    Entry entry;
-    entry.plan = std::move(plan);
-    entry.bytes = entry.plan->ApproxBytes() + key.size();
-    entry.lru_it = lru_.begin();
-    resident_bytes_ += entry.bytes;
-    plans_.emplace(key, std::move(entry));
-  }
-  EvictOverCapLocked(key);
-}
-
-void PlanCache::EvictOverCapLocked(const std::string& keep) {
-  if (options_.max_bytes == 0) return;
-  while (resident_bytes_ > options_.max_bytes && !lru_.empty() &&
-         lru_.back() != keep) {
-    auto it = plans_.find(lru_.back());
-    EBA_CHECK(it != plans_.end());
-    resident_bytes_ -= it->second.bytes;
-    plans_.erase(it);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  Entry& entry = plans_[key];
+  resident_bytes_ -= entry.bytes;
+  entry.plan = std::move(plan);
+  entry.bytes = entry.plan->ApproxBytes() + key.size();
+  resident_bytes_ += entry.bytes;
 }
 
 PlanCache::Stats PlanCache::stats() const {
@@ -208,13 +169,6 @@ size_t PlanCache::size() const {
 size_t PlanCache::resident_bytes() const {
   SharedMutexLock lock(mu_);
   return resident_bytes_;
-}
-
-void PlanCache::Clear() {
-  WriterMutexLock lock(mu_);
-  plans_.clear();
-  lru_.clear();
-  resident_bytes_ = 0;
 }
 
 }  // namespace eba

@@ -1,5 +1,5 @@
-// PlanCache: a persistent, bounded cache of fully-compiled physical plans
-// for the late-materialization executor.
+// PlanCache: a persistent cache of fully-compiled physical plans for the
+// executor.
 //
 // A CompiledPlan freezes everything the executor decides or resolves before
 // the first row moves: the chosen join order (including every cost-based
@@ -38,25 +38,24 @@
 // writer (the rebind reads only published state); structural mutations
 // still require external serialization against all readers.
 //
-// Eviction: with PlanCacheOptions::max_bytes > 0 the cache tracks an
-// approximate per-entry byte footprint and evicts least-recently-used
-// entries when an insert pushes the total over the cap (a lone oversized
-// entry is kept — one resident plan beats none). 0 means unbounded, the
-// right setting for template registries and single mining runs.
+// Size: the cache is unbounded and never evicts; a stale entry is dropped
+// on lookup. Its keys are bounded by its users' query shapes: an engine's
+// template registry (a server answers no ad-hoc query), or one mining run's
+// candidate paths. resident_bytes() reports the approximate footprint of
+// the resident plans (CompiledPlan::ApproxBytes plus the key).
 //
 // Thread safety: Lookup/Insert take the cache's writer lock (even a lookup
-// mutates the LRU list and the hit counters), the read-only stats/size
-// accessors take the shared (reader) lock, and cached plans are immutable
-// shared_ptrs, so concurrent executors (e.g. ExplainAll's template fan-out)
-// can share one cache. The discipline is compiler-checked: every mutable
-// member is EBA_GUARDED_BY(mu_) and clang's -Wthread-safety rejects any
-// unlocked access path.
+// mutates the hit counters), the read-only stats/size accessors take the
+// shared (reader) lock, and cached plans are immutable shared_ptrs, so
+// concurrent executors (e.g. ExplainAll's template fan-out) can share one
+// cache. The discipline is compiler-checked: every mutable member is
+// EBA_GUARDED_BY(mu_) and clang's -Wthread-safety rejects any unlocked
+// access path.
 
 #ifndef EBA_QUERY_PLAN_CACHE_H_
 #define EBA_QUERY_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -200,7 +199,6 @@ struct CompiledPlan {
   /// The slot layout the compiler tracked, as the last step leaves it:
   /// final frame slot -> tuple variable.
   std::vector<int> final_vars;
-  bool used_cost_based_order = false;
   bool used_semi_join = false;
 
   enum class Freshness {
@@ -236,13 +234,6 @@ struct CompiledPlan {
 std::shared_ptr<const CompiledPlan> RebindPlanForAppend(
     const CompiledPlan& plan);
 
-struct PlanCacheOptions {
-  /// Approximate byte cap on resident plans; 0 = unbounded. When an insert
-  /// pushes the total over the cap, least-recently-used entries are evicted
-  /// until it fits (the newest entry itself is never evicted).
-  size_t max_bytes = 0;
-};
-
 class PlanCache {
  public:
   struct Stats {
@@ -250,27 +241,23 @@ class PlanCache {
     uint64_t misses = 0;
     uint64_t invalidations = 0;  // stale entries dropped on lookup
     uint64_t rebinds = 0;        // append-only entries re-bound on lookup
-    uint64_t evictions = 0;      // LRU entries dropped by the byte cap
   };
 
   PlanCache() = default;
-  explicit PlanCache(const PlanCacheOptions& options) : options_(options) {}
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Returns the cached plan for `key` if it exists, was built against the
   /// snapshot's database at its catalog generation, and is fresh or
   /// append-only stale for that snapshot (the latter is re-bound in place
-  /// and counted as a rebind); either way the lookup counts as a hit and
-  /// marks the entry most-recently used. A structurally stale or
-  /// foreign-catalog entry is evicted (counted as an invalidation) and the
-  /// lookup counts as a miss.
+  /// and counted as a rebind); either way the lookup counts as a hit. A
+  /// structurally stale or foreign-catalog entry is dropped (counted as an
+  /// invalidation) and the lookup counts as a miss.
   std::shared_ptr<const CompiledPlan> Lookup(const std::string& key,
                                              const Database::Snapshot& snapshot)
       EBA_EXCLUDES(mu_);
 
-  /// Inserts (or replaces) the plan for `key` as the most-recently-used
-  /// entry, then evicts LRU entries while the byte cap is exceeded.
+  /// Inserts (or replaces) the plan for `key`.
   void Insert(const std::string& key, std::shared_ptr<const CompiledPlan> plan)
       EBA_EXCLUDES(mu_);
 
@@ -278,23 +265,15 @@ class PlanCache {
   size_t size() const EBA_EXCLUDES(mu_);
   /// Approximate bytes across resident plans (per-entry ApproxBytes sums).
   size_t resident_bytes() const EBA_EXCLUDES(mu_);
-  const PlanCacheOptions& options() const { return options_; }
-  void Clear() EBA_EXCLUDES(mu_);
 
  private:
   struct Entry {
     std::shared_ptr<const CompiledPlan> plan;
     size_t bytes = 0;
-    std::list<std::string>::iterator lru_it;  // position in lru_
   };
 
-  /// Drops LRU entries until the cap fits; `keep` is never evicted.
-  void EvictOverCapLocked(const std::string& keep) EBA_REQUIRES(mu_);
-
   mutable SharedMutex mu_;
-  PlanCacheOptions options_;
   std::unordered_map<std::string, Entry> plans_ EBA_GUARDED_BY(mu_);
-  std::list<std::string> lru_ EBA_GUARDED_BY(mu_);  // front = most recent
   size_t resident_bytes_ EBA_GUARDED_BY(mu_) = 0;
   Stats stats_ EBA_GUARDED_BY(mu_);
 };

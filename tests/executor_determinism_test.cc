@@ -3,15 +3,16 @@
 // pivot variable's rows together find what one run over all of them finds —
 // the property ExplanationEngine::AuditRange splits its tasks over threads
 // by — and ExplainAll reports are byte-identical at every tested thread
-// count {2, 4, 8}. Plan-cache tests assert that a replay is bit-identical
-// to the compiling run, that an append re-binds the plan (watermark move,
-// structure intact) instead of discarding it, that a structural mutation
-// still invalidates it, and that the LRU byte cap evicts in recency order.
+// count {2, 4, 8}. Plan-cache tests assert that a replay is bit-identical to the compiling
+// run, that an append re-binds the plan (watermark move, structure intact)
+// instead of discarding it, and that a structural mutation still
+// invalidates it; they read the cache's counters (PlanCache::stats()).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "careweb/generator.h"
@@ -22,6 +23,7 @@
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/plan_cache.h"
+#include "tests/oracle/boxed_executor.h"
 #include "tests/test_util.h"
 
 namespace eba {
@@ -54,10 +56,8 @@ std::vector<PathQuery> ToyQueries(const Database& db) {
 TEST(SeedRangeSplitTest, CutRunsUnionToTheWholeRun) {
   Database db = BuildPaperToyDatabase();
   const QAttr lid{0, 0};
-  ExecutorOptions boxed_options;
-  boxed_options.engine = ExecutorOptions::Engine::kBoxedReference;
   const Executor late(&db);
-  const Executor boxed(&db, boxed_options);
+  const BoxedExecutor boxed(&db);
   const std::vector<PathQuery> queries = ToyQueries(db);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const PathQuery& q = queries[qi];
@@ -73,7 +73,13 @@ TEST(SeedRangeSplitTest, CutRunsUnionToTheWholeRun) {
         EXPECT_EQ(CutRunLids(late, q, lid, v, RowRange{0, n}, b), all)
             << "query " << qi << " var " << v << " cut " << b;
         if (v == 0) {
-          EXPECT_EQ(CutRunLids(boxed, q, lid, v, RowRange{0, n}, b), all)
+          std::set<int64_t> cut_lids;
+          for (RowRange rows : {RowRange{0, b}, RowRange{b, n}}) {
+            for (int64_t l : UnwrapOrDie(boxed.DistinctLids(q, lid, rows))) {
+              cut_lids.insert(l);
+            }
+          }
+          EXPECT_EQ(std::vector<int64_t>(cut_lids.begin(), cut_lids.end()), all)
               << "boxed query " << qi << " cut " << b;
         }
       }
@@ -133,14 +139,14 @@ TEST_F(PlanCacheTest, SecondExecutionReplaysCachedPlan) {
 
   const std::vector<int64_t> first = UnwrapOrDie(cached.DistinctLids(q, Lid()));
   EXPECT_FALSE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_cache_misses, 1u);
+  EXPECT_EQ(cache_.stats().misses, 1u);
   EXPECT_EQ(cache_.size(), 1u);
   const ExecStats recorded = cached.last_stats();
 
   const std::vector<int64_t> second =
       UnwrapOrDie(cached.DistinctLids(q, Lid()));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(cache_.stats().hits, 1u);
   EXPECT_EQ(second, first);
   EXPECT_EQ(second, UnwrapOrDie(fresh.DistinctLids(q, Lid())));
 
@@ -180,8 +186,8 @@ TEST_F(PlanCacheTest, AppendRebindsPlanInsteadOfInvalidating) {
   const std::vector<int64_t> after =
       UnwrapOrDie(cached.DistinctLids(q, Lid()));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
-  EXPECT_EQ(cached.last_stats().plan_cache_invalidations, 0u);
+  EXPECT_EQ(cache_.stats().rebinds, 1u);
+  EXPECT_EQ(cache_.stats().invalidations, 0u);
   // The new appointment (Bob with Dave) explains L2 as well — a dangling
   // replay of the stale bindings would have answered {1}.
   EXPECT_EQ(after, (std::vector<int64_t>{1, 2}));
@@ -192,7 +198,7 @@ TEST_F(PlanCacheTest, AppendRebindsPlanInsteadOfInvalidating) {
   // a plain hit, no further rebind.
   const std::vector<int64_t> again = UnwrapOrDie(cached.DistinctLids(q, Lid()));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
+  EXPECT_EQ(cache_.stats().rebinds, 1u);
   EXPECT_EQ(again, after);
 }
 
@@ -215,7 +221,7 @@ TEST_F(PlanCacheTest, AppendToLogRebindsAndSeesNewRows) {
 
   const std::vector<int64_t> after = UnwrapOrDie(cached.DistinctLids(q, Lid()));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
+  EXPECT_EQ(cache_.stats().rebinds, 1u);
   EXPECT_EQ(after, (std::vector<int64_t>{1, 3}));
   EXPECT_EQ(after, UnwrapOrDie(fresh.DistinctLids(q, Lid())));
 
@@ -244,8 +250,8 @@ TEST_F(PlanCacheTest, StructuralMutationStillInvalidates) {
   EXPECT_EQ(UnwrapOrDie(cached.DistinctLids(q, Lid())),
             (std::vector<int64_t>{1}));
   EXPECT_FALSE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_cache_invalidations, 1u);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 0u);
+  EXPECT_EQ(cache_.stats().invalidations, 1u);
+  EXPECT_EQ(cache_.stats().rebinds, 0u);
 }
 
 TEST_F(PlanCacheTest, AppendRebindResolvesNewStringLiteral) {
@@ -268,7 +274,7 @@ TEST_F(PlanCacheTest, AppendRebindResolvesNewStringLiteral) {
 
   const std::vector<int64_t> after = UnwrapOrDie(cached.DistinctLids(q, Lid()));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
+  EXPECT_EQ(cache_.stats().rebinds, 1u);
   EXPECT_EQ(after, UnwrapOrDie(fresh.DistinctLids(q, Lid())));
   EXPECT_EQ(after, (std::vector<int64_t>{1}));
 }
@@ -309,80 +315,9 @@ TEST_F(PlanCacheTest, AppendRebindExtendsCodeTranslations) {
 
   const std::vector<int64_t> after = UnwrapOrDie(cached.DistinctLids(q, lid));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
+  EXPECT_EQ(cache.stats().rebinds, 1u);
   EXPECT_EQ(after, UnwrapOrDie(fresh.DistinctLids(q, lid)));
   EXPECT_EQ(after, (std::vector<int64_t>{1, 2}));
-}
-
-TEST(PlanCacheLruTest, ByteCapEvictsLeastRecentlyUsed) {
-  Database db = BuildPaperToyDatabase();
-  // An uncapped cache to measure one plan's footprint, so the capped cache
-  // below holds roughly two entries.
-  PlanCache probe_cache;
-  ExecutorOptions probe_options;
-  probe_options.plan_cache = &probe_cache;
-  Executor probe(&db, probe_options);
-  const QAttr lid{0, 0};
-  auto query = [&](const std::string& conds) {
-    return UnwrapOrDie(ParsePathQuery(db, "Log L, Appointments A", conds));
-  };
-  const PathQuery q1 = query("L.Patient = A.Patient AND A.Doctor = L.User");
-  const PathQuery q2 = query("L.Patient = A.Patient");
-  const PathQuery q3 = query("L.User = A.Doctor");
-  (void)UnwrapOrDie(probe.DistinctLids(q1, lid));
-  const size_t q1_bytes = probe_cache.resident_bytes();
-  ASSERT_GT(q1_bytes, 0u);
-  (void)UnwrapOrDie(probe.DistinctLids(q2, lid));
-  const size_t q1_q2_bytes = probe_cache.resident_bytes();
-  const size_t q2_bytes = q1_q2_bytes - q1_bytes;
-  ASSERT_GT(q2_bytes, 0u);
-
-  // Room for q1 + q2 plus half of another q2-sized plan: inserting a third
-  // single-join plan (q3 ≈ q2) must overflow.
-  PlanCacheOptions cache_options;
-  cache_options.max_bytes = q1_q2_bytes + q2_bytes / 2;
-  PlanCache cache(cache_options);
-  ExecutorOptions options;
-  options.plan_cache = &cache;
-  Executor cached(&db, options);
-
-  (void)UnwrapOrDie(cached.DistinctLids(q1, lid));
-  (void)UnwrapOrDie(cached.DistinctLids(q2, lid));
-  EXPECT_EQ(cache.size(), 2u);
-  // Touch q1 so q2 is the least-recently-used entry.
-  (void)UnwrapOrDie(cached.DistinctLids(q1, lid));
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Inserting q3 exceeds the cap: q2 (LRU) is evicted, q1 survives.
-  (void)UnwrapOrDie(cached.DistinctLids(q3, lid));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.resident_bytes(), cache_options.max_bytes);
-
-  (void)UnwrapOrDie(cached.DistinctLids(q1, lid));
-  EXPECT_TRUE(cached.last_stats().plan_cache_hit);  // q1 still resident
-  (void)UnwrapOrDie(cached.DistinctLids(q2, lid));
-  EXPECT_FALSE(cached.last_stats().plan_cache_hit);  // q2 was evicted
-  EXPECT_EQ(cache.stats().evictions, 2u);  // re-inserting q2 evicted q3
-}
-
-TEST(PlanCacheLruTest, LoneOversizedEntryIsKept) {
-  Database db = BuildPaperToyDatabase();
-  PlanCacheOptions cache_options;
-  cache_options.max_bytes = 1;  // nothing fits
-  PlanCache cache(cache_options);
-  ExecutorOptions options;
-  options.plan_cache = &cache;
-  Executor cached(&db, options);
-  const PathQuery q = UnwrapOrDie(ParsePathQuery(
-      db, "Log L, Appointments A",
-      "L.Patient = A.Patient AND A.Doctor = L.User"));
-  const QAttr lid{0, 0};
-  (void)UnwrapOrDie(cached.DistinctLids(q, lid));
-  // The newest entry is never evicted: one resident plan beats none.
-  EXPECT_EQ(cache.size(), 1u);
-  (void)UnwrapOrDie(cached.DistinctLids(q, lid));
-  EXPECT_TRUE(cached.last_stats().plan_cache_hit);
 }
 
 TEST_F(PlanCacheTest, DropAndRecreateTableInvalidatesPlan) {
@@ -405,7 +340,7 @@ TEST_F(PlanCacheTest, DropAndRecreateTableInvalidatesPlan) {
 
   const std::vector<int64_t> after = UnwrapOrDie(cached.DistinctLids(q, Lid()));
   EXPECT_FALSE(cached.last_stats().plan_cache_hit);
-  EXPECT_GE(cached.last_stats().plan_cache_invalidations, 1u);
+  EXPECT_GE(cache_.stats().invalidations, 1u);
   // Only Bob has an appointment now, so only L2 (Dave -> Bob) is explained.
   EXPECT_EQ(after, (std::vector<int64_t>{2}));
   Executor fresh(&db_);
@@ -442,24 +377,21 @@ TEST(MinerPlanCacheTest, RepeatedSupportQueriesHitThePlanCache) {
   // re-executions must replay cached plans.
   options.cache_support = false;
 
-  MiningResult with_plans =
-      UnwrapOrDie(TemplateMiner(&db, options).MineTwoWay());
-  EXPECT_GT(with_plans.stats.plan_cache_hits, 0u);
-  EXPECT_EQ(with_plans.stats.support_cache_hits, 0u);
+  MiningResult mined = UnwrapOrDie(TemplateMiner(&db, options).MineTwoWay());
+  EXPECT_GT(mined.stats.plan_cache_hits, 0u);
+  EXPECT_EQ(mined.stats.support_cache_hits, 0u);
 
-  MinerOptions no_plans = options;
-  no_plans.cache_plans = false;
-  MiningResult without_plans =
-      UnwrapOrDie(TemplateMiner(&db, no_plans).MineTwoWay());
-  EXPECT_EQ(without_plans.stats.plan_cache_hits, 0u);
-
-  // Plan caching never changes what is mined.
-  ASSERT_EQ(with_plans.templates.size(), without_plans.templates.size());
-  for (size_t i = 0; i < with_plans.templates.size(); ++i) {
-    EXPECT_EQ(with_plans.templates[i].support,
-              without_plans.templates[i].support);
-    EXPECT_EQ(UnwrapOrDie(with_plans.templates[i].tmpl.CanonicalKey(db)),
-              UnwrapOrDie(without_plans.templates[i].tmpl.CanonicalKey(db)));
+  // Plan caching never changes what is mined: an uncached executor finds
+  // each mined template's support.
+  ASSERT_FALSE(mined.templates.empty());
+  Executor uncached(&db);
+  for (const MinedTemplate& m : mined.templates) {
+    EXPECT_EQ(static_cast<int64_t>(
+                  UnwrapOrDie(uncached.DistinctLids(m.tmpl.query(),
+                                                    m.tmpl.lid_attr()))
+                      .size()),
+              m.support)
+        << m.tmpl.name();
   }
 }
 
@@ -490,20 +422,22 @@ TEST(EnginePlanCacheTest, RepeatedExplainAllReusesPlans) {
 TEST_F(PlanCacheTest, EmptySeedCompilesThePlanALaterLidReplays) {
   const QAttr lid = Lid();
   for (const PathQuery& q : ToyQueries(db_)) {
-    cache_.Clear();
-    Executor cached(&db_, Cached());
+    PlanCache cache;
+    ExecutorOptions options;
+    options.plan_cache = &cache;
+    Executor cached(&db_, options);
     Executor fresh(&db_);
     const Relation none =
         UnwrapOrDie(cached.MaterializeForLogIds(q, lid, {Value::Int64(999)}));
     EXPECT_TRUE(none.rows.empty());
     EXPECT_FALSE(cached.last_stats().plan_cache_hit);
-    EXPECT_EQ(cache_.size(), 1u);
+    EXPECT_EQ(cache.size(), 1u);
 
     const std::vector<Value> lids = {Value::Int64(1), Value::Int64(2)};
     const Relation got = UnwrapOrDie(cached.MaterializeForLogIds(q, lid, lids));
     const ExecStats replayed = cached.last_stats();
     EXPECT_TRUE(replayed.plan_cache_hit);
-    EXPECT_EQ(cache_.size(), 1u);
+    EXPECT_EQ(cache.size(), 1u);
     const Relation want = UnwrapOrDie(fresh.MaterializeForLogIds(q, lid, lids));
     const ExecStats& compiled = fresh.last_stats();
     EXPECT_FALSE(compiled.plan_cache_hit);
@@ -653,18 +587,12 @@ TEST(ReverseSemiJoinTest, EmptyRangeBadPivotAndBoxedEngine) {
   // A pivot past the query's variables names no table.
   EXPECT_FALSE(executor.DistinctLidsJoinedTo(q, lid, 2, RowRange{0, 2}).ok());
   EXPECT_FALSE(executor.DistinctLidsJoinedTo(q, lid, -1, RowRange{0, 2}).ok());
-  // The boxed reference engine has no row-id pivot machinery; its
-  // variable-0 scan takes the range.
-  ExecutorOptions boxed;
-  boxed.engine = ExecutorOptions::Engine::kBoxedReference;
-  Executor boxed_exec(&db, boxed);
-  EXPECT_FALSE(boxed_exec.DistinctLidsJoinedTo(q, lid, 1, RowRange{0, 2}).ok());
-  EXPECT_EQ(
-      UnwrapOrDie(boxed_exec.DistinctLidsJoinedTo(q, lid, 0, RowRange{0, 1})),
-      (std::vector<int64_t>{1}));
-  EXPECT_TRUE(
-      UnwrapOrDie(boxed_exec.DistinctLidsJoinedTo(q, lid, 0, RowRange{1, 2}))
-          .empty());
+  // The boxed oracle has no row-id pivot machinery; its variable-0 scan
+  // takes the range.
+  const BoxedExecutor boxed(&db);
+  EXPECT_EQ(UnwrapOrDie(boxed.DistinctLids(q, lid, RowRange{0, 1})),
+            (std::vector<int64_t>{1}));
+  EXPECT_TRUE(UnwrapOrDie(boxed.DistinctLids(q, lid, RowRange{1, 2})).empty());
 }
 
 /// A self-join query pivoted at its non-log occurrence: seeding variable 1
@@ -711,7 +639,7 @@ TEST_F(PlanCacheTest, PivotPlansCacheAndRebindAcrossAppends) {
   const std::vector<int64_t> warm = UnwrapOrDie(
       cached.DistinctLidsJoinedTo(q, Lid(), 1, RowRange{0, 1}));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 0u);
+  EXPECT_EQ(cache_.stats().rebinds, 0u);
   EXPECT_EQ(warm, (std::vector<int64_t>{1}));
 
   // Append a row: the next pivot run over the suffix re-binds (extended
@@ -724,8 +652,8 @@ TEST_F(PlanCacheTest, PivotPlansCacheAndRebindAcrossAppends) {
   const std::vector<int64_t> delta = UnwrapOrDie(cached.DistinctLidsJoinedTo(
       q, Lid(), 1, RowRange{suffix_begin, appt->num_rows()}));
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
-  EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
-  EXPECT_EQ(cached.last_stats().plan_cache_invalidations, 0u);
+  EXPECT_EQ(cache_.stats().rebinds, 1u);
+  EXPECT_EQ(cache_.stats().invalidations, 0u);
   EXPECT_EQ(delta, (std::vector<int64_t>{2}));
   EXPECT_EQ(delta, UnwrapOrDie(fresh.DistinctLidsJoinedTo(
                        q, Lid(), 1, RowRange{suffix_begin, appt->num_rows()})));

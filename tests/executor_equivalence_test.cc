@@ -1,12 +1,14 @@
 // Equivalence tests for the late-materialization executor: the boxed
-// reference engine (ExecutorOptions::Engine::kBoxedReference) is the oracle,
-// and the row-id frame engine — with and without cost-based join ordering —
-// must return identical results across randomized path queries over the
-// Figure 3 toy database and a generated CareWeb database, plus targeted
+// reference engine (BoxedExecutor, tests/oracle/boxed_executor.h) is the
+// oracle, and the row-id frame engine — uncached and replaying cached plans
+// — must return the same results across randomized path queries over the
+// Figure 3 toy database and a generated CareWeb database (rows compare as
+// sorted multisets: cost-based join ordering permutes them), plus targeted
 // unit tests for the distinct-lid semi-join fast path and for the checks
 // a binding step fuses (NULLs, cross-type and cross-dictionary pairs,
 // doubles, literals, seed-only conditions) and for checks that read
-// column views across a 64k-row chunk seam.
+// column views across a 64k-row chunk seam. BoxedExplainAll checks the
+// engine's range audit at several thread counts.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "common/date.h"
 #include "common/random.h"
 #include "core/engine.h"
+#include "core/ingest.h"
 #include "graph/schema_graph.h"
 #include "log/access_log.h"
 #include "query/executor.h"
@@ -26,6 +29,7 @@
 #include "query/parser.h"
 #include "query/plan_cache.h"
 #include "storage/chunk.h"
+#include "tests/oracle/boxed_executor.h"
 #include "tests/test_util.h"
 
 namespace eba {
@@ -35,32 +39,30 @@ using testing_util::BuildPaperToyDatabase;
 using testing_util::CutRunLids;
 using testing_util::UnwrapOrDie;
 
-ExecutorOptions BoxedReference() {
-  ExecutorOptions o;
-  o.engine = ExecutorOptions::Engine::kBoxedReference;
-  o.join_order = ExecutorOptions::JoinOrder::kDeclared;
-  return o;
-}
-
-ExecutorOptions LateDeclared() {
-  ExecutorOptions o;
-  o.engine = ExecutorOptions::Engine::kLateMaterialization;
-  o.join_order = ExecutorOptions::JoinOrder::kDeclared;
-  return o;
-}
-
-ExecutorOptions LateCostBased() {
-  ExecutorOptions o;
-  o.engine = ExecutorOptions::Engine::kLateMaterialization;
-  o.join_order = ExecutorOptions::JoinOrder::kCostBased;
-  return o;
-}
-
 /// Rows of a relation as a sorted multiset (join order permutes row order,
 /// so equivalence is on content).
 std::vector<Row> SortedRows(Relation rel) {
   std::sort(rel.rows.begin(), rel.rows.end());
   return std::move(rel.rows);
+}
+
+/// MaterializeForLogIds of the two engines: the same header and the same
+/// rows, and in both the rows of one lid's log rows come out together, in
+/// `lids` order — so the lid column reads the same sequence — while join
+/// order may permute the rows within them.
+void ExpectSameLidRows(Relation ref, Relation late, QAttr lid) {
+  ASSERT_EQ(ref.attrs, late.attrs);
+  const int col = ref.AttrIndex(lid);
+  ASSERT_GE(col, 0);
+  auto lid_sequence = [col](const Relation& rel) {
+    std::vector<Value> seq;
+    for (const Row& row : rel.rows) {
+      seq.push_back(row[static_cast<size_t>(col)]);
+    }
+    return seq;
+  };
+  EXPECT_EQ(lid_sequence(ref), lid_sequence(late));
+  EXPECT_EQ(SortedRows(std::move(ref)), SortedRows(std::move(late)));
 }
 
 std::string DescribeQuery(const Database& db, const PathQuery& q) {
@@ -162,35 +164,28 @@ struct QueryGenerator {
   }
 };
 
-/// Runs one query through the oracle, both frame configurations, and a
+/// Runs one query through the oracle, the frame executor, and a
 /// plan-cached frame executor (executed twice: the first run records the
 /// compiled plan, the second replays it) and asserts identical result sets,
 /// distinct values, and counts.
 void ExpectEquivalent(const Database& db, const PathQuery& q, QAttr lid_attr) {
-  Executor reference(&db, BoxedReference());
-  Executor late(&db, LateDeclared());
-  Executor late_cost(&db, LateCostBased());
+  const BoxedExecutor reference(&db);
+  Executor late_cost(&db);
   PlanCache cache;
-  ExecutorOptions cached_options = LateCostBased();
+  ExecutorOptions cached_options;
   cached_options.plan_cache = &cache;
   Executor late_cached(&db, cached_options);
   const std::string desc = DescribeQuery(db, q);
 
   auto ref_rel = reference.Materialize(q);
-  auto late_rel = late.Materialize(q);
   auto cost_rel = late_cost.Materialize(q);
   auto cached_rel = late_cached.Materialize(q);
   auto replay_rel = late_cached.Materialize(q);
-  ASSERT_EQ(ref_rel.ok(), late_rel.ok()) << desc;
   ASSERT_EQ(ref_rel.ok(), cost_rel.ok()) << desc;
   ASSERT_EQ(ref_rel.ok(), cached_rel.ok()) << desc;
   ASSERT_EQ(ref_rel.ok(), replay_rel.ok()) << desc;
   if (ref_rel.ok()) {
-    ASSERT_EQ(ref_rel->attrs, late_rel->attrs) << desc;
     ASSERT_EQ(ref_rel->attrs, cost_rel->attrs) << desc;
-    // Same join order must give byte-identical row order, not just the same
-    // multiset; cost-based ordering may permute rows.
-    EXPECT_EQ(ref_rel->rows, late_rel->rows) << desc;
     // The cached executor runs the same cost-based plan: its recording run
     // matches the uncached cost-based executor row for row, and the replay
     // matches the recording byte for byte.
@@ -204,26 +199,20 @@ void ExpectEquivalent(const Database& db, const PathQuery& q, QAttr lid_attr) {
   for (auto strategy : {Executor::SupportStrategy::kNaive,
                         Executor::SupportStrategy::kDedupFrontier}) {
     auto ref_vals = reference.DistinctValues(q, lid_attr, strategy);
-    auto late_vals = late.DistinctValues(q, lid_attr, strategy);
     auto cost_vals = late_cost.DistinctValues(q, lid_attr, strategy);
-    ASSERT_EQ(ref_vals.ok(), late_vals.ok()) << desc;
     ASSERT_EQ(ref_vals.ok(), cost_vals.ok()) << desc;
     if (ref_vals.ok()) {
-      EXPECT_EQ(*ref_vals, *late_vals) << desc;
       EXPECT_EQ(*ref_vals, *cost_vals) << desc;
     }
   }
 
   auto ref_lids = reference.DistinctLids(q, lid_attr);
-  auto late_lids = late.DistinctLids(q, lid_attr);
   auto cost_lids = late_cost.DistinctLids(q, lid_attr);
   auto cached_lids = late_cached.DistinctLids(q, lid_attr);
   auto replay_lids = late_cached.DistinctLids(q, lid_attr);
-  ASSERT_EQ(ref_lids.ok(), late_lids.ok()) << desc;
   ASSERT_EQ(ref_lids.ok(), cost_lids.ok()) << desc;
   ASSERT_EQ(ref_lids.ok(), cached_lids.ok()) << desc;
   if (ref_lids.ok()) {
-    EXPECT_EQ(*ref_lids, *late_lids) << desc;
     EXPECT_EQ(*ref_lids, *cost_lids) << desc;
     EXPECT_EQ(*ref_lids, *cached_lids) << desc;
     EXPECT_EQ(*ref_lids, *replay_lids) << desc;
@@ -267,29 +256,40 @@ TEST(ExecutorEquivalenceTest, RandomQueriesOnCareWebDatabase) {
   RunPropertySweep(data.db, /*seed=*/0x5eed0002, /*queries=*/60);
 }
 
-TEST(ExecutorEquivalenceTest, ExplainAllReportsMatchAcrossEngines) {
+/// The range audit (task split, per-template union, classifying merge)
+/// against BoxedExplainAll, which has none of them: ExplainAll at every
+/// thread count, and a from-zero ExplainNew.
+TEST(ExecutorEquivalenceTest, ExplainAllReportsMatchBoxedOracle) {
   CareWebData data = UnwrapOrDie(GenerateCareWeb(CareWebConfig::Tiny()));
-  ExplanationEngine engine =
-      UnwrapOrDie(ExplanationEngine::Create(&data.db, "Log"));
-  for (auto& tmpl : UnwrapOrDie(TemplatesHandcraftedDirect(data.db, true))) {
-    EBA_ASSERT_OK(engine.AddTemplate(tmpl));
-  }
-  ASSERT_GT(engine.num_templates(), 0u);
-
-  ExplainAllOptions boxed;
-  boxed.executor = BoxedReference();
+  const std::vector<ExplanationTemplate> templates =
+      UnwrapOrDie(TemplatesHandcraftedDirect(data.db, true));
+  ASSERT_FALSE(templates.empty());
   EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport reference,
-                           engine.ExplainAll(boxed));
+                           BoxedExplainAll(data.db, "Log", templates));
+  ASSERT_FALSE(reference.explained_lids.empty());
+  ASSERT_FALSE(reference.unexplained_lids.empty());
 
-  for (const auto& options : {LateDeclared(), LateCostBased()}) {
-    ExplainAllOptions late;
-    late.executor = options;
-    EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport report, engine.ExplainAll(late));
-    EXPECT_EQ(report.log_size, reference.log_size);
-    EXPECT_EQ(report.per_template_counts, reference.per_template_counts);
-    EXPECT_EQ(report.explained_lids, reference.explained_lids);
-    EXPECT_EQ(report.unexplained_lids, reference.unexplained_lids);
+  StreamingAuditor auditor =
+      UnwrapOrDie(StreamingAuditor::Create(&data.db, "Log"));
+  for (const auto& tmpl : templates) EBA_ASSERT_OK(auditor.AddTemplate(tmpl));
+  for (size_t threads : {1, 2, 4, 8}) {
+    ExplainAllOptions options;
+    options.num_threads = threads;
+    EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport report,
+                             auditor.engine().ExplainAll(options));
+    EXPECT_EQ(report.log_size, reference.log_size) << threads;
+    EXPECT_EQ(report.per_template_counts, reference.per_template_counts)
+        << threads;
+    EXPECT_EQ(report.explained_lids, reference.explained_lids) << threads;
+    EXPECT_EQ(report.unexplained_lids, reference.unexplained_lids) << threads;
   }
+  // The generated log's lids are distinct, so ExplainNew's each-once lists
+  // equal ExplainAll's one-per-row lists.
+  EBA_ASSERT_OK_AND_ASSIGN(StreamingReport first, auditor.ExplainNew());
+  EXPECT_EQ(first.new_rows(), reference.log_size);
+  EXPECT_EQ(first.per_template_counts, reference.per_template_counts);
+  EXPECT_EQ(first.explained_lids, reference.explained_lids);
+  EXPECT_EQ(first.unexplained_lids, reference.unexplained_lids);
 }
 
 // --------------------- Semi-join fast path unit tests ---------------------
@@ -312,7 +312,7 @@ class SemiJoinTest : public ::testing::Test {
 };
 
 TEST_F(SemiJoinTest, DistinctLidsTakesSemiJoinPath) {
-  Executor late(&db_, LateDeclared());
+  Executor late(&db_);
   auto lids = UnwrapOrDie(late.DistinctLids(TemplateB(), Lid()));
   EXPECT_EQ(lids, (std::vector<int64_t>{1, 2}));
   EXPECT_TRUE(late.last_stats().used_semi_join);
@@ -334,7 +334,7 @@ TEST_F(SemiJoinTest, DanglingVariableDedupBoundsIntermediate) {
       db_, "Log L, Appointments A",
       "L.Patient = A.Patient AND A.Doctor = L.User"));
 
-  Executor late(&db_, LateDeclared());
+  Executor late(&db_);
   EXPECT_EQ(UnwrapOrDie(late.CountDistinct(
                 q, Lid(), Executor::SupportStrategy::kNaive)),
             1);
@@ -347,17 +347,16 @@ TEST_F(SemiJoinTest, DanglingVariableDedupBoundsIntermediate) {
   EXPECT_LE(late.last_stats().peak_intermediate, naive_peak);
 
   // The boxed oracle agrees.
-  Executor reference(&db_, BoxedReference());
+  const BoxedExecutor reference(&db_);
   EXPECT_EQ(UnwrapOrDie(reference.CountDistinct(
                 q, Lid(), Executor::SupportStrategy::kDedupFrontier)),
             1);
 }
 
 TEST_F(SemiJoinTest, CostBasedOrderRecordedInStats) {
-  Executor late_cost(&db_, LateCostBased());
+  Executor late_cost(&db_);
   (void)UnwrapOrDie(late_cost.DistinctLids(TemplateB(), Lid()));
   const ExecStats& stats = late_cost.last_stats();
-  EXPECT_TRUE(stats.used_cost_based_order);
   ASSERT_EQ(stats.join_order.size(), 4u);  // 3 binding joins + 1 filter
   for (const auto& step : stats.join_order) {
     EXPECT_GE(step.condition_index, 0);
@@ -371,12 +370,11 @@ TEST_F(SemiJoinTest, CostBasedOrderRecordedInStats) {
 TEST_F(SemiJoinTest, MaterializeForLogIdsMatchesReference) {
   PathQuery q = TemplateB();
   const std::vector<Value> lids = {Value::Int64(2), Value::Int64(1)};
-  Executor reference(&db_, BoxedReference());
-  Executor late(&db_, LateDeclared());
-  Relation ref_rel = UnwrapOrDie(reference.MaterializeForLogIds(q, Lid(), lids));
-  Relation late_rel = UnwrapOrDie(late.MaterializeForLogIds(q, Lid(), lids));
-  EXPECT_EQ(ref_rel.attrs, late_rel.attrs);
-  EXPECT_EQ(ref_rel.rows, late_rel.rows);
+  const BoxedExecutor reference(&db_);
+  Executor late(&db_);
+  ExpectSameLidRows(UnwrapOrDie(reference.MaterializeForLogIds(q, Lid(), lids)),
+                    UnwrapOrDie(late.MaterializeForLogIds(q, Lid(), lids)),
+                    Lid());
 }
 
 // ------------------------ Fused checks (edge cases) ------------------------
@@ -520,23 +518,19 @@ TEST(FusedCheckTest, EdgeCasesMatchReference) {
     const PathQuery q = UnwrapOrDie(ParsePathQuery(db, c.from, c.where));
     ExpectEquivalent(db, q, lid);
 
-    Executor reference(&db, BoxedReference());
-    Executor late(&db, LateDeclared());
+    const BoxedExecutor reference(&db);
+    Executor late_cost(&db);
     const Relation ref_rel = UnwrapOrDie(reference.Materialize(q));
     EXPECT_EQ(!ref_rel.rows.empty(), c.expect_rows);
 
-    const Relation ref_some =
-        UnwrapOrDie(reference.MaterializeForLogIds(q, lid, some_lids));
-    const Relation late_some =
-        UnwrapOrDie(late.MaterializeForLogIds(q, lid, some_lids));
-    EXPECT_EQ(ref_some.attrs, late_some.attrs);
-    EXPECT_EQ(ref_some.rows, late_some.rows);
+    ExpectSameLidRows(
+        UnwrapOrDie(reference.MaterializeForLogIds(q, lid, some_lids)),
+        UnwrapOrDie(late_cost.MaterializeForLogIds(q, lid, some_lids)), lid);
 
     // Runs over the two sides of any cut of any pivot's rows check the
     // same candidates as one run over all of them.
     const std::vector<int64_t> ref_lids =
         UnwrapOrDie(reference.DistinctLids(q, lid));
-    Executor late_cost(&db, LateCostBased());
     for (int v = 0; v < static_cast<int>(q.vars.size()); ++v) {
       const size_t n = UnwrapOrDie(db.GetTable(q.vars[v].table))->num_rows();
       for (size_t b = 0; b <= n; ++b) {
@@ -604,18 +598,15 @@ TEST(ColumnViewTest, ChecksAcrossChunkSeamMatchReference) {
   for (const char* where : wheres) {
     SCOPED_TRACE(where);
     const PathQuery q = UnwrapOrDie(ParsePathQuery(db, "Log L, Log L2", where));
-    Executor reference(&db, BoxedReference());
+    const BoxedExecutor reference(&db);
     const std::vector<int64_t> ref_lids =
         UnwrapOrDie(reference.DistinctLids(q, lid));
     ASSERT_FALSE(ref_lids.empty());
     EXPECT_GT(ref_lids.back(), static_cast<int64_t>(kColumnChunkRows));
 
-    for (const ExecutorOptions& options : {LateDeclared(), LateCostBased()}) {
-      Executor late(&db, options);
-      EXPECT_EQ(UnwrapOrDie(late.DistinctLids(q, lid)), ref_lids);
-    }
+    Executor late(&db);
+    EXPECT_EQ(UnwrapOrDie(late.DistinctLids(q, lid)), ref_lids);
     // Runs cut at the seam, from either occurrence of the log.
-    Executor late(&db, LateCostBased());
     for (int pivot : {0, 1}) {
       EXPECT_EQ(CutRunLids(late, q, lid, pivot, RowRange{0, kSeamRows},
                            kColumnChunkRows),
@@ -623,13 +614,12 @@ TEST(ColumnViewTest, ChecksAcrossChunkSeamMatchReference) {
           << "pivot " << pivot;
     }
 
-    const Relation ref_rel =
+    Relation ref_rel =
         UnwrapOrDie(reference.MaterializeForLogIds(q, lid, lids));
     ASSERT_FALSE(ref_rel.rows.empty());
-    const Relation late_rel = UnwrapOrDie(
-        Executor(&db, LateDeclared()).MaterializeForLogIds(q, lid, lids));
-    EXPECT_EQ(ref_rel.attrs, late_rel.attrs);
-    EXPECT_EQ(ref_rel.rows, late_rel.rows);
+    ExpectSameLidRows(std::move(ref_rel),
+                      UnwrapOrDie(late.MaterializeForLogIds(q, lid, lids)),
+                      lid);
   }
 }
 

@@ -23,6 +23,7 @@
 #include "core/auditor.h"
 #include "core/engine.h"
 #include "log/access_log.h"
+#include "tests/oracle/boxed_executor.h"
 #include "tests/test_util.h"
 
 namespace eba {
@@ -190,12 +191,13 @@ TEST(StreamingAuditorTest, AppendsKeepThePlanCacheHot) {
   const size_t kBatches = 10;
   const size_t batch = (f.backlog.size() + kBatches - 1) / kBatches;
   size_t audits = 0;
-  StreamingReport last;
+  PlanCache::Stats before_last;
   for (size_t start = 0; start < f.backlog.size(); start += batch) {
     const size_t end = std::min(start + batch, f.backlog.size());
     EBA_ASSERT_OK(auditor.AppendAccessBatch(std::vector<Row>(
         f.backlog.begin() + start, f.backlog.begin() + end)));
-    last = UnwrapOrDie(auditor.ExplainNew());
+    before_last = auditor.engine().plan_cache()->stats();
+    (void)UnwrapOrDie(auditor.ExplainNew());
     ++audits;
   }
   const size_t plans = f.templates.size() + 1;  // + repeat_access pivot plan
@@ -208,12 +210,10 @@ TEST(StreamingAuditorTest, AppendsKeepThePlanCacheHot) {
                           static_cast<double>(hot.hits + hot.misses);
   EXPECT_GE(hit_rate, 0.9);
 
-  // The report mirrors the cache totals for library callers (the bench
-  // previously had these numbers; the API did not).
-  EXPECT_EQ(last.plan_cache_hits, hot.hits);
-  EXPECT_EQ(last.plan_cache_misses, hot.misses);
-  EXPECT_EQ(last.plan_rebinds, hot.rebinds);
-  EXPECT_GT(last.plan_rebinds, 0u);
+  // The last audit replayed every plan, re-bound past its append.
+  EXPECT_EQ(hot.hits - before_last.hits, plans);
+  EXPECT_EQ(hot.misses, before_last.misses);
+  EXPECT_GT(hot.rebinds - before_last.rebinds, 0u);
 }
 
 /// A toy fixture with the appointment template registered and the seed log
@@ -557,31 +557,21 @@ TEST(StreamingAuditorTest, RepeatedLidSeesItsOlderRowNewlyExplained) {
   EXPECT_TRUE(t.auditor->IsExplained(2));
 }
 
-/// Independent of AuditRange's merge: the lids of `log_table`'s rows
-/// [from, to), one per row and ascending, split by whether the boxed
-/// engine's DistinctLids of some template holds them.
-RestrictedReport BoxedClassification(
-    const Database& db, const std::string& log_table,
-    const std::vector<ExplanationTemplate>& templates, size_t from,
-    size_t to) {
-  ExecutorOptions boxed;
-  boxed.engine = ExecutorOptions::Engine::kBoxedReference;
-  Executor executor(&db, boxed);
-  std::unordered_set<int64_t> explained;
-  for (const ExplanationTemplate& tmpl : templates) {
-    const ExplanationTemplate bound = tmpl.WithLogTable(log_table);
-    for (int64_t lid : UnwrapOrDie(
-             executor.DistinctLids(bound.query(), bound.lid_attr()))) {
-      explained.insert(lid);
-    }
-  }
+/// The lids of `log_table`'s rows [from, to), one per row and ascending,
+/// split by whether `all` — a report over the whole log — explains them.
+RestrictedReport RowsOf(const ExplanationReport& all, const Database& db,
+                        const std::string& log_table, size_t from, size_t to) {
   const Table* log = UnwrapOrDie(db.GetTable(log_table));
   const size_t lid_col =
       static_cast<size_t>(log->schema().ColumnIndex("Lid"));
   RestrictedReport out;
   for (size_t r = from; r < to; ++r) {
     const int64_t lid = log->Get(r, lid_col).AsInt64();
-    (explained.count(lid) ? out.explained : out.unexplained).push_back(lid);
+    (std::binary_search(all.explained_lids.begin(), all.explained_lids.end(),
+                        lid)
+         ? out.explained
+         : out.unexplained)
+        .push_back(lid);
   }
   std::sort(out.explained.begin(), out.explained.end());
   std::sort(out.unexplained.begin(), out.unexplained.end());
@@ -595,14 +585,14 @@ std::vector<int64_t> Distinct(std::vector<int64_t> lids) {
 
 // Lids that descend in row order, one of them on two rows: no audited
 // range's lids ascend, so AuditRange and DistinctLidsJoinedTo take their
-// sort fallbacks. ExplainAll, a from-zero ExplainNew and an ExplainNew
-// after a foreign append must still agree with the boxed engine and with a
-// classification of a cloned database. Without `split`, the repeated lid
-// joins an explained row to an unexplained one. With it, the log is long
-// enough that 2-thread audits cut its first 2/3 in two, and the repeated
-// lid's rows lie on both sides of the cut, both explained by the first
-// template: its two tasks each find the lid, and the union must count it
-// once.
+// sort fallbacks. ExplainAll at every thread count, a from-zero ExplainNew
+// and an ExplainNew after a foreign append must still agree with the boxed
+// oracle (BoxedExplainAll; the last on a cloned database). Without
+// `split`, the repeated lid joins an explained row to an unexplained one.
+// With it, the log is long enough that 2-thread audits cut its first 2/3
+// in two, and the repeated lid's rows lie on both sides of the cut, both
+// explained by the first template: its two tasks each find the lid, and
+// the union must count it once.
 void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
                                                  bool split) {
   CareWebData data = UnwrapOrDie(GenerateCareWeb(config));
@@ -671,36 +661,31 @@ void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
   }
   ASSERT_EQ(desc->Get(repeat_row, lid_col), desc->Get(shared_row, lid_col));
 
-  // ExplainAll, serial and on two threads, against the boxed engine's
-  // ExplainAll and the independent classification.
+  // ExplainAll at every thread count against the boxed oracle.
   StreamingAuditor auditor =
       UnwrapOrDie(StreamingAuditor::Create(&data.db, "LogDesc"));
   for (const auto& tmpl : templates) EBA_ASSERT_OK(auditor.AddTemplate(tmpl));
-  // With `split` the boxed engine's ExplainAll is cut too: its variable-0
-  // scan takes the seed range.
-  ExplainAllOptions boxed = new_options;
-  boxed.executor.engine = ExecutorOptions::Engine::kBoxedReference;
-  const ExplanationReport boxed_all =
-      UnwrapOrDie(auditor.engine().ExplainAll(boxed));
-  const RestrictedReport oracle =
-      BoxedClassification(data.db, "LogDesc", templates, 0, prefix);
-  ASSERT_FALSE(oracle.explained.empty());
-  ASSERT_FALSE(oracle.unexplained.empty());
-  for (const ExplainAllOptions& options : {ExplainAllOptions{}, two_threads}) {
+  const ExplanationReport oracle =
+      UnwrapOrDie(BoxedExplainAll(data.db, "LogDesc", templates));
+  ASSERT_EQ(oracle.log_size, prefix);
+  ASSERT_FALSE(oracle.explained_lids.empty());
+  ASSERT_FALSE(oracle.unexplained_lids.empty());
+  for (size_t threads : {1, 2, 4, 8}) {
+    ExplainAllOptions options;
+    options.num_threads = threads;
     const ExplanationReport all =
         UnwrapOrDie(auditor.engine().ExplainAll(options));
-    EXPECT_EQ(all.explained_lids, oracle.explained);
-    EXPECT_EQ(all.unexplained_lids, oracle.unexplained);
-    EXPECT_EQ(all.explained_lids, boxed_all.explained_lids);
-    EXPECT_EQ(all.unexplained_lids, boxed_all.unexplained_lids);
-    EXPECT_EQ(all.per_template_counts, boxed_all.per_template_counts);
+    EXPECT_EQ(all.log_size, oracle.log_size) << threads;
+    EXPECT_EQ(all.explained_lids, oracle.explained_lids) << threads;
+    EXPECT_EQ(all.unexplained_lids, oracle.unexplained_lids) << threads;
+    EXPECT_EQ(all.per_template_counts, oracle.per_template_counts) << threads;
   }
 
   // From zero, ExplainNew reports each lid once.
   const StreamingReport first = UnwrapOrDie(auditor.ExplainNew(new_options));
-  EXPECT_EQ(first.explained_lids, Distinct(oracle.explained));
-  EXPECT_EQ(first.unexplained_lids, Distinct(oracle.unexplained));
-  EXPECT_EQ(first.per_template_counts, boxed_all.per_template_counts);
+  EXPECT_EQ(first.explained_lids, Distinct(oracle.explained_lids));
+  EXPECT_EQ(first.unexplained_lids, Distinct(oracle.unexplained_lids));
+  EXPECT_EQ(first.per_template_counts, oracle.per_template_counts);
 
   // A foreign appointment explains an older row, and the rest of the log
   // arrives with still smaller lids.
@@ -722,15 +707,19 @@ void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
   EXPECT_FALSE(next.full_reaudit);
 
   const Database clone = data.db.Clone();
+  const ExplanationReport clone_all =
+      UnwrapOrDie(BoxedExplainAll(clone, "LogDesc", templates));
+  ASSERT_EQ(clone_all.log_size, n);
   const RestrictedReport new_rows =
-      BoxedClassification(clone, "LogDesc", templates, prefix, n);
+      RowsOf(clone_all, clone, "LogDesc", prefix, n);
   EXPECT_EQ(next.explained_lids, Distinct(new_rows.explained));
   EXPECT_EQ(next.unexplained_lids, Distinct(new_rows.unexplained));
   const RestrictedReport old_rows =
-      BoxedClassification(clone, "LogDesc", templates, 0, prefix);
+      RowsOf(clone_all, clone, "LogDesc", 0, prefix);
   std::vector<int64_t> newly_explained;
   std::set_difference(old_rows.explained.begin(), old_rows.explained.end(),
-                      oracle.explained.begin(), oracle.explained.end(),
+                      oracle.explained_lids.begin(),
+                      oracle.explained_lids.end(),
                       std::back_inserter(newly_explained));
   EXPECT_EQ(next.delta_explained_lids, Distinct(newly_explained));
   EXPECT_TRUE(std::binary_search(next.delta_explained_lids.begin(),

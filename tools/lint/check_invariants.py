@@ -5,7 +5,9 @@ The executor's contract is byte-identical reports regardless of thread
 count, and the bench gate diffs JSON across runs — so nondeterminism that
 the type system cannot see (hash-order iteration, unseeded randomness,
 wall-clock reads) is a correctness bug here, not a style issue. This lint
-enforces these invariants over src/ (and CMake test registration):
+enforces these invariants over src/ and tests/oracle/ (the boxed reference
+engine, whose results the tests compare with the library's byte for byte),
+plus CMake test registration:
 
   R1 unordered-iteration: iterating a std::unordered_{map,set} (range-for
      or .begin()) feeds hash order into whatever is built from it. Allowed
@@ -58,6 +60,10 @@ import sys
 SORT_WINDOW = 4
 
 CPP_EXTENSIONS = (".h", ".cc")
+
+# The C++ trees the rules apply to: the library, and the test oracle whose
+# results are compared with the library's byte for byte.
+CPP_SUBTREES = ("src", os.path.join("tests", "oracle"))
 
 UNORDERED_DECL = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;()]*?>\s*"
@@ -180,7 +186,7 @@ def check_cpp_file(path, rel, findings):
     check_column_payload = not rel.replace(os.sep, "/").startswith(
         COLUMN_PAYLOAD_SUBTREE)
 
-    # R7 scope: all of src/; a line-1 annotation exempts the seam file
+    # R7 scope: every linted file; a line-1 annotation exempts the seam file
     # itself (net/socket.cc), where every raw socket call belongs.
     check_raw_net = not (lines and "lint:raw-net" in lines[0])
 
@@ -329,9 +335,11 @@ def main():
         return 2
 
     findings = []
-    for full, rel in walk(root, "src", CPP_EXTENSIONS):
-        check_cpp_file(full, rel, findings)
-    for subdir in ("src", "tests", "bench", "examples", "tools", "."):
+    for subtree in CPP_SUBTREES:
+        for full, rel in walk(root, subtree, CPP_EXTENSIONS):
+            check_cpp_file(full, rel, findings)
+    for subdir in ("src", "tests", os.path.join("tests", "oracle"), "bench",
+                   "examples", "tools", "."):
         path = os.path.join(root, subdir, "CMakeLists.txt")
         if os.path.isfile(path):
             check_cmake_file(path, os.path.relpath(path, root), findings)

@@ -110,6 +110,29 @@ bool Has(const std::unordered_set<int>& seen, int v) {
         self.assert_clean(run_lint(self.root))
 
 
+class OracleTree(LintFixture):
+    """The boxed reference engine under tests/oracle/ is linted like src/;
+    the rest of tests/ is not."""
+
+    ITERATION = """
+#include <unordered_set>
+void Report(std::vector<int>* out) {
+  std::unordered_set<int> seen;
+  for (int v : seen) out->push_back(v);
+}
+"""
+
+    def test_oracle_violation_is_flagged(self):
+        self.write("tests/oracle/boxed_executor.cc", self.ITERATION)
+        result = run_lint(self.root)
+        self.assert_flags(result, "unordered-iteration")
+        self.assertIn("tests/oracle/boxed_executor.cc", result.stdout)
+
+    def test_other_test_sources_are_not_linted(self):
+        self.write("tests/some_test.cc", self.ITERATION)
+        self.assert_clean(run_lint(self.root))
+
+
 class UnseededRng(LintFixture):
     def test_random_device_is_flagged(self):
         self.write("src/a.cc", "std::random_device rd;\n")
