@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,32 +15,9 @@ namespace {
 
 /// The fewest rows one audit task seeds when a range is split over
 /// threads: a smaller range stays one executor run, whose fixed cost (plan
-/// lookup, frame setup, its own sort and dedup) would outweigh the rows a
-/// split hands another thread.
+/// lookup, frame setup, its own dedup) would outweigh the rows a split
+/// hands another thread.
 constexpr size_t kMinSeedRows = 4096;
-
-/// The ascending, duplicate-free union of ascending, duplicate-free lists,
-/// merged pairwise; the merges of one round run concurrently on `pool`. A
-/// lone list moves through without a copy.
-std::vector<int64_t> UnionOfSorted(std::vector<std::vector<int64_t>> lists,
-                                   ThreadPool* pool) {
-  if (lists.empty()) return {};
-  while (lists.size() > 1) {
-    const size_t pairs = lists.size() / 2;
-    std::vector<std::vector<int64_t>> merged(pairs + lists.size() % 2);
-    ParallelFor(pool, pairs, [&](size_t p) {
-      const std::vector<int64_t>& x = lists[2 * p];
-      const std::vector<int64_t>& y = lists[2 * p + 1];
-      std::vector<int64_t>& out = merged[p];
-      out.reserve(x.size() + y.size());
-      std::set_union(x.begin(), x.end(), y.begin(), y.end(),
-                     std::back_inserter(out));
-    });
-    if (lists.size() % 2 != 0) merged.back() = std::move(lists.back());
-    lists = std::move(merged);
-  }
-  return std::move(lists[0]);
-}
 
 }  // namespace
 
@@ -100,19 +76,6 @@ StatusOr<std::vector<ExplanationInstance>> ExplanationEngine::Explain(
   return instances;
 }
 
-StatusOr<std::vector<int64_t>> ExplanationEngine::ExplainedLids(
-    size_t index) const {
-  if (index >= templates_.size()) {
-    return Status::OutOfRange("template index out of range");
-  }
-  Executor executor(db_);
-  const auto& tmpl = templates_[index];
-  // DistinctLids is the semi-join fast path: row ids flow through the whole
-  // pipeline and the sorted lid vector is materialized straight from the
-  // log's Lid column.
-  return executor.DistinctLids(tmpl.query(), tmpl.lid_attr());
-}
-
 StatusOr<ExplanationReport> ExplanationEngine::ExplainAll() const {
   return ExplainAll(ExplainAllOptions{});
 }
@@ -125,31 +88,29 @@ StatusOr<ExplanationReport> ExplanationEngine::ExplainAll(
 StatusOr<ExplanationReport> ExplanationEngine::ExplainAll(
     const ExplainAllOptions& options,
     const Database::Snapshot& snapshot) const {
-  EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(log_table_));
   // One pool serves the whole audit (spawn/join threads once per call).
   std::unique_ptr<ThreadPool> pool;
+  std::vector<uint8_t> explained;
   EBA_ASSIGN_OR_RETURN(
-      RangeAudit audit,
-      AuditRange(snapshot, /*log_from=*/0, /*appends=*/{},
-                 /*accumulated=*/{}, options, &pool));
+      StreamingReport audit,
+      AuditRange(snapshot, /*appends=*/{}, &explained, options, &pool));
   ExplanationReport report;
-  report.log_size = snapshot.BoundOf(table);
+  report.log_size = audit.audited_to;
   report.per_template_counts = std::move(audit.per_template_counts);
   report.explained_lids = std::move(audit.explained_lids);
   report.unexplained_lids = std::move(audit.unexplained_lids);
   return report;
 }
 
-StatusOr<RangeAudit> ExplanationEngine::AuditRange(
-    const Database::Snapshot& snapshot, size_t log_from,
+StatusOr<StreamingReport> ExplanationEngine::AuditRange(
+    const Database::Snapshot& snapshot,
     const std::vector<CatalogDrift::Append>& appends,
-    const std::vector<int64_t>& accumulated,
-    const ExplainAllOptions& options,
+    std::vector<uint8_t>* explained, const ExplainAllOptions& options,
     std::unique_ptr<ThreadPool>* workers) const {
   EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(log_table_));
   EBA_ASSIGN_OR_RETURN(AccessLog log, AccessLog::Wrap(table));
   const size_t log_end = snapshot.BoundOf(table);
-  const RowRange log_rows{std::min(log_from, log_end), log_end};
+  const RowRange log_rows{std::min(explained->size(), log_end), log_end};
   const bool from_zero = log_rows.begin == 0;
 
   // The calling thread participates in every ParallelFor round, so the
@@ -174,23 +135,30 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
   // --- kMinSeedRows rows). The seed range is a run's only restriction, so
   // --- a template's tasks together find what one run per pivot would.
   // --- From row 0 variable 0 alone pivots: seeded at every log row, it
-  // --- finds every explained lid.
-  RangeAudit audit;
+  // --- finds every explained row.
+  StreamingReport report;
+  report.audited_from = log_rows.begin;
+  report.audited_to = log_end;
   struct Task {
     size_t template_index;
     int pivot;
     RowRange rows;
   };
   std::vector<Task> tasks;
+  // Per cut of the audited rows: its variable-0 tasks, one per template.
+  std::vector<std::vector<size_t>> log_cuts;
   // An empty range (an empty log, from row 0) still runs once, validating
   // the query.
   auto add_tasks = [&](size_t i, int pivot, RowRange rows) {
     std::vector<ShardRange> cuts =
         SplitShards(rows.size(), threads, kMinSeedRows);
     if (cuts.empty()) cuts.emplace_back();
-    for (const ShardRange& cut : cuts) {
-      tasks.push_back(Task{
-          i, pivot, RowRange{rows.begin + cut.begin, rows.begin + cut.end}});
+    if (pivot == 0) log_cuts.resize(cuts.size());
+    for (size_t c = 0; c < cuts.size(); ++c) {
+      if (pivot == 0) log_cuts[c].push_back(tasks.size());
+      tasks.push_back(Task{i, pivot,
+                           RowRange{rows.begin + cuts[c].begin,
+                                    rows.begin + cuts[c].end}});
     }
   };
   if (from_zero) {
@@ -200,7 +168,7 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
     if (!log_rows.empty()) appended.emplace_back(&log_table_, log_rows);
     for (const CatalogDrift::Append& append : appends) {
       if (append.table == log_table_) continue;
-      ++audit.delta_tables;
+      ++report.delta_tables;
       appended.emplace_back(
           &append.table, RowRange{static_cast<size_t>(append.from_watermark),
                                   static_cast<size_t>(append.to_watermark)});
@@ -215,83 +183,91 @@ StatusOr<RangeAudit> ExplanationEngine::AuditRange(
           ++pivots;
         }
         // A delta query seeds more than the log's variable 0.
-        if (pivots > (*name == log_table_ ? 1u : 0u)) ++audit.delta_queries;
+        if (pivots > (*name == log_table_ ? 1u : 0u)) ++report.delta_queries;
       }
     }
   }
 
   // Each slot is written by one worker through a private Executor; tables
   // serialize lazy index construction internally.
-  std::vector<StatusOr<std::vector<int64_t>>> results(
+  std::vector<StatusOr<std::vector<uint32_t>>> results(
       tasks.size(),
-      StatusOr<std::vector<int64_t>>(Status::Internal("not evaluated")));
+      StatusOr<std::vector<uint32_t>>(Status::Internal("not evaluated")));
   ParallelFor(pool, tasks.size(), [&](size_t k) {
     const ExplanationTemplate& tmpl = templates_[tasks[k].template_index];
     Executor executor(snapshot, exec);
-    results[k] = executor.DistinctLidsJoinedTo(
-        tmpl.query(), tmpl.lid_attr(), tasks[k].pivot, tasks[k].rows);
+    results[k] = executor.LogRowsJoinedTo(tmpl.query(), tmpl.lid_attr(),
+                                          tasks[k].pivot, tasks[k].rows);
   });
-  // Per template: its tasks' results, in task order.
-  std::vector<std::vector<std::vector<int64_t>>> cuts(templates_.size());
+
+  // --- Variable-0 tasks find audited rows only, each task in its own cut,
+  // --- so they count for their template as they are. Every other task's
+  // --- rows below the audited ones that are not yet explained are older
+  // --- rows the appends newly explain; its audited rows repeat variable
+  // --- 0's.
+  report.per_template_counts.assign(templates_.size(), 0);
+  std::vector<std::vector<uint32_t>> older(templates_.size());
   for (size_t k = 0; k < tasks.size(); ++k) {
     if (!results[k].ok()) return results[k].status();
-    cuts[tasks[k].template_index].push_back(std::move(*results[k]));
+    const size_t i = tasks[k].template_index;
+    if (tasks[k].pivot == 0) {
+      report.per_template_counts[i] += results[k]->size();
+      continue;
+    }
+    for (uint32_t r : *results[k]) {
+      if (r < log_rows.begin && (*explained)[r] == 0) older[i].push_back(r);
+    }
   }
 
-  // The audited rows' lids, read in row order and sorted only when they do
-  // not already ascend.
-  const Column& lid_col = table->column(static_cast<size_t>(log.lid_col()));
-  std::vector<int64_t> row_lids(log_rows.size());
-  lid_col.ForEachInt64Span(
-      log_rows.begin, log_rows.end,
-      [&](size_t first_row, const int64_t* data, size_t count) {
-        std::copy(data, data + count,
-                  row_lids.begin() +
-                      static_cast<long>(first_row - log_rows.begin));
-      });
-  if (!std::is_sorted(row_lids.begin(), row_lids.end())) {
-    std::sort(row_lids.begin(), row_lids.end());
-  }
-
-  // --- Per template: the ascending union of its tasks' results (a lid
-  // --- whose rows fall in two cuts is found by both). The lids on audited
-  // --- rows count for it — every one is explained; the rest lie on older
-  // --- rows.
-  auto held = [&accumulated](int64_t lid) {
-    return std::binary_search(accumulated.begin(), accumulated.end(), lid);
-  };
-  std::vector<std::vector<int64_t>> found(templates_.size());
-  audit.per_template_counts.assign(templates_.size(), 0);
-  audit.delta_lids.assign(templates_.size(), {});
-  ParallelFor(pool, templates_.size(), [&](size_t i) {
-    found[i] = UnionOfSorted(std::move(cuts[i]), /*pool=*/nullptr);
-    auto row = row_lids.begin();
-    for (int64_t lid : found[i]) {
-      while (row != row_lids.end() && *row < lid) ++row;
-      if (row != row_lids.end() && *row == lid) {
-        ++audit.per_template_counts[i];
-      } else if (!held(lid)) {
-        audit.delta_lids[i].push_back(lid);
-      }
+  // --- Mark the audited rows found, once every task succeeded (the new
+  // --- rows' flags start unexplained): one thread per cut, so no two
+  // --- threads write one flag.
+  explained->resize(log_end);
+  ParallelFor(pool, log_cuts.size(), [&](size_t c) {
+    for (size_t k : log_cuts[c]) {
+      for (uint32_t r : *results[k]) (*explained)[r] = 1;
     }
   });
 
-  // --- Classify the audited rows by one merge: their lids walk the union
-  // --- of every template's lids and `accumulated` from the first audited
-  // --- lid. A lid is explained iff either holds it, and both lists come out
-  // --- ascending.
-  const std::vector<int64_t> any = UnionOfSorted(std::move(found), pool);
-  const int64_t first_lid = row_lids.empty() ? 0 : row_lids.front();
-  auto u = std::lower_bound(any.begin(), any.end(), first_lid);
-  auto a = std::lower_bound(accumulated.begin(), accumulated.end(), first_lid);
-  for (int64_t lid : row_lids) {
-    while (u != any.end() && *u < lid) ++u;
-    while (a != accumulated.end() && *a < lid) ++a;
-    const bool explained = (u != any.end() && *u == lid) ||
-                           (a != accumulated.end() && *a == lid);
-    (explained ? audit.explained_lids : audit.unexplained_lids).push_back(lid);
+  // --- Mark the older rows: a template counts each once (two of its
+  // --- pivots can reach one row), and the report lists each once however
+  // --- many templates reach it.
+  std::vector<uint32_t> delta_rows;
+  for (std::vector<uint32_t>& rows : older) {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    report.per_template_delta_counts.push_back(rows.size());
+    for (uint32_t r : rows) {
+      if ((*explained)[r] != 0) continue;
+      (*explained)[r] = 1;
+      delta_rows.push_back(r);
+    }
   }
-  return audit;
+
+  // --- The report's lists: the lids of the audited rows, split by their
+  // --- flags, and of the newly explained older rows; sorted only when the
+  // --- log's lids do not ascend in row order.
+  const Column& lid_col = table->column(static_cast<size_t>(log.lid_col()));
+  lid_col.ForEachInt64Span(
+      log_rows.begin, log_rows.end,
+      [&](size_t first_row, const int64_t* data, size_t count) {
+        for (size_t j = 0; j < count; ++j) {
+          ((*explained)[first_row + j] != 0 ? report.explained_lids
+                                            : report.unexplained_lids)
+              .push_back(data[j]);
+        }
+      });
+  for (uint32_t r : delta_rows) {
+    report.delta_explained_lids.push_back(lid_col.Int64At(r));
+  }
+  for (std::vector<int64_t>* lids :
+       {&report.explained_lids, &report.unexplained_lids,
+        &report.delta_explained_lids}) {
+    if (!std::is_sorted(lids->begin(), lids->end())) {
+      std::sort(lids->begin(), lids->end());
+    }
+  }
+  return report;
 }
 
 }  // namespace eba

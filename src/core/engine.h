@@ -13,8 +13,8 @@
 // (tests/oracle/boxed_executor.h) computes ExplainAll's report without
 // AuditRange, to check it.
 //
-// Thread safety: the const query surface (Explain/ExplainedLids/ExplainAll)
-// is safe to call concurrently — the shared PlanCache and each Table's lazy
+// Thread safety: the const query surface (Explain/ExplainAll) is safe to
+// call concurrently — the shared PlanCache and each Table's lazy
 // index/stats construction carry their own capability-annotated locks
 // (common/thread_annotations.h), so ExplainAll's template fan-out needs no
 // external locking. Each call pins one Database::Snapshot (or takes the
@@ -27,6 +27,7 @@
 #ifndef EBA_CORE_ENGINE_H_
 #define EBA_CORE_ENGINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,28 +49,63 @@ struct ExplainAllOptions {
   /// Worker threads. <= 1 evaluates everything on the calling thread, one
   /// executor run per template and pivot variable; any higher value also
   /// cuts each run's seed rows into up to that many subranges and fans the
-  /// runs out over a fixed pool (the log's rows are classified by one
-  /// merge). The report is byte-identical regardless of the thread count.
+  /// runs out over a fixed pool (each cut's rows are then marked explained
+  /// by one thread). The report is byte-identical regardless of the thread
+  /// count.
   size_t num_threads = 1;
 };
 
-/// What one range audit (ExplanationEngine::AuditRange) found.
-struct RangeAudit {
-  /// Per registered template: the distinct lids of audited rows its tasks
-  /// found. A lid that repeats an older row's counts only if the template
-  /// explains it through a witness involving an appended row.
+/// What one range audit (ExplanationEngine::AuditRange) found: the report
+/// of StreamingAuditor::ExplainNew (core/ingest.h), covering the accesses
+/// in log rows [audited_from, audited_to) plus any older rows the
+/// foreign-append delta pass newly explained. Every log row is one access,
+/// classified by its own witnesses, so a lid on two rows is two accesses
+/// and can be listed twice.
+struct StreamingReport {
+  size_t audited_from = 0;
+  size_t audited_to = 0;
+  /// True when a structural/catalog change forced a re-audit from row 0
+  /// (the persistent explained flags were discarded first). Appends — to
+  /// the log or any other table — never set this.
+  bool full_reaudit = false;
+
+  /// Per registered template: number of the new rows it explains.
   std::vector<size_t> per_template_counts;
-  /// Lids of the audited log rows, one per row, ascending.
+  /// Lids of the new rows explained by at least one template (one per row,
+  /// ascending).
   std::vector<int64_t> explained_lids;
+  /// Lids of the new rows explained by no template (one per row, ascending;
+  /// the incremental compliance-review queue).
   std::vector<int64_t> unexplained_lids;
-  /// Per registered template: lids of older rows its tasks found that the
-  /// accumulated set lacks (ascending) — accesses the appends newly explain.
-  std::vector<std::vector<int64_t>> delta_lids;
-  /// Appended non-log tables, and the (template, appended table) pairs
-  /// whose tasks seed anything but the log's variable 0 (see
-  /// StreamingReport).
+
+  // --- Reverse semi-join delta pass (appends to non-log tables, plus
+  // --- log self-join positions). ---
+  /// Lids of previously-audited, previously-unexplained rows newly
+  /// explained by rows appended since the last audit (one per row,
+  /// ascending; the rows are disjoint from the new ones). These leave the
+  /// compliance-review queue retroactively.
+  std::vector<int64_t> delta_explained_lids;
+  /// Per registered template: how many of the previously-unexplained rows
+  /// the delta pass newly explained for it.
+  std::vector<size_t> per_template_delta_counts;
+  /// Non-log tables whose appends were classified as append-only drift and
+  /// handled incrementally this audit (instead of forcing a full re-audit)
+  /// — with reverse semi-joins where a template references the table, at
+  /// zero cost otherwise (an unreferenced table cannot change any
+  /// explanation; see delta_queries for the evaluations actually run).
   size_t delta_tables = 0;
+  /// (template, appended table) pairs whose tasks seed anything but the
+  /// log's variable 0: the template references a non-log table, or the log
+  /// at a self-join position.
   size_t delta_queries = 0;
+
+  size_t new_rows() const { return audited_to - audited_from; }
+  double Coverage() const {
+    const size_t total = explained_lids.size() + unexplained_lids.size();
+    return total == 0 ? 0.0
+                      : static_cast<double>(explained_lids.size()) /
+                            static_cast<double>(total);
+  }
 };
 
 /// Result of ExplainAll.
@@ -77,9 +113,11 @@ struct ExplanationReport {
   size_t log_size = 0;
   /// Per registered template: number of log records it explains.
   std::vector<size_t> per_template_counts;
-  /// Lids explained by at least one template.
+  /// Lids of the records explained by at least one template (one per
+  /// record, ascending).
   std::vector<int64_t> explained_lids;
-  /// Lids explained by no template (candidates for compliance review).
+  /// Lids of the records explained by no template (candidates for
+  /// compliance review; one per record, ascending).
   std::vector<int64_t> unexplained_lids;
 
   double Coverage() const {
@@ -116,44 +154,43 @@ class ExplanationEngine {
   StatusOr<std::vector<ExplanationInstance>> Explain(
       int64_t lid, const Database::Snapshot& snapshot) const;
 
-  /// Lids explained by template `index` (ascending). Evaluated through
-  /// Executor::DistinctLids — the semi-join fast path that never builds a
-  /// boxed row.
-  StatusOr<std::vector<int64_t>> ExplainedLids(size_t index) const;
-
   /// Full-log coverage report (serial; equivalent to ExplainAll({})).
   StatusOr<ExplanationReport> ExplainAll() const;
 
   /// Full-log coverage report: AuditRange from row 0. With
   /// options.num_threads > 1, each template's log rows are split into
-  /// subranges evaluated concurrently (one executor per task); the log's
-  /// rows are then classified by one sorted merge, so the report is
-  /// deterministic and identical to the serial one. The whole report —
-  /// template evaluation and classification — runs against one snapshot:
-  /// the caller's, or a fresh one pinned at call entry.
+  /// subranges evaluated concurrently (one executor per task), so the
+  /// report is deterministic and identical to the serial one. The whole
+  /// report — template evaluation and classification — runs against one
+  /// snapshot: the caller's, or a fresh one pinned at call entry.
   StatusOr<ExplanationReport> ExplainAll(const ExplainAllOptions& options) const;
   StatusOr<ExplanationReport> ExplainAll(
       const ExplainAllOptions& options,
       const Database::Snapshot& snapshot) const;
 
-  /// The one audit path behind ExplainAll and StreamingAuditor::ExplainNew:
-  /// audits log rows [log_from, bound) of `snapshot` on `*workers`, a pool
-  /// sized to options.num_threads (kept across audits when it fits). One
-  /// task list (Executor::DistinctLidsJoinedTo calls, one ParallelFor)
-  /// holds a (template, pivot variable, subrange) task for every template
-  /// variable bound to an appended table — the log with the audited rows,
-  /// each non-log table of `appends` with its new rows — and every cut of
-  /// those rows (at most options.num_threads near-equal cuts of at least
-  /// 4096 rows); from row 0 the log's variable 0 alone (it then finds every
-  /// explained lid). A template's lids are the union of its tasks'. One
-  /// merge then classifies the audited rows: by monotonicity a lid is
-  /// explained iff some task's result or `accumulated` (lids earlier
-  /// audits explained, ascending) holds it.
-  StatusOr<RangeAudit> AuditRange(
-      const Database::Snapshot& snapshot, size_t log_from,
+  /// The one audit path behind ExplainAll and StreamingAuditor::ExplainNew.
+  /// `*explained` holds one flag per log row audited so far (1 when some
+  /// template explains the row); AuditRange audits the log rows past them
+  /// up to `snapshot`'s bound, and the rows `appends` added to other
+  /// tables, on `*workers`, a pool sized to options.num_threads (kept
+  /// across audits when it fits), and leaves one flag per row below the
+  /// bound. One task list (Executor::LogRowsJoinedTo calls, one
+  /// ParallelFor) holds a (template, pivot variable, subrange) task for
+  /// every template variable bound to an appended table — the log with the
+  /// audited rows, each non-log table of `appends` with its new rows — and
+  /// every cut of those rows (at most options.num_threads near-equal cuts
+  /// of at least 4096 rows); from row 0 the log's variable 0 alone (it then
+  /// finds every explained row). Variable-0 tasks find audited rows only,
+  /// each in its own cut, so a template's count is the sum of theirs; the
+  /// other tasks' rows below the audited ones are older rows the appends
+  /// may newly explain (by monotonicity an explained row stays explained).
+  /// After the fan-out one thread per cut marks the audited rows found, and
+  /// the report's lists read the lids of the audited and newly explained
+  /// rows.
+  StatusOr<StreamingReport> AuditRange(
+      const Database::Snapshot& snapshot,
       const std::vector<CatalogDrift::Append>& appends,
-      const std::vector<int64_t>& accumulated,
-      const ExplainAllOptions& options,
+      std::vector<uint8_t>* explained, const ExplainAllOptions& options,
       std::unique_ptr<ThreadPool>* workers) const;
 
   /// The engine's persistent compiled-plan cache: every Explain and range

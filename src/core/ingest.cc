@@ -111,9 +111,57 @@ void StreamingAuditor::ResetAudit() {
   ResetAuditLocked();
 }
 
-void StreamingAuditor::ResetAuditLocked() {
-  explained_.clear();
-  audited_rows_ = 0;
+void StreamingAuditor::ResetAuditLocked() { explained_.clear(); }
+
+template <typename Fn>
+void StreamingAuditor::ForEachExplainedLidLocked(Fn&& fn) const {
+  StatusOr<const Table*> table =
+      static_cast<const Database*>(db_)->GetTable(engine_.log_table());
+  if (!table.ok()) return;
+  const Table* log = *table;
+  const Column& lid_col =
+      log->column(static_cast<size_t>(log->schema().ColumnIndex("Lid")));
+  // The pin keeps the column's chunk directories alive while the flagged
+  // rows, all below the last audit's watermark, are read.
+  const Database::Snapshot pin = db_->CreateSnapshot();
+  const std::vector<uint8_t>& flags = explained_;
+  const size_t rows = std::min(flags.size(), pin.BoundOf(log));
+  lid_col.ForEachInt64Span(
+      0, rows, [&](size_t first_row, const int64_t* data, size_t count) {
+        for (size_t j = 0; j < count; ++j) {
+          if (flags[first_row + j] != 0) fn(data[j]);
+        }
+      });
+}
+
+std::unordered_set<int64_t> StreamingAuditor::explained_lids() const {
+  MutexLock lock(*audit_mu_);
+  std::unordered_set<int64_t> lids;
+  ForEachExplainedLidLocked([&lids](int64_t lid) { lids.insert(lid); });
+  return lids;
+}
+
+bool StreamingAuditor::ExplainedSetEquals(
+    const std::unordered_set<int64_t>& other) const {
+  MutexLock lock(*audit_mu_);
+  // Every explained row's lid must be in `other`. Lids that ascend in row
+  // order are distinct, so then their count settles equality; otherwise a
+  // lid may lie on several rows, and only the set can tell.
+  size_t rows = 0;
+  bool contained = true;
+  bool ascending = true;
+  int64_t last = 0;
+  ForEachExplainedLidLocked([&](int64_t lid) {
+    contained = contained && other.count(lid) > 0;
+    ascending = ascending && (rows == 0 || lid > last);
+    last = lid;
+    ++rows;
+  });
+  if (!contained) return false;
+  if (ascending) return rows == other.size();
+  std::unordered_set<int64_t> lids;
+  ForEachExplainedLidLocked([&lids](int64_t lid) { lids.insert(lid); });
+  return lids == other;
 }
 
 Status StreamingAuditor::EnableDurability(const DurabilityOptions& options) {
@@ -159,8 +207,7 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
   }
 
   AuditState audit;
-  audit.audited_rows = audited_rows_;
-  audit.explained_lids = explained_;  // already ascending and distinct
+  audit.explained = explained_;
   // Watermarks as of the last completed audit (snapshot_), NOT current row
   // counts: rows appended since the last audit must re-surface as drift
   // after recovery or the delta pass would silently skip them.
@@ -197,16 +244,7 @@ Status StreamingAuditor::AdoptRecoveredState(CheckpointContents ckpt,
                                              uint64_t new_wal_seq) {
   MutexLock audit_lock(*audit_mu_);
   MutexLock writer_lock(*writer_mu_);
-  // The manifest lists the lids ascending and distinct; anything else is
-  // put in order rather than trusted.
-  explained_ = std::move(ckpt.audit.explained_lids);
-  if (std::adjacent_find(explained_.begin(), explained_.end(),
-                         std::greater_equal<int64_t>()) != explained_.end()) {
-    std::sort(explained_.begin(), explained_.end());
-    explained_.erase(std::unique(explained_.begin(), explained_.end()),
-                     explained_.end());
-  }
-  audited_rows_ = static_cast<size_t>(ckpt.audit.audited_rows);
+  explained_ = std::move(ckpt.audit.explained);
   // Current generation/epochs (the recovered tables are this auditor's
   // reality now) but the *checkpointed* audit watermarks, so appends that
   // happened after the last audit — checkpointed rows and replayed WAL rows
@@ -342,25 +380,19 @@ StatusOr<StreamingAuditor> StreamingAuditor::RecoverFrom(
   }
   out.wal_replay_seconds = SecondsSince(replay_start);
 
+  EBA_ASSIGN_OR_RETURN(const Table* log, db->GetTable(log_table));
+  if (ckpt.audit.explained.size() > log->num_rows()) {
+    return Status::Internal(
+        "checkpoint ckpt-" + std::to_string(ckpt.seq) + " audited " +
+        std::to_string(ckpt.audit.explained.size()) + " rows of '" +
+        log_table + "', but the recovered log holds " +
+        std::to_string(log->num_rows()));
+  }
   EBA_ASSIGN_OR_RETURN(StreamingAuditor auditor, Create(db, log_table));
   EBA_RETURN_IF_ERROR(
       auditor.AdoptRecoveredState(std::move(ckpt), env, options,
                                   max_wal_seq + 1));
   return auditor;
-}
-
-void StreamingAuditor::AddExplained(const std::vector<int64_t>& lids) {
-  if (lids.empty()) return;
-  const size_t held = explained_.size();
-  // New rows carry new, larger lids: then the vector just grows at its end.
-  const bool past_end = held == 0 || lids.front() > explained_.back();
-  explained_.insert(explained_.end(), lids.begin(), lids.end());
-  if (past_end) return;
-  std::inplace_merge(explained_.begin(),
-                     explained_.begin() + static_cast<long>(held),
-                     explained_.end());
-  explained_.erase(std::unique(explained_.begin(), explained_.end()),
-                   explained_.end());
 }
 
 StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
@@ -371,50 +403,23 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
   // clamped to its watermarks, so rows the writer lands mid-audit are
   // invisible now and re-surface as drift on the next call.
   MutexLock lock(*audit_mu_);
-  EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(engine_.log_table()));
-
   const Database::Snapshot snapshot = db_->CreateSnapshot();
-  StreamingReport report;
   const CatalogDrift drift = snapshot.DriftSince(snapshot_);
-  if (drift.RequiresRebuild()) {
+  const bool full_reaudit = drift.RequiresRebuild();
+  if (full_reaudit) {
     // A structural mutation or catalog change can rewrite or remove the
     // evidence behind an already-granted explanation; the monotone-append
     // invariant is gone, so re-audit everything.
     ResetAuditLocked();
-    report.full_reaudit = true;
   }
-  report.audited_from = audited_rows_;
-  report.audited_to = snapshot.BoundOf(table);
-
   // The auditor's pool is reused across audits (the serving loop calls
   // ExplainNew per batch; re-spawning the workers each time would rival the
   // audit itself on small batches).
   EBA_ASSIGN_OR_RETURN(
-      RangeAudit audit,
-      engine_.AuditRange(snapshot, audited_rows_, drift.appends, explained_,
-                         options, &pool_));
-  // A lid the new rows repeat is reported once.
-  auto distinct = [](std::vector<int64_t> lids) {
-    lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
-    return lids;
-  };
-  report.per_template_counts = std::move(audit.per_template_counts);
-  report.explained_lids = distinct(std::move(audit.explained_lids));
-  report.unexplained_lids = distinct(std::move(audit.unexplained_lids));
-  report.delta_tables = audit.delta_tables;
-  report.delta_queries = audit.delta_queries;
-  // One template can surface the same older lid as another.
-  std::vector<int64_t>& delta = report.delta_explained_lids;
-  for (const std::vector<int64_t>& lids : audit.delta_lids) {
-    report.per_template_delta_counts.push_back(lids.size());
-    delta.insert(delta.end(), lids.begin(), lids.end());
-  }
-  std::sort(delta.begin(), delta.end());
-  delta = distinct(std::move(delta));
-
-  AddExplained(report.explained_lids);
-  AddExplained(report.delta_explained_lids);
-  audited_rows_ = report.audited_to;
+      StreamingReport report,
+      engine_.AuditRange(snapshot, drift.appends, &explained_, options,
+                         &pool_));
+  report.full_reaudit = full_reaudit;
   // The next audit's drift baseline is what THIS audit actually saw — the
   // pinned snapshot, not live state. Rows appended while this audit ran sit
   // past these watermarks and will classify as drift next time.

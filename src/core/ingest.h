@@ -4,29 +4,30 @@
 // loop by pairing an append path (AppendAccessBatch — watermark-only Table
 // appends, so compiled plans re-bind instead of re-planning) with an
 // incremental explanation pass (ExplainNew — explains only the accesses
-// past the last audited watermark, maintaining a persistent explained-lid
-// set).
+// past the last audited watermark, maintaining one persistent explained
+// flag per audited log row).
 //
 // Incremental correctness: explanations are monotone under appends —
 // appending rows (to the log or to any other table) can only add witnesses,
-// never remove one — so the explained-lid set is a stable accumulator and
-// every append is auditable as a delta. ExplainNew is the engine's range
-// audit (ExplanationEngine::AuditRange), the log one more appended table.
-// Drift since the last audit is classified per table
+// never remove one — so the explained flags only ever turn on, and every
+// append is auditable as a delta. ExplainNew is the engine's range audit
+// (ExplanationEngine::AuditRange), the log one more appended table. Drift
+// since the last audit is classified per table
 // (Database::Snapshot::DriftSince):
 //   - log appends: every template runs restricted to the new rows
-//     (Executor::DistinctLidsJoinedTo seeds variable 0 there, and any
-//     self-join position of the log);
+//     (Executor::LogRowsJoinedTo seeds variable 0 there, and any self-join
+//     position of the log);
 //   - appends to any other table: each template that references it runs
-//     restricted to the appended rows, and previously-unexplained lids the
-//     delta newly explains are unioned into the persistent set
+//     restricted to the appended rows, and the previously-unexplained rows
+//     the delta newly explains are flagged and reported
 //     (StreamingReport::delta_explained_lids). Cost scales with the delta,
 //     not the log;
 //   - structural mutations / catalog changes (which can rewrite or remove
 //     evidence): the monotonicity argument is gone — full re-audit from
 //     row 0 (StreamingReport::full_reaudit), exactly ExplainAll's queries.
-// A lid that repeats an audited one (a Lid is never NULL, but its
-// uniqueness is not enforced) is explained whenever any of its rows is.
+// Every log row is one access, explained by its own witnesses: a lid that
+// repeats an audited one (its uniqueness is not enforced) is another
+// access, classified on its own.
 
 #ifndef EBA_CORE_INGEST_H_
 #define EBA_CORE_INGEST_H_
@@ -93,59 +94,10 @@ struct RecoveryStats {
   double wal_replay_seconds = 0.0;
 };
 
-/// Result of one ExplainNew call, covering the accesses in rows
-/// [audited_from, audited_to) of the log plus any previously-audited lids
-/// re-classified by the foreign-append delta pass.
-struct StreamingReport {
-  size_t audited_from = 0;
-  size_t audited_to = 0;
-  /// True when a structural/catalog change forced a re-audit from row 0
-  /// (the persistent explained set was discarded first). Appends — to the
-  /// log or any other table — never set this.
-  bool full_reaudit = false;
-
-  /// Per registered template: number of the new lids it explains. A lid
-  /// that repeats an older row's counts only if the template explains it
-  /// through a witness involving an appended row.
-  std::vector<size_t> per_template_counts;
-  /// New lids explained by at least one template (ascending, each once).
-  std::vector<int64_t> explained_lids;
-  /// New lids explained by no template (ascending, each once; the
-  /// incremental compliance-review queue).
-  std::vector<int64_t> unexplained_lids;
-
-  // --- Reverse semi-join delta pass (appends to non-log tables, plus
-  // --- log self-join positions). ---
-  /// Previously-audited, previously-unexplained lids newly explained by
-  /// rows appended since the last audit (ascending; disjoint from
-  /// explained_lids/unexplained_lids). These leave the compliance-review
-  /// queue retroactively.
-  std::vector<int64_t> delta_explained_lids;
-  /// Per registered template: how many of the previously-unexplained lids
-  /// the delta pass newly explained for it.
-  std::vector<size_t> per_template_delta_counts;
-  /// Non-log tables whose appends were classified as append-only drift and
-  /// handled incrementally this audit (instead of forcing a full re-audit)
-  /// — with reverse semi-joins where a template references the table, at
-  /// zero cost otherwise (an unreferenced table cannot change any
-  /// explanation; see delta_queries for the evaluations actually run).
-  size_t delta_tables = 0;
-  /// Reverse semi-join evaluations actually run (template × appended-table
-  /// pairs where the template references the table).
-  size_t delta_queries = 0;
-
-  size_t new_rows() const { return audited_to - audited_from; }
-  double Coverage() const {
-    const size_t total = explained_lids.size() + unexplained_lids.size();
-    return total == 0 ? 0.0
-                      : static_cast<double>(explained_lids.size()) /
-                            static_cast<double>(total);
-  }
-};
-
 /// Owns the streaming serving loop over one log table: appends batches,
-/// audits incrementally, and accumulates the explained-lid set. The
-/// database must outlive the auditor.
+/// audits incrementally, and accumulates one explained flag per audited log
+/// row. The database must outlive the auditor. ExplainNew's report is a
+/// StreamingReport (core/engine.h).
 ///
 /// Thread safety — single writer, concurrent audits. Two internal mutexes
 /// split the old coarse auditor lock (discipline compiler-checked via
@@ -154,9 +106,9 @@ struct StreamingReport {
 ///   * `writer_mu_` serializes the append path (WAL commit + table apply)
 ///     and guards the durability layer. AppendAccessBatch/AppendRows take
 ///     only this lock.
-///   * `audit_mu_` guards the audit accumulator (explained-lid set, audited
-///     watermark, drift baseline, worker pool). ExplainNew and the state
-///     accessors take only this lock.
+///   * `audit_mu_` guards the audit accumulator (explained flags, whose
+///     count is the audited watermark, drift baseline, worker pool).
+///     ExplainNew and the state accessors take only this lock.
 ///
 /// ExplainNew pins one Database::Snapshot at entry and evaluates the whole
 /// audit against that read view, so appends proceed concurrently: rows that
@@ -177,13 +129,14 @@ class StreamingAuditor {
   /// newest published checkpoint into `*db` (replacing its contents),
   /// replays the WAL suffix (truncating a torn/corrupt tail of the final
   /// log file — mid-chain corruption is an error), and returns an auditor
-  /// with the checkpointed explained-lid set, audited watermark, and audit
-  /// snapshot, durability already enabled on a fresh WAL. When the
-  /// directory holds no checkpoint this is a fresh start: `*db` is left
-  /// as-is and EnableDurability runs on it. Callers re-register their
-  /// templates and run one ExplainNew to converge (it re-audits everything
-  /// past the last checkpointed audit; monotonicity makes the result
-  /// identical to an uninterrupted run).
+  /// with the checkpointed explained flags (one per audited row), audit
+  /// watermarks, and audit snapshot, durability already enabled on a fresh
+  /// WAL. A checkpoint that audited more log rows than the recovered log
+  /// holds is refused. When the directory holds no checkpoint this is a
+  /// fresh start: `*db` is left as-is and EnableDurability runs on it.
+  /// Callers re-register their templates and run one ExplainNew to
+  /// converge (it re-audits everything past the last checkpointed audit;
+  /// monotonicity makes the result identical to an uninterrupted run).
   static StatusOr<StreamingAuditor> RecoverFrom(Database* db,
                                                 const std::string& log_table,
                                                 const DurabilityOptions& options,
@@ -245,11 +198,11 @@ class StreamingAuditor {
   /// Explains what the appends since the last audit can change: one range
   /// audit (ExplanationEngine::AuditRange) that evaluates every template
   /// restricted to the new log rows and, for appends to non-log tables,
-  /// restricted to the appended foreign rows (Executor::DistinctLidsJoinedTo
-  /// — the reverse semi-join), updating the persistent explained set and
-  /// advancing the audited watermark. Cost scales with the deltas, not the
-  /// log. Falls back to a full re-audit only on structural/catalog drift
-  /// (see file comment).
+  /// restricted to the appended foreign rows (Executor::LogRowsJoinedTo —
+  /// the reverse semi-join), flagging the rows it explains and advancing
+  /// the audited watermark. Cost scales with the deltas, not the log.
+  /// Falls back to a full re-audit only on structural/catalog drift (see
+  /// file comment).
   ///
   /// Pins one Database::Snapshot at entry and audits exactly the rows below
   /// its watermarks; appends landing during the audit are not lost — they
@@ -260,36 +213,25 @@ class StreamingAuditor {
   /// Log rows audited so far (the audited watermark).
   size_t audited_rows() const EBA_EXCLUDES(*audit_mu_) {
     MutexLock lock(*audit_mu_);
-    return audited_rows_;
-  }
-  /// Lids explained by at least one template across all audits (a snapshot
-  /// copy: the live set stays under the auditor's lock). O(n) copy under
-  /// the audit lock — serving loops that only need the size or a set
-  /// comparison should use explained_count() / ExplainedSetEquals().
-  std::unordered_set<int64_t> explained_lids() const EBA_EXCLUDES(*audit_mu_) {
-    MutexLock lock(*audit_mu_);
-    return std::unordered_set<int64_t>(explained_.begin(), explained_.end());
-  }
-  /// Size of the explained-lid set without copying it (the bench/report
-  /// accessor: O(1) under the audit lock).
-  size_t explained_count() const EBA_EXCLUDES(*audit_mu_) {
-    MutexLock lock(*audit_mu_);
     return explained_.size();
   }
-  /// Compares the live explained set against `other` without copying it
-  /// (differential-oracle checks).
+  /// Lids of the log rows explained by at least one template across all
+  /// audits (a snapshot copy, read from the log under the audit lock).
+  /// O(audited rows) — serving loops that only need the size should use
+  /// explained_count().
+  std::unordered_set<int64_t> explained_lids() const EBA_EXCLUDES(*audit_mu_);
+  /// Number of explained log rows, without copying their lids (the
+  /// bench/report accessor). With unique lids it is explained_lids().size().
+  size_t explained_count() const EBA_EXCLUDES(*audit_mu_) {
+    MutexLock lock(*audit_mu_);
+    return static_cast<size_t>(
+        std::count(explained_.begin(), explained_.end(), uint8_t{1}));
+  }
+  /// True when explained_lids() equals `other` (differential-oracle
+  /// checks); builds no set while the explained rows' lids ascend in row
+  /// order.
   bool ExplainedSetEquals(const std::unordered_set<int64_t>& other) const
-      EBA_EXCLUDES(*audit_mu_) {
-    MutexLock lock(*audit_mu_);
-    // explained_ is duplicate-free: equal sizes plus containment is equality.
-    return explained_.size() == other.size() &&
-           std::all_of(explained_.begin(), explained_.end(),
-                       [&other](int64_t lid) { return other.count(lid) > 0; });
-  }
-  bool IsExplained(int64_t lid) const EBA_EXCLUDES(*audit_mu_) {
-    MutexLock lock(*audit_mu_);
-    return std::binary_search(explained_.begin(), explained_.end(), lid);
-  }
+      EBA_EXCLUDES(*audit_mu_);
 
   // Monotonic ingestion counters; relaxed atomics so bench/report loops can
   // read them while an append or audit holds the auditor lock.
@@ -337,11 +279,10 @@ class StreamingAuditor {
                              const DurabilityOptions& options,
                              uint64_t new_wal_seq)
       EBA_EXCLUDES(*audit_mu_, *writer_mu_);
-  /// Adds ascending, distinct `lids` to explained_, keeping it ascending and
-  /// distinct without a rebuild: lids past the largest held one append, and
-  /// only an older lid costs a merge.
-  void AddExplained(const std::vector<int64_t>& lids)
-      EBA_REQUIRES(*audit_mu_);
+  /// Calls fn(lid) for each explained row, in row order, reading the Lid
+  /// column.
+  template <typename Fn>
+  void ForEachExplainedLidLocked(Fn&& fn) const EBA_REQUIRES(*audit_mu_);
 
   Database* db_;
   ExplanationEngine engine_;
@@ -352,10 +293,9 @@ class StreamingAuditor {
   mutable std::unique_ptr<Mutex> audit_mu_;
   mutable std::unique_ptr<Mutex> writer_mu_;
 
-  /// Lids explained by at least one template across all audits, ascending
-  /// and distinct.
-  std::vector<int64_t> explained_ EBA_GUARDED_BY(*audit_mu_);
-  size_t audited_rows_ EBA_GUARDED_BY(*audit_mu_) = 0;
+  /// One flag per audited log row, 1 when some template explains it; its
+  /// size is the audited watermark.
+  std::vector<uint8_t> explained_ EBA_GUARDED_BY(*audit_mu_);
   AtomicCounter rows_appended_;
   AtomicCounter batches_appended_;
   AtomicCounter foreign_rows_appended_;

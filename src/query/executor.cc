@@ -1119,27 +1119,14 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
 
 StatusOr<std::vector<int64_t>> Executor::DistinctLids(const PathQuery& q,
                                                       QAttr lid_attr) const {
-  return DistinctLidsJoinedTo(q, lid_attr, /*pivot_var=*/0, kAllRows);
-}
-
-StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
-    const PathQuery& q, QAttr lid_attr, int pivot_var, RowRange rows) const {
   EBA_ASSIGN_OR_RETURN(const Table* log_table, LidTable(*db_, q, lid_attr));
+  EBA_ASSIGN_OR_RETURN(
+      const std::vector<uint32_t> rows,
+      LogRowsJoinedTo(q, lid_attr, /*pivot_var=*/0, kAllRows));
   const Column& lid_col = log_table->column(static_cast<size_t>(lid_attr.col));
-  if (!lid_col.IsIntLike()) {
-    return Status::InvalidArgument("the lid column must be integer-like");
-  }
-  if (pivot_var < 0 || static_cast<size_t>(pivot_var) >= q.vars.size()) {
-    return Status::InvalidArgument("pivot variable out of range");
-  }
-  EBA_ASSIGN_OR_RETURN(FrameRun run,
-                       RunFrame(QuerySnapshot(), q, {lid_attr},
-                                /*dedup_frontier=*/true, pivot_var, rows));
-  const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
-  EBA_CHECK(slot >= 0);
   std::vector<int64_t> lids;
-  lids.reserve(run.frame.size());
-  for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
+  lids.reserve(rows.size());
+  for (uint32_t r : rows) {
     if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
   }
   // A variable-0 run keeps its seed's row order, so its lids already
@@ -1149,6 +1136,25 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
   }
   lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
   return lids;
+}
+
+StatusOr<std::vector<uint32_t>> Executor::LogRowsJoinedTo(
+    const PathQuery& q, QAttr lid_attr, int pivot_var, RowRange rows) const {
+  EBA_ASSIGN_OR_RETURN(const Table* log_table, LidTable(*db_, q, lid_attr));
+  if (!log_table->column(static_cast<size_t>(lid_attr.col)).IsIntLike()) {
+    return Status::InvalidArgument("the lid column must be integer-like");
+  }
+  if (pivot_var < 0 || static_cast<size_t>(pivot_var) >= q.vars.size()) {
+    return Status::InvalidArgument("pivot variable out of range");
+  }
+  EBA_ASSIGN_OR_RETURN(FrameRun run,
+                       RunFrame(QuerySnapshot(), q, {lid_attr},
+                                /*dedup_frontier=*/true, pivot_var, rows));
+  // The semi-join plan ends with variable 0 alone, and every step keeps
+  // its tuples distinct, so the slot holds each row once.
+  const int slot = SlotOf(run.plan->final_vars, lid_attr.var);
+  EBA_CHECK(slot >= 0);
+  return std::move(run.frame.ids[static_cast<size_t>(slot)]);
 }
 
 }  // namespace eba

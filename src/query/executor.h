@@ -30,7 +30,7 @@
 // a kSeedRange step — variable 0 over all its rows (Materialize,
 // DistinctLids), variable 0 over the rows of the requested lids
 // (MaterializeForLogIds, one run per contiguous row range), or the pivot
-// variable of DistinctLidsJoinedTo over a caller's range — and every range
+// variable of LogRowsJoinedTo over a caller's range — and every range
 // is clamped to the snapshot bound of its table. A run over rows [a, c)
 // therefore finds exactly the union of what runs over [a, b) and [b, c)
 // find, so callers parallelize by splitting seed ranges over threads
@@ -186,29 +186,32 @@ class Executor {
   /// The distinct log ids in the query result as a sorted int64 vector —
   /// the hot entry point for the miner's support counting. `lid_attr` must
   /// belong to variable 0 and reference an integer-like column. This is
-  /// DistinctLidsJoinedTo pivoted at variable 0 over every row: the
-  /// semi-join fast path end to end, and no boxed row is ever built.
+  /// LogRowsJoinedTo pivoted at variable 0 over every row, its rows' lids
+  /// read from the lid column: the semi-join fast path end to end, and no
+  /// boxed row is ever built. The only entry point that turns rows into
+  /// lids.
   StatusOr<std::vector<int64_t>> DistinctLids(const PathQuery& q,
                                               QAttr lid_attr) const;
 
-  /// The range-audit entry point: the distinct log ids of query results in
-  /// which tuple variable `pivot_var` takes a row in `rows` (clamped to its
-  /// table's snapshot bound), ascending — one run, seeded at those rows and
-  /// joined outward from them, so its cost scales with the range, not the
-  /// log. Appends are monotone — they only add witnesses — so the lids an
+  /// The range-audit entry point: the distinct variable-0 rows of query
+  /// results in which tuple variable `pivot_var` takes a row in `rows`
+  /// (clamped to its table's snapshot bound) — one run, seeded at those
+  /// rows and joined outward from them, so its cost scales with the range,
+  /// not the log. Rows come in frame order, which ascends when `pivot_var`
+  /// is 0. Appends are monotone — they only add witnesses — so the rows an
   /// appended suffix of a table can newly explain are the union of this
   /// over every variable bound to the table:
-  ///   DistinctLids(after) == DistinctLids(before) ∪ ⋃_v JoinedTo(v, suffix),
+  ///   Rows(after) == Rows(before) ∪ ⋃_v JoinedTo(v, suffix),
   /// and a range's result is the union of its subranges' results. Each
   /// pivot variable compiles to its own cached plan (revalidated/re-bound
   /// like any other), with the row range as a runtime input; variable 0
   /// over every row is exactly DistinctLids (same plan). An empty range
   /// still runs (validating the query) and finds nothing. `lid_attr` must
-  /// belong to variable 0 and be integer-like.
-  StatusOr<std::vector<int64_t>> DistinctLidsJoinedTo(const PathQuery& q,
-                                                      QAttr lid_attr,
-                                                      int pivot_var,
-                                                      RowRange rows) const;
+  /// belong to variable 0 and be integer-like; it names the plan's output.
+  StatusOr<std::vector<uint32_t>> LogRowsJoinedTo(const PathQuery& q,
+                                                  QAttr lid_attr,
+                                                  int pivot_var,
+                                                  RowRange rows) const;
 
   const ExecStats& last_stats() const { return stats_; }
 

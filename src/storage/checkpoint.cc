@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -20,9 +18,10 @@ namespace eba {
 namespace {
 
 constexpr char kManifestVersionPrefix[] = "# eba checkpoint v";
-constexpr char kManifestVersion[] = "2";
+constexpr char kManifestVersion[] = "3";
 constexpr char kCurrentFile[] = "CURRENT";
 constexpr char kCatalogFile[] = "catalog";
+constexpr char kExplainedFile[] = "explained";
 
 /// Record types of checkpoint data files.
 enum CheckpointRecordType : uint8_t {
@@ -35,6 +34,9 @@ enum CheckpointRecordType : uint8_t {
   ///          rows x 8-byte slot | (has_nulls) rows x u8 flag |
   ///          u32 dict_count | per entry: u32 len | bytes.
   kColumnChunkRecord = 3,
+  /// Payload: u64 first_row | u32 rows | rows x u8 flag — the explained
+  ///          flags of log rows [first_row, first_row + rows).
+  kExplainedChunkRecord = 4,
 };
 
 /// Data files reach the Env in pieces of about this size, so a large table
@@ -230,6 +232,62 @@ Status LoadTableImage(Env* env, const std::string& path, uint64_t from,
   return table->PublishColumnRows();
 }
 
+/// Writes the explained flags to `path`, one record per 64k-row chunk,
+/// synced.
+Status WriteExplained(Env* env, const std::string& path,
+                      const std::vector<uint8_t>& flags) {
+  std::string data;
+  std::string prefix;
+  for (size_t begin = 0; begin < flags.size(); begin += kColumnChunkRows) {
+    const size_t rows = std::min(kColumnChunkRows, flags.size() - begin);
+    prefix.clear();
+    PutU64(&prefix, begin);
+    PutU32(&prefix, static_cast<uint32_t>(rows));
+    AppendFrame(&data, kExplainedChunkRecord,
+                {prefix, std::string_view(reinterpret_cast<const char*>(
+                                              flags.data() + begin),
+                                          rows)});
+  }
+  return env->WriteFile(path, data);
+}
+
+/// The explained flags of log rows [0, audited) from `path`, checked as
+/// null flags are: the records come in row order, every flag is 0 or 1,
+/// and together they cover exactly `audited` rows.
+StatusOr<std::vector<uint8_t>> LoadExplained(Env* env, const std::string& path,
+                                             uint64_t audited) {
+  std::string data;
+  EBA_ASSIGN_OR_RETURN(std::vector<FrameView> records,
+                       ReadRecords(env, path, &data));
+  std::vector<uint8_t> flags;
+  for (size_t i = 0; i < records.size(); ++i) {
+    ByteReader in(records[i].payload);
+    uint64_t first_row = 0;
+    uint32_t rows = 0;
+    std::string_view bytes;
+    if (records[i].type != kExplainedChunkRecord || !in.GetU64(&first_row) ||
+        !in.GetU32(&rows) || !in.GetBytes(rows, &bytes) || !in.AtEnd()) {
+      return Damaged(path, "malformed explained record " + std::to_string(i));
+    }
+    if (first_row != flags.size() || rows > audited - first_row) {
+      return Damaged(path, "explained record " + std::to_string(i) +
+                               " holds rows out of order");
+    }
+    if (!std::all_of(bytes.begin(), bytes.end(),
+                     [](char flag) { return flag == 0 || flag == 1; })) {
+      return Damaged(path, "explained record " + std::to_string(i) +
+                               " holds a flag other than 0 or 1");
+    }
+    flags.insert(flags.end(), bytes.begin(), bytes.end());
+  }
+  if (flags.size() != audited) {
+    return Damaged(path, "explained flags end at row " +
+                             std::to_string(flags.size()) + ", not " +
+                             std::to_string(audited));
+  }
+  return flags;
+}
+
 /// The empty tables and join metadata a full image's catalog record holds.
 StatusOr<Database> LoadCatalog(Env* env, const std::string& path) {
   std::string data;
@@ -296,7 +354,7 @@ Status CheckpointStore::WriteManifest(uint64_t seq, const Manifest& m) const {
   body << "SEQ " << m.seq << "\n";
   if (m.has_base) body << "BASE " << m.base << "\n";
   body << "WALSEQ " << m.wal_seq << "\n";
-  body << "AUDITED " << m.audit.audited_rows << "\n";
+  body << "AUDITED " << m.audited_rows << "\n";
   for (const auto& [name, state] : m.tables) {
     body << "TABLE " << name << " " << state.rows;
     for (uint64_t dict_size : state.dict_sizes) body << " " << dict_size;
@@ -306,27 +364,16 @@ Status CheckpointStore::WriteManifest(uint64_t seq, const Manifest& m) const {
     body << "SEGMENT " << name << " " << seg.from_row << " " << seg.to_row
          << " " << seg.file << "\n";
   }
-  for (const auto& [name, wm] : m.audit.audit_watermarks) {
+  for (const auto& [name, wm] : m.audit_watermarks) {
     body << "WATERMARK " << name << " " << wm << "\n";
   }
-  // One LIDS line, not one line per lid: recovery parses this section for
-  // every explained access, so its cost is part of the gated time-to-recover
-  // metric and must stay linear with a small constant.
-  body << "EXPLAINED " << m.audit.explained_lids.size() << "\n";
   std::string text = body.str();
-  text += "LIDS";
-  char digits[24];
-  for (int64_t lid : m.audit.explained_lids) {
-    text += ' ';
-    text.append(digits, std::to_chars(digits, std::end(digits), lid).ptr);
-  }
-  text += "\n";
   text += "CRC " + CrcHex(Crc32(text)) + "\n";
   return env_->WriteFile(CkptDir(seq) + "/ckpt.txt", text);
 }
 
 StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
-    uint64_t seq, bool with_explained) const {
+    uint64_t seq) const {
   const std::string path = CkptDir(seq) + "/ckpt.txt";
   EBA_ASSIGN_OR_RETURN(std::string text, env_->ReadFileToString(path));
 
@@ -378,8 +425,7 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
     } else if (StartsWith(trimmed, "WALSEQ ")) {
       EBA_ASSIGN_OR_RETURN(m.wal_seq, ParseU64(Trim(trimmed.substr(7))));
     } else if (StartsWith(trimmed, "AUDITED ")) {
-      EBA_ASSIGN_OR_RETURN(m.audit.audited_rows,
-                           ParseU64(Trim(trimmed.substr(8))));
+      EBA_ASSIGN_OR_RETURN(m.audited_rows, ParseU64(Trim(trimmed.substr(8))));
     } else if (StartsWith(trimmed, "TABLE ")) {
       const auto fields = SplitFields(trimmed.substr(6));
       if (fields.size() < 2) return parse_error("TABLE needs name rows");
@@ -402,29 +448,7 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
     } else if (StartsWith(trimmed, "WATERMARK ")) {
       const auto fields = SplitFields(trimmed.substr(10));
       if (fields.size() != 2) return parse_error("WATERMARK needs name wm");
-      EBA_ASSIGN_OR_RETURN(m.audit.audit_watermarks[fields[0]],
-                           ParseU64(fields[1]));
-    } else if (StartsWith(trimmed, "EXPLAINED ")) {
-      uint64_t count = 0;
-      EBA_ASSIGN_OR_RETURN(count, ParseU64(Trim(trimmed.substr(10))));
-      if (with_explained) m.audit.explained_lids.reserve(count);
-    } else if (StartsWith(trimmed, "LIDS")) {
-      if (!with_explained) continue;
-      // Hot during recovery: from_chars straight over the line, no per-lid
-      // string slicing.
-      const char* p = trimmed.data() + 4;
-      const char* const end = trimmed.data() + trimmed.size();
-      while (p != end) {
-        if (*p == ' ') {
-          ++p;
-          continue;
-        }
-        int64_t lid = 0;
-        const auto [next, ec] = std::from_chars(p, end, lid);
-        if (ec != std::errc()) return parse_error("bad lid");
-        m.audit.explained_lids.push_back(lid);
-        p = next;
-      }
+      EBA_ASSIGN_OR_RETURN(m.audit_watermarks[fields[0]], ParseU64(fields[1]));
     } else {
       return parse_error("unrecognized directive: " + trimmed);
     }
@@ -452,8 +476,7 @@ StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
   if (!has_current) {
     full = true;
   } else if (!full) {
-    StatusOr<Manifest> base_or =
-        ReadManifest(base_seq, /*with_explained=*/false);
+    StatusOr<Manifest> base_or = ReadManifest(base_seq);
     if (!base_or.ok()) {
       full = true;  // unreadable base: fall back to a self-contained image
     } else {
@@ -488,11 +511,10 @@ StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
   Manifest m;
   m.seq = seq;
   m.wal_seq = seq;
-  m.audit = audit;
-  if (!std::is_sorted(m.audit.explained_lids.begin(),
-                      m.audit.explained_lids.end())) {
-    std::sort(m.audit.explained_lids.begin(), m.audit.explained_lids.end());
-  }
+  m.audited_rows = audit.explained.size();
+  m.audit_watermarks = audit.audit_watermarks;
+  EBA_RETURN_IF_ERROR(WriteExplained(
+      env_, ckpt_dir + "/" + kExplainedFile, audit.explained));
   for (const std::string& name : db.TableNames()) {
     EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
     m.tables[name] = {table->num_rows(), DictSizes(*table)};
@@ -546,8 +568,7 @@ Status CheckpointStore::Publish(uint64_t seq) {
   uint64_t wal_min = seq;
   uint64_t walk = seq;
   while (true) {
-    EBA_ASSIGN_OR_RETURN(Manifest m,
-                         ReadManifest(walk, /*with_explained=*/false));
+    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
     chain.insert(walk);
     wal_min = m.wal_seq;
     if (!m.has_base) break;
@@ -577,9 +598,7 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
   std::vector<Manifest> chain;
   uint64_t walk = seq;
   while (true) {
-    // Only the newest link's explained set is recovered.
-    EBA_ASSIGN_OR_RETURN(
-        Manifest m, ReadManifest(walk, /*with_explained=*/chain.empty()));
+    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
     const bool at_root = !m.has_base;
     const uint64_t next = m.base;
     chain.push_back(std::move(m));
@@ -621,9 +640,14 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
     }
   }
 
+  // Only the newest link's explained flags are recovered.
   CheckpointContents out;
+  EBA_ASSIGN_OR_RETURN(
+      out.audit.explained,
+      LoadExplained(env_, CkptDir(newest.seq) + "/" + kExplainedFile,
+                    newest.audited_rows));
+  out.audit.audit_watermarks = newest.audit_watermarks;
   out.db = std::move(db);
-  out.audit = newest.audit;
   out.seq = newest.seq;
   out.wal_seq = newest.wal_seq;
   out.chain_length = chain.size();

@@ -1,5 +1,5 @@
 // Checkpoints of streaming-audit state: the database contents plus the
-// auditor's explained-lid set and audit watermarks, published atomically so
+// auditor's explained flags and audit watermarks, published atomically so
 // recovery always sees either the previous checkpoint or the complete new
 // one.
 //
@@ -8,11 +8,12 @@
 //   <dir>/CURRENT          "ckpt-<seq>\n" — atomically renamed into place;
 //                          the single commit point of a checkpoint.
 //   <dir>/ckpt-<seq>/      one checkpoint:
-//       ckpt.txt           manifest ("# eba checkpoint v2" header; SEQ/BASE/
-//                          WALSEQ/TABLE/SEGMENT/WATERMARK/AUDITED/EXPLAINED
-//                          lines) with a trailing CRC line over the body.
-//                          TABLE lines carry each table's row count and,
-//                          per column, its dictionary size at that count.
+//       ckpt.txt           manifest ("# eba checkpoint v3" header; SEQ/BASE/
+//                          WALSEQ/AUDITED/TABLE/SEGMENT/WATERMARK lines)
+//                          with a trailing CRC line over the body. TABLE
+//                          lines carry each table's row count and, per
+//                          column, its dictionary size at that count.
+//       explained          the explained flags of log rows [0, AUDITED).
 //       catalog            full checkpoints: one framed record holding the
 //                          schemas and join metadata (persist.h's manifest
 //                          text).
@@ -33,10 +34,16 @@
 //                   is NULL, and the dictionary entries its rows use first
 //                   (storage/column.h ColumnChunk).
 //
+// The explained file holds one framed record per 64k-row chunk of the log:
+// its first row, its row count and one 0/1 flag per row. Each checkpoint
+// writes it whole; the manifest records only its row count (AUDITED).
+//
 // Loading copies each chunk into fresh column chunks. Every byte is checked:
 // a short, torn or CRC-failing record, a header that disagrees with the
-// manifest or with the rows loaded so far, and an out-of-range code, bool or
-// null flag are errors. CSV is only for import and export (persist.h).
+// manifest or with the rows loaded so far, an out-of-range code, bool or
+// null flag, and explained records out of order, with a flag other than 0
+// or 1, or not covering exactly AUDITED rows are errors. CSV is only for
+// import and export (persist.h).
 //
 // Incremental checkpoints chain through BASE pointers back to a full
 // checkpoint. Publish garbage-collects checkpoints outside the new chain
@@ -58,10 +65,9 @@ namespace eba {
 
 /// The auditor-side state a checkpoint persists alongside the database.
 struct AuditState {
-  /// Log rows covered by the last completed audit pass.
-  uint64_t audited_rows = 0;
-  /// Explained log row ids, sorted ascending.
-  std::vector<int64_t> explained_lids;
+  /// One flag per log row covered by the last completed audit pass (1 when
+  /// explained); its size is the audited row count.
+  std::vector<uint8_t> explained;
   /// Per-table append watermarks as of the last completed audit pass (NOT
   /// current row counts: tables may have grown since the last audit, and
   /// recovery must re-observe that drift or the delta pass silently skips
@@ -138,7 +144,9 @@ class CheckpointStore {
     bool has_base = false;
     uint64_t base = 0;
     uint64_t wal_seq = 0;
-    AuditState audit;
+    /// Log rows the explained file covers.
+    uint64_t audited_rows = 0;
+    std::map<std::string, uint64_t> audit_watermarks;
     /// Per table, by name: its cumulative row count at this checkpoint and
     /// each column's dictionary size at that count (0 for non-strings) —
     /// the dictionary bases of the next incremental link.
@@ -157,10 +165,8 @@ class CheckpointStore {
   };
 
   std::string CkptDir(uint64_t seq) const;
-  /// Parses ckpt-<seq>/ckpt.txt. The explained-lid set, by far its
-  /// largest part, is parsed only `with_explained`: recovery needs only the
-  /// newest link's, Prepare and Publish none.
-  StatusOr<Manifest> ReadManifest(uint64_t seq, bool with_explained) const;
+  /// Parses ckpt-<seq>/ckpt.txt.
+  StatusOr<Manifest> ReadManifest(uint64_t seq) const;
   Status WriteManifest(uint64_t seq, const Manifest& m) const;
 
   Env* env_;

@@ -260,8 +260,10 @@ TEST(EngineTest, TemplatesRebindToEngineLog) {
   ExplanationEngine engine =
       UnwrapOrDie(ExplanationEngine::Create(&db, "Audit"));
   EBA_ASSERT_OK(engine.AddTemplate(UnwrapOrDie(ApptTemplate(db))));
-  EXPECT_EQ(engine.templates()[0].query().vars[0].table, "Audit");
-  auto lids = UnwrapOrDie(engine.ExplainedLids(0));
+  const ExplanationTemplate& bound = engine.templates()[0];
+  EXPECT_EQ(bound.query().vars[0].table, "Audit");
+  auto lids = UnwrapOrDie(
+      Executor(&db).DistinctLids(bound.query(), bound.lid_attr()));
   EXPECT_EQ(lids, (std::vector<int64_t>{1}));
 }
 

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "careweb/generator.h"
@@ -232,11 +233,10 @@ TEST(WalTest, BitFlipAnywhereIsDetectedAndTruncated) {
 // ---------------------------------------------------------------------------
 // Checkpoint store
 
-AuditState MakeAuditState(uint64_t audited, std::vector<int64_t> lids,
+AuditState MakeAuditState(std::vector<uint8_t> explained,
                           const Database& db) {
   AuditState a;
-  a.audited_rows = audited;
-  a.explained_lids = std::move(lids);
+  a.explained = std::move(explained);
   for (const std::string& name : db.TableNames()) {
     a.audit_watermarks[name] = db.GetTable(name).value()->num_rows();
   }
@@ -270,7 +270,7 @@ TEST(CheckpointTest, FullAndIncrementalChainRoundTrip) {
 
   // Full root.
   const uint64_t s1 = UnwrapOrDie(
-      store.Prepare(db, MakeAuditState(2, {1}, db), /*full=*/true));
+      store.Prepare(db, MakeAuditState({1, 0}, db), /*full=*/true));
   ASSERT_EQ(s1, 1u);
   EBA_ASSERT_OK(store.Publish(s1));
   EXPECT_EQ(UnwrapOrDie(store.CurrentSeq()), 1u);
@@ -282,7 +282,7 @@ TEST(CheckpointTest, FullAndIncrementalChainRoundTrip) {
                                 Value::Int64(testing_util::kAlice),
                                 Value::String("viewed record")}));
   const uint64_t s2 = UnwrapOrDie(
-      store.Prepare(db, MakeAuditState(3, {1, 3}, db), /*full=*/false));
+      store.Prepare(db, MakeAuditState({1, 0, 1}, db), /*full=*/false));
   ASSERT_EQ(s2, 2u);
   EBA_ASSERT_OK(store.Publish(s2));
 
@@ -290,7 +290,7 @@ TEST(CheckpointTest, FullAndIncrementalChainRoundTrip) {
   EBA_ASSERT_OK(appt->AppendRow({Value::Int64(testing_util::kBob),
                                  Value::Timestamp(2000),
                                  Value::Int64(testing_util::kDave)}));
-  const AuditState a3 = MakeAuditState(3, {1, 2, 3}, db);
+  const AuditState a3 = MakeAuditState({1, 1, 1}, db);
   const uint64_t s3 = UnwrapOrDie(store.Prepare(db, a3, /*full=*/false));
   ASSERT_EQ(s3, 3u);
   EBA_ASSERT_OK(store.Publish(s3));
@@ -303,8 +303,7 @@ TEST(CheckpointTest, FullAndIncrementalChainRoundTrip) {
   EXPECT_EQ(loaded.seq, 3u);
   EXPECT_EQ(loaded.wal_seq, 3u);
   EXPECT_EQ(loaded.chain_length, 3u);
-  EXPECT_EQ(loaded.audit.audited_rows, a3.audited_rows);
-  EXPECT_EQ(loaded.audit.explained_lids, a3.explained_lids);
+  EXPECT_EQ(loaded.audit.explained, a3.explained);
   EXPECT_EQ(loaded.audit.audit_watermarks, a3.audit_watermarks);
   ExpectDbRowsEqual(loaded.db, db);
 
@@ -378,10 +377,10 @@ TEST(CheckpointTest, TypedNullableColumnsRoundTripAcrossChunkSeams) {
   EBA_ASSERT_OK(store.Init());
   append(0, 70000);  // one whole 64k-row chunk and part of the next
   EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState(0, {}, db), true))));
+      UnwrapOrDie(store.Prepare(db, MakeAuditState({}, db), true))));
   append(70000, 140000);  // the segment crosses the 131072-row seam
   EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState(0, {}, db), false))));
+      UnwrapOrDie(store.Prepare(db, MakeAuditState({}, db), false))));
 
   const CheckpointContents loaded = UnwrapOrDie(store.LoadNewest());
   EXPECT_EQ(loaded.chain_length, 2u);
@@ -398,15 +397,16 @@ TEST(CheckpointTest, TypedNullableColumnsRoundTripAcrossChunkSeams) {
 }
 
 // Every byte of a checkpoint data file is checked: a bit flip anywhere in a
-// full-image table file or in a segment file, and every proper prefix of
-// either, makes LoadNewest fail — never crash, never return rows.
+// full-image table file, a segment file or the explained file, and every
+// proper prefix of any of them, makes LoadNewest fail — never crash, never
+// return rows.
 TEST(CheckpointTest, DataFileBitFlipsAndPrefixesAreRejected) {
   const std::string dir = TempDir("ckpt_data_corrupt");
   Database db = BuildPaperToyDatabase();
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
   EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState(2, {1}, db), true))));
+      UnwrapOrDie(store.Prepare(db, MakeAuditState({1, 0}, db), true))));
   // The segment carries a new dictionary entry and a NULL.
   Table* log = db.GetTable("Log").value();
   EBA_ASSERT_OK(log->AppendRow({Value::Int64(3), Value::Timestamp(1000),
@@ -418,11 +418,12 @@ TEST(CheckpointTest, DataFileBitFlipsAndPrefixesAreRejected) {
                                 Value::Int64(testing_util::kAlice),
                                 Value::Null()}));
   EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState(2, {1}, db), false))));
+      UnwrapOrDie(store.Prepare(db, MakeAuditState({1, 0}, db), false))));
   ExpectDbRowsEqual(UnwrapOrDie(store.LoadNewest()).db, db);
 
-  for (const std::string& path :
-       {dir + "/ckpt-1/db/Log", dir + "/ckpt-2/seg-Log"}) {
+  for (const std::string& path : {dir + "/ckpt-1/db/Log",
+                                  dir + "/ckpt-2/seg-Log",
+                                  dir + "/ckpt-2/explained"}) {
     const std::string original = ReadBytes(path);
     ASSERT_GT(original.size(), 0u) << path;
     for (size_t off = 0; off < original.size(); ++off) {
@@ -447,16 +448,81 @@ TEST(CheckpointTest, VersionOneStoreIsRejectedByName) {
   EBA_ASSERT_OK(store.Init());
   EBA_ASSERT_OK(
       store.Publish(UnwrapOrDie(store.Prepare(db, AuditState{}, true))));
-  // Re-stamp the manifest as the CSV-era v1 format, with a valid CRC.
+  // Re-stamp the manifest as each older format — the CSV-era v1 and the
+  // v2 whose explained set was a manifest line — with a valid CRC.
   const std::string manifest = dir + "/ckpt-1/ckpt.txt";
   const std::string text = ReadBytes(manifest);
-  std::string body = text.substr(0, text.rfind("CRC "));
-  const std::string v2 = "# eba checkpoint v2";
-  ASSERT_EQ(body.rfind(v2, 0), 0u);
-  body.replace(0, v2.size(), "# eba checkpoint v1");
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%x", Crc32(body));
-  WriteBytes(manifest, body + "CRC " + crc + "\n");
+  const std::string body = text.substr(0, text.rfind("CRC "));
+  const std::string v3 = "# eba checkpoint v3";
+  ASSERT_EQ(body.rfind(v3, 0), 0u);
+  for (const std::string version : {"1", "2"}) {
+    std::string old_body = body;
+    old_body.replace(0, v3.size(), "# eba checkpoint v" + version);
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%x", Crc32(old_body));
+    WriteBytes(manifest, old_body + "CRC " + crc + "\n");
+
+    Database recovered_db;
+    DurabilityOptions opts;
+    opts.dir = dir;
+    const Status s =
+        StreamingAuditor::RecoverFrom(&recovered_db, "Log", opts).status();
+    ASSERT_FALSE(s.ok()) << version;
+    EXPECT_NE(s.message().find("format v" + version), std::string::npos)
+        << s.ToString();
+  }
+}
+
+// The explained file's records pass their CRCs here, so only the content
+// checks can reject them: a record of another type, a flag other than 0 or
+// 1, records out of row order, and flags that stop short of AUDITED rows
+// or run past them.
+TEST(CheckpointTest, ExplainedRecordContentIsChecked) {
+  const std::string dir = TempDir("ckpt_explained_content");
+  Database db = BuildPaperToyDatabase();
+  CheckpointStore store(RealEnv(), dir);
+  EBA_ASSERT_OK(store.Init());
+  EBA_ASSERT_OK(store.Publish(
+      UnwrapOrDie(store.Prepare(db, MakeAuditState({1, 0}, db), true))));
+  const std::string path = dir + "/ckpt-1/explained";
+  // One record: type | u64 first_row | u32 rows | flags.
+  auto record = [](uint8_t type, uint64_t first_row, std::string flags) {
+    std::string prefix;
+    PutU64(&prefix, first_row);
+    PutU32(&prefix, static_cast<uint32_t>(flags.size()));
+    std::string out;
+    AppendFrame(&out, type, {prefix, flags});
+    return out;
+  };
+  const std::string one("\1", 1), zero("\0", 1);
+  WriteBytes(path, record(4, 0, one + zero));
+  EXPECT_EQ(UnwrapOrDie(store.LoadNewest()).audit.explained,
+            (std::vector<uint8_t>{1, 0}));
+  WriteBytes(path, record(4, 0, one) + record(4, 1, zero));
+  EXPECT_EQ(UnwrapOrDie(store.LoadNewest()).audit.explained,
+            (std::vector<uint8_t>{1, 0}));
+  for (const std::string& bad :
+       {record(3, 0, one + zero), record(4, 0, one + std::string("\2", 1)),
+        record(4, 1, zero) + record(4, 0, one), record(4, 0, one),
+        record(4, 0, one + zero + one), std::string()}) {
+    WriteBytes(path, bad);
+    EXPECT_FALSE(store.LoadNewest().ok()) << bad.size();
+  }
+}
+
+// A checkpoint's explained flags cover the log rows it audited, so a store
+// whose AUDITED exceeds the rows of the log it recovers is damage.
+TEST(CheckpointTest, AuditedPastTheRecoveredLogIsRejected) {
+  const std::string dir = TempDir("ckpt_audited_past_log");
+  Database db = BuildPaperToyDatabase();  // a two-row log
+  CheckpointStore store(RealEnv(), dir);
+  EBA_ASSERT_OK(store.Init());
+  const uint64_t seq = UnwrapOrDie(
+      store.Prepare(db, MakeAuditState({1, 0, 1}, db), /*full=*/true));
+  EBA_ASSERT_OK(store.Publish(seq));
+  WriteBytes(store.WalPath(seq), "");  // the paired, empty WAL
+  EXPECT_EQ(UnwrapOrDie(store.LoadNewest()).audit.explained,
+            (std::vector<uint8_t>{1, 0, 1}));
 
   Database recovered_db;
   DurabilityOptions opts;
@@ -464,7 +530,8 @@ TEST(CheckpointTest, VersionOneStoreIsRejectedByName) {
   const Status s =
       StreamingAuditor::RecoverFrom(&recovered_db, "Log", opts).status();
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("format v1"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("audited 3 rows"), std::string::npos)
+      << s.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -610,9 +677,11 @@ void CheckRecoveredAgainstOracle(const Database& db,
   AccessLog log = UnwrapOrDie(AccessLog::Wrap(stream));
   ASSERT_EQ(auditor.audited_rows(), stream->num_rows())
       << "kill op " << kill_op << ": converging audit left rows unaudited";
+  const std::unordered_set<int64_t> streamed_explained =
+      auditor.explained_lids();
   for (size_t r = 0; r < stream->num_rows(); ++r) {
     const int64_t lid = log.Get(r).lid;
-    const bool streamed = auditor.IsExplained(lid);
+    const bool streamed = streamed_explained.count(lid) > 0;
     const bool expected = std::binary_search(full_explained.begin(),
                                              full_explained.end(), lid);
     ASSERT_EQ(streamed, expected)

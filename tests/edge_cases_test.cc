@@ -181,13 +181,6 @@ TEST(EngineEdgeTest, CreateRejectsBadLogTable) {
   EXPECT_FALSE(ExplanationEngine::Create(&db, "Appointments").ok());
 }
 
-TEST(EngineEdgeTest, ExplainedLidsIndexOutOfRange) {
-  Database db = BuildPaperToyDatabase();
-  ExplanationEngine engine =
-      UnwrapOrDie(ExplanationEngine::Create(&db, "Log"));
-  EXPECT_TRUE(engine.ExplainedLids(0).status().IsOutOfRange());
-}
-
 // --------------------------- Hierarchy edges ---------------------------
 
 TEST(HierarchyEdgeTest, MaxDepthZeroGivesOnlyGlobalGroup) {

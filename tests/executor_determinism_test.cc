@@ -31,6 +31,7 @@ namespace {
 
 using testing_util::BuildPaperToyDatabase;
 using testing_util::CutRunLids;
+using testing_util::JoinedLids;
 using testing_util::UnwrapOrDie;
 
 constexpr size_t kThreadCounts[] = {2, 4, 8};
@@ -65,12 +66,10 @@ TEST(SeedRangeSplitTest, CutRunsUnionToTheWholeRun) {
     ASSERT_FALSE(all.empty());
     for (int v = 0; v < static_cast<int>(q.vars.size()); ++v) {
       const size_t n = UnwrapOrDie(db.GetTable(q.vars[v].table))->num_rows();
-      EXPECT_EQ(UnwrapOrDie(late.DistinctLidsJoinedTo(q, lid, v,
-                                                      RowRange{0, n})),
-                all)
+      EXPECT_EQ(JoinedLids(late, db, q, lid, v, RowRange{0, n}), all)
           << "query " << qi << " var " << v;
       for (size_t b = 0; b <= n; ++b) {
-        EXPECT_EQ(CutRunLids(late, q, lid, v, RowRange{0, n}, b), all)
+        EXPECT_EQ(CutRunLids(late, db, q, lid, v, RowRange{0, n}, b), all)
             << "query " << qi << " var " << v << " cut " << b;
         if (v == 0) {
           std::set<int64_t> cut_lids;
@@ -458,7 +457,7 @@ TEST_F(PlanCacheTest, EmptySeedCompilesThePlanALaterLidReplays) {
   }
 }
 
-// ------------------- Reverse semi-join (DistinctLidsJoinedTo) -------------
+// --------------------- Reverse semi-join (LogRowsJoinedTo) ---------------
 
 /// Restricting a variable to its table's FULL row range is no restriction:
 /// JoinedTo must reproduce DistinctLids exactly, whichever variable the
@@ -476,12 +475,12 @@ TEST(ReverseSemiJoinTest, FullRangeEqualsDistinctLids) {
     for (int v = 0; v < static_cast<int>(q.vars.size()); ++v) {
       const size_t rows =
           UnwrapOrDie(data.db.GetTable(q.vars[v].table))->num_rows();
-      EXPECT_EQ(UnwrapOrDie(serial.DistinctLidsJoinedTo(q, lid_attr, v,
-                                                        RowRange{0, rows})),
+      EXPECT_EQ(JoinedLids(serial, data.db, q, lid_attr, v, RowRange{0, rows}),
                 reference)
           << tmpl.name() << " var " << v;
       EXPECT_EQ(
-          CutRunLids(serial, q, lid_attr, v, RowRange{0, rows}, rows / 2),
+          CutRunLids(serial, data.db, q, lid_attr, v, RowRange{0, rows},
+                     rows / 2),
           reference)
           << tmpl.name() << " var " << v << " halves";
     }
@@ -507,8 +506,9 @@ TEST(ReverseSemiJoinTest, AppendedSuffixIsExactlyTheDelta) {
        Value::Timestamp(Date::FromCivil(2010, 2, 2, 9, 0, 0).ToSeconds()),
        Value::Int64(testing_util::kDave)}));
 
-  const std::vector<int64_t> delta = UnwrapOrDie(executor.DistinctLidsJoinedTo(
-      q, lid, /*pivot_var=*/1, RowRange{suffix_begin, appt->num_rows()}));
+  const std::vector<int64_t> delta = JoinedLids(
+      executor, db, q, lid, /*pivot=*/1,
+      RowRange{suffix_begin, appt->num_rows()});
   EXPECT_EQ(delta, (std::vector<int64_t>{2}));
   const std::vector<int64_t> after = UnwrapOrDie(executor.DistinctLids(q, lid));
   EXPECT_EQ(after, (std::vector<int64_t>{1, 2}));
@@ -550,9 +550,9 @@ TEST(ReverseSemiJoinTest, BulkLoadLargerThanTheLogIsExactlyTheDelta) {
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const PathQuery& q = queries[qi];
     // Appointments is variable 1 of both toy queries.
-    const std::vector<int64_t> delta = UnwrapOrDie(
-        executor.DistinctLidsJoinedTo(q, lid, /*pivot_var=*/1, suffix));
-    EXPECT_EQ(CutRunLids(executor, q, lid, 1, suffix,
+    const std::vector<int64_t> delta =
+        JoinedLids(executor, db, q, lid, /*pivot=*/1, suffix);
+    EXPECT_EQ(CutRunLids(executor, db, q, lid, 1, suffix,
                          suffix.begin + suffix.size() / 2),
               delta)
         << "query " << qi;
@@ -578,15 +578,14 @@ TEST(ReverseSemiJoinTest, EmptyRangeBadPivotAndBoxedEngine) {
   Executor executor(&db);
   // Empty range: nothing to join to.
   EXPECT_TRUE(
-      UnwrapOrDie(executor.DistinctLidsJoinedTo(q, lid, 1, RowRange{1, 1}))
-          .empty());
+      UnwrapOrDie(executor.LogRowsJoinedTo(q, lid, 1, RowRange{1, 1})).empty());
   // Range clamped past the table end.
   EXPECT_TRUE(
-      UnwrapOrDie(executor.DistinctLidsJoinedTo(q, lid, 1, RowRange{100, 200}))
+      UnwrapOrDie(executor.LogRowsJoinedTo(q, lid, 1, RowRange{100, 200}))
           .empty());
   // A pivot past the query's variables names no table.
-  EXPECT_FALSE(executor.DistinctLidsJoinedTo(q, lid, 2, RowRange{0, 2}).ok());
-  EXPECT_FALSE(executor.DistinctLidsJoinedTo(q, lid, -1, RowRange{0, 2}).ok());
+  EXPECT_FALSE(executor.LogRowsJoinedTo(q, lid, 2, RowRange{0, 2}).ok());
+  EXPECT_FALSE(executor.LogRowsJoinedTo(q, lid, -1, RowRange{0, 2}).ok());
   // The boxed oracle has no row-id pivot machinery; its variable-0 scan
   // takes the range.
   const BoxedExecutor boxed(&db);
@@ -613,9 +612,8 @@ TEST(ReverseSemiJoinTest, SelfJoinPivotFindsRetroactiveWitnesses) {
        Value::Int64(testing_util::kDave), Value::Int64(testing_util::kAlice),
        Value::String("viewed record")}));
   Executor executor(&db);
-  EXPECT_EQ(UnwrapOrDie(executor.DistinctLidsJoinedTo(
-                q, lid, /*pivot_var=*/1,
-                RowRange{suffix_begin, log->num_rows()})),
+  EXPECT_EQ(JoinedLids(executor, db, q, lid, /*pivot=*/1,
+                       RowRange{suffix_begin, log->num_rows()}),
             (std::vector<int64_t>{1}));
 }
 
@@ -629,15 +627,15 @@ TEST_F(PlanCacheTest, PivotPlansCacheAndRebindAcrossAppends) {
   Table* appt = db_.GetTable("Appointments").value();
 
   // Cold: the pivot plan is recorded and cached under its own key.
-  const std::vector<int64_t> cold = UnwrapOrDie(cached.DistinctLidsJoinedTo(
-      q, Lid(), /*pivot_var=*/1, RowRange{0, appt->num_rows()}));
+  const std::vector<int64_t> cold = JoinedLids(
+      cached, db_, q, Lid(), /*pivot=*/1, RowRange{0, appt->num_rows()});
   EXPECT_FALSE(cached.last_stats().plan_cache_hit);
   EXPECT_EQ(cold, (std::vector<int64_t>{1}));
   EXPECT_EQ(cache_.size(), 1u);
 
   // Warm, different runtime range, same plan: a pure hit.
-  const std::vector<int64_t> warm = UnwrapOrDie(
-      cached.DistinctLidsJoinedTo(q, Lid(), 1, RowRange{0, 1}));
+  const std::vector<int64_t> warm =
+      JoinedLids(cached, db_, q, Lid(), 1, RowRange{0, 1});
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
   EXPECT_EQ(cache_.stats().rebinds, 0u);
   EXPECT_EQ(warm, (std::vector<int64_t>{1}));
@@ -649,14 +647,14 @@ TEST_F(PlanCacheTest, PivotPlansCacheAndRebindAcrossAppends) {
       {Value::Int64(testing_util::kBob),
        Value::Timestamp(Date::FromCivil(2010, 2, 2, 9, 0, 0).ToSeconds()),
        Value::Int64(testing_util::kDave)}));
-  const std::vector<int64_t> delta = UnwrapOrDie(cached.DistinctLidsJoinedTo(
-      q, Lid(), 1, RowRange{suffix_begin, appt->num_rows()}));
+  const std::vector<int64_t> delta = JoinedLids(
+      cached, db_, q, Lid(), 1, RowRange{suffix_begin, appt->num_rows()});
   EXPECT_TRUE(cached.last_stats().plan_cache_hit);
   EXPECT_EQ(cache_.stats().rebinds, 1u);
   EXPECT_EQ(cache_.stats().invalidations, 0u);
   EXPECT_EQ(delta, (std::vector<int64_t>{2}));
-  EXPECT_EQ(delta, UnwrapOrDie(fresh.DistinctLidsJoinedTo(
-                       q, Lid(), 1, RowRange{suffix_begin, appt->num_rows()})));
+  EXPECT_EQ(delta, JoinedLids(fresh, db_, q, Lid(), 1,
+                              RowRange{suffix_begin, appt->num_rows()}));
 }
 
 }  // namespace

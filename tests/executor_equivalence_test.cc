@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "careweb/generator.h"
@@ -22,6 +23,7 @@
 #include "common/random.h"
 #include "core/engine.h"
 #include "core/ingest.h"
+#include "graph/hierarchy.h"
 #include "graph/schema_graph.h"
 #include "log/access_log.h"
 #include "query/executor.h"
@@ -256,40 +258,59 @@ TEST(ExecutorEquivalenceTest, RandomQueriesOnCareWebDatabase) {
   RunPropertySweep(data.db, /*seed=*/0x5eed0002, /*queries=*/60);
 }
 
-/// The range audit (task split, per-template union, classifying merge)
-/// against BoxedExplainAll, which has none of them: ExplainAll at every
-/// thread count, and a from-zero ExplainNew.
+/// The range audit (task split, flags marked by cut) against
+/// BoxedExplainAll, which has neither: ExplainAll at every thread count,
+/// and a from-zero ExplainNew, for every template family the benches use —
+/// the direct and repeat-access templates, data set B, the group templates
+/// at depth 1 and at all depths, and same department. The log is long
+/// enough that multi-threaded audits cut it, so cuts mark their rows
+/// concurrently.
 TEST(ExecutorEquivalenceTest, ExplainAllReportsMatchBoxedOracle) {
-  CareWebData data = UnwrapOrDie(GenerateCareWeb(CareWebConfig::Tiny()));
-  const std::vector<ExplanationTemplate> templates =
-      UnwrapOrDie(TemplatesHandcraftedDirect(data.db, true));
-  ASSERT_FALSE(templates.empty());
-  EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport reference,
-                           BoxedExplainAll(data.db, "Log", templates));
-  ASSERT_FALSE(reference.explained_lids.empty());
-  ASSERT_FALSE(reference.unexplained_lids.empty());
+  CareWebConfig config = CareWebConfig::Small();
+  config.num_days = 10;
+  CareWebData data = UnwrapOrDie(GenerateCareWeb(config));
+  (void)UnwrapOrDie(BuildGroupsFromDays(&data.db, "Log", 1, 6, "Groups",
+                                        HierarchyOptions{}));
+  const std::pair<const char*, std::vector<ExplanationTemplate>> families[] = {
+      {"direct", UnwrapOrDie(TemplatesHandcraftedDirect(data.db, true))},
+      {"dataset_b", UnwrapOrDie(TemplatesDataSetB(data.db))},
+      {"groups_depth1", UnwrapOrDie(TemplatesGroups(data.db, 1, true))},
+      {"groups_all_depths", UnwrapOrDie(TemplatesGroups(data.db, -1, false))},
+      {"same_department", UnwrapOrDie(TemplatesSameDepartment(data.db))},
+  };
+  // At least two cuts of AuditRange's smallest, 4096 rows.
+  ASSERT_GE(UnwrapOrDie(static_cast<const Database&>(data.db).GetTable("Log"))
+                ->num_rows(),
+            2u * 4096u);
+  for (const auto& [family, templates] : families) {
+    SCOPED_TRACE(family);
+    ASSERT_FALSE(templates.empty());
+    EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport reference,
+                             BoxedExplainAll(data.db, "Log", templates));
+    ASSERT_FALSE(reference.explained_lids.empty());
+    ASSERT_FALSE(reference.unexplained_lids.empty());
 
-  StreamingAuditor auditor =
-      UnwrapOrDie(StreamingAuditor::Create(&data.db, "Log"));
-  for (const auto& tmpl : templates) EBA_ASSERT_OK(auditor.AddTemplate(tmpl));
-  for (size_t threads : {1, 2, 4, 8}) {
-    ExplainAllOptions options;
-    options.num_threads = threads;
-    EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport report,
-                             auditor.engine().ExplainAll(options));
-    EXPECT_EQ(report.log_size, reference.log_size) << threads;
-    EXPECT_EQ(report.per_template_counts, reference.per_template_counts)
-        << threads;
-    EXPECT_EQ(report.explained_lids, reference.explained_lids) << threads;
-    EXPECT_EQ(report.unexplained_lids, reference.unexplained_lids) << threads;
+    StreamingAuditor auditor =
+        UnwrapOrDie(StreamingAuditor::Create(&data.db, "Log"));
+    for (const auto& tmpl : templates) EBA_ASSERT_OK(auditor.AddTemplate(tmpl));
+    for (size_t threads : {1, 2, 4, 8}) {
+      ExplainAllOptions options;
+      options.num_threads = threads;
+      EBA_ASSERT_OK_AND_ASSIGN(ExplanationReport report,
+                               auditor.engine().ExplainAll(options));
+      EXPECT_EQ(report.log_size, reference.log_size) << threads;
+      EXPECT_EQ(report.per_template_counts, reference.per_template_counts)
+          << threads;
+      EXPECT_EQ(report.explained_lids, reference.explained_lids) << threads;
+      EXPECT_EQ(report.unexplained_lids, reference.unexplained_lids)
+          << threads;
+    }
+    EBA_ASSERT_OK_AND_ASSIGN(StreamingReport first, auditor.ExplainNew());
+    EXPECT_EQ(first.new_rows(), reference.log_size);
+    EXPECT_EQ(first.per_template_counts, reference.per_template_counts);
+    EXPECT_EQ(first.explained_lids, reference.explained_lids);
+    EXPECT_EQ(first.unexplained_lids, reference.unexplained_lids);
   }
-  // The generated log's lids are distinct, so ExplainNew's each-once lists
-  // equal ExplainAll's one-per-row lists.
-  EBA_ASSERT_OK_AND_ASSIGN(StreamingReport first, auditor.ExplainNew());
-  EXPECT_EQ(first.new_rows(), reference.log_size);
-  EXPECT_EQ(first.per_template_counts, reference.per_template_counts);
-  EXPECT_EQ(first.explained_lids, reference.explained_lids);
-  EXPECT_EQ(first.unexplained_lids, reference.unexplained_lids);
 }
 
 // --------------------- Semi-join fast path unit tests ---------------------
@@ -534,7 +555,7 @@ TEST(FusedCheckTest, EdgeCasesMatchReference) {
     for (int v = 0; v < static_cast<int>(q.vars.size()); ++v) {
       const size_t n = UnwrapOrDie(db.GetTable(q.vars[v].table))->num_rows();
       for (size_t b = 0; b <= n; ++b) {
-        EXPECT_EQ(CutRunLids(late_cost, q, lid, v, RowRange{0, n}, b),
+        EXPECT_EQ(CutRunLids(late_cost, db, q, lid, v, RowRange{0, n}, b),
                   ref_lids)
             << "var " << v << " cut " << b;
       }
@@ -608,7 +629,7 @@ TEST(ColumnViewTest, ChecksAcrossChunkSeamMatchReference) {
     EXPECT_EQ(UnwrapOrDie(late.DistinctLids(q, lid)), ref_lids);
     // Runs cut at the seam, from either occurrence of the log.
     for (int pivot : {0, 1}) {
-      EXPECT_EQ(CutRunLids(late, q, lid, pivot, RowRange{0, kSeamRows},
+      EXPECT_EQ(CutRunLids(late, db, q, lid, pivot, RowRange{0, kSeamRows},
                            kColumnChunkRows),
                 ref_lids)
           << "pivot " << pivot;

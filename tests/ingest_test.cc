@@ -93,6 +93,11 @@ RestrictedReport FullReportRestrictedTo(const StreamingAuditor& auditor,
   return out;
 }
 
+/// True when some explained log row of `auditor` holds `lid`.
+bool HoldsExplained(const StreamingAuditor& auditor, int64_t lid) {
+  return auditor.explained_lids().count(lid) > 0;
+}
+
 std::vector<int64_t> LidsOf(const std::vector<Row>& rows, int lid_col) {
   std::vector<int64_t> lids;
   lids.reserve(rows.size());
@@ -263,7 +268,7 @@ TEST(StreamingAuditorTest, ForeignTableAppendTakesDeltaPassNotFullReaudit) {
   EXPECT_EQ(second.per_template_delta_counts, (std::vector<size_t>{1}));
   EXPECT_TRUE(second.explained_lids.empty());
   EXPECT_TRUE(second.unexplained_lids.empty());
-  EXPECT_TRUE(t.auditor->IsExplained(2));
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 2));
 
   // With no further changes the next audit is incremental and empty.
   const StreamingReport third = UnwrapOrDie(t.auditor->ExplainNew());
@@ -326,8 +331,8 @@ TEST(StreamingAuditorTest, GroupExtensionIsAppendOnlyDriftNotRebuild) {
   EXPECT_EQ(third.new_rows(), 0u);
   EXPECT_GE(third.delta_tables, 1u);
   EXPECT_EQ(third.delta_explained_lids, (std::vector<int64_t>{2, 3}));
-  EXPECT_TRUE(auditor.IsExplained(2));
-  EXPECT_TRUE(auditor.IsExplained(3));
+  EXPECT_TRUE(HoldsExplained(auditor, 2));
+  EXPECT_TRUE(HoldsExplained(auditor, 3));
 
   // Idempotent: a second extension finds nobody new and changes nothing.
   EXPECT_EQ(UnwrapOrDie(batch.ExtendCollaborativeGroups()), size_t{0});
@@ -339,7 +344,7 @@ TEST(StreamingAuditorTest, GroupExtensionIsAppendOnlyDriftNotRebuild) {
 TEST(StreamingAuditorTest, StructuralMutationStillForcesFullReaudit) {
   ToyAuditor t = MakeToyAuditor();
   (void)UnwrapOrDie(t.auditor->ExplainNew());
-  EXPECT_TRUE(t.auditor->IsExplained(1));
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 1));
 
   // A structural mutation (may rewrite cells in place) breaks the
   // monotone-append invariant: the next audit starts over.
@@ -394,7 +399,7 @@ TEST(StreamingAuditorTest, ForeignAppendExplainingZeroNewLids) {
 TEST(StreamingAuditorTest, ForeignAppendJoinableToExplainedLidDoesNotDoubleCount) {
   ToyAuditor t = MakeToyAuditor();
   (void)UnwrapOrDie(t.auditor->ExplainNew());
-  EXPECT_TRUE(t.auditor->IsExplained(1));
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 1));
 
   // A second appointment witnessing the ALREADY-explained lid 1: the delta
   // pass finds it joinable but must not re-report or double-insert it.
@@ -408,8 +413,8 @@ TEST(StreamingAuditorTest, ForeignAppendJoinableToExplainedLidDoesNotDoubleCount
   EXPECT_EQ(report.delta_queries, 1u);
   EXPECT_TRUE(report.delta_explained_lids.empty());
   EXPECT_EQ(report.per_template_delta_counts, (std::vector<size_t>{0}));
-  EXPECT_TRUE(t.auditor->IsExplained(1));
-  EXPECT_FALSE(t.auditor->IsExplained(2));
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 1));
+  EXPECT_FALSE(HoldsExplained(*t.auditor, 2));
 }
 
 TEST(StreamingAuditorTest, ResetFollowedByMixedAppends) {
@@ -456,7 +461,7 @@ TEST(StreamingAuditorTest, DeltaPassDeduplicatesLidsAcrossTemplates) {
       "[L.Patient] had an appointment"));
   EBA_ASSERT_OK(t.auditor->AddTemplate(by_doctor));
   (void)UnwrapOrDie(t.auditor->ExplainNew());
-  EXPECT_FALSE(t.auditor->IsExplained(2));
+  EXPECT_FALSE(HoldsExplained(*t.auditor, 2));
 
   EBA_ASSERT_OK(t.auditor->AppendRows(
       "Appointments",
@@ -469,7 +474,7 @@ TEST(StreamingAuditorTest, DeltaPassDeduplicatesLidsAcrossTemplates) {
   EXPECT_EQ(report.delta_queries, 2u);
   EXPECT_EQ(report.delta_explained_lids, (std::vector<int64_t>{2}));
   EXPECT_EQ(report.per_template_delta_counts, (std::vector<size_t>{1, 1}));
-  EXPECT_TRUE(t.auditor->IsExplained(2));
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 2));
 }
 
 TEST(StreamingAuditorTest, LateArrivingLogRowExplainsOldAccessViaSelfJoin) {
@@ -500,7 +505,7 @@ TEST(StreamingAuditorTest, LateArrivingLogRowExplainsOldAccessViaSelfJoin) {
   EXPECT_EQ(second.delta_queries, 1u);  // ...but its self-join position runs
   EXPECT_EQ(second.delta_explained_lids, (std::vector<int64_t>{1}));
   EXPECT_EQ(second.unexplained_lids, (std::vector<int64_t>{3}));
-  EXPECT_TRUE(auditor.IsExplained(1));
+  EXPECT_TRUE(HoldsExplained(auditor, 1));
 
   // The streamed state now matches a fresh full audit exactly.
   const ExplanationReport full = UnwrapOrDie(auditor.engine().ExplainAll());
@@ -510,15 +515,14 @@ TEST(StreamingAuditorTest, LateArrivingLogRowExplainsOldAccessViaSelfJoin) {
 }
 
 // The Lid column is documented as a primary key, but only non-NULL-ness is
-// enforced, not uniqueness: an appended row may repeat an audited lid. A
-// lid is explained when ANY of its rows is, so the new row must not hide an
-// older explained row, nor an older row that this same audit window newly
-// explains.
+// enforced, not uniqueness: an appended row may repeat an audited lid. Each
+// row is one access, explained by its own witnesses, so the new row neither
+// borrows nor hides the older row's state.
 
 TEST(StreamingAuditorTest, RepeatedLidKeepsItsExplainedOlderRow) {
   ToyAuditor t = MakeToyAuditor();
   (void)UnwrapOrDie(t.auditor->ExplainNew());
-  EXPECT_TRUE(t.auditor->IsExplained(1));
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 1));
 
   // Lid 1 again, for an access no template explains (user 999 on Alice).
   EBA_ASSERT_OK(t.auditor->AppendAccessBatch(
@@ -528,15 +532,18 @@ TEST(StreamingAuditorTest, RepeatedLidKeepsItsExplainedOlderRow) {
         Value::String("viewed record")}}));
   const StreamingReport report = UnwrapOrDie(t.auditor->ExplainNew());
   EXPECT_EQ(report.new_rows(), 1u);
-  EXPECT_EQ(report.explained_lids, (std::vector<int64_t>{1}));
-  EXPECT_TRUE(report.unexplained_lids.empty());
-  EXPECT_TRUE(t.auditor->IsExplained(1));
+  EXPECT_TRUE(report.explained_lids.empty());
+  EXPECT_EQ(report.unexplained_lids, (std::vector<int64_t>{1}));
+  EXPECT_EQ(report.per_template_counts, (std::vector<size_t>{0}));
+  // The older row stays explained; the new one does not count.
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 1));
+  EXPECT_EQ(t.auditor->explained_count(), 1u);
 }
 
 TEST(StreamingAuditorTest, RepeatedLidSeesItsOlderRowNewlyExplained) {
   ToyAuditor t = MakeToyAuditor();
   (void)UnwrapOrDie(t.auditor->ExplainNew());
-  EXPECT_FALSE(t.auditor->IsExplained(2));
+  EXPECT_FALSE(HoldsExplained(*t.auditor, 2));
 
   // One audit window: an appointment that explains lid 2's older row (Dave
   // viewing Bob), and lid 2 again for an access nothing explains.
@@ -552,47 +559,52 @@ TEST(StreamingAuditorTest, RepeatedLidSeesItsOlderRowNewlyExplained) {
         Value::String("viewed record")}}));
   const StreamingReport report = UnwrapOrDie(t.auditor->ExplainNew());
   EXPECT_FALSE(report.full_reaudit);
-  EXPECT_EQ(report.explained_lids, (std::vector<int64_t>{2}));
-  EXPECT_TRUE(report.unexplained_lids.empty());
-  EXPECT_TRUE(t.auditor->IsExplained(2));
+  // The older row is newly explained by the delta pass; the new row is an
+  // unexplained access of its own.
+  EXPECT_EQ(report.delta_explained_lids, (std::vector<int64_t>{2}));
+  EXPECT_EQ(report.per_template_delta_counts, (std::vector<size_t>{1}));
+  EXPECT_TRUE(report.explained_lids.empty());
+  EXPECT_EQ(report.unexplained_lids, (std::vector<int64_t>{2}));
+  EXPECT_TRUE(HoldsExplained(*t.auditor, 2));
+  EXPECT_EQ(t.auditor->explained_count(), 2u);
 }
 
 /// The lids of `log_table`'s rows [from, to), one per row and ascending,
-/// split by whether `all` — a report over the whole log — explains them.
+/// split as `all` — a report over the whole log — splits them: a lid held
+/// by k of these rows is listed as often as `all` lists it, up to k (a lid
+/// must not repeat across the range's ends).
 RestrictedReport RowsOf(const ExplanationReport& all, const Database& db,
                         const std::string& log_table, size_t from, size_t to) {
   const Table* log = UnwrapOrDie(db.GetTable(log_table));
   const size_t lid_col =
       static_cast<size_t>(log->schema().ColumnIndex("Lid"));
-  RestrictedReport out;
+  std::vector<int64_t> lids;
   for (size_t r = from; r < to; ++r) {
-    const int64_t lid = log->Get(r, lid_col).AsInt64();
-    (std::binary_search(all.explained_lids.begin(), all.explained_lids.end(),
-                        lid)
-         ? out.explained
-         : out.unexplained)
-        .push_back(lid);
+    lids.push_back(log->Get(r, lid_col).AsInt64());
   }
-  std::sort(out.explained.begin(), out.explained.end());
-  std::sort(out.unexplained.begin(), out.unexplained.end());
+  std::sort(lids.begin(), lids.end());
+  RestrictedReport out;
+  std::set_intersection(lids.begin(), lids.end(), all.explained_lids.begin(),
+                        all.explained_lids.end(),
+                        std::back_inserter(out.explained));
+  std::set_intersection(lids.begin(), lids.end(),
+                        all.unexplained_lids.begin(),
+                        all.unexplained_lids.end(),
+                        std::back_inserter(out.unexplained));
   return out;
 }
 
-std::vector<int64_t> Distinct(std::vector<int64_t> lids) {
-  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
-  return lids;
-}
-
 // Lids that descend in row order, one of them on two rows: no audited
-// range's lids ascend, so AuditRange and DistinctLidsJoinedTo take their
-// sort fallbacks. ExplainAll at every thread count, a from-zero ExplainNew
-// and an ExplainNew after a foreign append must still agree with the boxed
-// oracle (BoxedExplainAll; the last on a cloned database). Without
-// `split`, the repeated lid joins an explained row to an unexplained one.
-// With it, the log is long enough that 2-thread audits cut its first 2/3
-// in two, and the repeated lid's rows lie on both sides of the cut, both
-// explained by the first template: its two tasks each find the lid, and
-// the union must count it once.
+// range's lids ascend, so AuditRange sorts its report lists. ExplainAll at
+// every thread count, a from-zero ExplainNew and an ExplainNew after a
+// foreign append must still agree with the boxed oracle (BoxedExplainAll,
+// which classifies the repeated lid's rows one by one; the last on a
+// cloned database). Without `split`, the repeated lid joins an explained
+// row to an unexplained one, and each row keeps its own state. With it,
+// the log is long enough that 2-thread audits cut its first 2/3 in two,
+// and the repeated lid's rows lie on both sides of the cut, both explained
+// by the first template: each of its two tasks finds one row, and the
+// template counts both.
 void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
                                                  bool split) {
   CareWebData data = UnwrapOrDie(GenerateCareWeb(config));
@@ -633,7 +645,9 @@ void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
     // [cut, prefix) once it holds two 4096-row cuts.
     ASSERT_GE(prefix, 2u * 4096u);
     const size_t cut = (prefix + 1) / 2;
-    const std::vector<int64_t> first = UnwrapOrDie(plain.ExplainedLids(0));
+    const ExplanationTemplate& bound = plain.templates()[0];
+    const std::vector<int64_t> first = UnwrapOrDie(
+        Executor(&data.db).DistinctLids(bound.query(), bound.lid_attr()));
     auto by_first = [&](size_t r) {
       return std::binary_search(first.begin(), first.end(),
                                 source->Get(r, lid_col).AsInt64());
@@ -681,16 +695,16 @@ void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
     EXPECT_EQ(all.per_template_counts, oracle.per_template_counts) << threads;
   }
 
-  // From zero, ExplainNew reports each lid once.
+  // From zero, ExplainNew reports what ExplainAll reports.
   const StreamingReport first = UnwrapOrDie(auditor.ExplainNew(new_options));
-  EXPECT_EQ(first.explained_lids, Distinct(oracle.explained_lids));
-  EXPECT_EQ(first.unexplained_lids, Distinct(oracle.unexplained_lids));
+  EXPECT_EQ(first.explained_lids, oracle.explained_lids);
+  EXPECT_EQ(first.unexplained_lids, oracle.unexplained_lids);
   EXPECT_EQ(first.per_template_counts, oracle.per_template_counts);
 
   // A foreign appointment explains an older row, and the rest of the log
   // arrives with still smaller lids.
   const int64_t foreign_lid = desc->Get(foreign_row, lid_col).AsInt64();
-  EXPECT_FALSE(auditor.IsExplained(foreign_lid));
+  EXPECT_FALSE(HoldsExplained(auditor, foreign_lid));
   const size_t user_col =
       static_cast<size_t>(source->schema().ColumnIndex("User"));
   const size_t patient_col =
@@ -712,8 +726,8 @@ void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
   ASSERT_EQ(clone_all.log_size, n);
   const RestrictedReport new_rows =
       RowsOf(clone_all, clone, "LogDesc", prefix, n);
-  EXPECT_EQ(next.explained_lids, Distinct(new_rows.explained));
-  EXPECT_EQ(next.unexplained_lids, Distinct(new_rows.unexplained));
+  EXPECT_EQ(next.explained_lids, new_rows.explained);
+  EXPECT_EQ(next.unexplained_lids, new_rows.unexplained);
   const RestrictedReport old_rows =
       RowsOf(clone_all, clone, "LogDesc", 0, prefix);
   std::vector<int64_t> newly_explained;
@@ -721,7 +735,7 @@ void ExpectDescendingAndRepeatedLidsMatchOracles(const CareWebConfig& config,
                       oracle.explained_lids.begin(),
                       oracle.explained_lids.end(),
                       std::back_inserter(newly_explained));
-  EXPECT_EQ(next.delta_explained_lids, Distinct(newly_explained));
+  EXPECT_EQ(next.delta_explained_lids, newly_explained);
   EXPECT_TRUE(std::binary_search(next.delta_explained_lids.begin(),
                                  next.delta_explained_lids.end(),
                                  foreign_lid));

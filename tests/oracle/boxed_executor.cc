@@ -1,6 +1,7 @@
 #include "tests/oracle/boxed_executor.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -405,20 +406,39 @@ StatusOr<ExplanationReport> BoxedExplainAll(
   const BoxedExecutor executor(&db);
   ExplanationReport report;
   report.log_size = log->num_rows();
-  std::set<int64_t> explained;
+  std::vector<int64_t> row_lids;
+  std::map<int64_t, size_t> rows_per_lid;
+  for (size_t r = 0; r < report.log_size; ++r) {
+    row_lids.push_back(log->Get(r, static_cast<size_t>(lid_col)).AsInt64());
+    ++rows_per_lid[row_lids.back()];
+  }
+  std::vector<bool> explained(report.log_size, false);
   for (const ExplanationTemplate& tmpl : templates) {
     const ExplanationTemplate bound = tmpl.WithLogTable(log_table);
     EBA_ASSIGN_OR_RETURN(
-        std::vector<int64_t> lids,
+        const std::vector<int64_t> lids,
         executor.DistinctLids(bound.query(), bound.lid_attr()));
-    report.per_template_counts.push_back(lids.size());
-    explained.insert(lids.begin(), lids.end());
+    size_t count = 0;
+    for (size_t r = 0; r < report.log_size; ++r) {
+      // A unique lid is found iff its row is; a repeated one's row is
+      // classified by a run seeded at that row alone.
+      bool found = std::binary_search(lids.begin(), lids.end(), row_lids[r]);
+      if (found && rows_per_lid[row_lids[r]] > 1) {
+        EBA_ASSIGN_OR_RETURN(
+            const std::vector<int64_t> own,
+            executor.DistinctLids(bound.query(), bound.lid_attr(),
+                                  RowRange{r, r + 1}));
+        found = !own.empty();
+      }
+      if (!found) continue;
+      ++count;
+      explained[r] = true;
+    }
+    report.per_template_counts.push_back(count);
   }
   for (size_t r = 0; r < report.log_size; ++r) {
-    const int64_t lid = log->Get(r, static_cast<size_t>(lid_col)).AsInt64();
-    (explained.count(lid) != 0 ? report.explained_lids
-                               : report.unexplained_lids)
-        .push_back(lid);
+    (explained[r] ? report.explained_lids : report.unexplained_lids)
+        .push_back(row_lids[r]);
   }
   std::sort(report.explained_lids.begin(), report.explained_lids.end());
   std::sort(report.unexplained_lids.begin(), report.unexplained_lids.end());

@@ -23,8 +23,8 @@
 // codes; there are no execution statistics.
 //
 // BoxedExplainAll is ExplanationEngine::ExplainAll's report computed with
-// this engine alone, without the engine's range audit (its task split,
-// union and merge), so it can check them.
+// this engine alone, without the engine's range audit (its task split and
+// the explained flags it marks), so it can check them.
 
 #ifndef EBA_TESTS_ORACLE_BOXED_EXECUTOR_H_
 #define EBA_TESTS_ORACLE_BOXED_EXECUTOR_H_
@@ -88,10 +88,12 @@ class BoxedExecutor {
 
 /// The report ExplanationEngine::ExplainAll gives for `templates` (variable
 /// 0 rebound to `log_table`, as AddTemplate does) over every row of
-/// `log_table`: per template the number of distinct lids its
-/// BoxedExecutor::DistinctLids finds, and the lids of the log rows, one per
-/// row and ascending, split by whether any template explains them. The
-/// database must not change during the call.
+/// `log_table`: each row classified by BoxedExecutor::DistinctLids alone —
+/// a row whose lid no other row holds by whether the whole-log run finds
+/// its lid, any other row by a run seeded at that row — per template the
+/// number of rows it explains, and the rows' lids, one per row and
+/// ascending, split by whether any template explains them. The database
+/// must not change during the call.
 StatusOr<ExplanationReport> BoxedExplainAll(
     const Database& db, const std::string& log_table,
     const std::vector<ExplanationTemplate>& templates);

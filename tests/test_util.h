@@ -115,17 +115,35 @@ inline Database BuildPaperToyDatabase() {
   return db;
 }
 
+/// The lids of the variable-0 rows that `executor`'s run seeded at `rows`
+/// of tuple variable `pivot` finds (Executor::LogRowsJoinedTo), ascending
+/// and distinct: its result in the terms DistinctLids answers in.
+inline std::vector<int64_t> JoinedLids(const Executor& executor,
+                                       const Database& db, const PathQuery& q,
+                                       QAttr lid, int pivot, RowRange rows) {
+  const Table* log = UnwrapOrDie(db.GetTable(q.vars[0].table));
+  std::vector<int64_t> lids;
+  for (uint32_t r :
+       UnwrapOrDie(executor.LogRowsJoinedTo(q, lid, pivot, rows))) {
+    lids.push_back(log->Get(r, static_cast<size_t>(lid.col)).AsInt64());
+  }
+  std::sort(lids.begin(), lids.end());
+  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+  return lids;
+}
+
 /// The lids the runs of `executor` seeded at rows [rows.begin, cut) and
 /// [cut, rows.end) of tuple variable `pivot` find together (ascending,
 /// distinct) — what one run over `rows` finds, since the seed range is a
 /// run's only restriction.
 inline std::vector<int64_t> CutRunLids(const Executor& executor,
-                                       const PathQuery& q, QAttr lid,
-                                       int pivot, RowRange rows, size_t cut) {
-  std::vector<int64_t> lids = UnwrapOrDie(
-      executor.DistinctLidsJoinedTo(q, lid, pivot, RowRange{rows.begin, cut}));
-  const std::vector<int64_t> tail = UnwrapOrDie(
-      executor.DistinctLidsJoinedTo(q, lid, pivot, RowRange{cut, rows.end}));
+                                       const Database& db, const PathQuery& q,
+                                       QAttr lid, int pivot, RowRange rows,
+                                       size_t cut) {
+  std::vector<int64_t> lids =
+      JoinedLids(executor, db, q, lid, pivot, RowRange{rows.begin, cut});
+  const std::vector<int64_t> tail =
+      JoinedLids(executor, db, q, lid, pivot, RowRange{cut, rows.end});
   lids.insert(lids.end(), tail.begin(), tail.end());
   std::sort(lids.begin(), lids.end());
   lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
