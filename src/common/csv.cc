@@ -72,18 +72,6 @@ StatusOr<std::vector<std::string>> CsvDecodeRow(const std::string& line,
   return fields;
 }
 
-Status CsvWriteFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows,
-                    char sep) {
-  std::ofstream out(path);
-  if (!out) return Status::Internal("cannot open for write: " + path);
-  for (const auto& row : rows) {
-    out << CsvEncodeRow(row, sep) << '\n';
-  }
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::OK();
-}
-
 StatusOr<std::vector<std::vector<std::string>>> CsvReadFile(
     const std::string& path, char sep) {
   std::ifstream in(path);

@@ -21,17 +21,12 @@ std::string CsvEncodeRow(const std::vector<std::string>& fields,
 StatusOr<std::vector<std::string>> CsvDecodeRow(const std::string& line,
                                                 char sep = ',');
 
-/// Writes rows (first row typically a header) to a file.
-Status CsvWriteFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows,
-                    char sep = ',');
-
 /// Reads all records from a file.
 StatusOr<std::vector<std::vector<std::string>>> CsvReadFile(
     const std::string& path, char sep = ',');
 
 /// Parses all records from in-memory CSV text (one record per line, as
-/// written by CsvWriteFile). Blank lines are skipped.
+/// CsvEncodeRow writes them). Blank lines are skipped.
 StatusOr<std::vector<std::vector<std::string>>> CsvParseString(
     const std::string& text, char sep = ',');
 

@@ -33,17 +33,8 @@ void ThreadPool::Submit(std::function<void()> task) {
     MutexLock lock(mu_);
     EBA_CHECK_MSG(!shutting_down_, "Submit after ThreadPool destruction began");
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_ready_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mu_);
-  // Predicate waits are spelled as explicit loops so the guarded reads stay
-  // inside the annotated locked scope (a predicate lambda would be analyzed
-  // as an unannotated function).
-  while (in_flight_ != 0) all_done_.Wait(mu_);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -51,30 +42,16 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       MutexLock lock(mu_);
+      // Predicate waits are spelled as explicit loops so the guarded reads
+      // stay inside the annotated locked scope (a predicate lambda would be
+      // analyzed as an unannotated function).
       while (!shutting_down_ && tasks_.empty()) task_ready_.Wait(mu_);
       if (tasks_.empty()) return;  // shutting down and drained
       task = std::move(tasks_.front());
       tasks_.pop();
     }
     task();
-    {
-      MutexLock lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
   }
-}
-
-void ParallelFor(size_t num_threads, size_t num_shards,
-                 const std::function<void(size_t)>& fn) {
-  if (num_threads <= 1 || num_shards <= 1) {
-    ParallelFor(nullptr, num_shards, fn);
-    return;
-  }
-  // The pooled overload runs shards on the calling thread too, so spawn one
-  // fewer worker to keep total concurrency at num_threads.
-  ThreadPool pool(std::min(num_threads - 1, num_shards - 1));
-  ParallelFor(&pool, num_shards, fn);
 }
 
 namespace {

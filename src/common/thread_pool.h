@@ -4,8 +4,8 @@
 // shards; tasks should be large enough to amortize one mutex hop each.
 //
 // ParallelFor is the main entry point for callers: it fans a shard function
-// out over an ephemeral pool and blocks until every shard finished, running
-// inline when parallelism would not help (one thread or one shard).
+// out over a pool the caller keeps across rounds and blocks until every
+// shard finished, running inline without a pool.
 
 #ifndef EBA_COMMON_THREAD_POOL_H_
 #define EBA_COMMON_THREAD_POOL_H_
@@ -26,7 +26,7 @@ class ThreadPool {
   /// Spawns `num_threads` workers (at least one).
   explicit ThreadPool(size_t num_threads);
 
-  /// Blocks until all submitted tasks finished, then joins the workers.
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool() EBA_EXCLUDES(mu_);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -38,36 +38,26 @@ class ThreadPool {
   /// are reported through captured state (e.g. a StatusOr slot per task).
   void Submit(std::function<void()> task) EBA_EXCLUDES(mu_);
 
-  /// Blocks until every task submitted so far has finished executing.
-  void Wait() EBA_EXCLUDES(mu_);
-
  private:
   void WorkerLoop() EBA_EXCLUDES(mu_);
 
   Mutex mu_;
   CondVar task_ready_;
-  CondVar all_done_;
   std::queue<std::function<void()>> tasks_ EBA_GUARDED_BY(mu_);
-  size_t in_flight_ EBA_GUARDED_BY(mu_) = 0;  // queued + currently running
   bool shutting_down_ EBA_GUARDED_BY(mu_) = false;
   std::vector<std::thread> threads_;
 };
 
-/// Runs fn(shard) for every shard in [0, num_shards), using up to
-/// `num_threads` workers (the calling thread counts as one), and blocks
-/// until all shards finished. Runs inline on the calling thread when
-/// num_threads <= 1 or num_shards <= 1. If any shard throws, the first
+/// Runs fn(shard) for every shard in [0, num_shards) on `pool`'s workers
+/// and the calling thread, and blocks until all shards finished; the pool
+/// is reused across rounds, so its threads are spawned once. `pool ==
+/// nullptr` runs every shard inline. If any shard throws, the first
 /// exception (in shard order) is rethrown on the calling thread after all
-/// shards finished.
-void ParallelFor(size_t num_threads, size_t num_shards,
-                 const std::function<void(size_t)>& fn);
-
-/// Same contract, but reuses an existing pool (spawning threads once and
-/// fanning several ParallelFor rounds over them). `pool == nullptr` runs
-/// inline. Completion is tracked per call, not pool-wide, and the calling
-/// thread participates in running shards, so the call is safe to nest: an
-/// inner ParallelFor issued from inside a shard of an outer one always makes
-/// progress on the caller's own thread even when every pool worker is busy.
+/// shards finished. Completion is tracked per call, not pool-wide, and the
+/// calling thread participates in running shards, so the call is safe to
+/// nest: an inner ParallelFor issued from inside a shard of an outer one
+/// always makes progress on the caller's own thread even when every pool
+/// worker is busy.
 void ParallelFor(ThreadPool* pool, size_t num_shards,
                  const std::function<void(size_t)>& fn);
 

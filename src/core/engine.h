@@ -21,8 +21,8 @@
 // caller's) and evaluates everything against that read view, so queries are
 // also safe under the single concurrent appending writer: a call observes
 // exactly the rows below its snapshot's watermarks. Registering templates
-// (AddTemplate) and structural database mutations still require external
-// serialization against all concurrent queries.
+// (AddTemplate) and catalog changes (create/drop/add table) still require
+// external serialization against all concurrent queries.
 
 #ifndef EBA_CORE_ENGINE_H_
 #define EBA_CORE_ENGINE_H_
@@ -64,7 +64,7 @@ struct ExplainAllOptions {
 struct StreamingReport {
   size_t audited_from = 0;
   size_t audited_to = 0;
-  /// True when a structural/catalog change forced a re-audit from row 0
+  /// True when a catalog change forced a re-audit from row 0
   /// (the persistent explained flags were discarded first). Appends — to
   /// the log or any other table — never set this.
   bool full_reaudit = false;

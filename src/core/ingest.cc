@@ -197,11 +197,12 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
   if (!full) {
     const uint32_t interval = d.options.full_checkpoint_interval;
     if (interval > 0 && d.checkpoints_since_full + 1 >= interval) full = true;
-    // Structural/catalog drift invalidates the base image's rows-only
-    // delta; segments would silently resurrect overwritten cells.
+    // A catalog change invalidates the base image's rows-only delta: a
+    // same-name replacement table's rows are not the base's rows plus a
+    // suffix, and segments would silently resurrect the dropped ones.
     if (d.wal != nullptr && db_->CreateSnapshot()
                                 .DriftSince(d.last_ckpt_snapshot)
-                                .RequiresRebuild()) {
+                                .catalog_changed) {
       full = true;
     }
   }
@@ -245,8 +246,8 @@ Status StreamingAuditor::AdoptRecoveredState(CheckpointContents ckpt,
   MutexLock audit_lock(*audit_mu_);
   MutexLock writer_lock(*writer_mu_);
   explained_ = std::move(ckpt.audit.explained);
-  // Current generation/epochs (the recovered tables are this auditor's
-  // reality now) but the *checkpointed* audit watermarks, so appends that
+  // Current generation (the recovered tables are this auditor's reality
+  // now) but the *checkpointed* audit watermarks, so appends that
   // happened after the last audit — checkpointed rows and replayed WAL rows
   // alike — classify as drift for the converging ExplainNew.
   Database::Snapshot snap = db_->CreateSnapshot();
@@ -405,11 +406,11 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
   MutexLock lock(*audit_mu_);
   const Database::Snapshot snapshot = db_->CreateSnapshot();
   const CatalogDrift drift = snapshot.DriftSince(snapshot_);
-  const bool full_reaudit = drift.RequiresRebuild();
+  const bool full_reaudit = drift.catalog_changed;
   if (full_reaudit) {
-    // A structural mutation or catalog change can rewrite or remove the
-    // evidence behind an already-granted explanation; the monotone-append
-    // invariant is gone, so re-audit everything.
+    // A catalog change can remove or replace the evidence behind an
+    // already-granted explanation; the monotone-append invariant is gone,
+    // so re-audit everything.
     ResetAuditLocked();
   }
   // The auditor's pool is reused across audits (the serving loop calls

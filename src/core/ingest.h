@@ -22,9 +22,10 @@
 //     the delta newly explains are flagged and reported
 //     (StreamingReport::delta_explained_lids). Cost scales with the delta,
 //     not the log;
-//   - structural mutations / catalog changes (which can rewrite or remove
-//     evidence): the monotonicity argument is gone — full re-audit from
-//     row 0 (StreamingReport::full_reaudit), exactly ExplainAll's queries.
+//   - catalog changes (a table added, dropped or replaced, which can
+//     remove evidence): the monotonicity argument is gone — full re-audit
+//     from row 0 (StreamingReport::full_reaudit), exactly ExplainAll's
+//     queries.
 // Every log row is one access, explained by its own witnesses: a lid that
 // repeats an audited one (its uniqueness is not enforced) is another
 // access, classified on its own.
@@ -116,9 +117,9 @@ struct RecoveryStats {
 /// re-surface as drift on the next audit. Checkpoints take both locks
 /// (audit state AND a stable WAL/image cut). Lock order is always
 /// audit_mu_ -> writer_mu_; nothing acquires them in the other order.
-/// Structural database mutations (drop/add table, in-place rewrites) remain
-/// outside the contract — they still require external serialization against
-/// every concurrent append and audit.
+/// Catalog changes (create/drop/add table) remain outside the contract —
+/// they still require external serialization against every concurrent
+/// append and audit.
 class StreamingAuditor {
  public:
   /// `db` must contain `log_table` with the standard log schema.
@@ -201,8 +202,8 @@ class StreamingAuditor {
   /// restricted to the appended foreign rows (Executor::LogRowsJoinedTo —
   /// the reverse semi-join), flagging the rows it explains and advancing
   /// the audited watermark. Cost scales with the deltas, not the log.
-  /// Falls back to a full re-audit only on structural/catalog drift (see
-  /// file comment).
+  /// Falls back to a full re-audit only on a catalog change (see file
+  /// comment).
   ///
   /// Pins one Database::Snapshot at entry and audits exactly the rows below
   /// its watermarks; appends landing during the audit are not lost — they
@@ -256,8 +257,8 @@ class StreamingAuditor {
     /// Incremental checkpoints published since the last full one.
     uint32_t checkpoints_since_full = 0;
     /// Snapshot at the last checkpoint (unpinned — drift baseline only):
-    /// structural/catalog drift since then demotes the next incremental
-    /// checkpoint to a full image.
+    /// a catalog change since then demotes the next incremental checkpoint
+    /// to a full image.
     Database::Snapshot last_ckpt_snapshot;
   };
 

@@ -55,7 +55,7 @@ struct MinerOptions {
   /// Executor options for support evaluation. Support queries always run
   /// through a compiled-plan cache (join order, compiled checks,
   /// dictionary translations, index bindings, keyed on the canonical
-  /// condition set and revalidated against table structural epochs +
+  /// condition set and revalidated against the catalog generation and
   /// append watermarks): the run's own unless executor.plan_cache names a
   /// cache shared across mining runs. Orthogonal to cache_support, which
   /// caches final support *counts*: plan caching also pays off when the

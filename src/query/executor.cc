@@ -461,16 +461,14 @@ class PlanCompiler {
     for (size_t i = 0; i < q_.vars.size(); ++i) {
       EBA_ASSIGN_OR_RETURN(plan_->tables[i], db_->GetTable(q_.vars[i].table));
     }
-    plan_->table_structural_epochs.reserve(q_.vars.size());
     plan_->table_watermarks.reserve(q_.vars.size());
     for (const Table* t : plan_->tables) {
-      plan_->table_structural_epochs.push_back(t->structural_epoch());
       // The recorded watermark is the LIVE one, read here — before any
       // dictionary size is read while compiling joins below. Any row below
       // this watermark published its dictionary codes first, so the
       // translation tables computed later cover every code a snapshot at or
-      // below this watermark can reach; the plan is then valid (kFresh) for
-      // all such snapshots, with probes clamped at run time.
+      // below this watermark can reach; the plan then replays as-is for all
+      // such snapshots, with probes clamped at run time.
       plan_->table_watermarks.push_back(t->append_watermark());
     }
 

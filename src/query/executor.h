@@ -103,9 +103,10 @@ struct ExecutorOptions {
   /// query/plan_cache.h). When set, each fully-compiled physical plan —
   /// chosen join order, compiled checks, pre-translated dictionary codes,
   /// index bindings — is cached under the query's canonical condition-set
-  /// key, revalidated against the referenced tables' structural epochs +
-  /// append watermarks (appends re-bind the plan instead of discarding
-  /// it), and structurally identical queries run it without compiling.
+  /// key, revalidated against the catalog generation and the referenced
+  /// tables' append watermarks (appends re-bind the plan instead of
+  /// discarding it), and structurally identical queries run it without
+  /// compiling.
   PlanCache* plan_cache = nullptr;
 };
 

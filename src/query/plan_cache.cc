@@ -4,33 +4,19 @@
 
 namespace eba {
 
-CompiledPlan::Freshness CompiledPlan::CheckFreshness(
-    const Database::Snapshot& snapshot) const {
-  bool appended = false;
+bool CompiledPlan::NeedsRebind(const Database::Snapshot& snapshot) const {
   for (size_t i = 0; i < tables.size(); ++i) {
-    const Database::Snapshot::TableView* view = snapshot.ViewOf(tables[i]);
-    if (view == nullptr ||
-        view->structural_epoch != table_structural_epochs[i]) {
-      return Freshness::kStale;
-    }
-    if (view->watermark > table_watermarks[i]) {
-      // The snapshot pins rows past what the plan was bound against:
-      // indexes and translation tables need extending. Tables are
-      // append-only below the structural layer, so watermarks only move
-      // forward within one structural epoch.
-      appended = true;
-    }
-    // view->watermark <= recorded: the plan is at least as new as the
-    // snapshot. Replay clamps every probe and scan to the snapshot bound,
-    // so the newer bindings evaluate the older view exactly — kFresh.
+    // A snapshot at or below the recorded watermark needs nothing: replay
+    // clamps every probe and scan to the snapshot bound, so the newer
+    // bindings evaluate the older view exactly.
+    if (snapshot.BoundOf(tables[i]) > table_watermarks[i]) return true;
   }
-  return appended ? Freshness::kAppendedOnly : Freshness::kFresh;
+  return false;
 }
 
 size_t CompiledPlan::ApproxBytes() const {
   size_t bytes = sizeof(CompiledPlan);
   bytes += tables.capacity() * sizeof(const Table*);
-  bytes += table_structural_epochs.capacity() * sizeof(uint64_t);
   bytes += table_watermarks.capacity() * sizeof(uint64_t);
   bytes += stats_points.capacity() * sizeof(StatsPoint);
   bytes += final_vars.capacity() * sizeof(int);
@@ -109,9 +95,9 @@ std::shared_ptr<const CompiledPlan> PlanCache::Lookup(
     return nullptr;
   }
   // The catalog-generation check runs first: it guarantees every Table* in
-  // the plan is still alive before CheckFreshness dereferences them. Both
-  // the freshness check and a rebind take table-level leaf locks, so
-  // holding the cache mutex across them cannot deadlock.
+  // the plan is still alive, and part of the snapshot, before a rebind
+  // dereferences them. A rebind takes table-level leaf locks, so holding
+  // the cache mutex across it cannot deadlock.
   if (it->second.plan->db != snapshot.database() ||
       it->second.plan->catalog_generation != snapshot.generation()) {
     resident_bytes_ -= it->second.bytes;
@@ -120,27 +106,16 @@ std::shared_ptr<const CompiledPlan> PlanCache::Lookup(
     ++stats_.misses;
     return nullptr;
   }
-  switch (it->second.plan->CheckFreshness(snapshot)) {
-    case CompiledPlan::Freshness::kFresh:
-      break;
-    case CompiledPlan::Freshness::kAppendedOnly: {
-      // Re-bind in place: refresh index bindings and code translations for
-      // the appended suffix instead of discarding the compiled plan.
-      std::shared_ptr<const CompiledPlan> rebound =
-          RebindPlanForAppend(*it->second.plan);
-      resident_bytes_ -= it->second.bytes;
-      it->second.plan = std::move(rebound);
-      it->second.bytes = it->second.plan->ApproxBytes() + it->first.size();
-      resident_bytes_ += it->second.bytes;
-      ++stats_.rebinds;
-      break;
-    }
-    case CompiledPlan::Freshness::kStale:
-      resident_bytes_ -= it->second.bytes;
-      plans_.erase(it);
-      ++stats_.invalidations;
-      ++stats_.misses;
-      return nullptr;
+  if (it->second.plan->NeedsRebind(snapshot)) {
+    // Re-bind in place: refresh index bindings and code translations for
+    // the appended suffix instead of discarding the compiled plan.
+    std::shared_ptr<const CompiledPlan> rebound =
+        RebindPlanForAppend(*it->second.plan);
+    resident_bytes_ -= it->second.bytes;
+    it->second.plan = std::move(rebound);
+    it->second.bytes = it->second.plan->ApproxBytes() + it->first.size();
+    resident_bytes_ += it->second.bytes;
+    ++stats_.rebinds;
   }
   ++stats_.hits;
   return it->second.plan;

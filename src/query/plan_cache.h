@@ -14,29 +14,28 @@
 // identical support queries, and the per-access explain loop pays once per
 // served request.
 //
-// Staleness is three-valued (CompiledPlan::Freshness) and judged against
-// the querying snapshot (Database::Snapshot), matching the Table mutation
-// split:
-//  - kFresh: every referenced table is at its build-time structural epoch
-//    and its recorded watermark covers the snapshot's — replay as-is. A
-//    plan recorded PAST the snapshot's watermark is fresh too: appends are
-//    monotone and every probe/scan clamps to the snapshot bound at replay
-//    time, so a newer plan evaluates older snapshots exactly.
-//  - kAppendedOnly: structural epochs match but the snapshot sees rows past
-//    at least one recorded watermark. The plan is *re-bound*, not
-//    discarded: index bindings are refreshed (which extends the indexes
-//    past the watermark), dictionary-code translation tables are extended
-//    for newly minted codes, and string literals that were absent from a
-//    dictionary at compile time are re-resolved. Counted as a hit plus a
-//    rebind; the frozen join order is kept (appends rarely change which
-//    order is best, and keeping it is what makes the streaming serving
-//    loop cheap).
-//  - kStale: a structural epoch moved — drop the entry (an invalidation).
-// Every plan also records the catalog generation, so a CreateTable/
-// AddTable/DropTable invalidates it before any freed Table pointer could be
-// dereferenced. Lookups are safe under the single concurrent appending
-// writer (the rebind reads only published state); structural mutations
-// still require external serialization against all readers.
+// Staleness is judged against the querying snapshot (Database::Snapshot).
+// Tables only grow (storage/table.h), so a plan built on the snapshot's
+// catalog generation is in one of two states:
+//  - current: every referenced table's recorded watermark covers the
+//    snapshot's — replay as-is. A plan recorded PAST the snapshot's
+//    watermark is current too: appends are monotone and every probe/scan
+//    clamps to the snapshot bound at replay time, so a newer plan
+//    evaluates older snapshots exactly.
+//  - appended: the snapshot sees rows past at least one recorded
+//    watermark. The plan is *re-bound*, not discarded: index bindings are
+//    refreshed (which extends the indexes past the watermark),
+//    dictionary-code translation tables are extended for newly minted
+//    codes, and string literals that were absent from a dictionary at
+//    compile time are re-resolved. Counted as a hit plus a rebind; the
+//    frozen join order is kept (appends rarely change which order is best,
+//    and keeping it is what makes the streaming serving loop cheap).
+// A plan built on another catalog generation is dropped on lookup (an
+// invalidation): a CreateTable/AddTable/DropTable since may have freed a
+// Table it points to, so it is never dereferenced. Lookups are safe under
+// the single concurrent appending writer (the rebind reads only published
+// state); catalog changes still require external serialization against all
+// readers.
 //
 // Size: the cache is unbounded and never evicts; a stale entry is dropped
 // on lookup. Its keys are bounded by its users' query shapes: an engine's
@@ -170,12 +169,10 @@ struct CompiledPlan {
   /// Database::catalog_generation at build time. Table pointers are only
   /// dereferenced while the catalog is unchanged (map nodes are stable
   /// within a generation); any CreateTable/AddTable/DropTable invalidates
-  /// the plan before CheckFreshness could touch a freed Table.
+  /// the plan before a rebind could touch a freed Table.
   uint64_t catalog_generation = 0;
   std::vector<const Table*> tables;  // per tuple variable
-  /// Table::structural_epoch / Table::append_watermark at build (or last
-  /// rebind) time.
-  std::vector<uint64_t> table_structural_epochs;
+  /// Table::append_watermark at build (or last rebind) time.
   std::vector<uint64_t> table_watermarks;
 
   std::vector<PlanStep> steps;
@@ -201,18 +198,10 @@ struct CompiledPlan {
   std::vector<int> final_vars;
   bool used_semi_join = false;
 
-  enum class Freshness {
-    kFresh,         // replay as-is
-    kAppendedOnly,  // watermark moved, structure intact: re-bind
-    kStale          // structural epoch moved: rebuild
-  };
-  /// Compares every referenced table's structural epoch and watermark *as
-  /// pinned by the querying snapshot* against the recorded values: the plan
-  /// is fresh when its recorded state covers everything the snapshot can
-  /// see, appended-only when the snapshot sees rows past a recorded
-  /// watermark, stale on any structural-epoch mismatch or a table the
-  /// snapshot does not contain.
-  Freshness CheckFreshness(const Database::Snapshot& snapshot) const;
+  /// True when the querying snapshot, on the plan's catalog generation,
+  /// pins rows past the recorded watermark of a referenced table: the plan
+  /// must be re-bound (RebindPlanForAppend) before it replays.
+  bool NeedsRebind(const Database::Snapshot& snapshot) const;
 
   /// Approximate resident footprint (steps, checks, translation tables,
   /// slot lists, literals) for the cache's byte accounting.
@@ -229,8 +218,8 @@ struct CompiledPlan {
 /// concurrent writer). The frozen join order, slot layout and stats points
 /// are untouched, so a run of the rebound plan over the old prefix is
 /// byte-identical to the original.
-/// Requires CheckFreshness(snapshot) == kAppendedOnly for the caller's
-/// snapshot (same structural epochs).
+/// Requires the plan's catalog generation to be the database's current
+/// one (its Table pointers are alive).
 std::shared_ptr<const CompiledPlan> RebindPlanForAppend(
     const CompiledPlan& plan);
 
@@ -239,19 +228,19 @@ class PlanCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t invalidations = 0;  // stale entries dropped on lookup
-    uint64_t rebinds = 0;        // append-only entries re-bound on lookup
+    uint64_t invalidations = 0;  // other-catalog entries dropped on lookup
+    uint64_t rebinds = 0;        // entries re-bound for appends on lookup
   };
 
   PlanCache() = default;
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached plan for `key` if it exists, was built against the
-  /// snapshot's database at its catalog generation, and is fresh or
-  /// append-only stale for that snapshot (the latter is re-bound in place
-  /// and counted as a rebind); either way the lookup counts as a hit. A
-  /// structurally stale or foreign-catalog entry is dropped (counted as an
+  /// Returns the cached plan for `key` if it exists and was built against
+  /// the snapshot's database at its catalog generation, re-binding it in
+  /// place first (counted as a rebind) when the snapshot sees rows past its
+  /// recorded watermarks; either way the lookup counts as a hit. An entry
+  /// from another database or catalog generation is dropped (counted as an
   /// invalidation) and the lookup counts as a miss.
   std::shared_ptr<const CompiledPlan> Lookup(const std::string& key,
                                              const Database::Snapshot& snapshot)

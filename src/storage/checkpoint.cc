@@ -481,10 +481,10 @@ StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
       full = true;  // unreadable base: fall back to a self-contained image
     } else {
       base = std::move(*base_or);
-      // An incremental checkpoint only works when every table strictly grew
-      // from the base (schemas and join metadata are carried by the full
-      // root, so table churn, a changed column count or in-place rewrites
-      // demote to a full image).
+      // An incremental checkpoint only works when every table grew from the
+      // base (schemas and join metadata are carried by the full root, so
+      // table churn or a changed column count demotes to a full image; a
+      // same-name replacement that grew is the caller's to catch).
       if (base.tables.size() != db.TableNames().size()) full = true;
       for (const std::string& name : db.TableNames()) {
         const auto it = base.tables.find(name);
@@ -561,16 +561,17 @@ Status CheckpointStore::Publish(uint64_t seq) {
   EBA_RETURN_IF_ERROR(env_->WriteFileAtomic(
       dir_ + "/" + kCurrentFile, "ckpt-" + std::to_string(seq) + "\n"));
 
-  // Garbage-collect: keep only the new chain and its WAL suffix. Leftovers
-  // from a crash mid-GC are harmless (recovery only follows CURRENT) and
-  // are swept by the next Publish.
+  // Garbage-collect: keep only the new chain and the WAL files from its
+  // newest link's WALSEQ on, the only ones recovery replays. Leftovers from
+  // a crash mid-GC are harmless (recovery only follows CURRENT) and are
+  // swept by the next Publish.
   std::set<uint64_t> chain;
-  uint64_t wal_min = seq;
+  uint64_t wal_min = 0;
   uint64_t walk = seq;
   while (true) {
     EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
+    if (walk == seq) wal_min = m.wal_seq;
     chain.insert(walk);
-    wal_min = m.wal_seq;
     if (!m.has_base) break;
     walk = m.base;
   }

@@ -119,8 +119,9 @@ class CheckpointStore {
   /// already holds stale records. `full` forces a complete database image;
   /// otherwise rows past the current checkpoint's per-table counts are
   /// saved as segments (promoted to full when there is no usable base, e.g.
-  /// tables were added/dropped or rewritten). Returns the new sequence
-  /// number.
+  /// tables were added or dropped, or one shrank). A same-name table
+  /// replaced by a larger one looks like growth here, so callers that see a
+  /// catalog change pass `full`. Returns the new sequence number.
   StatusOr<uint64_t> Prepare(const Database& db, const AuditState& audit,
                              bool full, uint64_t min_seq = 0);
 

@@ -19,9 +19,8 @@
 // payload and null-bitmap sizes are release-published (ChunkedVector), the
 // dictionary stores entries in small stable chunks with a published size,
 // and the writer-side dictionary hash (InternString/FindStringCode, both
-// planning-time-cold) is the one boxed mutex on the read path. Structural
-// mutation (Set/clear) is NOT covered — it requires external exclusion of
-// all readers, which Table's structural-epoch contract provides.
+// planning-time-cold) is the one boxed mutex on the read path. A column has
+// no setter: rows, once published, never change.
 
 #ifndef EBA_STORAGE_COLUMN_H_
 #define EBA_STORAGE_COLUMN_H_

@@ -176,8 +176,8 @@ Database::Snapshot Database::CreateSnapshot() const {
   snapshot.tables_.reserve(tables_.size());
   // tables_ is name-ordered, so the view vector comes out name-ordered.
   for (const auto& [name, table] : tables_) {
-    snapshot.tables_.push_back(Snapshot::TableView{
-        &table, name, table.structural_epoch(), table.append_watermark()});
+    snapshot.tables_.push_back(
+        Snapshot::TableView{&table, name, table.append_watermark()});
   }
   return snapshot;
 }
@@ -191,18 +191,12 @@ const Database::Snapshot::TableView* Database::Snapshot::Find(
   return &*it;
 }
 
-const Database::Snapshot::TableView* Database::Snapshot::ViewOf(
-    const Table* table) const {
-  for (const auto& tv : tables_) {
-    if (tv.table == table) return &tv;
-  }
-  return nullptr;
-}
-
 size_t Database::Snapshot::BoundOf(const Table* table) const {
-  const TableView* view = ViewOf(table);
+  for (const auto& tv : tables_) {
+    if (tv.table == table) return static_cast<size_t>(tv.watermark);
+  }
   // Not part of this snapshot (created after it): nothing is visible.
-  return view != nullptr ? static_cast<size_t>(view->watermark) : 0;
+  return 0;
 }
 
 void Database::Snapshot::SetWatermark(const std::string& name,
@@ -224,10 +218,6 @@ CatalogDrift Database::Snapshot::DriftSince(const Snapshot& older) const {
   for (const TableView& tv : tables_) {
     const TableView* prev = older.Find(tv.name);
     if (prev == nullptr) continue;  // new table: catalog_changed
-    if (tv.structural_epoch != prev->structural_epoch) {
-      drift.structural_mutation = true;
-      continue;  // the append range is meaningless across a structural edit
-    }
     if (tv.watermark != prev->watermark) {
       drift.appends.push_back(
           CatalogDrift::Append{tv.name, prev->watermark, tv.watermark});

@@ -36,12 +36,13 @@ struct AdminRelationship {
   AttrId b;
 };
 
-/// What changed between two Database::Snapshot handles, classified by the
-/// Table mutation split (storage/table.h): appends are reported per table
-/// with the grown row range, anything stronger collapses to a
-/// rebuild-everything signal.
+/// What changed between two Database::Snapshot handles. Tables only grow
+/// (storage/table.h), so within one catalog generation every change is an
+/// append, reported per table with the grown row range; a catalog change
+/// (a table added, dropped or replaced) is the one change incremental
+/// consumers cannot follow, and they rebuild from scratch.
 struct CatalogDrift {
-  /// One table whose append watermark advanced (structure intact): rows
+  /// One table whose append watermark advanced: rows
   /// [from_watermark, to_watermark) are new.
   struct Append {
     std::string table;
@@ -50,20 +51,12 @@ struct CatalogDrift {
   };
 
   /// CreateTable/AddTable/DropTable moved the catalog generation (table
-  /// pointers from the snapshot's era may dangle).
+  /// pointers from the snapshot's era may dangle, and a same-name table
+  /// may hold different rows). Per-table append ranges are meaningful only
+  /// when this is false.
   bool catalog_changed = false;
-  /// At least one snapshotted table's structural epoch moved (cells may
-  /// have been rewritten in place).
-  bool structural_mutation = false;
-  /// Tables that only grew, in name order.
+  /// Tables that grew, in name order.
   std::vector<Append> appends;
-
-  /// True when incremental consumers must rebuild from scratch: per-table
-  /// append deltas are only meaningful below this.
-  bool RequiresRebuild() const { return catalog_changed || structural_mutation; }
-  bool Empty() const {
-    return !catalog_changed && !structural_mutation && appends.empty();
-  }
 };
 
 class Database {
@@ -71,7 +64,7 @@ class Database {
   /// A consistent read view of the database: the sole read-side handle of
   /// the single-writer/multi-reader contract. Creating one pins the
   /// reclamation epoch (storage/epoch.h) and captures the catalog
-  /// generation plus every table's (structural epoch, append watermark).
+  /// generation plus every table's append watermark.
   /// A reader executing against a snapshot
   ///
   ///   * only dereferences state reachable below the pinned watermarks
@@ -81,22 +74,22 @@ class Database {
   ///   * holds const Table pointers only, so a mutation cannot compile
   ///     through the handle.
   ///
-  /// Snapshots are cheap (one mutex hop plus a few counter reads) and
-  /// copyable — copies share the pin. Release the pin (drop the snapshot,
-  /// or ReleasePin() for long-lived drift baselines) promptly: retired
-  /// tail versions cannot be reclaimed while a pin from their era lives.
+  /// Snapshots are cheap (one mutex hop plus one watermark read per
+  /// table) and copyable — copies share the pin. Release the pin (drop the
+  /// snapshot, or ReleasePin() for long-lived drift baselines) promptly:
+  /// retired tail versions cannot be reclaimed while a pin from their era
+  /// lives.
   ///
   /// The writer side is NOT covered: appends need a single serialized
-  /// writer, and structural mutations (in-place cell rewrites, drop/add
-  /// table) additionally require that no reader is executing — snapshot
-  /// holders detect them afterwards via generation/epoch drift.
+  /// writer, and catalog changes (CreateTable/AddTable/DropTable)
+  /// additionally require that no reader is executing — snapshot holders
+  /// detect them afterwards via generation drift.
   class Snapshot {
    public:
     /// One table's pinned view, in name order.
     struct TableView {
       const Table* table = nullptr;
       std::string name;
-      uint64_t structural_epoch = 0;
       uint64_t watermark = 0;
     };
 
@@ -111,19 +104,14 @@ class Database {
     /// exist at snapshot time.
     const TableView* Find(const std::string& name) const;
 
-    /// The pinned view of `table`, or nullptr when the table is not part of
-    /// this snapshot. O(#tables) — catalogs are small.
-    const TableView* ViewOf(const Table* table) const;
-
     /// The pinned watermark of `table`, or 0 when the table is not part of
     /// this snapshot (a table created afterwards has no visible rows in
     /// it). O(#tables) — catalogs are small.
     size_t BoundOf(const Table* table) const;
 
     /// Classifies what changed from `older` to this snapshot. Pure counter
-    /// comparison — no live reads, and safe on unpinned snapshots. Append
-    /// ranges are accurate even when RequiresRebuild() is true, but
-    /// consumers should check RequiresRebuild() first.
+    /// comparison — no live reads, and safe on unpinned snapshots.
+    /// Consumers check catalog_changed before reading the append ranges.
     CatalogDrift DriftSince(const Snapshot& older) const;
 
     /// Rewinds one table's captured watermark — baseline bookkeeping only.

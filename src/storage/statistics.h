@@ -23,13 +23,6 @@ struct ColumnStats {
   /// Min/max over non-NULL values (NULL Values if the column is all-NULL).
   Value min;
   Value max;
-
-  /// Average rows per distinct key (>= 1 when non-empty).
-  double AvgMultiplicity() const {
-    if (num_distinct == 0) return 0.0;
-    return static_cast<double>(num_rows - num_nulls) /
-           static_cast<double>(num_distinct);
-  }
 };
 
 /// Computes exact statistics with a single pass over the column.

@@ -86,20 +86,6 @@ Row Table::GetRow(size_t row) const {
   return out;
 }
 
-Column* Table::mutable_column(size_t idx) {
-  InvalidateDerivedState();
-  return &columns_[idx];
-}
-
-StatusOr<const Column*> Table::ColumnByName(const std::string& col_name) const {
-  int idx = schema_.ColumnIndex(col_name);
-  if (idx < 0) {
-    return Status::NotFound("no column '" + col_name + "' in table '" +
-                            name() + "'");
-  }
-  return &columns_[static_cast<size_t>(idx)];
-}
-
 const HashIndex& Table::GetOrBuildIndex(size_t col) const {
   EBA_CHECK(col < columns_.size());
   MutexLock lock(*lazy_mu_);
@@ -127,31 +113,6 @@ ColumnStats Table::GetOrComputeStats(size_t col) const {
   }
   stats_[col]->ExtendTo(columns_[col]);
   return stats_[col]->stats();
-}
-
-void Table::InvalidateDerivedState() const {
-  MutexLock lock(*lazy_mu_);
-  for (auto& idx : indexes_) idx.reset();
-  for (auto& st : stats_) st.reset();
-  ++structural_epoch_;
-}
-
-Status Table::WriteCsv(const std::string& path) const {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(num_rows() + 1);
-  std::vector<std::string> header;
-  for (const auto& def : schema_.columns()) header.push_back(def.name);
-  rows.push_back(std::move(header));
-  for (size_t r = 0; r < num_rows(); ++r) {
-    std::vector<std::string> fields;
-    fields.reserve(columns_.size());
-    for (const auto& col : columns_) {
-      Value v = col.Get(r);
-      fields.push_back(v.is_null() ? "" : v.ToString());
-    }
-    rows.push_back(std::move(fields));
-  }
-  return CsvWriteFile(path, rows);
 }
 
 std::string Table::ToCsvString(size_t from_row, size_t to_row) const {

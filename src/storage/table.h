@@ -1,17 +1,14 @@
 // Table: a column-oriented, append-only relation with lazily built hash
 // indexes and column statistics.
 //
-// Mutations are split into two classes so a streaming append workload does
-// not throw derived state away:
-//  - appends (AppendRow) advance the *append watermark* only; cached hash
-//    indexes and statistics stay live and are extended incrementally past
-//    the watermark on next access (HashIndex::ExtendTo /
-//    IncrementalColumnStats::ExtendTo), so consumers holding index pointers
-//    (e.g. compiled query plans) re-bind instead of re-planning;
-//  - structural mutations (mutable_column, explicit invalidation — anything
-//    that may rewrite existing cells, schemas or dictionaries in place)
-//    advance the *structural epoch*, dropping all derived state; consumers
-//    must treat a structural-epoch mismatch as "stale — rebuild".
+// Tables only grow: rows are appended and never rewritten, so an append
+// (AppendRow) advances the *append watermark* and nothing else. Cached
+// hash indexes and statistics stay live and are extended incrementally past
+// the watermark on next access (HashIndex::ExtendTo /
+// IncrementalColumnStats::ExtendTo), so consumers holding index pointers
+// (e.g. compiled query plans) re-bind instead of re-planning. Replacing a
+// table's contents means dropping it and adding a new one, which moves the
+// database's catalog generation.
 
 #ifndef EBA_STORAGE_TABLE_H_
 #define EBA_STORAGE_TABLE_H_
@@ -76,18 +73,14 @@ class Table {
   Row GetRow(size_t row) const;
 
   const Column& column(size_t idx) const { return columns_[idx]; }
-  Column* mutable_column(size_t idx);
-
-  /// Column by name; Status error if absent.
-  StatusOr<const Column*> ColumnByName(const std::string& name) const;
 
   /// Hash index over `col`, built on first use, cached, and extended past
   /// the append watermark on access (the HashIndex object — and therefore
-  /// pointers to it — survives appends; only a structural mutation drops
-  /// it). Safe to call from concurrent readers (lazy construction and
-  /// extension are serialized internally) AND concurrently with the single
-  /// writer appending: the extension folds only rows below the columns'
-  /// published sizes, and probes are lock-free (see storage/index.h).
+  /// pointers to it — lives as long as the table). Safe to call from
+  /// concurrent readers (lazy construction and extension are serialized
+  /// internally) AND concurrently with the single writer appending: the
+  /// extension folds only rows below the columns' published sizes, and
+  /// probes are lock-free (see storage/index.h).
   /// Snapshot readers clamp every lookup to their pinned watermark.
   const HashIndex& GetOrBuildIndex(size_t col) const EBA_EXCLUDES(*lazy_mu_);
 
@@ -99,37 +92,19 @@ class Table {
   /// cardinality estimates (join order); result sets are order-independent.
   ColumnStats GetOrComputeStats(size_t col) const EBA_EXCLUDES(*lazy_mu_);
 
-  /// Drops cached indexes and statistics and advances the structural epoch.
-  /// Called automatically by mutable_column; appends do NOT call this.
-  void InvalidateDerivedState() const EBA_EXCLUDES(*lazy_mu_);
-
-  /// Monotonic structural-mutation counter: advanced by mutable accesses and
-  /// explicit invalidation (anything that may rewrite existing cells in
-  /// place), NOT by appends. Consumers holding derived state (hash-index
-  /// pointers, compiled query plans) record it at build time and treat a
-  /// mismatch as "stale — rebuild".
-  uint64_t structural_epoch() const EBA_EXCLUDES(*lazy_mu_) {
-    MutexLock lock(*lazy_mu_);
-    return structural_epoch_;
-  }
-
   /// The append watermark: number of rows ever appended (== num_rows()).
-  /// Consumers that recorded the watermark and observe only a watermark
-  /// advance (same structural epoch) may *re-bind* their derived state for
-  /// the new suffix instead of rebuilding it.
+  /// Consumers that recorded the watermark and observe it advance may
+  /// *re-bind* their derived state for the new suffix instead of
+  /// rebuilding it.
   uint64_t append_watermark() const {
     return static_cast<uint64_t>(num_rows());
   }
 
-  /// Dumps the table (header + rows) to CSV.
-  Status WriteCsv(const std::string& path) const;
-
-  /// Renders rows [from_row, to_row) as CSV text (header included), the
-  /// same format WriteCsv produces. Used by crash-safe saves that route
-  /// bytes through an Env.
+  /// Renders rows [from_row, to_row) as CSV text (header included). Saves
+  /// route the bytes through an Env.
   std::string ToCsvString(size_t from_row, size_t to_row) const;
 
-  /// Loads rows from a CSV file previously produced by WriteCsv (header row
+  /// Loads rows from a CSV file in ToCsvString's format (header row
   /// required and validated against `schema`). Timestamps are parsed from
   /// "YYYY-MM-DD HH:MM:SS"; empty fields load as NULL. Malformed numeric
   /// fields (including truncated rows) are rejected with a Status naming
@@ -156,14 +131,13 @@ class Table {
   // share a table. Boxed so the table stays movable (moved-from tables must
   // not be used). The guarded vectors hold owning pointers; the pointees
   // are read lock-free by readers afterwards (the locked extension check in
-  // GetOrBuildIndex is the happens-before edge), and only a structural
-  // mutation — which holds the lock — frees them.
+  // GetOrBuildIndex is the happens-before edge) and live as long as the
+  // table.
   mutable std::unique_ptr<Mutex> lazy_mu_;
   mutable std::vector<std::unique_ptr<HashIndex>> indexes_
       EBA_GUARDED_BY(*lazy_mu_);
   mutable std::vector<std::unique_ptr<IncrementalColumnStats>> stats_
       EBA_GUARDED_BY(*lazy_mu_);
-  mutable uint64_t structural_epoch_ EBA_GUARDED_BY(*lazy_mu_) = 0;
 };
 
 }  // namespace eba

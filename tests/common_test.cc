@@ -6,6 +6,8 @@
 #include <array>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -359,7 +361,11 @@ TEST(CsvTest, FileRoundTrip) {
   std::string path = ::testing::TempDir() + "/eba_csv_test.csv";
   std::vector<std::vector<std::string>> rows = {
       {"h1", "h2"}, {"1", "x,y"}, {"2", "z"}};
-  EBA_ASSERT_OK(CsvWriteFile(path, rows));
+  {
+    std::ofstream out(path);
+    for (const auto& row : rows) out << CsvEncodeRow(row) << '\n';
+    ASSERT_TRUE(out.good());
+  }
   auto read = testing_util::UnwrapOrDie(CsvReadFile(path));
   EXPECT_EQ(read, rows);
   std::remove(path.c_str());
@@ -372,43 +378,36 @@ TEST(CsvTest, MissingFileIsNotFound) {
 // --------------------------- ThreadPool ---------------------------
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { ++count; });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.num_threads(), 4u);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&count] { ++count; });
+    }
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { ++count; });
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 3);
-}
-
 TEST(ThreadPoolTest, AtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
   std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.num_threads(), 1u);
+    pool.Submit([&ran] { ran = true; });
+  }
   EXPECT_TRUE(ran.load());
 }
 
 TEST(ParallelForTest, CoversEachShardExactlyOnce) {
   for (size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+    // The calling thread runs shards too; one thread means no pool.
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
     // Each shard owns its slot, and ParallelFor joins before the reads, so
     // plain ints suffice.
     std::vector<int> hits(17, 0);
-    ParallelFor(threads, hits.size(), [&hits](size_t s) { ++hits[s]; });
+    ParallelFor(pool.get(), hits.size(), [&hits](size_t s) { ++hits[s]; });
     for (size_t s = 0; s < hits.size(); ++s) {
       EXPECT_EQ(hits[s], 1) << "shard " << s << ", " << threads << " threads";
     }
@@ -416,12 +415,14 @@ TEST(ParallelForTest, CoversEachShardExactlyOnce) {
 }
 
 TEST(ParallelForTest, ZeroShardsIsANoop) {
-  ParallelFor(4, 0, [](size_t) { FAIL() << "must not be called"; });
+  ThreadPool pool(3);
+  ParallelFor(&pool, 0, [](size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(ParallelForTest, RethrowsFirstShardError) {
+  ThreadPool pool(3);
   EXPECT_THROW(
-      ParallelFor(4, 8,
+      ParallelFor(&pool, 8,
                   [](size_t s) {
                     if (s % 2 == 1) throw std::runtime_error("shard failed");
                   }),
@@ -429,10 +430,10 @@ TEST(ParallelForTest, RethrowsFirstShardError) {
 }
 
 TEST(ParallelForTest, InlinePathRunsAllShardsDespiteError) {
-  // The serial (num_threads == 1) path has the same contract as the pooled
-  // one: every shard runs before the first error is rethrown.
+  // The inline (no pool) path has the same contract as the pooled one:
+  // every shard runs before the first error is rethrown.
   std::vector<int> hits(5, 0);
-  EXPECT_THROW(ParallelFor(1, hits.size(),
+  EXPECT_THROW(ParallelFor(nullptr, hits.size(),
                            [&hits](size_t s) {
                              ++hits[s];
                              if (s == 1) throw std::runtime_error("boom");

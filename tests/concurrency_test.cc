@@ -105,22 +105,6 @@ TEST(ConcurrencyTest, ThreadPoolDestructionWithConcurrentCallers) {
   EXPECT_EQ(executed.load(), kCallers * kShards);
 }
 
-// Wait() from one thread while other threads keep submitting: Wait must
-// return only at a moment when every task submitted so far had finished.
-TEST(ConcurrencyTest, ThreadPoolWaitDrainsConcurrentSubmitters) {
-  ThreadPool pool(2);
-  std::atomic<size_t> done{0};
-  constexpr size_t kTasks = 64;
-  std::thread submitter([&] {
-    for (size_t i = 0; i < kTasks; ++i) {
-      pool.Submit([&] { done.fetch_add(1); });
-    }
-  });
-  submitter.join();
-  pool.Wait();
-  EXPECT_EQ(done.load(), kTasks);
-}
-
 // --------------------------- PlanCache ---------------------------
 
 /// The Figure 3 toy queries (one plain join, one string-joined self-join

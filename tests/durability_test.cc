@@ -925,6 +925,117 @@ TEST(DurabilityTest, KillRecoverCheckpointKillKeepsRowCountExact) {
   CheckRecoveredAgainstOracle(db, master.templates, recovered, ~uint64_t{0});
 }
 
+// Publish keeps only the WAL files recovery replays: those from the new
+// checkpoint's WALSEQ on. An incremental checkpoint chains back to its full
+// root, but the root's WAL holds only rows the new link already carries.
+TEST(DurabilityTest, IncrementalCheckpointKeepsOnlyItsOwnWal) {
+  const DurFixture master = MakeDurFixture();
+  const std::string dir = TempDir("wal_gc");
+  DurabilityOptions opts;
+  opts.dir = dir;
+  opts.sync = WalSync::kNone;
+  opts.checkpoint_after_wal_bytes = 0;  // manual checkpoints only
+
+  size_t pos = 0;
+  auto batch = [&](size_t n) {
+    std::vector<Row> rows;
+    for (; n > 0 && pos < master.backlog.size(); --n) {
+      rows.push_back(master.backlog[pos++]);
+    }
+    return rows;
+  };
+  const CheckpointStore store(RealEnv(), dir);
+  {
+    // Fresh start: the full root checkpoint and its WAL.
+    Database db = CloneDatabase(master.data.db);
+    EBA_ASSERT_OK_AND_ASSIGN(
+        StreamingAuditor auditor,
+        StreamingAuditor::RecoverFrom(&db, "LogStream", opts));
+    for (const auto& t : master.templates) {
+      EBA_ASSERT_OK(auditor.AddTemplate(t));
+    }
+    EBA_ASSERT_OK(auditor.AppendAccessBatch(batch(4)));
+    (void)UnwrapOrDie(auditor.ExplainNew());
+    EBA_ASSERT_OK(auditor.Checkpoint(/*full=*/false));
+    const uint64_t seq = UnwrapOrDie(store.CurrentSeq());
+    // An incremental link (no database image of its own) whose root
+    // survives, while the root's WAL is gone.
+    EXPECT_FALSE(RealEnv()->FileExists(dir + "/ckpt-" +
+                                       std::to_string(seq) + "/db"));
+    EXPECT_EQ(UnwrapOrDie(store.ListWalSeqs()), (std::vector<uint64_t>{seq}));
+    EBA_ASSERT_OK(auditor.AppendAccessBatch(batch(4)));  // WAL-only tail
+  }
+
+  Database db = CloneDatabase(master.data.db);
+  RecoveryStats stats;
+  EBA_ASSERT_OK_AND_ASSIGN(
+      StreamingAuditor recovered,
+      StreamingAuditor::RecoverFrom(&db, "LogStream", opts, &stats));
+  EXPECT_TRUE(stats.recovered);
+  EXPECT_EQ(stats.wal_files_replayed, 1u);
+  const size_t seeded_rows = UnwrapOrDie(static_cast<const Database&>(
+                                             master.data.db)
+                                             .GetTable("LogStream"))
+                                 ->num_rows();
+  const Table* stream =
+      UnwrapOrDie(static_cast<const Database&>(db).GetTable("LogStream"));
+  EXPECT_EQ(stream->num_rows(), seeded_rows + pos);
+  for (const auto& t : master.templates) {
+    EBA_ASSERT_OK(recovered.AddTemplate(t));
+  }
+  (void)UnwrapOrDie(recovered.ExplainNew());
+  CheckRecoveredAgainstOracle(db, master.templates, recovered, ~uint64_t{0});
+}
+
+// A catalog change is the one change an incremental checkpoint cannot
+// carry: a same-name replacement that grew looks, by row counts alone, like
+// rows appended to the base image, whose segment would put the dropped
+// table's rows back. The checkpoint after it must be a full image.
+TEST(DurabilityTest, ReplacedTableForcesFullCheckpointImage) {
+  const DurFixture master = MakeDurFixture();
+  const std::string dir = TempDir("replaced_table");
+  DurabilityOptions opts;
+  opts.dir = dir;
+  opts.sync = WalSync::kNone;
+  opts.checkpoint_after_wal_bytes = 0;  // manual checkpoints only
+
+  Database db = CloneDatabase(master.data.db);
+  EBA_ASSERT_OK_AND_ASSIGN(
+      StreamingAuditor auditor,
+      StreamingAuditor::RecoverFrom(&db, "LogStream", opts));
+  for (const auto& t : master.templates) {
+    EBA_ASSERT_OK(auditor.AddTemplate(t));
+  }
+  (void)UnwrapOrDie(auditor.ExplainNew());
+
+  // The replacement holds one row more than Appointments, and its first
+  // row is new.
+  const Table* appointments = db.GetTable("Appointments").value();
+  ASSERT_GT(appointments->num_rows(), 0u);
+  Table replacement(appointments->schema());
+  Row first = appointments->GetRow(0);
+  first[0] = Value::Int64(900001);  // a patient nobody accessed
+  EBA_ASSERT_OK(replacement.AppendRow(first));
+  for (size_t r = 0; r < appointments->num_rows(); ++r) {
+    EBA_ASSERT_OK(replacement.AppendRow(appointments->GetRow(r)));
+  }
+  testing_util::ReplaceTable(&db, std::move(replacement));
+
+  EBA_ASSERT_OK(auditor.Checkpoint());
+  const uint64_t seq =
+      UnwrapOrDie(CheckpointStore(RealEnv(), dir).CurrentSeq());
+  EXPECT_TRUE(
+      RealEnv()->FileExists(dir + "/ckpt-" + std::to_string(seq) + "/db"));
+
+  Database recovered_db;
+  RecoveryStats stats;
+  EBA_ASSERT_OK_AND_ASSIGN(
+      StreamingAuditor recovered,
+      StreamingAuditor::RecoverFrom(&recovered_db, "LogStream", opts, &stats));
+  EXPECT_EQ(stats.checkpoint_seq, seq);
+  ExpectDbRowsEqual(recovered_db, db);
+}
+
 // Regression: recovery must fail loudly when a mid-chain WAL file is gone —
 // its records were durably committed and acknowledged; replaying around the
 // hole would silently lose them. The pre-fix code replayed whatever files

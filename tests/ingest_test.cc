@@ -341,14 +341,16 @@ TEST(StreamingAuditorTest, GroupExtensionIsAppendOnlyDriftNotRebuild) {
   EXPECT_EQ(fourth.delta_tables, 0u);
 }
 
-TEST(StreamingAuditorTest, StructuralMutationStillForcesFullReaudit) {
+TEST(StreamingAuditorTest, ReplacedTableForcesFullReaudit) {
   ToyAuditor t = MakeToyAuditor();
   (void)UnwrapOrDie(t.auditor->ExplainNew());
   EXPECT_TRUE(HoldsExplained(*t.auditor, 1));
 
-  // A structural mutation (may rewrite cells in place) breaks the
-  // monotone-append invariant: the next audit starts over.
-  t.db.GetTable("Appointments").value()->InvalidateDerivedState();
+  // Replacing a table is a catalog change: a same-name table may hold any
+  // rows, so the monotone-append invariant is gone and the next audit
+  // starts over — even though this replacement holds the same rows.
+  testing_util::ReplaceTable(
+      &t.db, testing_util::CopyTable(*t.db.GetTable("Appointments").value()));
   const StreamingReport report = UnwrapOrDie(t.auditor->ExplainNew());
   EXPECT_TRUE(report.full_reaudit);
   EXPECT_EQ(report.audited_from, 0u);

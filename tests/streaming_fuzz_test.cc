@@ -1,13 +1,13 @@
 // Streaming differential fuzz: seeded randomized interleavings of log
 // appends (in-order backlog replay plus synthesized, possibly out-of-order
 // and duplicate-lid accesses), foreign-table appends (joinable and
-// garbage), structural mutations, audit resets, and ExplainNew calls. After
-// every audit step the auditor's accumulated state is differentially
-// checked against a fresh Engine::ExplainAll on a CLONED database — a fully
-// independent oracle sharing no tables, indexes, or plan caches with the
-// system under test. The same op sequence runs at thread counts {1, 4} and
-// must produce byte-identical reports (the streaming analogue of
-// executor_equivalence_test's random-query oracle).
+// garbage), table swaps (catalog changes), audit resets, and ExplainNew
+// calls. After every audit step the auditor's accumulated state is
+// differentially checked against a fresh Engine::ExplainAll on a CLONED
+// database — a fully independent oracle sharing no tables, indexes, or
+// plan caches with the system under test. The same op sequence runs at
+// thread counts {1, 4} and must produce byte-identical reports (the
+// streaming analogue of executor_equivalence_test's random-query oracle).
 
 #include <gtest/gtest.h>
 
@@ -233,15 +233,14 @@ std::vector<std::string> RunFuzz(uint64_t seed, size_t steps,
       case 2:  // audit + differential check
         audit(step);
         break;
-      case 3: {  // structural mutation: epoch bump, identical data
+      case 3: {  // catalog change: swap in a same-name copy, identical data
         const std::string& table = rng.Bernoulli(0.5)
                                        ? foreign_tables[rng.Uniform(
                                              foreign_tables.size())]
                                        : std::string("LogStream");
-        static_cast<const Database&>(f.data.db)
-            .GetTable(table)
-            .value()
-            ->InvalidateDerivedState();
+        testing_util::ReplaceTable(
+            &f.data.db,
+            testing_util::CopyTable(*f.data.db.GetTable(table).value()));
         expect_full = true;
         break;
       }
@@ -378,7 +377,7 @@ TEST(StreamingFuzzTest, ConcurrentReadersUnderIngestMatchClonedOracle) {
   // A real concurrent interleaving, not a serial shuffle: one writer thread
   // streams log and foreign appends in while an auditing reader calls
   // ExplainNew and a point reader calls engine().Explain / explained_lids /
-  // explained_count, all against the same live database. No structural ops
+  // explained_count, all against the same live database. No table swaps
   // and no resets — appends-only is the regime snapshot pinning promises to
   // support concurrently. TSAN (the CI sanitizer job runs this binary)
   // checks the synchronization; invariants are checked mid-flight and the

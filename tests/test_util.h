@@ -155,6 +155,28 @@ inline std::vector<int64_t> CutRunLids(const Executor& executor,
 /// can leak into — or depend on — the system under test.
 inline Database CloneDatabase(const Database& src) { return src.Clone(); }
 
+/// A new table with `src`'s schema and rows.
+inline Table CopyTable(const Table& src) {
+  Table copy(src.schema());
+  copy.Reserve(src.num_rows());
+  for (size_t r = 0; r < src.num_rows(); ++r) {
+    const Status s = copy.AppendRow(src.GetRow(r));
+    EBA_CHECK_MSG(s.ok(), s.ToString());
+  }
+  return copy;
+}
+
+/// Drops the table named like `replacement` and adds `replacement` in its
+/// place: a catalog change (the generation moves), whatever rows it holds.
+/// The drop also forgets the join metadata naming the table; audits do not
+/// read it.
+inline void ReplaceTable(Database* db, Table replacement) {
+  Status s = db->DropTable(replacement.name());
+  EBA_CHECK_MSG(s.ok(), s.ToString());
+  s = db->AddTable(std::move(replacement));
+  EBA_CHECK_MSG(s.ok(), s.ToString());
+}
+
 }  // namespace testing_util
 }  // namespace eba
 
