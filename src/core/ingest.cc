@@ -176,36 +176,31 @@ Status StreamingAuditor::EnableDurability(const DurabilityOptions& options) {
   d->store = std::make_unique<CheckpointStore>(d->env, options.dir);
   EBA_RETURN_IF_ERROR(d->store->Init());
   durable_ = std::move(d);
-  // Seed the store with a full image of the current database + audit state;
+  // Seed the store with every chunk of the current database + audit state;
   // this also opens the first WAL.
-  Status s = CheckpointLocked(/*full=*/true);
+  Status s = CheckpointLocked();
   if (!s.ok()) durable_.reset();  // don't leave a half-enabled layer behind
   return s;
 }
 
-Status StreamingAuditor::Checkpoint(bool full) {
+Status StreamingAuditor::Checkpoint() {
   MutexLock audit_lock(*audit_mu_);
   MutexLock writer_lock(*writer_mu_);
-  return CheckpointLocked(full);
+  return CheckpointLocked();
 }
 
-Status StreamingAuditor::CheckpointLocked(bool full) {
+Status StreamingAuditor::CheckpointLocked() {
   if (durable_ == nullptr) {
     return Status::FailedPrecondition("durability not enabled");
   }
   DurableState& d = *durable_;
-  if (!full) {
-    const uint32_t interval = d.options.full_checkpoint_interval;
-    if (interval > 0 && d.checkpoints_since_full + 1 >= interval) full = true;
-    // A catalog change invalidates the base image's rows-only delta: a
-    // same-name replacement table's rows are not the base's rows plus a
-    // suffix, and segments would silently resurrect the dropped ones.
-    if (d.wal != nullptr && db_->CreateSnapshot()
-                                .DriftSince(d.last_ckpt_snapshot)
-                                .catalog_changed) {
-      full = true;
-    }
-  }
+  // The tables continue the published checkpoint's unless this is the
+  // first checkpoint (EnableDurability) or the catalog changed since: a
+  // same-name replacement table's rows are not the published rows plus a
+  // suffix, and shared chunk files would resurrect the dropped ones.
+  const bool tables_continue =
+      d.wal != nullptr &&
+      !db_->CreateSnapshot().DriftSince(d.last_ckpt_snapshot).catalog_changed;
 
   AuditState audit;
   audit.explained = explained_;
@@ -222,7 +217,8 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
   // whose stale records the next recovery would replay on top of the image.
   EBA_ASSIGN_OR_RETURN(
       const uint64_t seq,
-      d.store->Prepare(*db_, audit, full, /*min_seq=*/d.wal_seq + 1));
+      d.store->Prepare(*db_, audit, tables_continue,
+                       /*min_seq=*/d.wal_seq + 1));
   // The paired WAL must exist before the checkpoint becomes CURRENT:
   // recovery replays wal-<seq> and may legitimately find it empty, but not
   // missing work that only lived in the previous WAL after GC.
@@ -233,7 +229,6 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
   if (d.wal != nullptr) EBA_RETURN_IF_ERROR(d.wal->Close());
   d.wal = std::move(wal);
   d.wal_seq = seq;
-  d.checkpoints_since_full = full ? 0 : d.checkpoints_since_full + 1;
   d.last_ckpt_snapshot = db_->CreateSnapshot();
   d.last_ckpt_snapshot.ReleasePin();  // drift baseline only
   return Status::OK();
@@ -268,9 +263,6 @@ Status StreamingAuditor::AdoptRecoveredState(CheckpointContents ckpt,
       d->wal, WalWriter::Open(env, d->store->WalPath(new_wal_seq),
                               options.sync));
   d->wal_seq = new_wal_seq;
-  // chain_length counts the full root plus each incremental link.
-  d->checkpoints_since_full =
-      static_cast<uint32_t>(ckpt.chain_length > 0 ? ckpt.chain_length - 1 : 0);
   d->last_ckpt_snapshot = db_->CreateSnapshot();
   d->last_ckpt_snapshot.ReleasePin();
   durable_ = std::move(d);
@@ -437,7 +429,7 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
         durable_->options.checkpoint_after_wal_bytes > 0 &&
         durable_->wal->bytes_logged() >=
             durable_->options.checkpoint_after_wal_bytes) {
-      EBA_RETURN_IF_ERROR(CheckpointLocked(/*full=*/false));
+      EBA_RETURN_IF_ERROR(CheckpointLocked());
     }
   }
   return report;

@@ -60,7 +60,8 @@ using StreamingOptions = ExplainAllOptions;
 
 /// Configuration of the durable-state layer (EnableDurability/RecoverFrom).
 struct DurabilityOptions {
-  /// Store directory: CURRENT, ckpt-<seq>/ checkpoints, wal-<seq>.log logs.
+  /// Store directory: CURRENT, ckpt-<seq>/ checkpoints, the chunks/ they
+  /// share, wal-<seq>.log logs (storage/checkpoint.h).
   std::string dir;
   /// fsync policy for WAL commits. kNone survives process kill (the fault
   /// model the tests exercise), kBatch/kAlways additionally survive power
@@ -69,9 +70,9 @@ struct DurabilityOptions {
   /// ExplainNew checkpoints automatically once the live WAL exceeds this
   /// many bytes; 0 = checkpoint only on explicit Checkpoint() calls.
   uint64_t checkpoint_after_wal_bytes = uint64_t{1} << 20;
-  /// Every Nth checkpoint is a full database image; the ones between are
-  /// incremental (appended-row segments chained to the last full image).
-  /// 1 makes every checkpoint full; 0 disables forced fulls.
+  /// Inert: every checkpoint is complete and writes only the chunks that
+  /// changed. Declared only because perfbench/src/ingest_durable.cc still
+  /// assigns it.
   uint32_t full_checkpoint_interval = 4;
   /// I/O seam; nullptr = the real filesystem. Tests inject
   /// FaultInjectingEnv here.
@@ -152,10 +153,10 @@ class StreamingAuditor {
   ExplanationEngine& engine() { return engine_; }
   const ExplanationEngine& engine() const { return engine_; }
 
-  /// Enables write-ahead logging + checkpointing: writes an initial full
-  /// checkpoint of the database and audit state into `options.dir`, then
-  /// opens a WAL that every subsequent append commits to *before* applying.
-  /// Fails if durability is already enabled.
+  /// Enables write-ahead logging + checkpointing: writes an initial
+  /// checkpoint of every chunk of the database and the audit state into
+  /// `options.dir`, then opens a WAL that every subsequent append commits
+  /// to *before* applying. Fails if durability is already enabled.
   Status EnableDurability(const DurabilityOptions& options)
       EBA_EXCLUDES(*audit_mu_, *writer_mu_);
 
@@ -165,14 +166,14 @@ class StreamingAuditor {
     return durable_ != nullptr;
   }
 
-  /// Writes and publishes a checkpoint now (requires durability). `full`
-  /// forces a complete database image; otherwise the store may write an
-  /// incremental segment checkpoint per DurabilityOptions. On success the
-  /// WAL is rotated: recovery needs only the new checkpoint + new WAL.
-  /// Takes both auditor locks: a checkpoint is the one operation that needs
-  /// the audit state and the append stream cut at the same point.
-  Status Checkpoint(bool full = false)
-      EBA_EXCLUDES(*audit_mu_, *writer_mu_);
+  /// Writes and publishes a checkpoint now (requires durability). Every
+  /// checkpoint is complete; it writes only the chunks whose rows changed
+  /// since the last one (all of them after a catalog change), plus the
+  /// catalog and the explained flags. On success the WAL is rotated:
+  /// recovery needs only the new checkpoint + new WAL. Takes both auditor
+  /// locks: a checkpoint is the one operation that needs the audit state
+  /// and the append stream cut at the same point.
+  Status Checkpoint() EBA_EXCLUDES(*audit_mu_, *writer_mu_);
 
   /// Appends access rows to the log table. Without durability: row-atomic,
   /// not batch-atomic — on a validation error, rows before the offender are
@@ -254,11 +255,8 @@ class StreamingAuditor {
     std::unique_ptr<CheckpointStore> store;
     std::unique_ptr<WalWriter> wal;
     uint64_t wal_seq = 0;
-    /// Incremental checkpoints published since the last full one.
-    uint32_t checkpoints_since_full = 0;
     /// Snapshot at the last checkpoint (unpinned — drift baseline only):
-    /// a catalog change since then demotes the next incremental checkpoint
-    /// to a full image.
+    /// after a catalog change the next checkpoint shares no chunk file.
     Database::Snapshot last_ckpt_snapshot;
   };
 
@@ -272,8 +270,7 @@ class StreamingAuditor {
   Status AppendTableLocked(const std::string& table_name, Table* table,
                            const std::vector<Row>& rows)
       EBA_REQUIRES(*writer_mu_);
-  Status CheckpointLocked(bool full)
-      EBA_REQUIRES(*audit_mu_, *writer_mu_);
+  Status CheckpointLocked() EBA_REQUIRES(*audit_mu_, *writer_mu_);
   /// Installs checkpointed audit state + a fresh WAL on a just-created
   /// auditor (the recovery tail of RecoverFrom).
   Status AdoptRecoveredState(CheckpointContents ckpt, Env* env,

@@ -18,10 +18,11 @@ namespace eba {
 namespace {
 
 constexpr char kManifestVersionPrefix[] = "# eba checkpoint v";
-constexpr char kManifestVersion[] = "3";
+constexpr char kManifestVersion[] = "4";
 constexpr char kCurrentFile[] = "CURRENT";
 constexpr char kCatalogFile[] = "catalog";
 constexpr char kExplainedFile[] = "explained";
+constexpr char kChunkDir[] = "chunks";
 
 /// Record types of checkpoint data files.
 enum CheckpointRecordType : uint8_t {
@@ -39,10 +40,6 @@ enum CheckpointRecordType : uint8_t {
   kExplainedChunkRecord = 4,
 };
 
-/// Data files reach the Env in pieces of about this size, so a large table
-/// never holds a second in-memory copy of its whole image.
-constexpr size_t kWriteBufferBytes = size_t{4} << 20;
-
 StatusOr<uint64_t> ParseU64(const std::string& text) {
   errno = 0;
   char* end = nullptr;
@@ -52,7 +49,6 @@ StatusOr<uint64_t> ParseU64(const std::string& text) {
   }
   return static_cast<uint64_t>(v);
 }
-
 
 std::string CrcHex(uint32_t crc) {
   std::ostringstream out;
@@ -119,61 +115,50 @@ std::string TableHeader(const Table& table, uint64_t from, uint64_t to,
   return header;
 }
 
-/// Writes rows [from, to) of `table` to `path` as a header record plus one
-/// record per (column, 64k-row chunk), then syncs. `dict_sizes` holds each
-/// column's dictionary size at `from`.
-Status WriteTableImage(Env* env, const std::string& path, const Table& table,
-                       uint64_t from, uint64_t to,
-                       const std::vector<uint64_t>& dict_sizes) {
-  EBA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
-                       env->NewWritableFile(path, /*truncate=*/true));
-  std::string buffer;
-  AppendFrame(&buffer, kTableHeaderRecord,
-              {TableHeader(table, from, to, dict_sizes)});
+/// Writes rows [from, to) of `table`, which lie in one 64k-row chunk, to
+/// `path` as a header record plus one chunk record per column, synced.
+/// `*dict_sizes` holds each column's dictionary size at `from` on entry and
+/// at `to` on return.
+Status WriteChunkFile(Env* env, const std::string& path, const Table& table,
+                      uint64_t from, uint64_t to,
+                      std::vector<uint64_t>* dict_sizes) {
+  std::string data;
+  AppendFrame(&data, kTableHeaderRecord,
+              {TableHeader(table, from, to, *dict_sizes)});
 
   // A chunk record is framed from four parts so the slots and null flags,
-  // nearly all of its bytes, are copied once: into the write buffer.
+  // nearly all of its bytes, are copied once: into the file's image.
   std::string prefix;
   std::string dict;
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    size_t dict_size = static_cast<size_t>(dict_sizes[c]);
-    for (uint64_t begin = from; begin < to;) {
-      const uint64_t end =
-          std::min<uint64_t>(to, (begin | kColumnChunkMask) + 1);
-      const ColumnChunk chunk =
-          table.column(c).ExportChunk(begin, end, &dict_size);
-      prefix.clear();
-      PutU32(&prefix, static_cast<uint32_t>(c));
-      PutU64(&prefix, begin);
-      PutU32(&prefix, static_cast<uint32_t>(end - begin));
-      prefix.push_back(chunk.nulls.empty() ? '\0' : '\1');
-      dict.clear();
-      PutU32(&dict, static_cast<uint32_t>(chunk.dict.size()));
-      for (const std::string_view entry : chunk.dict) {
-        PutU32(&dict, static_cast<uint32_t>(entry.size()));
-        dict += entry;
-      }
-      AppendFrame(&buffer, kColumnChunkRecord,
-                  {prefix, chunk.values, chunk.nulls, dict});
-      if (buffer.size() >= kWriteBufferBytes) {
-        EBA_RETURN_IF_ERROR(file->Append(buffer));
-        buffer.clear();
-      }
-      begin = end;
+    size_t dict_size = static_cast<size_t>((*dict_sizes)[c]);
+    const ColumnChunk chunk = table.column(c).ExportChunk(from, to, &dict_size);
+    (*dict_sizes)[c] = dict_size;
+    prefix.clear();
+    PutU32(&prefix, static_cast<uint32_t>(c));
+    PutU64(&prefix, from);
+    PutU32(&prefix, static_cast<uint32_t>(to - from));
+    prefix.push_back(chunk.nulls.empty() ? '\0' : '\1');
+    dict.clear();
+    PutU32(&dict, static_cast<uint32_t>(chunk.dict.size()));
+    for (const std::string_view entry : chunk.dict) {
+      PutU32(&dict, static_cast<uint32_t>(entry.size()));
+      dict += entry;
     }
+    AppendFrame(&data, kColumnChunkRecord,
+                {prefix, chunk.values, chunk.nulls, dict});
   }
-  if (!buffer.empty()) EBA_RETURN_IF_ERROR(file->Append(buffer));
-  EBA_RETURN_IF_ERROR(file->Sync());
-  return file->Close();
+  return env->WriteFile(path, data);
 }
 
-/// Loads the table file at `path` onto `table`. The file continues the rows
-/// loaded so far, so its header must be exactly what the writer would emit
-/// for the manifest's rows [from, to) of this table now: its name, column
-/// types, and each column's current dictionary size. Every column is
-/// bulk-loaded to `to`; the row count is published last.
-Status LoadTableImage(Env* env, const std::string& path, uint64_t from,
-                      uint64_t to, Table* table) {
+/// Loads the chunk file at `path`, rows [from, to) of `table`, onto it. The
+/// file continues the rows loaded so far, so its header must be exactly what
+/// the writer would emit now: the table's name, the row range, the column
+/// types and each column's current dictionary size. One chunk record per
+/// column follows, in column order, each holding all the rows; the row
+/// count is published last.
+Status LoadChunkFile(Env* env, const std::string& path, uint64_t from,
+                     uint64_t to, Table* table) {
   std::string data;
   EBA_ASSIGN_OR_RETURN(std::vector<FrameView> records,
                        ReadRecords(env, path, &data));
@@ -190,18 +175,23 @@ Status LoadTableImage(Env* env, const std::string& path, uint64_t from,
                              "' as loaded so far");
   }
   const size_t ncols = table->num_columns();
-  std::vector<uint64_t> next_row(ncols, from);
-  for (size_t i = 1; i < records.size(); ++i) {
-    ByteReader in(records[i].payload);
+  if (records.size() != ncols + 1) {
+    return Damaged(path, "holds " + std::to_string(records.size() - 1) +
+                             " chunk records for " + std::to_string(ncols) +
+                             " columns");
+  }
+  for (size_t c = 0; c < ncols; ++c) {
+    ByteReader in(records[c + 1].payload);
     uint32_t col = 0;
     uint64_t first_row = 0;
     uint32_t rows = 0;
     uint8_t has_nulls = 0;
     uint32_t dict_count = 0;
     ColumnChunk chunk;
-    bool ok = records[i].type == kColumnChunkRecord && in.GetU32(&col) &&
-              in.GetU64(&first_row) && in.GetU32(&rows) &&
-              in.GetU8(&has_nulls) && has_nulls <= 1 &&
+    bool ok = records[c + 1].type == kColumnChunkRecord && in.GetU32(&col) &&
+              col == c && in.GetU64(&first_row) && first_row == from &&
+              in.GetU32(&rows) && rows == to - from && in.GetU8(&has_nulls) &&
+              has_nulls <= 1 &&
               in.GetBytes(size_t{rows} * sizeof(int64_t), &chunk.values) &&
               in.GetBytes(has_nulls ? rows : 0, &chunk.nulls) &&
               in.GetU32(&dict_count);
@@ -212,22 +202,11 @@ Status LoadTableImage(Env* env, const std::string& path, uint64_t from,
       chunk.dict.push_back(entry);
     }
     if (!ok || !in.AtEnd()) {
-      return Damaged(path, "malformed chunk record " + std::to_string(i));
+      return Damaged(path, "malformed chunk record for column " +
+                               std::to_string(c));
     }
-    if (col >= ncols || first_row != next_row[col] || rows > to - first_row) {
-      return Damaged(path, "chunk record " + std::to_string(i) +
-                               " holds rows out of order");
-    }
-    const Status loaded = table->AppendColumnChunk(col, chunk);
+    const Status loaded = table->AppendColumnChunk(c, chunk);
     if (!loaded.ok()) return Damaged(path, loaded.message());
-    next_row[col] += rows;
-  }
-  for (size_t c = 0; c < ncols; ++c) {
-    if (next_row[c] != to) {
-      return Damaged(path, "column " + std::to_string(c) + " ends at row " +
-                               std::to_string(next_row[c]) + ", not " +
-                               std::to_string(to));
-    }
   }
   return table->PublishColumnRows();
 }
@@ -288,7 +267,7 @@ StatusOr<std::vector<uint8_t>> LoadExplained(Env* env, const std::string& path,
   return flags;
 }
 
-/// The empty tables and join metadata a full image's catalog record holds.
+/// The empty tables and join metadata a checkpoint's catalog record holds.
 StatusOr<Database> LoadCatalog(Env* env, const std::string& path) {
   std::string data;
   EBA_ASSIGN_OR_RETURN(std::vector<FrameView> records,
@@ -311,10 +290,20 @@ StatusOr<Database> LoadCatalog(Env* env, const std::string& path) {
 CheckpointStore::CheckpointStore(Env* env, std::string dir)
     : env_(env != nullptr ? env : RealEnv()), dir_(std::move(dir)) {}
 
-Status CheckpointStore::Init() { return env_->CreateDirs(dir_); }
+Status CheckpointStore::Init() { return env_->CreateDirs(ChunkDir()); }
 
 std::string CheckpointStore::CkptDir(uint64_t seq) const {
   return dir_ + "/ckpt-" + std::to_string(seq);
+}
+
+std::string CheckpointStore::ChunkDir() const {
+  return dir_ + "/" + kChunkDir;
+}
+
+std::string CheckpointStore::ChunkPath(const std::string& table, uint64_t k,
+                                       uint64_t seq) const {
+  return ChunkDir() + "/" + table + "." + std::to_string(k) + "." +
+         std::to_string(seq);
 }
 
 std::string CheckpointStore::WalPath(uint64_t seq) const {
@@ -352,17 +341,19 @@ Status CheckpointStore::WriteManifest(uint64_t seq, const Manifest& m) const {
   std::ostringstream body;
   body << kManifestVersionPrefix << kManifestVersion << "\n";
   body << "SEQ " << m.seq << "\n";
-  if (m.has_base) body << "BASE " << m.base << "\n";
   body << "WALSEQ " << m.wal_seq << "\n";
   body << "AUDITED " << m.audited_rows << "\n";
   for (const auto& [name, state] : m.tables) {
     body << "TABLE " << name << " " << state.rows;
     for (uint64_t dict_size : state.dict_sizes) body << " " << dict_size;
     body << "\n";
-  }
-  for (const auto& [name, seg] : m.segments) {
-    body << "SEGMENT " << name << " " << seg.from_row << " " << seg.to_row
-         << " " << seg.file << "\n";
+    for (size_t k = 0; k < state.chunks.size(); ++k) {
+      body << "CHUNK " << name << " " << k << " " << state.chunks[k].seq;
+      for (uint64_t dict_size : state.chunks[k].dict_sizes) {
+        body << " " << dict_size;
+      }
+      body << "\n";
+    }
   }
   for (const auto& [name, wm] : m.audit_watermarks) {
     body << "WATERMARK " << name << " " << wm << "\n";
@@ -413,15 +404,20 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
     return Status::Internal("checkpoint manifest " + path + " line " +
                             std::to_string(line_number) + ": " + message);
   };
+  auto parse_u64s = [](const std::vector<std::string>& fields, size_t first,
+                       std::vector<uint64_t>* out) -> Status {
+    for (size_t i = first; i < fields.size(); ++i) {
+      EBA_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(fields[i]));
+      out->push_back(v);
+    }
+    return Status::OK();
+  };
   while (std::getline(in, line)) {
     ++line_number;
     const std::string trimmed = Trim(line);
     if (trimmed.empty() || trimmed[0] == '#') continue;
     if (StartsWith(trimmed, "SEQ ")) {
       EBA_ASSIGN_OR_RETURN(m.seq, ParseU64(Trim(trimmed.substr(4))));
-    } else if (StartsWith(trimmed, "BASE ")) {
-      m.has_base = true;
-      EBA_ASSIGN_OR_RETURN(m.base, ParseU64(Trim(trimmed.substr(5))));
     } else if (StartsWith(trimmed, "WALSEQ ")) {
       EBA_ASSIGN_OR_RETURN(m.wal_seq, ParseU64(Trim(trimmed.substr(7))));
     } else if (StartsWith(trimmed, "AUDITED ")) {
@@ -431,20 +427,17 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
       if (fields.size() < 2) return parse_error("TABLE needs name rows");
       Manifest::TableState& state = m.tables[fields[0]];
       EBA_ASSIGN_OR_RETURN(state.rows, ParseU64(fields[1]));
-      for (size_t i = 2; i < fields.size(); ++i) {
-        EBA_ASSIGN_OR_RETURN(const uint64_t dict_size, ParseU64(fields[i]));
-        state.dict_sizes.push_back(dict_size);
-      }
-    } else if (StartsWith(trimmed, "SEGMENT ")) {
-      const auto fields = SplitFields(trimmed.substr(8));
-      if (fields.size() != 4) {
-        return parse_error("SEGMENT needs name from to file");
-      }
-      Manifest::Segment seg;
-      EBA_ASSIGN_OR_RETURN(seg.from_row, ParseU64(fields[1]));
-      EBA_ASSIGN_OR_RETURN(seg.to_row, ParseU64(fields[2]));
-      seg.file = fields[3];
-      m.segments[fields[0]] = std::move(seg);
+      EBA_RETURN_IF_ERROR(parse_u64s(fields, 2, &state.dict_sizes));
+    } else if (StartsWith(trimmed, "CHUNK ")) {
+      const auto fields = SplitFields(trimmed.substr(6));
+      if (fields.size() < 3) return parse_error("CHUNK needs name k seq");
+      std::vector<Manifest::Chunk>& chunks = m.tables[fields[0]].chunks;
+      EBA_ASSIGN_OR_RETURN(const uint64_t k, ParseU64(fields[1]));
+      if (k != chunks.size()) return parse_error("CHUNK out of order");
+      Manifest::Chunk chunk;
+      EBA_ASSIGN_OR_RETURN(chunk.seq, ParseU64(fields[2]));
+      EBA_RETURN_IF_ERROR(parse_u64s(fields, 3, &chunk.dict_sizes));
+      chunks.push_back(std::move(chunk));
     } else if (StartsWith(trimmed, "WATERMARK ")) {
       const auto fields = SplitFields(trimmed.substr(10));
       if (fields.size() != 2) return parse_error("WATERMARK needs name wm");
@@ -453,53 +446,45 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
       return parse_error("unrecognized directive: " + trimmed);
     }
   }
+  // Every table is covered by its chunks, each with one dictionary size per
+  // column.
+  for (const auto& [name, state] : m.tables) {
+    bool ok = state.chunks.size() ==
+              (state.rows + kColumnChunkRows - 1) >> kColumnChunkShift;
+    for (const Manifest::Chunk& chunk : state.chunks) {
+      ok = ok && chunk.dict_sizes.size() == state.dict_sizes.size();
+    }
+    if (!ok) {
+      return Status::Internal("checkpoint manifest " + path +
+                              ": the CHUNK lines of table '" + name +
+                              "' do not cover its " +
+                              std::to_string(state.rows) + " rows");
+    }
+  }
   return m;
 }
 
 StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
                                             const AuditState& audit,
-                                            bool full, uint64_t min_seq) {
-  uint64_t base_seq = 0;
-  bool has_current = false;
+                                            bool tables_continue,
+                                            uint64_t min_seq) {
+  uint64_t current = 0;
   {
     StatusOr<uint64_t> cur = CurrentSeq();
     if (cur.ok()) {
-      has_current = true;
-      base_seq = *cur;
+      current = *cur;
     } else if (!cur.status().IsNotFound()) {
       return cur.status();
     }
   }
-  const uint64_t seq = std::max(base_seq + 1, min_seq);
+  const uint64_t seq = std::max(current + 1, min_seq);
 
-  Manifest base;
-  if (!has_current) {
-    full = true;
-  } else if (!full) {
-    StatusOr<Manifest> base_or = ReadManifest(base_seq);
-    if (!base_or.ok()) {
-      full = true;  // unreadable base: fall back to a self-contained image
-    } else {
-      base = std::move(*base_or);
-      // An incremental checkpoint only works when every table grew from the
-      // base (schemas and join metadata are carried by the full root, so
-      // table churn or a changed column count demotes to a full image; a
-      // same-name replacement that grew is the caller's to catch).
-      if (base.tables.size() != db.TableNames().size()) full = true;
-      for (const std::string& name : db.TableNames()) {
-        const auto it = base.tables.find(name);
-        if (it == base.tables.end()) {
-          full = true;
-          break;
-        }
-        EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-        if (it->second.rows > table->num_rows() ||
-            it->second.dict_sizes.size() != table->num_columns()) {
-          full = true;
-          break;
-        }
-      }
-    }
+  // The published checkpoint whose unchanged chunks this one names. Without
+  // a readable one, every chunk is written.
+  Manifest published;
+  if (tables_continue && current > 0) {
+    StatusOr<Manifest> m = ReadManifest(current);
+    if (m.ok()) published = std::move(*m);
   }
 
   const std::string ckpt_dir = CkptDir(seq);
@@ -513,45 +498,43 @@ StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
   m.wal_seq = seq;
   m.audited_rows = audit.explained.size();
   m.audit_watermarks = audit.audit_watermarks;
-  EBA_RETURN_IF_ERROR(WriteExplained(
-      env_, ckpt_dir + "/" + kExplainedFile, audit.explained));
   for (const std::string& name : db.TableNames()) {
     EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-    m.tables[name] = {table->num_rows(), DictSizes(*table)};
-  }
-
-  if (full) {
-    const std::string db_dir = ckpt_dir + "/db";
-    EBA_RETURN_IF_ERROR(env_->CreateDirs(db_dir));
-    std::string catalog;
-    AppendFrame(&catalog, kCatalogRecord, {CatalogToText(db)});
-    EBA_RETURN_IF_ERROR(
-        env_->WriteFile(ckpt_dir + "/" + kCatalogFile, catalog));
-    for (const auto& [name, state] : m.tables) {
-      EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-      EBA_RETURN_IF_ERROR(WriteTableImage(
-          env_, db_dir + "/" + name, *table, 0, state.rows,
-          std::vector<uint64_t>(table->num_columns(), 0)));
+    Manifest::TableState& state = m.tables[name];
+    state.rows = table->num_rows();
+    state.dict_sizes = DictSizes(*table);
+    // Each column's dictionary size at the first chunk written.
+    std::vector<uint64_t> dict_sizes(table->num_columns(), 0);
+    const auto prev = published.tables.find(name);
+    if (prev != published.tables.end() && prev->second.rows <= state.rows &&
+        prev->second.dict_sizes.size() == table->num_columns()) {
+      // The published filled chunks are shared; so is its open last chunk
+      // when the table did not grow.
+      const Manifest::TableState& from = prev->second;
+      const size_t shared = from.rows == state.rows
+                                ? from.chunks.size()
+                                : from.rows >> kColumnChunkShift;
+      state.chunks.assign(from.chunks.begin(), from.chunks.begin() + shared);
+      dict_sizes = shared < from.chunks.size() ? from.chunks[shared].dict_sizes
+                                               : from.dict_sizes;
     }
-    EBA_RETURN_IF_ERROR(env_->SyncDir(db_dir));
-  } else {
-    m.has_base = true;
-    m.base = base_seq;
-    for (const auto& [name, state] : m.tables) {
-      EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
-      const Manifest::TableState& from = base.tables.at(name);
-      if (from.rows == state.rows) continue;
-      Manifest::Segment seg;
-      seg.from_row = from.rows;
-      seg.to_row = state.rows;
-      seg.file = "seg-" + name;
-      EBA_RETURN_IF_ERROR(WriteTableImage(env_, ckpt_dir + "/" + seg.file,
-                                          *table, from.rows, state.rows,
-                                          from.dict_sizes));
-      m.segments[name] = std::move(seg);
+    for (uint64_t k = state.chunks.size(); k << kColumnChunkShift < state.rows;
+         ++k) {
+      const uint64_t begin = k << kColumnChunkShift;
+      const uint64_t end =
+          std::min<uint64_t>(state.rows, begin + kColumnChunkRows);
+      state.chunks.push_back({seq, dict_sizes});
+      EBA_RETURN_IF_ERROR(WriteChunkFile(env_, ChunkPath(name, k, seq),
+                                         *table, begin, end, &dict_sizes));
     }
   }
+  EBA_RETURN_IF_ERROR(env_->SyncDir(ChunkDir()));
 
+  std::string catalog;
+  AppendFrame(&catalog, kCatalogRecord, {CatalogToText(db)});
+  EBA_RETURN_IF_ERROR(env_->WriteFile(ckpt_dir + "/" + kCatalogFile, catalog));
+  EBA_RETURN_IF_ERROR(WriteExplained(
+      env_, ckpt_dir + "/" + kExplainedFile, audit.explained));
   EBA_RETURN_IF_ERROR(WriteManifest(seq, m));
   EBA_RETURN_IF_ERROR(env_->SyncDir(ckpt_dir));
   return seq;
@@ -561,77 +544,66 @@ Status CheckpointStore::Publish(uint64_t seq) {
   EBA_RETURN_IF_ERROR(env_->WriteFileAtomic(
       dir_ + "/" + kCurrentFile, "ckpt-" + std::to_string(seq) + "\n"));
 
-  // Garbage-collect: keep only the new chain and the WAL files from its
-  // newest link's WALSEQ on, the only ones recovery replays. Leftovers from
-  // a crash mid-GC are harmless (recovery only follows CURRENT) and are
-  // swept by the next Publish.
-  std::set<uint64_t> chain;
-  uint64_t wal_min = 0;
-  uint64_t walk = seq;
-  while (true) {
-    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
-    if (walk == seq) wal_min = m.wal_seq;
-    chain.insert(walk);
-    if (!m.has_base) break;
-    walk = m.base;
-  }
-
+  // Garbage-collect everything the new checkpoint does not need: the other
+  // checkpoint directories, the chunk files it does not name, and the WAL
+  // files before its WALSEQ, which recovery never replays. Leftovers from a
+  // crash mid-GC, or from a checkpoint never published, are harmless
+  // (recovery only follows CURRENT) and are swept by the next Publish.
+  EBA_ASSIGN_OR_RETURN(const Manifest m, ReadManifest(seq));
+  const std::string ckpt_name = "ckpt-" + std::to_string(seq);
   EBA_ASSIGN_OR_RETURN(std::vector<std::string> names, env_->ListDir(dir_));
   for (const std::string& name : names) {
-    if (!StartsWith(name, "ckpt-")) continue;
-    StatusOr<uint64_t> n = ParseU64(name.substr(5));
-    if (n.ok() && chain.count(*n) == 0) {
+    if (StartsWith(name, "ckpt-") && name != ckpt_name) {
       EBA_RETURN_IF_ERROR(env_->RemoveAll(dir_ + "/" + name));
     }
   }
+  std::set<std::string> named;
+  for (const auto& [table, state] : m.tables) {
+    for (size_t k = 0; k < state.chunks.size(); ++k) {
+      named.insert(ChunkPath(table, k, state.chunks[k].seq));
+    }
+  }
+  EBA_ASSIGN_OR_RETURN(names, env_->ListDir(ChunkDir()));
+  for (const std::string& name : names) {
+    const std::string path = ChunkDir() + "/" + name;
+    if (named.count(path) == 0) EBA_RETURN_IF_ERROR(env_->RemoveFile(path));
+  }
   EBA_ASSIGN_OR_RETURN(std::vector<uint64_t> wals, ListWalSeqs());
   for (uint64_t wal : wals) {
-    if (wal >= wal_min) break;
+    if (wal >= m.wal_seq) break;
     EBA_RETURN_IF_ERROR(env_->RemoveFile(WalPath(wal)));
   }
   return Status::OK();
 }
 
 StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
-  EBA_ASSIGN_OR_RETURN(uint64_t seq, CurrentSeq());
-
-  // Walk the BASE chain down to the full root, newest first.
-  std::vector<Manifest> chain;
-  uint64_t walk = seq;
-  while (true) {
-    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
-    const bool at_root = !m.has_base;
-    const uint64_t next = m.base;
-    chain.push_back(std::move(m));
-    if (at_root) break;
-    walk = next;
-  }
-  std::reverse(chain.begin(), chain.end());  // root (full) first
+  EBA_ASSIGN_OR_RETURN(const uint64_t seq, CurrentSeq());
+  EBA_ASSIGN_OR_RETURN(const Manifest m, ReadManifest(seq));
 
   const auto load_start = std::chrono::steady_clock::now();
-  const std::string root_dir = CkptDir(chain.front().seq);
+  const std::string ckpt_dir = CkptDir(seq);
   EBA_ASSIGN_OR_RETURN(Database db,
-                       LoadCatalog(env_, root_dir + "/" + kCatalogFile));
-  if (db.TableNames().size() != chain.front().tables.size()) {
-    return Status::Internal("checkpoint catalog in " + root_dir +
+                       LoadCatalog(env_, ckpt_dir + "/" + kCatalogFile));
+  if (db.TableNames().size() != m.tables.size()) {
+    return Status::Internal("checkpoint catalog in " + ckpt_dir +
                             " disagrees with its manifest's tables");
   }
-  for (const auto& [name, state] : chain.front().tables) {
+  for (const auto& [name, state] : m.tables) {
     EBA_ASSIGN_OR_RETURN(Table * table, db.GetTable(name));
-    EBA_RETURN_IF_ERROR(LoadTableImage(env_, root_dir + "/db/" + name, 0,
-                                       state.rows, table));
-  }
-  for (size_t i = 1; i < chain.size(); ++i) {
-    for (const auto& [name, seg] : chain[i].segments) {
-      EBA_ASSIGN_OR_RETURN(Table * table, db.GetTable(name));
-      EBA_RETURN_IF_ERROR(
-          LoadTableImage(env_, CkptDir(chain[i].seq) + "/" + seg.file,
-                         seg.from_row, seg.to_row, table));
+    for (size_t k = 0; k < state.chunks.size(); ++k) {
+      const Manifest::Chunk& chunk = state.chunks[k];
+      const std::string path = ChunkPath(name, k, chunk.seq);
+      // The next checkpoint writes this chunk again from these sizes when
+      // it is the open one, so they must be the loaded rows' sizes.
+      if (chunk.dict_sizes != DictSizes(*table)) {
+        return Damaged(path, "its CHUNK line disagrees with table '" + name +
+                                 "' as loaded so far");
+      }
+      const uint64_t begin = uint64_t{k} << kColumnChunkShift;
+      EBA_RETURN_IF_ERROR(LoadChunkFile(
+          env_, path, begin,
+          std::min<uint64_t>(state.rows, begin + kColumnChunkRows), table));
     }
-  }
-  const Manifest& newest = chain.back();
-  for (const auto& [name, state] : newest.tables) {
-    EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
     if (table->num_rows() != state.rows ||
         DictSizes(*table) != state.dict_sizes) {
       return Status::Internal(
@@ -641,17 +613,14 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
     }
   }
 
-  // Only the newest link's explained flags are recovered.
   CheckpointContents out;
   EBA_ASSIGN_OR_RETURN(
       out.audit.explained,
-      LoadExplained(env_, CkptDir(newest.seq) + "/" + kExplainedFile,
-                    newest.audited_rows));
-  out.audit.audit_watermarks = newest.audit_watermarks;
+      LoadExplained(env_, ckpt_dir + "/" + kExplainedFile, m.audited_rows));
+  out.audit.audit_watermarks = m.audit_watermarks;
   out.db = std::move(db);
-  out.seq = newest.seq;
-  out.wal_seq = newest.wal_seq;
-  out.chain_length = chain.size();
+  out.seq = m.seq;
+  out.wal_seq = m.wal_seq;
   out.db_load_seconds = SecondsSince(load_start);
   return out;
 }

@@ -7,31 +7,39 @@
 //
 //   <dir>/CURRENT          "ckpt-<seq>\n" — atomically renamed into place;
 //                          the single commit point of a checkpoint.
-//   <dir>/ckpt-<seq>/      one checkpoint:
-//       ckpt.txt           manifest ("# eba checkpoint v3" header; SEQ/BASE/
-//                          WALSEQ/AUDITED/TABLE/SEGMENT/WATERMARK lines)
-//                          with a trailing CRC line over the body. TABLE
-//                          lines carry each table's row count and, per
-//                          column, its dictionary size at that count.
+//   <dir>/ckpt-<seq>/      one checkpoint, complete on its own:
+//       ckpt.txt           manifest ("# eba checkpoint v4" header; SEQ/
+//                          WALSEQ/AUDITED/TABLE/CHUNK/WATERMARK lines) with
+//                          a trailing CRC line over the body. TABLE lines
+//                          carry each table's row count and, per column,
+//                          its dictionary size at that count. One CHUNK line
+//                          per 64k-row chunk of a table names the checkpoint
+//                          that wrote the chunk's file and, per column, the
+//                          dictionary size at the chunk's first row.
+//       catalog            one framed record holding the schemas and join
+//                          metadata (persist.h's manifest text).
 //       explained          the explained flags of log rows [0, AUDITED).
-//       catalog            full checkpoints: one framed record holding the
-//                          schemas and join metadata (persist.h's manifest
-//                          text).
-//       db/<table>         full checkpoints: every row of <table>.
-//       seg-<table>        incremental checkpoints: the rows appended to
-//                          <table> since the BASE checkpoint.
+//   <dir>/chunks/<table>.<k>.<seq>
+//                          rows [64k·k, 64k·(k+1)) of <table>, or up to its
+//                          last row, as checkpoint <seq> wrote them.
 //   <dir>/wal-<seq>.log    the WAL opened when ckpt-<seq> was published;
 //                          recovery replays every wal-N.log with N >= the
-//                          newest checkpoint's WALSEQ, in order.
+//                          checkpoint's WALSEQ, in order.
 //
-// A table data file holds rows [from, to) of one table as binary column
-// images, in the WAL's CRC-framed records (storage/wal.h):
+// Tables only grow, so a filled chunk never changes: each checkpoint names
+// the chunk files of the published one and writes only the chunks whose
+// rows changed since (a grown table's open last chunk, and chunks filled
+// since), under its own sequence. No file a published manifest names is
+// ever rewritten.
+//
+// A chunk file holds rows [from, to) of one table as binary column images,
+// in the WAL's CRC-framed records (storage/wal.h):
 //
 //   header record   table name, row range, per column its type and its
 //                   dictionary size at `from`;
-//   chunk records   one per (column, 64k-row chunk): the chunk's raw
-//                   little-endian 8-byte slots, its null flags when a row
-//                   is NULL, and the dictionary entries its rows use first
+//   chunk records   one per column: the chunk's raw little-endian 8-byte
+//                   slots, its null flags when a row is NULL, and the
+//                   dictionary entries its rows use first
 //                   (storage/column.h ColumnChunk).
 //
 // The explained file holds one framed record per 64k-row chunk of the log:
@@ -39,15 +47,11 @@
 // writes it whole; the manifest records only its row count (AUDITED).
 //
 // Loading copies each chunk into fresh column chunks. Every byte is checked:
-// a short, torn or CRC-failing record, a header that disagrees with the
-// manifest or with the rows loaded so far, an out-of-range code, bool or
-// null flag, and explained records out of order, with a flag other than 0
-// or 1, or not covering exactly AUDITED rows are errors. CSV is only for
-// import and export (persist.h).
-//
-// Incremental checkpoints chain through BASE pointers back to a full
-// checkpoint. Publish garbage-collects checkpoints outside the new chain
-// and WAL files older than the new WALSEQ.
+// a short, torn or CRC-failing record, a header or CHUNK line that disagrees
+// with the rows loaded so far, an out-of-range code, bool or null flag, and
+// explained records out of order, with a flag other than 0 or 1, or not
+// covering exactly AUDITED rows are errors. CSV is only for import and
+// export (persist.h).
 
 #ifndef EBA_STORAGE_CHECKPOINT_H_
 #define EBA_STORAGE_CHECKPOINT_H_
@@ -82,10 +86,8 @@ struct CheckpointContents {
   AuditState audit;
   uint64_t seq = 0;
   uint64_t wal_seq = 0;
-  /// Chain length (1 = full checkpoint only) and pure data-load time,
-  /// reported so benchmarks can separate "reload the tables" (paid by any
-  /// restart) from "recover the audit state".
-  size_t chain_length = 0;
+  /// Pure data-load time, reported so benchmarks can separate "reload the
+  /// tables" (paid by any restart) from "recover the audit state".
   double db_load_seconds = 0.0;
 };
 
@@ -96,7 +98,7 @@ class CheckpointStore {
 
   const std::string& dir() const { return dir_; }
 
-  /// Creates the store directory if missing.
+  /// Creates the store directory and its chunks/ directory if missing.
   Status Init();
 
   /// Sequence number named by CURRENT; NotFound when no checkpoint has ever
@@ -116,56 +118,61 @@ class CheckpointStore {
   /// of WAL files that outrank CURRENT — recovery opens its fresh WAL at
   /// (highest replayed seq + 1) without publishing a checkpoint, so the
   /// next checkpoint must not re-allocate a sequence whose wal-<seq>.log
-  /// already holds stale records. `full` forces a complete database image;
-  /// otherwise rows past the current checkpoint's per-table counts are
-  /// saved as segments (promoted to full when there is no usable base, e.g.
-  /// tables were added or dropped, or one shrank). A same-name table
-  /// replaced by a larger one looks like growth here, so callers that see a
-  /// catalog change pass `full`. Returns the new sequence number.
+  /// already holds stale records. `tables_continue` says the tables are
+  /// CURRENT's, grown by appends only: the chunks whose rows did not change
+  /// since are then named, not written. Pass false when that is not known
+  /// (no checkpoint published by this writer yet) or not true (a catalog
+  /// change: a same-name replacement's rows are not the published rows
+  /// plus a suffix); every chunk is then written, as it is when CURRENT's
+  /// manifest cannot be read. Returns the new sequence number.
   StatusOr<uint64_t> Prepare(const Database& db, const AuditState& audit,
-                             bool full, uint64_t min_seq = 0);
+                             bool tables_continue, uint64_t min_seq = 0);
 
-  /// Atomically flips CURRENT to `seq`, then garbage-collects checkpoints
-  /// outside the new BASE chain and WAL files older than the new WALSEQ.
+  /// Atomically flips CURRENT to `seq`, then deletes every other ckpt-*
+  /// directory, every chunk file the new manifest does not name, and the
+  /// WAL files older than its WALSEQ.
   Status Publish(uint64_t seq);
 
-  /// Loads the checkpoint named by CURRENT: walks the BASE chain to its
-  /// full root, loads that database image, and applies each chain link's
-  /// segments in order. Any damage — a manifest failing its CRC, a torn or
-  /// corrupt data record, a manifest of another format version — is an
-  /// error: CURRENT only ever names fully synced checkpoints, so corruption
-  /// here is real damage, not a crash artifact. Every file is read through
-  /// the store's Env. NotFound when no checkpoint exists.
+  /// Loads the checkpoint named by CURRENT: its manifest, its catalog, the
+  /// chunk files it names in row order, and its explained flags. Any
+  /// damage — a manifest failing its CRC, a torn or corrupt data record, a
+  /// manifest of another format version — is an error: CURRENT only ever
+  /// names fully synced checkpoints, so corruption here is real damage, not
+  /// a crash artifact. Every file is read through the store's Env. NotFound
+  /// when no checkpoint exists.
   StatusOr<CheckpointContents> LoadNewest() const;
 
  private:
   /// Parsed ckpt.txt.
   struct Manifest {
     uint64_t seq = 0;
-    bool has_base = false;
-    uint64_t base = 0;
     uint64_t wal_seq = 0;
     /// Log rows the explained file covers.
     uint64_t audited_rows = 0;
     std::map<std::string, uint64_t> audit_watermarks;
-    /// Per table, by name: its cumulative row count at this checkpoint and
-    /// each column's dictionary size at that count (0 for non-strings) —
-    /// the dictionary bases of the next incremental link.
+    /// One 64k-row chunk of a table: the checkpoint that wrote its file
+    /// and each column's dictionary size at its first row.
+    struct Chunk {
+      uint64_t seq = 0;
+      std::vector<uint64_t> dict_sizes;
+    };
+    /// Per table, by name: its row count at this checkpoint, each column's
+    /// dictionary size at that count (0 for non-strings), and its chunks in
+    /// row order.
     struct TableState {
       uint64_t rows = 0;
       std::vector<uint64_t> dict_sizes;
+      std::vector<Chunk> chunks;
     };
     std::map<std::string, TableState> tables;
-    /// Incremental links: table -> (from_row, to_row, file name).
-    struct Segment {
-      uint64_t from_row = 0;
-      uint64_t to_row = 0;
-      std::string file;
-    };
-    std::map<std::string, Segment> segments;
   };
 
   std::string CkptDir(uint64_t seq) const;
+  std::string ChunkDir() const;
+  /// chunks/<table>.<k>.<seq>: the file checkpoint `seq` wrote for chunk
+  /// `k` of `table`.
+  std::string ChunkPath(const std::string& table, uint64_t k,
+                        uint64_t seq) const;
   /// Parses ckpt-<seq>/ckpt.txt.
   StatusOr<Manifest> ReadManifest(uint64_t seq) const;
   Status WriteManifest(uint64_t seq, const Manifest& m) const;

@@ -1,12 +1,25 @@
 #include "storage/database.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.h"
 
 namespace eba {
 
-Database::Database() : epochs_(std::make_unique<EpochManager>()) {}
+namespace {
+
+/// The next catalog generation of any database in the process.
+uint64_t NextCatalogGeneration() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+Database::Database()
+    : epochs_(std::make_unique<EpochManager>()),
+      catalog_generation_(NextCatalogGeneration()) {}
 
 Status Database::CreateTable(TableSchema schema) {
   EBA_RETURN_IF_ERROR(schema.Validate());
@@ -16,7 +29,7 @@ Status Database::CreateTable(TableSchema schema) {
   std::string name = schema.name();
   auto [it, inserted] = tables_.emplace(name, Table(std::move(schema)));
   it->second.AttachEpochManager(epochs_.get());
-  ++catalog_generation_;
+  catalog_generation_ = NextCatalogGeneration();
   return Status::OK();
 }
 
@@ -47,7 +60,7 @@ Status Database::AddTable(Table table) {
   std::string name = table.name();
   auto [it, inserted] = tables_.emplace(name, std::move(table));
   it->second.AttachEpochManager(epochs_.get());
-  ++catalog_generation_;
+  catalog_generation_ = NextCatalogGeneration();
   return Status::OK();
 }
 
@@ -57,7 +70,7 @@ Status Database::DropTable(const std::string& name) {
     return Status::NotFound("no table '" + name + "'");
   }
   tables_.erase(it);
-  ++catalog_generation_;
+  catalog_generation_ = NextCatalogGeneration();
   mapping_tables_.erase(name);
   auto drop_attr = [&name](const AttrId& a) { return a.table == name; };
   fks_.erase(std::remove_if(fks_.begin(), fks_.end(),

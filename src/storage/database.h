@@ -145,8 +145,8 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Explicit deep copy: schemas, rows, and join metadata. Mutation
-  /// counters restart from zero — a clone is a fresh catalog, not a shared
+  /// Explicit deep copy: schemas, rows, and join metadata. The clone draws
+  /// its own catalog generations — it is a fresh catalog, not a shared
   /// history, so snapshots taken on the original do not apply to it.
   Database Clone() const;
 
@@ -156,8 +156,9 @@ class Database {
   /// Moves an already-populated table into the database.
   Status AddTable(Table table);
 
-  /// Removes a table (and any metadata referencing it stays; callers that
-  /// drop tables should re-derive the schema graph).
+  /// Removes a table together with the join metadata that names it: its
+  /// foreign keys (either end), admin relationships, self-join attributes
+  /// and mapping mark. A same-name table added later starts without them.
   Status DropTable(const std::string& name);
 
   bool HasTable(const std::string& name) const;
@@ -211,11 +212,14 @@ class Database {
   /// index buckets) is deferred to until every older snapshot unpins.
   EpochManager* epoch_manager() const { return epochs_.get(); }
 
-  /// Monotonic catalog counter: advanced by CreateTable/AddTable/DropTable.
-  /// Within one generation, Table pointers returned by GetTable are stable
-  /// (std::map nodes only die on erase); consumers caching Table pointers
-  /// (e.g. compiled query plans) record the generation at build time and
-  /// treat a mismatch as "stale — do not dereference".
+  /// Catalog generation: a new value on construction and on every
+  /// CreateTable/AddTable/DropTable, drawn from one process-wide counter,
+  /// so no two catalogs in the process share one — not even a database
+  /// move-assigned over another at the same address. Within one generation,
+  /// Table pointers returned by GetTable are stable (std::map nodes only die
+  /// on erase); consumers caching Table pointers (e.g. compiled query plans)
+  /// record the database and generation at build time and treat a mismatch
+  /// as "stale — do not dereference".
   uint64_t catalog_generation() const { return catalog_generation_; }
 
  private:
@@ -227,7 +231,7 @@ class Database {
   /// tables and snapshots hold — is stable across moves).
   std::unique_ptr<EpochManager> epochs_;
   std::map<std::string, Table> tables_;
-  uint64_t catalog_generation_ = 0;
+  uint64_t catalog_generation_;
   std::vector<ForeignKey> fks_;
   std::vector<AdminRelationship> admin_rels_;
   std::vector<AttrId> self_join_attrs_;

@@ -32,6 +32,20 @@ std::vector<int> TableSchema::ColumnsInDomain(const std::string& domain) const {
 
 Status TableSchema::Validate() const {
   if (name_.empty()) return Status::InvalidArgument("table name is empty");
+  // A table name is one field of a checkpoint manifest line and part of a
+  // file name in the store (storage/checkpoint.h).
+  for (const char ch : name_) {
+    const auto byte = static_cast<unsigned char>(ch);
+    if (byte <= 0x20 || byte == 0x7f || ch == '/' || ch == '\\') {
+      return Status::InvalidArgument(
+          "table name '" + name_ +
+          "' holds whitespace, a control byte, '/' or '\\'");
+    }
+  }
+  if (name_ == "." || name_ == "..") {
+    return Status::InvalidArgument("table name '" + name_ +
+                                   "' names a directory");
+  }
   if (columns_.empty()) {
     return Status::InvalidArgument("table '" + name_ + "' has no columns");
   }

@@ -70,8 +70,9 @@ class TableSchema {
   /// Columns whose domain equals `domain`.
   std::vector<int> ColumnsInDomain(const std::string& domain) const;
 
-  /// Verifies the schema is well-formed: non-empty name, unique non-empty
-  /// column names, at most one primary key.
+  /// Verifies the schema is well-formed: a non-empty name without
+  /// whitespace, control bytes, '/' or '\' that is not "." or "..",
+  /// unique non-empty column names, at most one primary key.
   Status Validate() const;
 
  private:

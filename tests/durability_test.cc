@@ -1,7 +1,7 @@
 // Durability subsystem tests: CRC32 vectors, WAL framing with torn-tail and
-// bit-flip corruption at every byte, checkpoint full/incremental chains and
-// their binary data files (bit flips at every byte, every prefix, format
-// versions), crash-safe SaveDatabase, and the headline suite — a
+// bit-flip corruption at every byte, checkpoints that share filled chunk
+// files and their binary data files (bit flips, prefixes, format versions),
+// crash-safe SaveDatabase, and the headline suite — a
 // deterministic process kill at EVERY write-class syscall boundary of a
 // durable streaming-audit schedule, followed by recovery and a differential
 // check against a fresh ExplainAll oracle on a cloned database.
@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -63,9 +65,13 @@ std::string ReadBytes(const std::string& path) {
   return UnwrapOrDie(RealEnv()->ReadFileToString(path), path.c_str());
 }
 
+/// Overwrites `path` without syncing: the corruption sweeps rewrite
+/// half-megabyte chunk files hundreds of times, and only this process reads
+/// them back.
 void WriteBytes(const std::string& path, const std::string& bytes) {
-  const Status s = RealEnv()->WriteFile(path, bytes);
-  EBA_CHECK_MSG(s.ok(), s.ToString());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+  EBA_CHECK_MSG(out.good(), path);
 }
 
 // ---------------------------------------------------------------------------
@@ -261,60 +267,137 @@ void ExpectDbRowsEqual(const Database& got, const Database& want) {
   }
 }
 
-TEST(CheckpointTest, FullAndIncrementalChainRoundTrip) {
-  const std::string dir = TempDir("ckpt_chain");
-  Database db = BuildPaperToyDatabase();
+/// The CHUNK lines of ckpt-<seq>'s manifest as the chunk files they name
+/// ("<table>.<k>.<writer seq>").
+std::set<std::string> NamedChunkFiles(const std::string& dir, uint64_t seq) {
+  std::istringstream in(
+      ReadBytes(dir + "/ckpt-" + std::to_string(seq) + "/ckpt.txt"));
+  std::set<std::string> files;
+  std::string directive, table, k, writer;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    if (fields >> directive >> table >> k >> writer && directive == "CHUNK") {
+      files.insert(table + "." + k + "." + writer);
+    }
+  }
+  return files;
+}
+
+/// Checks what a store holds right after Publish(seq): CURRENT, ckpt-<seq>,
+/// exactly the chunk files its manifest names, and the WALs from seq on.
+void ExpectStoreHoldsOnly(const std::string& dir, uint64_t seq) {
+  const std::string ckpt = "ckpt-" + std::to_string(seq);
+  for (const std::string& name : UnwrapOrDie(RealEnv()->ListDir(dir))) {
+    const bool old_wal =
+        name.rfind("wal-", 0) == 0 && std::stoull(name.substr(4)) < seq;
+    EXPECT_TRUE(name == "CURRENT" || name == ckpt || name == "chunks" ||
+                (name.rfind("wal-", 0) == 0 && !old_wal))
+        << dir << " still holds " << name << " after publishing " << ckpt;
+  }
+  const std::vector<std::string> chunks =
+      UnwrapOrDie(RealEnv()->ListDir(dir + "/chunks"));
+  EXPECT_EQ(std::set<std::string>(chunks.begin(), chunks.end()),
+            NamedChunkFiles(dir, seq));
+}
+
+/// A table "T" of every column type: `id` (primary key), `flag` and
+/// `score` NULL from the first row on, a `tag` string whose dictionary
+/// grows every 997 rows, and an `at` timestamp NULL only past row 100000.
+Database TypedDatabase() {
+  Database db;
+  const Status s = db.CreateTable(TableSchema(
+      "T", {ColumnDef{"id", DataType::kInt64, "t", true},
+            ColumnDef{"flag", DataType::kBool, "", false},
+            ColumnDef{"score", DataType::kDouble, "", false},
+            ColumnDef{"tag", DataType::kString, "", false},
+            ColumnDef{"at", DataType::kTimestamp, "", false}}));
+  EBA_CHECK_MSG(s.ok(), s.ToString());
+  return db;
+}
+
+void AppendTypedRows(Database* db, int64_t from, int64_t to) {
+  Table* table = db->GetTable("T").value();
+  for (int64_t r = from; r < to; ++r) {
+    EBA_CHECK(table
+                  ->AppendRow({Value::Int64(r * 7 - 100),
+                               r % 3 == 0 ? Value::Null()
+                                          : Value::Bool(r % 2 == 1),
+                               r % 5 == 0 ? Value::Null()
+                                          : Value::Double(r * 0.5),
+                               Value::String("tag" + std::to_string(r / 997)),
+                               r > 100000 && r % 11 == 0
+                                   ? Value::Null()
+                                   : Value::Timestamp(r)})
+                  .ok());
+  }
+}
+
+// A filled 64k-row chunk is written once, by the checkpoint that first saw
+// it filled, and later manifests name that same file; each checkpoint
+// writes only the open chunk (and chunks filled since) of the tables that
+// grew, and Publish leaves exactly the files the new manifest names.
+TEST(CheckpointTest, FilledChunksAreWrittenOnceAndShared) {
+  const std::string dir = TempDir("ckpt_shared_chunks");
+  Database db = TypedDatabase();
+  AppendTypedRows(&db, 0, 70000);  // chunk 0 filled, chunk 1 open
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
   EXPECT_EQ(store.CurrentSeq().status().code(), StatusCode::kNotFound);
 
-  // Full root.
-  const uint64_t s1 = UnwrapOrDie(
-      store.Prepare(db, MakeAuditState({1, 0}, db), /*full=*/true));
+  const uint64_t s1 = UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0}, db), /*tables_continue=*/false));
   ASSERT_EQ(s1, 1u);
   EBA_ASSERT_OK(store.Publish(s1));
-  EXPECT_EQ(UnwrapOrDie(store.CurrentSeq()), 1u);
+  EXPECT_EQ(NamedChunkFiles(dir, s1),
+            (std::set<std::string>{"T.0.1", "T.1.1"}));
+  ExpectStoreHoldsOnly(dir, s1);
+  const std::string filled = ReadBytes(dir + "/chunks/T.0.1");
 
-  // Two incremental links, each appending rows to a different table.
-  Table* log = db.GetTable("Log").value();
-  EBA_ASSERT_OK(log->AppendRow({Value::Int64(3), Value::Timestamp(1000),
-                                Value::Int64(testing_util::kMike),
-                                Value::Int64(testing_util::kAlice),
-                                Value::String("viewed record")}));
-  const uint64_t s2 = UnwrapOrDie(
-      store.Prepare(db, MakeAuditState({1, 0, 1}, db), /*full=*/false));
+  // The open chunk grows: only it is written again.
+  AppendTypedRows(&db, 70000, 80000);
+  const uint64_t s2 = UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0, 1}, db), /*tables_continue=*/true));
   ASSERT_EQ(s2, 2u);
   EBA_ASSERT_OK(store.Publish(s2));
+  EXPECT_EQ(NamedChunkFiles(dir, s2),
+            (std::set<std::string>{"T.0.1", "T.1.2"}));
+  ExpectStoreHoldsOnly(dir, s2);
 
-  Table* appt = db.GetTable("Appointments").value();
-  EBA_ASSERT_OK(appt->AppendRow({Value::Int64(testing_util::kBob),
-                                 Value::Timestamp(2000),
-                                 Value::Int64(testing_util::kDave)}));
-  const AuditState a3 = MakeAuditState({1, 1, 1}, db);
-  const uint64_t s3 = UnwrapOrDie(store.Prepare(db, a3, /*full=*/false));
-  ASSERT_EQ(s3, 3u);
+  // Nothing changed: the new manifest names the same files.
+  const uint64_t s3 = UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0, 1}, db), /*tables_continue=*/true));
   EBA_ASSERT_OK(store.Publish(s3));
+  EXPECT_EQ(NamedChunkFiles(dir, s3),
+            (std::set<std::string>{"T.0.1", "T.1.2"}));
+  ExpectStoreHoldsOnly(dir, s3);
 
-  // The chain root must survive GC (seq 2 and 3 depend on it).
-  const auto entries = UnwrapOrDie(RealEnv()->ListDir(dir));
-  EXPECT_TRUE(std::count(entries.begin(), entries.end(), "ckpt-1"));
-
-  CheckpointContents loaded = UnwrapOrDie(store.LoadNewest());
-  EXPECT_EQ(loaded.seq, 3u);
-  EXPECT_EQ(loaded.wal_seq, 3u);
-  EXPECT_EQ(loaded.chain_length, 3u);
-  EXPECT_EQ(loaded.audit.explained, a3.explained);
-  EXPECT_EQ(loaded.audit.audit_watermarks, a3.audit_watermarks);
-  ExpectDbRowsEqual(loaded.db, db);
-
-  // A forced full checkpoint retires the old chain entirely.
-  const uint64_t s4 = UnwrapOrDie(store.Prepare(db, a3, /*full=*/true));
+  // Chunk 1 fills and chunk 2 opens.
+  AppendTypedRows(&db, 80000, 140000);
+  const AuditState a4 = MakeAuditState({1, 1, 1}, db);
+  const uint64_t s4 =
+      UnwrapOrDie(store.Prepare(db, a4, /*tables_continue=*/true));
   ASSERT_EQ(s4, 4u);
   EBA_ASSERT_OK(store.Publish(s4));
-  const auto after = UnwrapOrDie(RealEnv()->ListDir(dir));
-  EXPECT_FALSE(std::count(after.begin(), after.end(), "ckpt-1"));
-  EXPECT_FALSE(std::count(after.begin(), after.end(), "ckpt-3"));
-  EXPECT_TRUE(std::count(after.begin(), after.end(), "ckpt-4"));
+  EXPECT_EQ(NamedChunkFiles(dir, s4),
+            (std::set<std::string>{"T.0.1", "T.1.4", "T.2.4"}));
+  ExpectStoreHoldsOnly(dir, s4);
+  EXPECT_EQ(ReadBytes(dir + "/chunks/T.0.1"), filled);
+
+  CheckpointContents loaded = UnwrapOrDie(store.LoadNewest());
+  EXPECT_EQ(loaded.seq, 4u);
+  EXPECT_EQ(loaded.wal_seq, 4u);
+  EXPECT_EQ(loaded.audit.explained, a4.explained);
+  EXPECT_EQ(loaded.audit.audit_watermarks, a4.audit_watermarks);
+  ExpectDbRowsEqual(loaded.db, db);
+
+  // Tables that do not continue the published ones share nothing.
+  const uint64_t s5 =
+      UnwrapOrDie(store.Prepare(db, a4, /*tables_continue=*/false));
+  EBA_ASSERT_OK(store.Publish(s5));
+  EXPECT_EQ(NamedChunkFiles(dir, s5),
+            (std::set<std::string>{"T.0.5", "T.1.5", "T.2.5"}));
+  ExpectStoreHoldsOnly(dir, s5);
   ExpectDbRowsEqual(UnwrapOrDie(store.LoadNewest()).db, db);
 }
 
@@ -323,8 +406,8 @@ TEST(CheckpointTest, CorruptManifestIsRejected) {
   Database db = BuildPaperToyDatabase();
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
-  EBA_ASSERT_OK(
-      store.Publish(UnwrapOrDie(store.Prepare(db, AuditState{}, true))));
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(
+      store.Prepare(db, AuditState{}, /*tables_continue=*/false))));
   const std::string manifest = dir + "/ckpt-1/ckpt.txt";
   std::string bytes = ReadBytes(manifest);
   bytes[bytes.size() / 2] ^= 0x01;
@@ -339,51 +422,33 @@ TEST(CheckpointTest, UnpublishedCheckpointIsInvisible) {
   Database db = BuildPaperToyDatabase();
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
-  (void)UnwrapOrDie(store.Prepare(db, AuditState{}, true));
+  (void)UnwrapOrDie(
+      store.Prepare(db, AuditState{}, /*tables_continue=*/false));
   // Prepared but never published: recovery sees nothing.
   EXPECT_EQ(store.CurrentSeq().status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.LoadNewest().status().code(), StatusCode::kNotFound);
 }
 
+// Every column type, NULLs and dictionary entries round-trip across both
+// chunk seams: the first checkpoint crosses row 65536, and the second
+// rewrites the open chunk 1 (from the dictionary sizes its CHUNK line
+// records) and writes chunk 2, past row 131072.
 TEST(CheckpointTest, TypedNullableColumnsRoundTripAcrossChunkSeams) {
   const std::string dir = TempDir("ckpt_typed");
-  Database db;
-  EBA_ASSERT_OK(db.CreateTable(TableSchema(
-      "T", {ColumnDef{"id", DataType::kInt64, "t", true},
-            ColumnDef{"flag", DataType::kBool, "", false},
-            ColumnDef{"score", DataType::kDouble, "", false},
-            ColumnDef{"tag", DataType::kString, "", false},
-            ColumnDef{"at", DataType::kTimestamp, "", false}})));
-  Table* table = db.GetTable("T").value();
-  // NULLs from the start in two columns, and only past the full image in
-  // `at`; tags first used past the full image, so the segment carries
-  // dictionary entries.
-  auto append = [&](int64_t from, int64_t to) {
-    for (int64_t r = from; r < to; ++r) {
-      EBA_CHECK(table
-                    ->AppendRow({Value::Int64(r * 7 - 100),
-                                 r % 3 == 0 ? Value::Null()
-                                            : Value::Bool(r % 2 == 1),
-                                 r % 5 == 0 ? Value::Null()
-                                            : Value::Double(r * 0.5),
-                                 Value::String("tag" + std::to_string(r / 997)),
-                                 r > 100000 && r % 11 == 0
-                                     ? Value::Null()
-                                     : Value::Timestamp(r)})
-                    .ok());
-    }
-  };
+  Database db = TypedDatabase();
+  const Table* table = db.GetTable("T").value();
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
-  append(0, 70000);  // one whole 64k-row chunk and part of the next
-  EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState({}, db), true))));
-  append(70000, 140000);  // the segment crosses the 131072-row seam
-  EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState({}, db), false))));
+  AppendTypedRows(&db, 0, 70000);  // a whole 64k-row chunk and part of one
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(
+      store.Prepare(db, MakeAuditState({}, db), /*tables_continue=*/false))));
+  AppendTypedRows(&db, 70000, 140000);  // crosses the 131072-row seam
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(
+      store.Prepare(db, MakeAuditState({}, db), /*tables_continue=*/true))));
+  EXPECT_EQ(NamedChunkFiles(dir, 2),
+            (std::set<std::string>{"T.0.1", "T.1.2", "T.2.2"}));
 
   const CheckpointContents loaded = UnwrapOrDie(store.LoadNewest());
-  EXPECT_EQ(loaded.chain_length, 2u);
   ExpectDbRowsEqual(loaded.db, db);
   const Table* got = loaded.db.GetTable("T").value();
   for (size_t c = 0; c < table->num_columns(); ++c) {
@@ -396,18 +461,28 @@ TEST(CheckpointTest, TypedNullableColumnsRoundTripAcrossChunkSeams) {
             table->column(3).FindStringCode("tag100"));
 }
 
-// Every byte of a checkpoint data file is checked: a bit flip anywhere in a
-// full-image table file, a segment file or the explained file, and every
-// proper prefix of any of them, makes LoadNewest fail — never crash, never
-// return rows.
+// Every byte of a checkpoint data file is checked: a bit flip in a shared
+// filled-chunk file, in an open-chunk file, in the catalog or in the
+// explained file, and every proper prefix of any of them, makes LoadNewest
+// fail — never crash, never return rows. The small files are probed at
+// every byte; the half-megabyte filled chunk at its first and last 64 bytes
+// and every 4093rd byte between.
 TEST(CheckpointTest, DataFileBitFlipsAndPrefixesAreRejected) {
   const std::string dir = TempDir("ckpt_data_corrupt");
   Database db = BuildPaperToyDatabase();
+  // One filled chunk. Tables load in name order, so a probe of a Log file
+  // fails before this one's half megabyte is read.
+  EBA_ASSERT_OK(db.CreateTable(
+      TableSchema("Series", {ColumnDef{"n", DataType::kInt64, "", false}})));
+  Table* series = db.GetTable("Series").value();
+  for (int64_t r = 0; r < static_cast<int64_t>(kColumnChunkRows); ++r) {
+    series->AppendValidatedRow({Value::Int64(r)});
+  }
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
-  EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState({1, 0}, db), true))));
-  // The segment carries a new dictionary entry and a NULL.
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0}, db), /*tables_continue=*/false))));
+  // The open chunk rewritten next carries a new dictionary entry and a NULL.
   Table* log = db.GetTable("Log").value();
   EBA_ASSERT_OK(log->AppendRow({Value::Int64(3), Value::Timestamp(1000),
                                 Value::Int64(testing_util::kMike),
@@ -417,22 +492,31 @@ TEST(CheckpointTest, DataFileBitFlipsAndPrefixesAreRejected) {
                                 Value::Int64(testing_util::kMike),
                                 Value::Int64(testing_util::kAlice),
                                 Value::Null()}));
-  EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState({1, 0}, db), false))));
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0}, db), /*tables_continue=*/true))));
+  ASSERT_EQ(NamedChunkFiles(dir, 2),
+            (std::set<std::string>{"Appointments.0.1", "Doctor_Info.0.1",
+                                   "Log.0.2", "Series.0.1"}));
   ExpectDbRowsEqual(UnwrapOrDie(store.LoadNewest()).db, db);
 
-  for (const std::string& path : {dir + "/ckpt-1/db/Log",
-                                  dir + "/ckpt-2/seg-Log",
-                                  dir + "/ckpt-2/explained"}) {
+  for (const std::string& path :
+       {dir + "/chunks/Series.0.1", dir + "/chunks/Log.0.2",
+        dir + "/ckpt-2/catalog", dir + "/ckpt-2/explained"}) {
     const std::string original = ReadBytes(path);
     ASSERT_GT(original.size(), 0u) << path;
+    const auto probed = [&](size_t off) {
+      return original.size() < 4096 || off < 64 ||
+             off + 64 >= original.size() || off % 4093 == 0;
+    };
     for (size_t off = 0; off < original.size(); ++off) {
+      if (!probed(off)) continue;
       std::string bytes = original;
       bytes[off] = static_cast<char>(bytes[off] ^ (1 << (off % 8)));
       WriteBytes(path, bytes);
       ASSERT_FALSE(store.LoadNewest().ok()) << path << " flip at byte " << off;
     }
     for (size_t cut = 0; cut < original.size(); ++cut) {
+      if (!probed(cut)) continue;
       WriteBytes(path, original.substr(0, cut));
       ASSERT_FALSE(store.LoadNewest().ok()) << path << " cut at byte " << cut;
     }
@@ -446,18 +530,19 @@ TEST(CheckpointTest, VersionOneStoreIsRejectedByName) {
   Database db = BuildPaperToyDatabase();
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
-  EBA_ASSERT_OK(
-      store.Publish(UnwrapOrDie(store.Prepare(db, AuditState{}, true))));
-  // Re-stamp the manifest as each older format — the CSV-era v1 and the
-  // v2 whose explained set was a manifest line — with a valid CRC.
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(
+      store.Prepare(db, AuditState{}, /*tables_continue=*/false))));
+  // Re-stamp the manifest as each older format — the CSV-era v1, the v2
+  // whose explained set was a manifest line, and the v3 whose incremental
+  // checkpoints chained through BASE lines — with a valid CRC.
   const std::string manifest = dir + "/ckpt-1/ckpt.txt";
   const std::string text = ReadBytes(manifest);
   const std::string body = text.substr(0, text.rfind("CRC "));
-  const std::string v3 = "# eba checkpoint v3";
-  ASSERT_EQ(body.rfind(v3, 0), 0u);
-  for (const std::string version : {"1", "2"}) {
+  const std::string v4 = "# eba checkpoint v4";
+  ASSERT_EQ(body.rfind(v4, 0), 0u);
+  for (const std::string version : {"1", "2", "3"}) {
     std::string old_body = body;
-    old_body.replace(0, v3.size(), "# eba checkpoint v" + version);
+    old_body.replace(0, v4.size(), "# eba checkpoint v" + version);
     char crc[16];
     std::snprintf(crc, sizeof(crc), "%x", Crc32(old_body));
     WriteBytes(manifest, old_body + "CRC " + crc + "\n");
@@ -482,8 +567,8 @@ TEST(CheckpointTest, ExplainedRecordContentIsChecked) {
   Database db = BuildPaperToyDatabase();
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
-  EBA_ASSERT_OK(store.Publish(
-      UnwrapOrDie(store.Prepare(db, MakeAuditState({1, 0}, db), true))));
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0}, db), /*tables_continue=*/false))));
   const std::string path = dir + "/ckpt-1/explained";
   // One record: type | u64 first_row | u32 rows | flags.
   auto record = [](uint8_t type, uint64_t first_row, std::string flags) {
@@ -517,8 +602,8 @@ TEST(CheckpointTest, AuditedPastTheRecoveredLogIsRejected) {
   Database db = BuildPaperToyDatabase();  // a two-row log
   CheckpointStore store(RealEnv(), dir);
   EBA_ASSERT_OK(store.Init());
-  const uint64_t seq = UnwrapOrDie(
-      store.Prepare(db, MakeAuditState({1, 0, 1}, db), /*full=*/true));
+  const uint64_t seq = UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0, 1}, db), /*tables_continue=*/false));
   EBA_ASSERT_OK(store.Publish(seq));
   WriteBytes(store.WalPath(seq), "");  // the paired, empty WAL
   EXPECT_EQ(UnwrapOrDie(store.LoadNewest()).audit.explained,
@@ -647,7 +732,7 @@ Status RunDurableSchedule(StreamingAuditor* auditor, const DurFixture& f,
   EBA_RETURN_IF_ERROR(append_log(4));
   EBA_RETURN_IF_ERROR(append_foreign("Appointments"));
   EBA_RETURN_IF_ERROR(audit());
-  EBA_RETURN_IF_ERROR(auditor->Checkpoint(/*full=*/false));
+  EBA_RETURN_IF_ERROR(auditor->Checkpoint());
   EBA_RETURN_IF_ERROR(append_log(4));
   EBA_RETURN_IF_ERROR(append_foreign("Visits"));
   EBA_RETURN_IF_ERROR(audit());
@@ -699,7 +784,6 @@ TEST(DurabilityTest, KillAtEveryWriteOpRecoversAndConverges) {
   opts.dir = dir;
   opts.sync = WalSync::kNone;  // the fault model: process kill, not power loss
   opts.checkpoint_after_wal_bytes = 512;  // force auto-checkpoints mid-run
-  opts.full_checkpoint_interval = 2;      // exercise full + incremental mix
 
   // Dry run: count the write-class operations of the whole schedule.
   FaultInjectingEnv fenv;
@@ -899,7 +983,7 @@ TEST(DurabilityTest, KillRecoverCheckpointKillKeepsRowCountExact) {
     EBA_ASSERT_OK_AND_ASSIGN(
         StreamingAuditor auditor,
         StreamingAuditor::RecoverFrom(&db, "LogStream", opts));
-    EBA_ASSERT_OK(auditor.Checkpoint(/*full=*/false));
+    EBA_ASSERT_OK(auditor.Checkpoint());
     EBA_ASSERT_OK(auditor.AppendAccessBatch(batch(4)));
   }
 
@@ -925,10 +1009,11 @@ TEST(DurabilityTest, KillRecoverCheckpointKillKeepsRowCountExact) {
   CheckRecoveredAgainstOracle(db, master.templates, recovered, ~uint64_t{0});
 }
 
-// Publish keeps only the WAL files recovery replays: those from the new
-// checkpoint's WALSEQ on. An incremental checkpoint chains back to its full
-// root, but the root's WAL holds only rows the new link already carries.
-TEST(DurabilityTest, IncrementalCheckpointKeepsOnlyItsOwnWal) {
+// Publish keeps only what recovery reads: ckpt-<seq>, the chunk files its
+// manifest names, and the WAL files from its WALSEQ on. The fresh start's
+// checkpoint and WAL, and the chunk files the second checkpoint wrote
+// again, are gone.
+TEST(DurabilityTest, CheckpointKeepsOnlyTheFilesItNames) {
   const DurFixture master = MakeDurFixture();
   const std::string dir = TempDir("wal_gc");
   DurabilityOptions opts;
@@ -946,7 +1031,7 @@ TEST(DurabilityTest, IncrementalCheckpointKeepsOnlyItsOwnWal) {
   };
   const CheckpointStore store(RealEnv(), dir);
   {
-    // Fresh start: the full root checkpoint and its WAL.
+    // Fresh start: the first checkpoint and its WAL.
     Database db = CloneDatabase(master.data.db);
     EBA_ASSERT_OK_AND_ASSIGN(
         StreamingAuditor auditor,
@@ -954,15 +1039,22 @@ TEST(DurabilityTest, IncrementalCheckpointKeepsOnlyItsOwnWal) {
     for (const auto& t : master.templates) {
       EBA_ASSERT_OK(auditor.AddTemplate(t));
     }
+    const uint64_t first = UnwrapOrDie(store.CurrentSeq());
+    ExpectStoreHoldsOnly(dir, first);
+    const std::set<std::string> first_named = NamedChunkFiles(dir, first);
     EBA_ASSERT_OK(auditor.AppendAccessBatch(batch(4)));
     (void)UnwrapOrDie(auditor.ExplainNew());
-    EBA_ASSERT_OK(auditor.Checkpoint(/*full=*/false));
+    EBA_ASSERT_OK(auditor.Checkpoint());
     const uint64_t seq = UnwrapOrDie(store.CurrentSeq());
-    // An incremental link (no database image of its own) whose root
-    // survives, while the root's WAL is gone.
-    EXPECT_FALSE(RealEnv()->FileExists(dir + "/ckpt-" +
-                                       std::to_string(seq) + "/db"));
+    ExpectStoreHoldsOnly(dir, seq);
     EXPECT_EQ(UnwrapOrDie(store.ListWalSeqs()), (std::vector<uint64_t>{seq}));
+    // Only the grown log's chunk was written again.
+    const std::set<std::string> named = NamedChunkFiles(dir, seq);
+    for (const std::string& file : first_named) {
+      EXPECT_EQ(named.count(file), file.rfind("LogStream.", 0) == 0 ? 0u : 1u)
+          << file;
+    }
+    EXPECT_EQ(named.count("LogStream.0." + std::to_string(seq)), 1u);
     EBA_ASSERT_OK(auditor.AppendAccessBatch(batch(4)));  // WAL-only tail
   }
 
@@ -987,52 +1079,134 @@ TEST(DurabilityTest, IncrementalCheckpointKeepsOnlyItsOwnWal) {
   CheckRecoveredAgainstOracle(db, master.templates, recovered, ~uint64_t{0});
 }
 
-// A catalog change is the one change an incremental checkpoint cannot
-// carry: a same-name replacement that grew looks, by row counts alone, like
-// rows appended to the base image, whose segment would put the dropped
-// table's rows back. The checkpoint after it must be a full image.
-TEST(DurabilityTest, ReplacedTableForcesFullCheckpointImage) {
-  const DurFixture master = MakeDurFixture();
+// A crash between a checkpoint's chunk writes and its Publish leaves
+// orphans: the unpublished ckpt-<seq> and the chunk files it wrote. CURRENT's
+// checkpoint still loads, untouched, and the next Publish removes them.
+TEST(CheckpointTest, CrashBeforePublishLeavesOrphansTheNextPublishRemoves) {
+  const std::string dir = TempDir("ckpt_orphans");
+  Database db = BuildPaperToyDatabase();
+  CheckpointStore store(RealEnv(), dir);
+  EBA_ASSERT_OK(store.Init());
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0}, db), /*tables_continue=*/false))));
+  const Database published = CloneDatabase(db);
+
+  Table* log = db.GetTable("Log").value();
+  EBA_ASSERT_OK(log->AppendRow({Value::Int64(3), Value::Timestamp(1000),
+                                Value::Int64(testing_util::kMike),
+                                Value::Int64(testing_util::kAlice),
+                                Value::String("printed record")}));
+  // Prepared, then the process dies before Publish.
+  ASSERT_EQ(UnwrapOrDie(store.Prepare(db, MakeAuditState({1, 0, 1}, db),
+                                      /*tables_continue=*/true)),
+            2u);
+  EXPECT_TRUE(RealEnv()->FileExists(dir + "/ckpt-2"));
+  EXPECT_TRUE(RealEnv()->FileExists(dir + "/chunks/Log.0.2"));
+
+  const CheckpointContents loaded = UnwrapOrDie(store.LoadNewest());
+  EXPECT_EQ(loaded.seq, 1u);
+  EXPECT_EQ(loaded.audit.explained, (std::vector<uint8_t>{1, 0}));
+  ExpectDbRowsEqual(loaded.db, published);
+
+  // Recovery opens its WAL past the orphan's sequence, so the next
+  // checkpoint is 3 and writes none of the orphans' names again.
+  const uint64_t seq = UnwrapOrDie(store.Prepare(
+      db, MakeAuditState({1, 0, 1}, db), /*tables_continue=*/true,
+      /*min_seq=*/3));
+  ASSERT_EQ(seq, 3u);
+  EBA_ASSERT_OK(store.Publish(seq));
+  ExpectStoreHoldsOnly(dir, seq);
+  EXPECT_FALSE(RealEnv()->FileExists(dir + "/chunks/Log.0.2"));
+  ExpectDbRowsEqual(UnwrapOrDie(store.LoadNewest()).db, db);
+}
+
+// A catalog change is the one change that shares no chunk file: a
+// same-name replacement that grew looks, by row counts alone, like rows
+// appended to the published table, and naming its filled chunk would put
+// the dropped table's rows back. Every chunk after it is written again.
+TEST(DurabilityTest, ReplacedTableSharesNoChunkFile) {
   const std::string dir = TempDir("replaced_table");
   DurabilityOptions opts;
   opts.dir = dir;
   opts.sync = WalSync::kNone;
   opts.checkpoint_after_wal_bytes = 0;  // manual checkpoints only
 
-  Database db = CloneDatabase(master.data.db);
-  EBA_ASSERT_OK_AND_ASSIGN(
-      StreamingAuditor auditor,
-      StreamingAuditor::RecoverFrom(&db, "LogStream", opts));
-  for (const auto& t : master.templates) {
-    EBA_ASSERT_OK(auditor.AddTemplate(t));
+  // "Big" fills a chunk, so a checkpoint that wrongly shared its files
+  // would name the dropped table's rows.
+  Database db = BuildPaperToyDatabase();
+  const TableSchema big_schema(
+      "Big", {ColumnDef{"n", DataType::kInt64, "", false}});
+  Table big(big_schema);
+  for (int64_t r = 0; r < static_cast<int64_t>(kColumnChunkRows) + 10; ++r) {
+    big.AppendValidatedRow({Value::Int64(r)});
   }
-  (void)UnwrapOrDie(auditor.ExplainNew());
+  EBA_ASSERT_OK(db.AddTable(std::move(big)));
+  EBA_ASSERT_OK_AND_ASSIGN(StreamingAuditor auditor,
+                           StreamingAuditor::RecoverFrom(&db, "Log", opts));
+  const CheckpointStore store(RealEnv(), dir);
+  const uint64_t first = UnwrapOrDie(store.CurrentSeq());
+  EXPECT_EQ(NamedChunkFiles(dir, first).count("Big.0." + std::to_string(first)),
+            1u);
 
-  // The replacement holds one row more than Appointments, and its first
-  // row is new.
-  const Table* appointments = db.GetTable("Appointments").value();
-  ASSERT_GT(appointments->num_rows(), 0u);
-  Table replacement(appointments->schema());
-  Row first = appointments->GetRow(0);
-  first[0] = Value::Int64(900001);  // a patient nobody accessed
-  EBA_ASSERT_OK(replacement.AppendRow(first));
-  for (size_t r = 0; r < appointments->num_rows(); ++r) {
-    EBA_ASSERT_OK(replacement.AppendRow(appointments->GetRow(r)));
+  // The replacement holds more rows than Big, and its first rows differ.
+  Table replacement(big_schema);
+  for (int64_t r = 0; r < static_cast<int64_t>(kColumnChunkRows) + 20; ++r) {
+    replacement.AppendValidatedRow({Value::Int64(-r)});
   }
   testing_util::ReplaceTable(&db, std::move(replacement));
 
   EBA_ASSERT_OK(auditor.Checkpoint());
-  const uint64_t seq =
-      UnwrapOrDie(CheckpointStore(RealEnv(), dir).CurrentSeq());
-  EXPECT_TRUE(
-      RealEnv()->FileExists(dir + "/ckpt-" + std::to_string(seq) + "/db"));
+  const uint64_t seq = UnwrapOrDie(store.CurrentSeq());
+  for (const std::string& file : NamedChunkFiles(dir, seq)) {
+    EXPECT_EQ(file.substr(file.rfind('.') + 1), std::to_string(seq)) << file;
+  }
+  ExpectStoreHoldsOnly(dir, seq);
 
   Database recovered_db;
   RecoveryStats stats;
   EBA_ASSERT_OK_AND_ASSIGN(
       StreamingAuditor recovered,
-      StreamingAuditor::RecoverFrom(&recovered_db, "LogStream", opts, &stats));
+      StreamingAuditor::RecoverFrom(&recovered_db, "Log", opts, &stats));
   EXPECT_EQ(stats.checkpoint_seq, seq);
+  ExpectDbRowsEqual(recovered_db, db);
+}
+
+// Join metadata (foreign keys, admin relationships, self-join attributes,
+// mapping marks) does not move the catalog generation, so only a
+// checkpoint that always writes the catalog record carries metadata
+// declared after durability was enabled.
+TEST(DurabilityTest, JoinMetadataSurvivesRecovery) {
+  const std::string dir = TempDir("join_metadata");
+  DurabilityOptions opts;
+  opts.dir = dir;
+  opts.checkpoint_after_wal_bytes = 0;  // manual checkpoints only
+  Database db = BuildPaperToyDatabase();
+  EBA_ASSERT_OK(db.CreateTable(TableSchema(
+      "Doctors", {ColumnDef{"Doctor", DataType::kInt64, "user", true}})));
+  EBA_ASSERT_OK_AND_ASSIGN(StreamingAuditor auditor,
+                           StreamingAuditor::RecoverFrom(&db, "Log", opts));
+
+  EBA_ASSERT_OK(db.AddForeignKey(AttrId{"Appointments", "Doctor"},
+                                 AttrId{"Doctors", "Doctor"}));
+  EBA_ASSERT_OK(db.AddAdminRelationship(AttrId{"Appointments", "Doctor"},
+                                        AttrId{"Doctor_Info", "Doctor"}));
+  EBA_ASSERT_OK(db.AllowSelfJoin(AttrId{"Appointments", "Patient"}));
+  EBA_ASSERT_OK(db.MarkMappingTable("Doctor_Info"));
+  EBA_ASSERT_OK(auditor.Checkpoint());
+
+  Database recovered_db;
+  EBA_ASSERT_OK_AND_ASSIGN(
+      StreamingAuditor recovered,
+      StreamingAuditor::RecoverFrom(&recovered_db, "Log", opts));
+  ASSERT_EQ(recovered_db.foreign_keys().size(), 1u);
+  EXPECT_EQ(recovered_db.foreign_keys()[0].from,
+            (AttrId{"Appointments", "Doctor"}));
+  EXPECT_EQ(recovered_db.foreign_keys()[0].to, (AttrId{"Doctors", "Doctor"}));
+  ASSERT_EQ(recovered_db.admin_relationships().size(), 1u);
+  EXPECT_EQ(recovered_db.admin_relationships()[0].b,
+            (AttrId{"Doctor_Info", "Doctor"}));
+  EXPECT_EQ(recovered_db.self_join_attrs(), db.self_join_attrs());
+  EXPECT_EQ(recovered_db.mapping_tables(), db.mapping_tables());
   ExpectDbRowsEqual(recovered_db, db);
 }
 

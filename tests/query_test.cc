@@ -7,6 +7,7 @@
 #include "query/executor.h"
 #include "query/optimizer.h"
 #include "query/parser.h"
+#include "query/plan_cache.h"
 #include "query/sql.h"
 #include "tests/test_util.h"
 
@@ -19,6 +20,35 @@ using testing_util::kBob;
 using testing_util::kDave;
 using testing_util::kMike;
 using testing_util::UnwrapOrDie;
+
+// --------------------------- Plan cache ---------------------------
+
+// A database move-assigned over another keeps its address, so only its
+// catalog generation tells a plan cached against the old tables from one
+// for the new: generations are unique in the process, and the cached plan,
+// whose table pointers were freed, is dropped instead of replayed.
+TEST(PlanCacheGenerationTest, DatabaseAssignedOverAnotherMissesTheCache) {
+  Database db = BuildPaperToyDatabase();
+  PlanCache cache;
+  ExecutorOptions options;
+  options.plan_cache = &cache;
+  const auto run = [&] {
+    Executor executor(&db, options);
+    const PathQuery q = UnwrapOrDie(
+        ParsePathQuery(db, "Log L, Appointments A",
+                       "L.Patient = A.Patient AND A.Doctor = L.User"));
+    return UnwrapOrDie(executor.DistinctLids(q, QAttr{0, 0}));
+  };
+  EXPECT_EQ(run(), (std::vector<int64_t>{1}));
+  ASSERT_EQ(cache.size(), 1u);
+
+  db = BuildPaperToyDatabase();
+  const PlanCache::Stats before = cache.stats();
+  EXPECT_EQ(run(), (std::vector<int64_t>{1}));
+  EXPECT_EQ(cache.stats().hits - before.hits, 0u);
+  EXPECT_EQ(cache.stats().misses - before.misses, 1u);
+  EXPECT_EQ(cache.stats().invalidations - before.invalidations, 1u);
+}
 
 // --------------------------- Expr ---------------------------
 

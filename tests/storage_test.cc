@@ -73,6 +73,39 @@ TEST(SchemaTest, ValidationCatchesErrors) {
   EXPECT_TRUE(SimpleSchema().Validate().ok());
 }
 
+// A table name is one field of a checkpoint manifest line and part of a
+// file name in the store (storage/checkpoint.h): whitespace, control bytes,
+// path separators and the names "." and ".." are refused.
+TEST(SchemaTest, TableNamesAManifestLineAndAFileNameCanCarry) {
+  const std::vector<ColumnDef> columns = {
+      ColumnDef{"a", DataType::kInt64, "", false}};
+  for (const std::string& name :
+       {std::string("a b"), std::string("a\tb"), std::string("a\nb"),
+        std::string("a\rb"), std::string("trailing "), std::string(" lead"),
+        std::string("nul\0byte", 8), std::string("\x01"),
+        std::string("del\x7f"), std::string("a/b"), std::string("/abs"),
+        std::string("../escaped"), std::string("a\\b"), std::string("."),
+        std::string("..")}) {
+    const Status s = TableSchema(name, columns).Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << name;
+    Database db;
+    EXPECT_FALSE(db.CreateTable(TableSchema(name, columns)).ok()) << name;
+  }
+  // Every table name the library, its tools, benchmarks and tests create,
+  // and names that merely hold dots or bytes past ASCII.
+  for (const std::string name :
+       {"Appointments", "Audit", "Big", "Child", "Day7All", "Doctor_Info",
+        "Doctors", "Documents", "E", "Empty", "EmptyLog", "Eval", "EvalLog",
+        "Events", "FakePart", "FirstD7", "FirstLog", "Groups", "L", "Labs",
+        "Log", "LogDesc", "LogStream", "Medications", "MicroTrain",
+        "Mine_1_7", "Notes", "Orders", "Parent", "Patients", "Radiology",
+        "Referrals", "S", "Series", "Staff", "T", "TS", "Tags", "TestFirst",
+        "TestLog", "TrainFirst", "TrainLog", "UserMap", "Users", "Visits",
+        "WeirdLog", "X", "Y", "a.b", "..a", "caf\xc3\xa9"}) {
+    EXPECT_TRUE(TableSchema(name, columns).Validate().ok()) << name;
+  }
+}
+
 TEST(AttrIdTest, EqualityAndOrdering) {
   AttrId a{"Log", "User"};
   AttrId b{"Log", "User"};
@@ -517,11 +550,28 @@ TEST(DatabaseTest, MappingTables) {
 
 TEST(DatabaseTest, DropTableCleansMetadata) {
   Database db = testing_util::BuildPaperToyDatabase();
+  EBA_ASSERT_OK(db.CreateTable(TableSchema(
+      "Doctors", {ColumnDef{"Doctor", DataType::kInt64, "user", true}})));
   EBA_ASSERT_OK(db.AddAdminRelationship(AttrId{"Appointments", "Doctor"},
                                         AttrId{"Doctor_Info", "Doctor"}));
+  EBA_ASSERT_OK(db.AddForeignKey(AttrId{"Doctor_Info", "Doctor"},
+                                 AttrId{"Doctors", "Doctor"}));
+  EBA_ASSERT_OK(db.AddForeignKey(AttrId{"Appointments", "Doctor"},
+                                 AttrId{"Doctors", "Doctor"}));
+  EBA_ASSERT_OK(db.MarkMappingTable("Doctor_Info"));
   EBA_ASSERT_OK(db.DropTable("Doctor_Info"));
   EXPECT_TRUE(db.admin_relationships().empty());
   EXPECT_TRUE(db.self_join_attrs().empty());
+  EXPECT_FALSE(db.IsMappingTable("Doctor_Info"));
+  // Only the foreign key that names the dropped table goes.
+  ASSERT_EQ(db.foreign_keys().size(), 1u);
+  EXPECT_EQ(db.foreign_keys()[0].from, (AttrId{"Appointments", "Doctor"}));
+
+  // A same-name table added back starts without the dropped metadata.
+  EBA_ASSERT_OK(db.CreateTable(TableSchema(
+      "Doctor_Info", {ColumnDef{"Doctor", DataType::kInt64, "user", false}})));
+  EXPECT_FALSE(db.IsMappingTable("Doctor_Info"));
+  EXPECT_EQ(db.foreign_keys().size(), 1u);
 }
 
 TEST(DatabaseTest, ResolveColumnAndTotals) {

@@ -335,7 +335,6 @@ TEST(StreamingFuzzTest, CrashAtEveryStepRecoversAndFinishesSchedule) {
   dopts.dir = dir;
   dopts.sync = WalSync::kNone;
   dopts.checkpoint_after_wal_bytes = 1024;  // auto-checkpoints mid-schedule
-  dopts.full_checkpoint_interval = 2;
 
   const FuzzFixture rows_source = MakeFuzzFixture();
   const std::vector<CrashOp> ops = MakeCrashSchedule(kSeed, kSteps,
